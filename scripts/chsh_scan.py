@@ -34,7 +34,7 @@ def main():
     args = parser.parse_args()
 
     reference = chsh_from_correlations(reference_correlation, *SETTINGS)
-    bound = deterministic_bound(2)
+    bound = deterministic_bound()
     print(f"local deterministic bound: {fmt12(bound)}")
     print(f"singlet cosine reference:  S = {fmt12(reference.s_value)}")
     print()

@@ -35,7 +35,6 @@ from .errors import (
     InvalidWeightsError,
     StationMismatchError,
     UnknownZooEntryError,
-    UnsupportedSizeError,
     ZeroTrialsError,
 )
 from .inequality import (
@@ -66,6 +65,8 @@ from .model import (
     outcome_given_value,
     s1,
     s2,
+    station_outcomes,
+    station_values,
 )
 from .stations import (
     AuditReport,

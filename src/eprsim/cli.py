@@ -23,7 +23,6 @@ from .errors import (
     InvalidScheduleError,
     InvalidToleranceError,
     UnknownZooEntryError,
-    UnsupportedSizeError,
     ZeroTrialsError,
 )
 from .inequality import (
@@ -51,7 +50,6 @@ CONFIG_ERRORS = (
     InvalidScheduleError,
     ZeroTrialsError,
     DescriptorError,
-    UnsupportedSizeError,
 )
 
 
@@ -311,7 +309,7 @@ def cmd_chsh(args) -> int:
             trials=args.trials if args.method == "monte_carlo" else 0,
             seed=args.seed, tol=args.tol,
         )
-    bound = deterministic_bound(2)
+    bound = deterministic_bound()
     gap = abs(reference.s_value) - abs(result.s_value)
     config = _config_echo(args, ["model", "angles", "method", "trials", "seed", "tol"])
     payload = {

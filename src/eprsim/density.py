@@ -19,13 +19,16 @@ from math import fsum
 from pathlib import Path
 from typing import Hashable, Mapping
 
+import numpy as np
+
 from .errors import (
     EmptyTableError,
     InvalidToleranceError,
     InvalidWeightsError,
     StationMismatchError,
 )
-from .model import LocalModel, Setting, Station
+from .model import LocalModel, Setting, Station, station_values
+from .util import parse_scalar
 
 CSV_HEADER = ("lambda_star", "lambda_dblstar", "lambda", "m", "prob")
 
@@ -90,14 +93,14 @@ def tabulate_joint(model: LocalModel, a: Setting, b: Setting) -> JointTable:
         raise StationMismatchError("tabulate_joint: first setting must be S1-typed")
     if b.station is not Station.S2:
         raise StationMismatchError("tabulate_joint: second setting must be S2-typed")
-    entries: dict[Key, float] = {}
-    for lam in model.source.states:
-        p = model.source.weight(lam)
-        for m in model.grid.slots:
-            v1 = model.gen1.evaluate(a, m)
-            v2 = model.gen2.evaluate(b, m)
-            key = (v1, v2, lam, m)
-            entries[key] = entries.get(key, 0.0) + p * model.grid.weight(m)
+    slots = model.grid.slots
+    cells = list(zip(slots, station_values(model, a), station_values(model, b),
+                     map(model.grid.weight, slots)))
+    entries = {
+        (v1, v2, lam, m): p * w
+        for lam, p in zip(model.source.states, model.source.prior)
+        for m, v1, v2, w in cells
+    }
     return JointTable(
         setting_a=a,
         setting_b=b,
@@ -135,30 +138,6 @@ def swap_stations(table: JointTable) -> JointTable:
     )
 
 
-def _pair_deviation(
-    cells: dict[tuple[Hashable, Hashable], float],
-    values1,
-    values2,
-) -> tuple[float, float]:
-    """Max cell deviation and total variation between a joint and its marginal product."""
-    mass = fsum(cells.values())
-    joint = {k: p / mass for k, p in cells.items()}
-    p1: dict[Hashable, float] = {}
-    p2: dict[Hashable, float] = {}
-    for (x, y), p in joint.items():
-        p1[x] = p1.get(x, 0.0) + p
-        p2[y] = p2.get(y, 0.0) + p
-    worst = 0.0
-    tv = 0.0
-    for x in values1:
-        for y in values2:
-            diff = abs(joint.get((x, y), 0.0) - p1.get(x, 0.0) * p2.get(y, 0.0))
-            tv += diff
-            if diff > worst:
-                worst = diff
-    return worst, 0.5 * tv
-
-
 def check_factorization(
     table: JointTable,
     mode: str = "given_lambda_and_m",
@@ -176,29 +155,53 @@ def check_factorization(
     if not table.entries or fsum(table.entries.values()) <= 0.0:
         raise EmptyTableError("cannot check factorization of an empty table")
 
-    conditions: dict[Hashable, dict[tuple[Hashable, Hashable], float]] = {}
+    # Pool the nonzero entries per (condition, v1, v2) cell, keyed by the
+    # cell's flat index in a dense (condition, v1, v2) array.
+    index1 = {x: i for i, x in enumerate(table.value_space_1)}
+    index2 = {y: j for j, y in enumerate(table.value_space_2)}
+    n1, n2 = len(index1), len(index2)
+    conditions: dict[Hashable, int] = {}
+    pooled: dict[int, float] = {}
     for (v1, v2, lam, m), p in table.entries.items():
         if p == 0.0:
             continue
-        cond = lam if mode == "given_lambda" else (lam, m)
-        conditions.setdefault(cond, {})
-        cell = (v1, v2)
-        conditions[cond][cell] = conditions[cond].get(cell, 0.0) + p
-
-    deviations: dict[Hashable, float] = {}
-    worst_tv = 0.0
-    for cond, cells in conditions.items():
-        dev, tv = _pair_deviation(cells, table.value_space_1, table.value_space_2)
-        deviations[cond] = dev
-        worst_tv = max(worst_tv, tv)
-    max_dev = max(deviations.values(), default=0.0)
+        c = conditions.setdefault(lam if mode == "given_lambda" else (lam, m), len(conditions))
+        k = (c * n1 + index1[v1]) * n2 + index2[v2]
+        pooled[k] = pooled.get(k, 0.0) + p
+    n = len(conditions)
+    cells = np.fromiter(pooled, dtype=np.int64, count=len(pooled))
+    cond = cells // (n1 * n2)
+    groups: list[list[float]] = [[] for _ in range(n)]
+    for c, p in zip(cond.tolist(), pooled.values()):
+        groups[c].append(p)
+    mass = np.array([fsum(g) for g in groups])
+    shares = np.fromiter(pooled.values(), dtype=np.float64, count=len(pooled)) / mass[cond]
+    joint = np.zeros((n, n1, n2))
+    joint.reshape(-1)[cells] = shares
+    # np.bincount adds its weights one at a time in input order, so each
+    # one-sided marginal is the same left-to-right sum over the cells, in
+    # order of first appearance, that a loop over ``pooled`` would give.
+    p1 = np.bincount(cells // n2, weights=shares, minlength=n * n1).reshape(n, n1, 1)
+    p2 = np.bincount(cond * n2 + cells % n2, weights=shares, minlength=n * n2).reshape(n, 1, n2)
+    # In place: the dense arrays dominate peak memory on wide models.
+    diff = np.multiply(p1, p2)
+    np.subtract(joint, diff, out=diff)
+    np.abs(diff, out=diff)
+    worst = diff.max(axis=(1, 2))
+    # Total variation adds the cells one at a time in value order; numpy's
+    # pairwise .sum() would round differently.
+    tv = np.zeros(n)
+    for column in diff.reshape(n, n1 * n2).T:
+        tv += column
+    deviations = dict(zip(conditions, worst.tolist()))
+    max_dev = max(deviations.values())
     return FactorizationReport(
         mode=mode,
         tol=tol,
         max_deviation=max_dev,
         passed=max_dev <= tol,
         deviations=deviations,
-        max_total_variation=worst_tv,
+        max_total_variation=0.5 * float(tv.max()),
     )
 
 
@@ -217,17 +220,6 @@ def write_table_csv(table: JointTable, path: str | Path) -> None:
     Path(path).write_text(table_to_csv(table), encoding="utf-8")
 
 
-def _parse_cell(text: str) -> Hashable:
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 def table_from_csv(source: str | Path, a: Setting, b: Setting) -> JointTable:
     """Load a table written by :func:`table_to_csv`; axes are the observed values."""
     text = Path(source).read_text(encoding="utf-8") if isinstance(source, Path) else source
@@ -241,7 +233,7 @@ def table_from_csv(source: str | Path, a: Setting, b: Setting) -> JointTable:
     for row in rows[1:]:
         if len(row) != 5:
             raise InvalidWeightsError(f"joint-table CSV row has {len(row)} fields: {row!r}")
-        v1, v2, lam = (_parse_cell(c) for c in row[:3])
+        v1, v2, lam = (parse_scalar(c) for c in row[:3])
         key = (v1, v2, lam, int(row[3]))
         entries[key] = entries.get(key, 0.0) + float(row[4])
     if not entries:

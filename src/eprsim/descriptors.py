@@ -17,10 +17,10 @@ import configparser
 import io
 import shlex
 from pathlib import Path
-from typing import Hashable
 
 from .errors import DescriptorError, UnknownZooEntryError
 from .model import (
+    TWO_PI,
     InstrumentParamGen,
     LocalModel,
     OutcomeFn,
@@ -37,6 +37,7 @@ from .symmetry import (
     target_marginal,
     time_symmetrize,
 )
+from .util import parse_scalar
 from .zoo import ZOO, zoo_model
 
 MODEL_SECTIONS = ("source", "grid", "gen1", "gen2", "out1", "out2")
@@ -44,24 +45,14 @@ MODEL_SECTIONS = ("source", "grid", "gen1", "gen2", "out1", "out2")
 _ANGLE_KEY_DIGITS = 9
 
 
-def _parse_scalar(text: str) -> Hashable:
-    text = text.strip()
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 def _parse_list(text: str) -> list:
-    return [_parse_scalar(tok) for tok in text.split(",") if tok.strip()]
+    return [parse_scalar(tok.strip()) for tok in text.split(",") if tok.strip()]
 
 
 def _angle_key(angle: float) -> float:
-    return round(angle % (2 * 3.141592653589793), _ANGLE_KEY_DIGITS)
+    key = round(angle % TWO_PI, _ANGLE_KEY_DIGITS)
+    # Angles just below 2*pi round up to it; they key the same row as 0.
+    return 0.0 if key == round(TWO_PI, _ANGLE_KEY_DIGITS) else key
 
 
 def _new_parser() -> configparser.ConfigParser:
@@ -86,7 +77,7 @@ def _read_table(section: configparser.SectionProxy, base_dir: Path | None) -> li
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        rows.append([_parse_scalar(tok) for tok in line.split(",")])
+        rows.append([parse_scalar(tok.strip()) for tok in line.split(",")])
     if not rows:
         raise DescriptorError(f"section [{section.name}]: table is empty")
     return rows
@@ -114,7 +105,7 @@ def _build_gen(section, station: Station, base_dir: Path | None) -> InstrumentPa
     kind = section.get("kind", "constant").strip()
     seed = int(section.get("seed", "0"))
     if kind == "constant":
-        value = _parse_scalar(section.get("value", "0"))
+        value = parse_scalar(section.get("value", "0").strip())
         return InstrumentParamGen(station, (value,), lambda s, m, sd, v=value: v, seed)
     if kind == "cycle":
         values = tuple(_parse_list(section.get("values", "")))

@@ -62,9 +62,5 @@ class ZeroTrialsError(HarnessError):
     """Monte-Carlo estimation requested with fewer than one trial."""
 
 
-class UnsupportedSizeError(HarnessError):
-    """Deterministic-strategy enumeration requested for an unsupported size."""
-
-
 class DescriptorError(HarnessError):
     """A model or schedule descriptor file cannot be parsed."""

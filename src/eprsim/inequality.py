@@ -1,9 +1,11 @@
 """Correlations, conditional expectations, CHSH combinations and reference bounds.
 
-Two independent exact routes exist on purpose: :func:`correlate` sums directly
-over (state, slot) with the model's generators, while
-:func:`correlate_via_table` sums over a tabulated joint distribution and never
-calls a generator. Tests cross-check the two.
+Two independent exact routes exist on purpose: :func:`correlate` sums over
+each station's compiled (state, slot) outcome array
+(:func:`eprsim.model.station_outcomes`), while :func:`correlate_via_table`
+sums over a tabulated joint distribution, calling the outcome rules itself and
+never a generator. Tests cross-check the two. Every exact sum is ``math.fsum``
+over per-cell products, so it is correctly rounded whatever the summation order.
 """
 from __future__ import annotations
 
@@ -15,8 +17,8 @@ from typing import Callable, Hashable, Mapping
 import numpy as np
 
 from .density import JointTable
-from .errors import StationMismatchError, UnsupportedSizeError, ZeroTrialsError
-from .model import LocalModel, Setting, Station, evaluate_outcome
+from .errors import StationMismatchError, ZeroTrialsError
+from .model import LocalModel, Setting, Station, station_outcomes, station_values
 from .util import fmt12, stable_seed
 
 BOUND_TOL = 1e-9
@@ -95,23 +97,13 @@ def conditional_table(
     model: LocalModel, setting: Setting, station_seed: int | None = None
 ) -> dict[Hashable, float]:
     """Exact per-state conditional expectation E{outcome | state} at one setting."""
-    station = setting.station
-    return {
-        lam: fsum(
-            model.grid.weight(m)
-            * evaluate_outcome(model, station, setting, lam, m, station_seed)
-            for m in model.grid.slots
-        )
-        for lam in model.source.states
-    }
+    values = station_values(model, setting, station_seed)
+    return _conditionals(model, station_outcomes(model, setting, values))
 
 
-def _outcome_matrices(model: LocalModel, a: Setting, b: Setting):
-    states = model.source.states
-    slots = list(model.grid.slots)
-    A = [[evaluate_outcome(model, Station.S1, a, lam, m) for m in slots] for lam in states]
-    B = [[evaluate_outcome(model, Station.S2, b, lam, m) for m in slots] for lam in states]
-    return A, B
+def _conditionals(model: LocalModel, outcomes: np.ndarray) -> dict[Hashable, float]:
+    weighted = model.grid.weight_array() * outcomes
+    return dict(zip(model.source.states, map(fsum, weighted.tolist())))
 
 
 def correlate(
@@ -138,18 +130,15 @@ def correlate(
 
 
 def _correlate_exact(model: LocalModel, a: Setting, b: Setting) -> CorrelationReport:
-    states = model.source.states
-    slots = list(model.grid.slots)
-    A, B = _outcome_matrices(model, a, b)
-    w = [model.grid.weight(m) for m in slots]
-    p = [model.source.weight(lam) for lam in states]
-    e_ab = fsum(
-        p[i] * w[j] * A[i][j] * B[i][j] for i in range(len(states)) for j in range(len(slots))
-    )
-    cond_a = {lam: fsum(w[j] * A[i][j] for j in range(len(slots))) for i, lam in enumerate(states)}
-    cond_b = {lam: fsum(w[j] * B[i][j] for j in range(len(slots))) for i, lam in enumerate(states)}
-    marginal_a = fsum(p[i] * cond_a[lam] for i, lam in enumerate(states))
-    marginal_b = fsum(p[i] * cond_b[lam] for i, lam in enumerate(states))
+    A = station_outcomes(model, a, station_values(model, a))
+    B = station_outcomes(model, b, station_values(model, b))
+    prior = model.source.prior
+    mass = np.outer(prior, model.grid.weight_array())
+    e_ab = fsum((mass * A * B).ravel().tolist())
+    cond_a = _conditionals(model, A)
+    cond_b = _conditionals(model, B)
+    marginal_a = fsum(p * c for p, c in zip(prior, cond_a.values()))
+    marginal_b = fsum(p * c for p, c in zip(prior, cond_b.values()))
     return CorrelationReport(a, b, e_ab, marginal_a, marginal_b, cond_a, cond_b, "exact", 0, 0.0)
 
 
@@ -159,15 +148,13 @@ def _correlate_monte_carlo(
     if trials < 1:
         raise ZeroTrialsError("monte_carlo needs trials >= 1")
     states = model.source.states
-    n_slots = model.grid.slot_count
-    A, B = _outcome_matrices(model, a, b)
-    A = np.asarray(A, dtype=np.int8)
-    B = np.asarray(B, dtype=np.int8)
+    A = station_outcomes(model, a, station_values(model, a))
+    B = station_outcomes(model, b, station_values(model, b))
     rng = np.random.default_rng(stable_seed("correlate", seed, fmt12(a.angle), fmt12(b.angle)))
     prior = np.asarray(model.source.prior)
-    weights = np.asarray([model.grid.weight(m) for m in model.grid.slots])
+    weights = model.grid.weight_array()
     li = rng.choice(len(states), size=trials, p=prior / prior.sum())
-    mi = rng.choice(n_slots, size=trials, p=weights / weights.sum())
+    mi = rng.choice(model.grid.slot_count, size=trials, p=weights / weights.sum())
     av = A[li, mi].astype(np.float64)
     bv = B[li, mi].astype(np.float64)
     prod = av * bv
@@ -248,13 +235,12 @@ def chsh(
     Monte-Carlo seeds are derived per setting pair, so evaluating the four
     pairs in any order (or in parallel) gives bit-identical results.
     """
-    pairs = ((a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime))
-    es = []
-    for x, y in pairs:
+
+    def corr(x: Setting, y: Setting) -> float:
         pair_seed = stable_seed("chsh-pair", seed, fmt12(x.angle), fmt12(y.angle))
-        es.append(correlate(model, x, y, method=method, trials=trials, seed=pair_seed).e_ab)
-    s = es[0] - es[1] + es[2] + es[3]
-    return ChshResult((a, a_prime, b, b_prime), tuple(es), s, 2.0, abs(s) <= 2.0 + tol)
+        return correlate(model, x, y, method=method, trials=trials, seed=pair_seed).e_ab
+
+    return chsh_from_correlations(corr, a, a_prime, b, b_prime, tol)
 
 
 def chsh_from_correlations(
@@ -265,8 +251,8 @@ def chsh_from_correlations(
     b_prime: Setting,
     tol: float = BOUND_TOL,
 ) -> ChshResult:
-    """CHSH combination of an arbitrary correlation function (e.g. the cosine
-    reference table), bypassing any local model."""
+    """CHSH combination of any correlation function: a model's (via :func:`chsh`)
+    or the cosine reference table, which bypasses any local model."""
     es = (corr(a, b), corr(a, b_prime), corr(a_prime, b), corr(a_prime, b_prime))
     s = es[0] - es[1] + es[2] + es[3]
     return ChshResult((a, a_prime, b, b_prime), es, s, 2.0, abs(s) <= 2.0 + tol)
@@ -285,18 +271,10 @@ def deterministic_strategies(n_settings_per_side: int):
             yield avals, bvals
 
 
-def deterministic_bound(n_settings_per_side: int = 2) -> float:
-    """Maximum of the CHSH combination over all deterministic strategies.
-
-    For three settings per side the same embedded 2x2 combination is
-    maximized, so the bound is unchanged; enumeration is exhaustive either way.
-    """
-    if n_settings_per_side not in (2, 3):
-        raise UnsupportedSizeError(
-            f"deterministic enumeration supports 2 or 3 settings per side, got {n_settings_per_side}"
-        )
-    best = -float("inf")
-    for avals, bvals in deterministic_strategies(n_settings_per_side):
-        s = avals[0] * bvals[0] - avals[0] * bvals[1] + avals[1] * bvals[0] + avals[1] * bvals[1]
-        best = max(best, float(s))
-    return best
+def deterministic_bound() -> float:
+    """Maximum of the CHSH combination over the 16 deterministic strategies
+    with two settings per side."""
+    return max(
+        float(a0 * b0 - a0 * b1 + a1 * b0 + a1 * b1)
+        for (a0, a1), (b0, b1) in deterministic_strategies(2)
+    )

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from math import fsum
 from typing import Callable, Hashable, Mapping
 
+import numpy as np
+
 from .errors import (
     CodomainViolationError,
     GridMismatchError,
@@ -50,7 +52,9 @@ class Setting:
     def __post_init__(self):
         if not isinstance(self.station, Station):
             raise StationMismatchError(f"setting station must be a Station, got {self.station!r}")
-        object.__setattr__(self, "angle", float(self.angle) % TWO_PI)
+        angle = float(self.angle) % TWO_PI
+        # A tiny negative angle rounds up to TWO_PI itself under the modulo.
+        object.__setattr__(self, "angle", 0.0 if angle == TWO_PI else angle)
 
 
 def s1(angle: float) -> Setting:
@@ -131,6 +135,10 @@ class TimeGrid:
             return 1.0 / self.slot_count
         return self.weights[m - 1]
 
+    def weight_array(self) -> np.ndarray:
+        """Every slot's weight, slot 1 first."""
+        return np.array([self.weight(m) for m in self.slots])
+
 
 @dataclass(frozen=True)
 class SignFunction:
@@ -210,7 +218,6 @@ class LocalModel:
     sign_station: Station | None = None
     flip_mask: tuple[int, ...] | None = None
     lambda_sign: Mapping[Hashable, int] | None = None
-    m_constant_outcomes: bool = False
     transforms: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -304,13 +311,43 @@ def evaluate_outcome(
     return outcome_given_value(model, station, setting, lam, value, m)
 
 
+def station_values(
+    model: LocalModel, setting: Setting, station_seed: int | None = None
+) -> list[Hashable]:
+    """The station's instrument value at every slot (slot 1 first) for one setting.
+
+    A generator sees only the setting, the slot and the seed, so one call per
+    slot covers every source state.
+    """
+    gen = model.gen(setting.station)
+    return [gen.evaluate(setting, m, station_seed) for m in model.grid.slots]
+
+
+def station_outcomes(model: LocalModel, setting: Setting, values: list[Hashable]) -> np.ndarray:
+    """The station's compiled form at one setting: int8 ``outcomes[state, slot]``.
+
+    ``values`` are the slot values from :func:`station_values`. Every cell goes
+    through :func:`outcome_given_value`, so codomain checks and modifiers apply
+    exactly as for a single evaluation. Every exact quantity is a weighted sum
+    over such arrays.
+    """
+    station = setting.station
+    return np.array(
+        [
+            [outcome_given_value(model, station, setting, lam, v, m)
+             for m, v in zip(model.grid.slots, values)]
+            for lam in model.source.states
+        ],
+        dtype=np.int8,
+    )
+
+
 def composite_is_m_constant(model: LocalModel, angles=TEST_ANGLES) -> bool:
     """True when both stations' outcomes are slot-independent at the probe angles."""
     for station in (Station.S1, Station.S2):
         for angle in angles:
             setting = Setting(angle, station)
-            for lam in model.source.states:
-                seen = {evaluate_outcome(model, station, setting, lam, m) for m in model.grid.slots}
-                if len(seen) > 1:
-                    return False
+            outcomes = station_outcomes(model, setting, station_values(model, setting))
+            if (outcomes != outcomes[:, :1]).any():
+                return False
     return True

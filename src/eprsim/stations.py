@@ -19,7 +19,8 @@ from typing import Hashable
 import numpy as np
 
 from .errors import InvalidScheduleError
-from .model import TEST_ANGLES, LocalModel, Setting, Station, outcome_given_value
+from .model import TEST_ANGLES, LocalModel, Setting, Station, station_outcomes, station_values
+from .util import parse_scalar
 
 TRIALS_CSV_HEADER = ("trial", "m", "a", "b", "lambda", "lambda_star", "lambda_dblstar", "A", "B")
 
@@ -88,23 +89,20 @@ class AuditReport:
 
 
 def _pair_outputs(model: LocalModel, a_angle: float, b_angle: float, seed1, seed2):
-    """Station outputs for every (state, slot) cell under one setting pair.
+    """Station outputs under one setting pair: each station's slot values and
+    its outcome rows (one per state, one entry per slot).
 
-    Evaluation order per cell is: S1 value, S2 value, S1 outcome, S2 outcome.
+    Both stations' generators run before either outcome rule. A rule that
+    shares mutable state with the other station's generator then sees this
+    pair's settings, as it would with the stations evaluated side by side,
+    so the audit catches such a leak.
     """
     a = Setting(a_angle, Station.S1)
     b = Setting(b_angle, Station.S2)
-    v1s, v2s, As, Bs = {}, {}, {}, {}
-    for lam in model.source.states:
-        for m in model.grid.slots:
-            v1 = model.gen1.evaluate(a, m, seed1)
-            v2 = model.gen2.evaluate(b, m, seed2)
-            oa = outcome_given_value(model, Station.S1, a, lam, v1, m)
-            ob = outcome_given_value(model, Station.S2, b, lam, v2, m)
-            v1s[(lam, m)] = v1
-            v2s[(lam, m)] = v2
-            As[(lam, m)] = oa
-            Bs[(lam, m)] = ob
+    v1s = station_values(model, a, seed1)
+    v2s = station_values(model, b, seed2)
+    As = station_outcomes(model, a, v1s).tolist()
+    Bs = station_outcomes(model, b, v2s).tolist()
     return v1s, v2s, As, Bs
 
 
@@ -138,11 +136,10 @@ def run_experiment(model: LocalModel, schedule: Schedule) -> list[TrialRecord]:
         if key not in cache:
             cache[key] = _pair_outputs(model, a_angle, b_angle, schedule.seed_s1, schedule.seed_s2)
         v1s, v2s, As, Bs = cache[key]
-        lam = states[lam_idx[t]]
-        m = (t % n_slots) + 1
-        cell = (lam, m)
+        i = lam_idx[t]
+        j = t % n_slots
         records.append(
-            TrialRecord(t, m, a_angle, b_angle, lam, v1s[cell], v2s[cell], As[cell], Bs[cell])
+            TrialRecord(t, j + 1, a_angle, b_angle, states[i], v1s[j], v2s[j], As[i][j], Bs[i][j])
         )
     return records
 
@@ -184,15 +181,16 @@ def locality_audit(
     first = None
     for t in range(schedule.trials):
         a_angle, b_angle = schedule.pairs[pair_idx[t]]
-        lam = states[lam_idx[t]]
-        m = (t % n_slots) + 1
-        cell = (lam, m)
+        i = lam_idx[t]
+        lam = states[i]
+        j = t % n_slots
+        m = j + 1
         v1s, v2s, As, Bs = outputs(a_angle, b_angle)
-        base_s1 = (v1s[cell], As[cell])
-        base_s2 = (v2s[cell], Bs[cell])
+        base_s1 = (v1s[j], As[i][j])
+        base_s2 = (v2s[j], Bs[i][j])
         for b_alt in alternatives(b_angle, t):
             alt = outputs(a_angle, b_alt)
-            seen = (alt[0][cell], alt[2][cell])
+            seen = (alt[0][j], alt[2][i][j])
             if seen != base_s1:
                 mismatches += 1
                 if first is None:
@@ -208,7 +206,7 @@ def locality_audit(
                     }
         for a_alt in alternatives(a_angle, t):
             alt = outputs(a_alt, b_angle)
-            seen = (alt[1][cell], alt[3][cell])
+            seen = (alt[1][j], alt[3][i][j])
             if seen != base_s2:
                 mismatches += 1
                 if first is None:
@@ -296,17 +294,6 @@ def write_trials_csv(
     Path(path).write_text(trials_to_csv(records, comments), encoding="utf-8")
 
 
-def _parse_cell(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 def read_trials_csv(path: str | Path) -> list[TrialRecord]:
     rows = []
     with open(path, newline="", encoding="utf-8") as fp:
@@ -324,9 +311,9 @@ def read_trials_csv(path: str | Path) -> list[TrialRecord]:
                 m=int(row[1]),
                 a=float(row[2]),
                 b=float(row[3]),
-                lam=_parse_cell(row[4]),
-                lambda_star=_parse_cell(row[5]),
-                lambda_dblstar=_parse_cell(row[6]),
+                lam=parse_scalar(row[4]),
+                lambda_star=parse_scalar(row[5]),
+                lambda_dblstar=parse_scalar(row[6]),
                 outcome_a=int(row[7]),
                 outcome_b=int(row[8]),
             )

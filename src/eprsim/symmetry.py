@@ -11,6 +11,8 @@ import random
 from dataclasses import dataclass, replace
 from math import fsum
 
+import numpy as np
+
 from .errors import (
     AlreadyDoubledError,
     AlreadySymmetrizedError,
@@ -26,7 +28,8 @@ from .model import (
     SignFunction,
     Station,
     TimeGrid,
-    evaluate_outcome,
+    station_outcomes,
+    station_values,
 )
 from .util import fmt12, stable_seed
 
@@ -107,7 +110,6 @@ def time_symmetrize(
         model,
         sign=sign,
         sign_station=station,
-        m_constant_outcomes=False,
         transforms=model.transforms + (op,),
     )
 
@@ -115,13 +117,9 @@ def time_symmetrize(
 def exact_marginal(model: LocalModel, station: Station, angle: float = 0.0) -> float:
     """Exact one-sided expectation at the given setting angle."""
     setting = Setting(angle, station)
-    return fsum(
-        model.source.weight(lam)
-        * model.grid.weight(m)
-        * evaluate_outcome(model, station, setting, lam, m)
-        for lam in model.source.states
-        for m in model.grid.slots
-    )
+    outcomes = station_outcomes(model, setting, station_values(model, setting))
+    mass = np.outer(model.source.prior, model.grid.weight_array())
+    return fsum((mass * outcomes).ravel().tolist())
 
 
 def target_marginal(
@@ -225,7 +223,6 @@ def layer_double(model: LocalModel) -> LocalModel:
         out2=lift_out(model.out2),
         sign=sign,
         flip_mask=flip,
-        m_constant_outcomes=False,
         transforms=model.transforms + ("double",),
     )
 
@@ -249,6 +246,5 @@ def condition_sign_on_source(model: LocalModel, seed: int = 0) -> LocalModel:
     return replace(
         model,
         lambda_sign=values,
-        m_constant_outcomes=False,
         transforms=model.transforms + (f"lambda-sign seed={seed}",),
     )

@@ -1,4 +1,4 @@
-"""Small shared helpers: stable seeding and byte-stable number formatting."""
+"""Small shared helpers: stable seeding, byte-stable number formatting, CSV cells."""
 from __future__ import annotations
 
 import hashlib
@@ -30,3 +30,15 @@ def scrub(obj):
     if isinstance(obj, (list, tuple)):
         return [scrub(v) for v in obj]
     return obj
+
+
+def parse_scalar(text: str) -> int | float | str:
+    """A CSV cell as int, else float, else the text unchanged (no stripping)."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        return text

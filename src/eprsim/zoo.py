@@ -110,7 +110,6 @@ def _constant_plus() -> LocalModel:
         gen2=_constant_gen(Station.S2),
         out1=OutcomeFn(Station.S1, lambda s, lam, v, m: 1),
         out2=OutcomeFn(Station.S2, lambda s, lam, v, m: 1),
-        m_constant_outcomes=True,
     )
 
 
@@ -124,7 +123,6 @@ def _anticorrelated_signs() -> LocalModel:
         gen2=_constant_gen(Station.S2),
         out1=OutcomeFn(Station.S1, lambda s, lam, v, m: sign[lam]),
         out2=OutcomeFn(Station.S2, lambda s, lam, v, m: -sign[lam]),
-        m_constant_outcomes=True,
     )
 
 
@@ -141,7 +139,6 @@ def _cosine_threshold_lhv() -> LocalModel:
         gen2=_constant_gen(Station.S2),
         out1=OutcomeFn(Station.S1, lambda s, lam, v, m: _threshold(s.angle, hidden[lam])),
         out2=OutcomeFn(Station.S2, lambda s, lam, v, m: -_threshold(s.angle, hidden[lam])),
-        m_constant_outcomes=True,
     )
 
 

@@ -222,7 +222,7 @@ def test_criterion_7_locality_audit():
 
 
 def test_criterion_8_reference_gap_report(tmp_path, capsys):
-    assert deterministic_bound(2) == 2.0
+    assert deterministic_bound() == 2.0
     assert len(list(deterministic_strategies(2))) == 16
     a, ap, b, bp = OPTIMAL
     reference = chsh_from_correlations(reference_correlation, a, ap, b, bp)
@@ -236,7 +236,7 @@ def test_criterion_8_reference_gap_report(tmp_path, capsys):
     expected_gap = abs(reference.s_value) - abs(payload["chsh"]["s_value"])
     assert payload["gap_to_reference"] == pytest.approx(expected_gap, abs=1e-12)
     print(
-        f"ACCEPTANCE 8 PASS: deterministic_bound(2) = 2 over 16 strategies; "
+        f"ACCEPTANCE 8 PASS: deterministic_bound() = 2 over 16 strategies; "
         f"reference |S| = {abs(reference.s_value):.9f} = 2*sqrt(2) within 1e-9; "
         f"gap printed and recorded"
     )

@@ -18,7 +18,7 @@ from eprsim import (
     s2,
     zoo_model,
 )
-from eprsim.descriptors import descriptor_text
+from eprsim.descriptors import _angle_key, descriptor_text
 
 EXPLICIT = textwrap.dedent(
     """
@@ -128,6 +128,41 @@ def test_angle_keyed_generator_table(tmp_path):
     assert model.gen1.evaluate(s1(math.pi / 4), 1) == 1
     with pytest.raises(DescriptorError):
         model.gen1.evaluate(s1(1.0), 1)
+
+
+def test_angle_just_below_two_pi_matches_the_zero_row(tmp_path):
+    assert _angle_key(2 * math.pi - 1e-12) == 0.0
+    text = textwrap.dedent(
+        """
+        [model]
+        name = zero_row
+
+        [source]
+        states = x
+        prior = 1.0
+
+        [grid]
+        slots = 1
+
+        [gen1]
+        kind = table
+        table =
+            0.0,1,7
+
+        [gen2]
+        kind = constant
+
+        [out1]
+        kind = constant
+
+        [out2]
+        kind = constant
+        """
+    )
+    path = tmp_path / "zero_row.ini"
+    path.write_text(text, encoding="utf-8")
+    model = load_model(path)
+    assert model.gen1.evaluate(s1(2 * math.pi - 1e-12), 1) == 7
 
 
 def test_invalid_prior_in_descriptor_raises_model_error(tmp_path):

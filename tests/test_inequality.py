@@ -3,13 +3,13 @@ import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from eprsim import (
     OutcomeFn,
     Station,
     StationMismatchError,
-    UnsupportedSizeError,
     ZeroTrialsError,
     balanced_sign_function,
     chsh,
@@ -29,7 +29,7 @@ from eprsim import (
     zoo_model,
 )
 from eprsim.model import CHSH_OPTIMAL_ANGLES
-from eprsim.zoo import all_zoo_models
+from eprsim.zoo import all_zoo_models, random_factorized_model
 
 from conftest import GRID_PAIRS, OPTIMAL
 
@@ -135,15 +135,12 @@ def test_deterministic_strategy_reaches_two():
     # e(a,b) - e(a,b') + e(a',b) + e(a',b') = 1 + 1 + 1 - 1 = 2.
     s = (1 * 1) - (1 * -1) + (1 * 1) + (1 * -1)
     assert s == 2
-    assert deterministic_bound(2) == 2.0
+    assert deterministic_bound() == 2.0
 
 
 def test_enumeration_counts():
     assert len(list(deterministic_strategies(2))) == 16
     assert len(list(deterministic_strategies(3))) == 64
-    assert deterministic_bound(3) == 2.0
-    with pytest.raises(UnsupportedSizeError):
-        deterministic_bound(4)
 
 
 def test_reference_correlation_values():
@@ -212,3 +209,26 @@ def test_conditional_expectations_lie_in_unit_interval(zoo_name):
         values = [report.e_ab, report.marginal_a, report.marginal_b]
         values += list(report.cond_a.values()) + list(report.cond_b.values())
         assert all(-1.0 - 1e-12 <= v <= 1.0 + 1e-12 for v in values)
+
+
+EIGHTHS = tuple(k * math.pi / 4 for k in range(8))
+
+
+def _max_abs_chsh_on_grid(e: np.ndarray) -> float:
+    """Largest |S| over every ordered quadruple (a, a', b, b') of ``e[a, b]``.
+
+    Ordered quadruples cover all eight CHSH sign variants (A. Fine, PRL 48,
+    291 (1982)).
+    """
+    s = e[:, None, :, None] - e[:, None, None, :] + e[None, :, :, None] + e[None, :, None, :]
+    return float(np.abs(s).max())
+
+
+def test_every_ordered_grid_quadruple_respects_local_bound():
+    models = all_zoo_models() + [random_factorized_model(seed) for seed in range(100)]
+    for model in models:
+        e = np.array([[correlate(model, s1(x), s2(y)).e_ab for y in EIGHTHS] for x in EIGHTHS])
+        assert _max_abs_chsh_on_grid(e) <= 2.0 + 1e-12, model.name
+    # The same scan finds the cosine reference's violation.
+    reference = np.array([[reference_correlation(s1(x), s2(y)) for y in EIGHTHS] for x in EIGHTHS])
+    assert _max_abs_chsh_on_grid(reference) == pytest.approx(2 * math.sqrt(2), abs=1e-12)

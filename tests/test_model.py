@@ -31,6 +31,12 @@ def test_setting_angle_is_normalized():
     assert s2(7.0).angle == pytest.approx(7.0 - 2 * math.pi)
 
 
+def test_tiny_negative_angle_normalizes_to_zero():
+    # -1e-17 % 2pi rounds to 2pi itself, which lies outside [0, 2pi).
+    assert s1(-1e-17).angle == 0.0
+    assert s2(-0.0).angle == 0.0
+
+
 def test_source_space_rejects_bad_priors():
     with pytest.raises(InvalidWeightsError):
         SourceSpace(("a", "b"), (0.6, 0.6))

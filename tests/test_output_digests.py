@@ -1,0 +1,121 @@
+"""Byte-identity guard: every ``--deterministic`` CLI output against recorded digests.
+
+``output_digests.json`` holds the SHA-256 of each output file, recorded at
+commit 3ec384a from the per-cell implementation of the exact paths. The
+inputs are every zoo model, each with a time sign plus layer doubling and
+with a source-conditioned sign, and one 6-slot descriptor with non-uniform
+slot weights and priors that are not powers of two. A change that must alter
+an output replaces the file and names every changed digest.
+"""
+import hashlib
+import json
+from pathlib import Path
+
+from eprsim.cli import main as cli_main
+from eprsim.zoo import ZOO
+
+DIGESTS = Path(__file__).with_name("output_digests.json")
+
+STATES = ("u0", "u1", "u2")
+
+
+def _weighted_descriptor() -> str:
+    out2_rows = "\n".join(
+        f"    {lam},{(m - 1) // 2},{m},{1 if (i + m) % 3 else -1}"
+        for i, lam in enumerate(STATES)
+        for m in range(1, 7)
+    )
+    return f"""[model]
+name = weighted_six
+
+[source]
+states = {",".join(STATES)}
+prior = 0.45, 0.35, 0.2
+
+[grid]
+slots = 6
+weights = 0.1, 0.3, 0.05, 0.25, 0.2, 0.1
+
+[gen1]
+kind = cycle
+values = 0, 1, 2, 3
+
+[gen2]
+kind = cycle
+values = 0, 1, 2
+stride = 2
+
+[out1]
+kind = cosine
+table =
+    u0,0.0
+    u1,1.1
+    u2,2.3
+
+[out2]
+kind = table
+table =
+{out2_rows}
+"""
+
+
+def _commands(model: str) -> dict[str, list[str]]:
+    chsh_angles = "0,1.5707963267948966,0.7853981633974483,2.356194490192345"
+    return {
+        "check": ["check", "--model", model],
+        "chsh_exact": ["chsh", "--model", model],
+        "chsh_mc": ["chsh", "--model", model, "--method", "monte_carlo", "--trials", "2000",
+                    "--seed", "3"],
+        "simulate": ["simulate", "--model", model, "--trials", "96", "--policy", "random",
+                     "--seed", "5", "--angles", chsh_angles],
+        "audit": ["audit", "--model", model, "--trials", "48", "--perturbations", "3"],
+    }
+
+
+def _transform(base: str, ops: list[str], out: str) -> str:
+    argv = ["transform", "--model", base, "--out", out]
+    for op in ops:
+        argv += ["--op", op]
+    assert cli_main(argv) == 0
+    return out
+
+
+def collect_digests() -> dict[str, str]:
+    """Run every case in the current directory and hash its outputs.
+
+    Model paths are relative, so the configuration echoed into each output does
+    not depend on where the run happens.
+    """
+    Path("weighted_six.ini").write_text(_weighted_descriptor(), encoding="utf-8")
+    cases = {}
+    for name in ZOO:
+        cases[name] = name
+        cases[f"{name}+sign+double"] = _transform(
+            name, ["rademacher mean=0 seed=7", "double"], f"{name}_sign_double.ini"
+        )
+        cases[f"{name}+lambda-sign"] = _transform(
+            name, ["lambda-sign seed=2"], f"{name}_lambda_sign.ini"
+        )
+    cases["weighted_six"] = "weighted_six.ini"
+    cases["weighted_six+double"] = _transform("weighted_six.ini", ["double"], "w6_double.ini")
+    cases["weighted_six+lambda-sign"] = _transform(
+        "weighted_six.ini", ["lambda-sign seed=2"], "w6_lambda_sign.ini"
+    )
+    digests = {}
+    for case, model in cases.items():
+        for command, argv in _commands(model).items():
+            out = Path("out", case, command)
+            assert cli_main(argv + ["--deterministic", "--out", str(out)]) == 0, (case, command)
+            for path in sorted(out.iterdir()):
+                key = f"{case}/{command}/{path.name}"
+                digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+def test_deterministic_outputs_match_recorded_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    found = collect_digests()
+    assert sorted(found) == sorted(recorded)
+    changed = [key for key in recorded if found[key] != recorded[key]]
+    assert not changed, f"{len(changed)} outputs differ, first: {changed[:5]}"

@@ -51,6 +51,29 @@ def remote_reading_model() -> LocalModel:
     )
 
 
+def remote_reading_s2_model() -> LocalModel:
+    """Mirror of :func:`remote_reading_model`: the S1 generator publishes its
+    setting and the S2 outcome rule reads it."""
+    cell = {}
+
+    def gen1_rule(s, m, seed):
+        cell["a"] = s.angle
+        return 0
+
+    def out2_rule(s, lam, v, m):
+        return 1 if cell.get("a", 0.0) <= math.pi / 4 + 1e-9 else -1
+
+    return LocalModel(
+        name="remote_reading_s2_fixture",
+        source=SourceSpace(("u0",), (1.0,)),
+        grid=TimeGrid(4),
+        gen1=InstrumentParamGen(Station.S1, (0,), gen1_rule),
+        gen2=InstrumentParamGen(Station.S2, (0,), lambda s, m, seed: 0),
+        out1=OutcomeFn(Station.S1, lambda s, lam, v, m: 1),
+        out2=OutcomeFn(Station.S2, out2_rule),
+    )
+
+
 def test_single_trial_constant_model():
     schedule = Schedule(trials=1, policy="fixed", pairs=((0.0, 0.0),))
     records = run_experiment(zoo_model("constant_plus"), schedule)
@@ -157,6 +180,15 @@ def test_audit_detects_remote_reading_fixture():
     assert report.mismatches >= 1
     assert report.first_mismatch is not None
     assert report.first_mismatch["station"] == "S1"
+
+
+def test_audit_detects_mirrored_remote_reading_fixture():
+    report = locality_audit(
+        remote_reading_s2_model(), Schedule(trials=1000, policy="cycle"), remote_perturbations=3
+    )
+    assert not report.passed
+    assert report.mismatches == 2000
+    assert report.first_mismatch["station"] == "S2"
 
 
 def test_audit_detects_fixture_even_with_one_perturbation():

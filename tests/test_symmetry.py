@@ -173,7 +173,7 @@ def test_target_marginal_infeasible():
 
         base = zoo_model("constant_plus")
         out1 = OutcomeFn(Station.S1, lambda s, lam, v, m: 1 if m < 4 else -1)
-        return replace(base, out1=out1, m_constant_outcomes=False)
+        return replace(base, out1=out1)
 
     # base marginal 0.5; 0.75 is out of reach
     with pytest.raises(InfeasibleTargetError):
