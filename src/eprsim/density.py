@@ -19,8 +19,6 @@ from math import fsum
 from pathlib import Path
 from typing import Hashable, Mapping
 
-import numpy as np
-
 from .errors import (
     EmptyTableError,
     InvalidToleranceError,
@@ -138,6 +136,30 @@ def swap_stations(table: JointTable) -> JointTable:
     )
 
 
+def _pair_deviation(
+    cells: dict[tuple[Hashable, Hashable], float],
+    values1,
+    values2,
+) -> tuple[float, float]:
+    """Max cell deviation and total variation between a joint and its marginal product."""
+    mass = fsum(cells.values())
+    joint = {k: p / mass for k, p in cells.items()}
+    p1: dict[Hashable, float] = {}
+    p2: dict[Hashable, float] = {}
+    for (x, y), p in joint.items():
+        p1[x] = p1.get(x, 0.0) + p
+        p2[y] = p2.get(y, 0.0) + p
+    worst = 0.0
+    tv = 0.0
+    for x in values1:
+        for y in values2:
+            diff = abs(joint.get((x, y), 0.0) - p1.get(x, 0.0) * p2.get(y, 0.0))
+            tv += diff
+            if diff > worst:
+                worst = diff
+    return worst, 0.5 * tv
+
+
 def check_factorization(
     table: JointTable,
     mode: str = "given_lambda_and_m",
@@ -155,53 +177,29 @@ def check_factorization(
     if not table.entries or fsum(table.entries.values()) <= 0.0:
         raise EmptyTableError("cannot check factorization of an empty table")
 
-    # Pool the nonzero entries per (condition, v1, v2) cell, keyed by the
-    # cell's flat index in a dense (condition, v1, v2) array.
-    index1 = {x: i for i, x in enumerate(table.value_space_1)}
-    index2 = {y: j for j, y in enumerate(table.value_space_2)}
-    n1, n2 = len(index1), len(index2)
-    conditions: dict[Hashable, int] = {}
-    pooled: dict[int, float] = {}
+    conditions: dict[Hashable, dict[tuple[Hashable, Hashable], float]] = {}
     for (v1, v2, lam, m), p in table.entries.items():
         if p == 0.0:
             continue
-        c = conditions.setdefault(lam if mode == "given_lambda" else (lam, m), len(conditions))
-        k = (c * n1 + index1[v1]) * n2 + index2[v2]
-        pooled[k] = pooled.get(k, 0.0) + p
-    n = len(conditions)
-    cells = np.fromiter(pooled, dtype=np.int64, count=len(pooled))
-    cond = cells // (n1 * n2)
-    groups: list[list[float]] = [[] for _ in range(n)]
-    for c, p in zip(cond.tolist(), pooled.values()):
-        groups[c].append(p)
-    mass = np.array([fsum(g) for g in groups])
-    shares = np.fromiter(pooled.values(), dtype=np.float64, count=len(pooled)) / mass[cond]
-    joint = np.zeros((n, n1, n2))
-    joint.reshape(-1)[cells] = shares
-    # np.bincount adds its weights one at a time in input order, so each
-    # one-sided marginal is the same left-to-right sum over the cells, in
-    # order of first appearance, that a loop over ``pooled`` would give.
-    p1 = np.bincount(cells // n2, weights=shares, minlength=n * n1).reshape(n, n1, 1)
-    p2 = np.bincount(cond * n2 + cells % n2, weights=shares, minlength=n * n2).reshape(n, 1, n2)
-    # In place: the dense arrays dominate peak memory on wide models.
-    diff = np.multiply(p1, p2)
-    np.subtract(joint, diff, out=diff)
-    np.abs(diff, out=diff)
-    worst = diff.max(axis=(1, 2))
-    # Total variation adds the cells one at a time in value order; numpy's
-    # pairwise .sum() would round differently.
-    tv = np.zeros(n)
-    for column in diff.reshape(n, n1 * n2).T:
-        tv += column
-    deviations = dict(zip(conditions, worst.tolist()))
-    max_dev = max(deviations.values())
+        cond = lam if mode == "given_lambda" else (lam, m)
+        conditions.setdefault(cond, {})
+        cell = (v1, v2)
+        conditions[cond][cell] = conditions[cond].get(cell, 0.0) + p
+
+    deviations: dict[Hashable, float] = {}
+    worst_tv = 0.0
+    for cond, cells in conditions.items():
+        dev, tv = _pair_deviation(cells, table.value_space_1, table.value_space_2)
+        deviations[cond] = dev
+        worst_tv = max(worst_tv, tv)
+    max_dev = max(deviations.values(), default=0.0)
     return FactorizationReport(
         mode=mode,
         tol=tol,
         max_deviation=max_dev,
         passed=max_dev <= tol,
         deviations=deviations,
-        max_total_variation=0.5 * float(tv.max()),
+        max_total_variation=worst_tv,
     )
 
 

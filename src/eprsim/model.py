@@ -173,7 +173,9 @@ class InstrumentParamGen:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "value_space", tuple(self.value_space))
+        # A value space is a set; a cycle sequence such as 0, 1, 0 lists a
+        # value twice, and tables over the space must see each value once.
+        object.__setattr__(self, "value_space", tuple(dict.fromkeys(self.value_space)))
         if len(self.value_space) == 0:
             raise InvalidWeightsError("generator: empty value space")
 

@@ -95,7 +95,10 @@ def _pair_outputs(model: LocalModel, a_angle: float, b_angle: float, seed1, seed
     Both stations' generators run before either outcome rule. A rule that
     shares mutable state with the other station's generator then sees this
     pair's settings, as it would with the stations evaluated side by side,
-    so the audit catches such a leak.
+    so the audit catches such a leak. S1's outcome rule then runs for every
+    cell before S2's does, so S2's rule sees only the last cell's S1 outcome:
+    an outcome-to-outcome leak is caught only when that cell's outcome
+    changes with the remote setting.
     """
     a = Setting(a_angle, Station.S1)
     b = Setting(b_angle, Station.S2)

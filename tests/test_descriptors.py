@@ -1,3 +1,4 @@
+import json
 import math
 import textwrap
 
@@ -18,6 +19,7 @@ from eprsim import (
     s2,
     zoo_model,
 )
+from eprsim.cli import main
 from eprsim.descriptors import _angle_key, descriptor_text
 
 EXPLICIT = textwrap.dedent(
@@ -85,6 +87,54 @@ def test_table_file_reference(tmp_path):
     path.write_text(text, encoding="utf-8")
     model = load_model(path)
     assert model.gen1.evaluate(s1(0.0), 4) == 1
+
+
+REPEATED_CYCLE = textwrap.dedent(
+    """
+    [model]
+    name = repeated_cycle
+
+    [source]
+    states = u0
+    prior = 1.0
+
+    [grid]
+    slots = 3
+
+    [gen1]
+    kind = cycle
+    values = 0, 1, 0
+
+    [gen2]
+    kind = cycle
+    values = 5, 6, 6
+
+    [out1]
+    kind = constant
+    value = 1
+
+    [out2]
+    kind = constant
+    value = 1
+    """
+)
+
+
+def test_repeated_cycle_value_is_checked_in_both_modes(tmp_path):
+    path = tmp_path / "repeated.ini"
+    path.write_text(REPEATED_CYCLE, encoding="utf-8")
+    model = load_model(path)
+    assert [model.gen1.evaluate(s1(0.0), m) for m in (1, 2, 3)] == [0, 1, 0]
+    assert model.gen1.value_space == (0, 1)
+    assert model.gen2.value_space == (5, 6)
+    out = tmp_path / "chk"
+    assert main(["check", "--model", str(path), "--deterministic", "--out", str(out)]) == 0
+    report = json.loads((out / "check.json").read_text())["factorization"]
+    # Pooled over slots the values pair as (0,5), (1,6), (0,6), each with mass 1/3.
+    assert report["given_lambda"]["max_deviation"] == pytest.approx(1 / 9, abs=1e-15)
+    assert report["given_lambda"]["max_total_variation"] == pytest.approx(2 / 9, abs=1e-15)
+    assert report["given_lambda_and_m"]["pass"] is True
+    assert len(report["given_lambda_and_m"]["deviations"]) == 3
 
 
 def test_angle_keyed_generator_table(tmp_path):

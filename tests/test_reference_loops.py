@@ -4,27 +4,22 @@ Each reference evaluates the rules cell by cell and adds in a fixed, visible
 order. Results must be equal, not merely close, because ``--deterministic``
 outputs are compared byte for byte.
 """
-import random
 from math import fsum
 
 from eprsim import (
     TEST_ANGLES,
-    JointTable,
     Setting,
     Station,
     balanced_sign_function,
-    check_factorization,
     condition_sign_on_source,
     correlate,
     evaluate_outcome,
     layer_double,
     s1,
     s2,
-    tabulate_joint,
     time_symmetrize,
     zoo_model,
 )
-from eprsim.density import table_from_csv, table_to_csv
 from eprsim.symmetry import exact_marginal
 from eprsim.zoo import ZOO, random_factorized_model
 
@@ -39,20 +34,6 @@ def models():
         yield condition_sign_on_source(base, seed=2)
     for seed in range(100):
         yield random_factorized_model(seed)
-
-
-def random_tables(count: int):
-    """Seeded tables with random non-dyadic masses, entries in random order, and
-    up to 12 value pairs per condition, so that summation order shows."""
-    for seed in range(count):
-        rng = random.Random(seed)
-        keys = [(x, y, lam, m) for x in range(4) for y in range(3) for lam in ("u0", "u1")
-                for m in (1, 2)]
-        keys = rng.sample(keys, rng.randint(10, len(keys)))
-        raw = [rng.random() for _ in keys]
-        total = sum(raw)
-        entries = {k: r / total for k, r in zip(keys, raw)}
-        yield JointTable(s1(0.0), s2(0.0), entries, (0, 1, 2, 3), (0, 1, 2), ("u0", "u1"), (1, 2))
 
 
 def reference_correlation(model, a, b):
@@ -82,35 +63,6 @@ def reference_marginal(model, station, angle):
     )
 
 
-def reference_factorization(table, mode):
-    """Per-condition max deviation, in order of first appearance, and the
-    largest total variation; every sum but the mass runs left to right."""
-    conditions = {}
-    for (v1, v2, lam, m), p in table.entries.items():
-        if p == 0.0:
-            continue
-        cells = conditions.setdefault(lam if mode == "given_lambda" else (lam, m), {})
-        cells[(v1, v2)] = cells.get((v1, v2), 0.0) + p
-    deviations = {}
-    worst_tv = 0.0
-    for cond, cells in conditions.items():
-        mass = fsum(cells.values())
-        joint = {k: p / mass for k, p in cells.items()}
-        p1, p2 = {}, {}
-        for (x, y), p in joint.items():
-            p1[x] = p1.get(x, 0.0) + p
-            p2[y] = p2.get(y, 0.0) + p
-        worst = tv = 0.0
-        for x in table.value_space_1:
-            for y in table.value_space_2:
-                diff = abs(joint.get((x, y), 0.0) - p1.get(x, 0.0) * p2.get(y, 0.0))
-                tv += diff
-                worst = max(worst, diff)
-        deviations[cond] = worst
-        worst_tv = max(worst_tv, 0.5 * tv)
-    return deviations, worst_tv
-
-
 def test_correlate_matches_reference_loop():
     for model in models():
         for a, b in GRID_PAIRS:
@@ -125,22 +77,3 @@ def test_exact_marginal_matches_reference_loop():
             for angle in TEST_ANGLES:
                 expected = reference_marginal(model, station, angle)
                 assert exact_marginal(model, station, angle) == expected, model.name
-
-
-def model_tables():
-    for model in models():
-        for a, b in GRID_PAIRS[::3]:
-            table = tabulate_joint(model, a, b)
-            yield table
-            # A CSV round trip reorders the entries, and with them the sums.
-            yield table_from_csv(table_to_csv(table), a, b)
-
-
-def test_check_factorization_matches_reference_loop():
-    for table in [*model_tables(), *random_tables(100)]:
-        for mode in ("given_lambda", "given_lambda_and_m"):
-            report = check_factorization(table, mode)
-            deviations, tv = reference_factorization(table, mode)
-            assert list(report.deviations.items()) == list(deviations.items()), mode
-            assert report.max_deviation == max(deviations.values())
-            assert report.max_total_variation == tv, mode

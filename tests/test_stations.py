@@ -74,6 +74,30 @@ def remote_reading_s2_model() -> LocalModel:
     )
 
 
+def outcome_publishing_model() -> LocalModel:
+    """Test-only fixture: the S1 outcome rule publishes its setting and the S2
+    outcome rule reads it. Within a pair every S1 outcome runs before any S2
+    outcome, so S2 reads the setting of the last S1 cell."""
+    cell = {}
+
+    def out1_rule(s, lam, v, m):
+        cell["a"] = s.angle
+        return 1
+
+    def out2_rule(s, lam, v, m):
+        return 1 if cell.get("a", 0.0) <= math.pi / 4 + 1e-9 else -1
+
+    return LocalModel(
+        name="outcome_publishing_fixture",
+        source=SourceSpace(("u0",), (1.0,)),
+        grid=TimeGrid(4),
+        gen1=InstrumentParamGen(Station.S1, (0,), lambda s, m, seed: 0),
+        gen2=InstrumentParamGen(Station.S2, (0,), lambda s, m, seed: 0),
+        out1=OutcomeFn(Station.S1, out1_rule),
+        out2=OutcomeFn(Station.S2, out2_rule),
+    )
+
+
 def test_single_trial_constant_model():
     schedule = Schedule(trials=1, policy="fixed", pairs=((0.0, 0.0),))
     records = run_experiment(zoo_model("constant_plus"), schedule)
@@ -185,6 +209,15 @@ def test_audit_detects_remote_reading_fixture():
 def test_audit_detects_mirrored_remote_reading_fixture():
     report = locality_audit(
         remote_reading_s2_model(), Schedule(trials=1000, policy="cycle"), remote_perturbations=3
+    )
+    assert not report.passed
+    assert report.mismatches == 2000
+    assert report.first_mismatch["station"] == "S2"
+
+
+def test_audit_detects_outcome_to_outcome_leak():
+    report = locality_audit(
+        outcome_publishing_model(), Schedule(trials=1000, policy="cycle"), remote_perturbations=3
     )
     assert not report.passed
     assert report.mismatches == 2000
