@@ -13,6 +13,7 @@ from .density import (
     JointTable,
     check_factorization,
     marginal,
+    read_table_csv,
     swap_stations,
     table_from_csv,
     table_to_csv,
@@ -71,7 +72,7 @@ from .model import (
 from .stations import (
     AuditReport,
     Schedule,
-    TrialRecord,
+    Trials,
     empirical_correlations,
     locality_audit,
     read_trials_csv,

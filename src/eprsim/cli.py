@@ -176,29 +176,18 @@ def cmd_simulate(args) -> int:
             seed_source=args.seed,
             seed_settings=args.seed + 1,
         )
-    records = run_experiment(model, schedule)
+    run = run_experiment(model, schedule)
     config = _config_echo(
         args, ["model", "trials", "policy", "angle_a", "angle_b", "angles", "seed", "tol"]
     )
     config["schedule_pairs"] = [[fmt12(a), fmt12(b)] for a, b in schedule.pairs]
 
     pairs_block = []
-    for (a_angle, b_angle), stats in sorted(empirical_correlations(records).items()):
+    for (a_angle, b_angle), stats in sorted(empirical_correlations(run).items()):
         exact = correlate(model, s1(a_angle), s2(b_angle))
-        pairs_block.append(
-            {
-                "a": a_angle,
-                "b": b_angle,
-                "trials": stats.trials,
-                "e_ab": stats.e_ab,
-                "marginal_a": stats.marginal_a,
-                "marginal_b": stats.marginal_b,
-                "std_error": stats.std_error,
-                "exact_e_ab": exact.e_ab,
-                "cond_a": {str(k): v for k, v in stats.cond_a.items()},
-                "cond_b": {str(k): v for k, v in stats.cond_b.items()},
-            }
-        )
+        block = stats.to_dict()
+        del block["method"]
+        pairs_block.append({**block, "a": a_angle, "b": b_angle, "exact_e_ab": exact.e_ab})
     summary = {"config": config, "model": model.name, "transforms": list(model.transforms),
                "pairs": pairs_block}
     if args.angles:
@@ -210,7 +199,7 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     comments = [f"config = {json.dumps(scrub(config), sort_keys=True)}"]
     comments += _timestamp_lines(args.deterministic)
-    write_trials_csv(records, out_dir / "trials.csv", comments)
+    write_trials_csv(run, out_dir / "trials.csv", comments)
     _write_json(out_dir / "summary.json", summary, args.deterministic)
 
     for block in pairs_block:

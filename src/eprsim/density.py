@@ -218,11 +218,14 @@ def write_table_csv(table: JointTable, path: str | Path) -> None:
     Path(path).write_text(table_to_csv(table), encoding="utf-8")
 
 
-def table_from_csv(source: str | Path, a: Setting, b: Setting) -> JointTable:
-    """Load a table written by :func:`table_to_csv`; axes are the observed values."""
-    text = Path(source).read_text(encoding="utf-8") if isinstance(source, Path) else source
-    if isinstance(source, str) and "\n" not in source and Path(source).exists():
-        text = Path(source).read_text(encoding="utf-8")
+def read_table_csv(path: str | Path, a: Setting, b: Setting) -> JointTable:
+    """Load a table file written by :func:`write_table_csv`."""
+    return table_from_csv(Path(path).read_text(encoding="utf-8"), a, b)
+
+
+def table_from_csv(text: str, a: Setting, b: Setting) -> JointTable:
+    """Parse CSV text written by :func:`table_to_csv`; axes are the observed
+    values, and state labels stay text."""
     rows = list(csv.reader(io.StringIO(text)))
     rows = [r for r in rows if r and not r[0].startswith("#")]
     if not rows or tuple(rows[0]) != CSV_HEADER:
@@ -231,8 +234,7 @@ def table_from_csv(source: str | Path, a: Setting, b: Setting) -> JointTable:
     for row in rows[1:]:
         if len(row) != 5:
             raise InvalidWeightsError(f"joint-table CSV row has {len(row)} fields: {row!r}")
-        v1, v2, lam = (parse_scalar(c) for c in row[:3])
-        key = (v1, v2, lam, int(row[3]))
+        key = (parse_scalar(row[0]), parse_scalar(row[1]), row[2], int(row[3]))
         entries[key] = entries.get(key, 0.0) + float(row[4])
     if not entries:
         raise EmptyTableError("joint-table CSV holds no rows")

@@ -6,10 +6,13 @@ each station's compiled (state, slot) outcome array
 sums over a tabulated joint distribution, calling the outcome rules itself and
 never a generator. Tests cross-check the two. Every exact sum is ``math.fsum``
 over per-cell products, so it is correctly rounded whatever the summation order.
+Sampled +-1 outcomes, from the Monte Carlo draw here or from a lockstep run
+(:mod:`eprsim.stations`), reduce through one function, :func:`sampled_correlation`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from math import fsum, sqrt, cos
 from typing import Callable, Hashable, Mapping
@@ -155,21 +158,41 @@ def _correlate_monte_carlo(
     weights = model.grid.weight_array()
     li = rng.choice(len(states), size=trials, p=prior / prior.sum())
     mi = rng.choice(model.grid.slot_count, size=trials, p=weights / weights.sum())
-    av = A[li, mi].astype(np.float64)
-    bv = B[li, mi].astype(np.float64)
-    prod = av * bv
-    e_ab = float(prod.mean())
-    std_error = float(prod.std(ddof=1) / sqrt(trials)) if trials > 1 else 0.0
-    cond_a = {}
-    cond_b = {}
-    for i, lam in enumerate(states):
-        mask = li == i
-        if mask.any():
-            cond_a[lam] = float(av[mask].mean())
-            cond_b[lam] = float(bv[mask].mean())
+    return sampled_correlation(a, b, A[li, mi], B[li, mi], li, states, "monte_carlo")
+
+
+def sampled_correlation(
+    a: Setting,
+    b: Setting,
+    A: np.ndarray,
+    B: np.ndarray,
+    state: np.ndarray,
+    states: tuple[Hashable, ...],
+    method: str,
+) -> CorrelationReport:
+    """Pair statistics of sampled +-1 outcomes: sample t saw ``A[t]``, ``B[t]``
+    with the source in ``states[state[t]]``; conditionals cover sampled states.
+
+    Means are integer sums over counts, so each is correctly rounded. The
+    squared deviations of the pair product take two values, so their sum is
+    exact and rounded once, as ``math.fsum`` would round it.
+    """
+    n = len(A)
+    plus = int(np.count_nonzero(A == B))
+    e_ab = (2 * plus - n) / n
+    std_error = 0.0
+    if n > 1:
+        squares = Fraction((1 - e_ab) ** 2) * plus + Fraction((-1 - e_ab) ** 2) * (n - plus)
+        std_error = sqrt(float(squares) / (n - 1) / n)
+    counts = np.bincount(state, minlength=len(states)).tolist()
+
+    def conditionals(outcomes):
+        sums = np.bincount(state, weights=outcomes, minlength=len(states)).tolist()
+        return {lam: s / c for lam, s, c in zip(states, sums, counts) if c}
+
     return CorrelationReport(
-        a, b, e_ab, float(av.mean()), float(bv.mean()), cond_a, cond_b, "monte_carlo",
-        trials, std_error,
+        a, b, e_ab, int(A.sum()) / n, int(B.sum()) / n, conditionals(A), conditionals(B),
+        method, n, std_error,
     )
 
 

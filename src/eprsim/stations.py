@@ -2,24 +2,36 @@
 
 The two stations are pure computations inside one process: both consume the
 same slot index per trial (the shared clock), and each sees only its own
-setting, the drawn source state, the slot and its own seed. The audit re-runs
-one station's computation under varied remote settings and counts any change
-in its outputs; honest models pass by construction, so the audit is a
-regression guard on the harness itself.
+setting, the drawn source state, the slot and its own seed. One private
+runner draws every trial once, compiles each setting pair it uses once, and
+gathers the trials' outputs from the compiled arrays; a run is a set of
+columns (:class:`Trials`). The audit re-gathers one station's columns under
+varied remote settings and counts any change; honest models pass by
+construction, so the audit is a regression guard on the harness itself.
 """
 from __future__ import annotations
 
 import csv
-import io
-from dataclasses import dataclass, field
-from math import fsum, sqrt
+from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Hashable
+from typing import Hashable, Iterable
 
 import numpy as np
 
 from .errors import InvalidScheduleError
-from .model import TEST_ANGLES, LocalModel, Setting, Station, station_outcomes, station_values
+from .inequality import CorrelationReport, sampled_correlation
+from .model import (
+    TEST_ANGLES,
+    TWO_PI,
+    LocalModel,
+    Setting,
+    Station,
+    s1,
+    s2,
+    station_outcomes,
+    station_values,
+)
 from .util import parse_scalar
 
 TRIALS_CSV_HEADER = ("trial", "m", "a", "b", "lambda", "lambda_star", "lambda_dblstar", "A", "B")
@@ -29,19 +41,26 @@ DEFAULT_PAIRS = tuple((x, y) for x in TEST_ANGLES for y in TEST_ANGLES)
 POLICIES = ("fixed", "cycle", "random")
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One coincidence event with full provenance."""
+@dataclass(frozen=True, eq=False)
+class Trials:
+    """A run as columns; row t is trial t. ``state`` indexes ``states``, ``m``
+    is the slot (from 1), ``a`` and ``b`` are the scheduled angles as given (a
+    ``-0.0`` stays), ``lambda_star`` and ``lambda_dblstar`` are object arrays
+    of the two instrument values, and ``A`` and ``B`` are the int8 outcomes.
+    """
 
-    trial: int
-    m: int
-    a: float
-    b: float
-    lam: Hashable
-    lambda_star: Hashable
-    lambda_dblstar: Hashable
-    outcome_a: int
-    outcome_b: int
+    states: tuple[Hashable, ...]
+    state: np.ndarray
+    m: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    lambda_star: np.ndarray
+    lambda_dblstar: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.A)
 
 
 @dataclass(frozen=True)
@@ -90,7 +109,7 @@ class AuditReport:
 
 def _pair_outputs(model: LocalModel, a_angle: float, b_angle: float, seed1, seed2):
     """Station outputs under one setting pair: each station's slot values and
-    its outcome rows (one per state, one entry per slot).
+    its int8 (state, slot) outcome array.
 
     Both stations' generators run before either outcome rule. A rule that
     shares mutable state with the other station's generator then sees this
@@ -104,47 +123,85 @@ def _pair_outputs(model: LocalModel, a_angle: float, b_angle: float, seed1, seed
     b = Setting(b_angle, Station.S2)
     v1s = station_values(model, a, seed1)
     v2s = station_values(model, b, seed2)
-    As = station_outcomes(model, a, v1s).tolist()
-    Bs = station_outcomes(model, b, v2s).tolist()
-    return v1s, v2s, As, Bs
+    return v1s, v2s, station_outcomes(model, a, v1s), station_outcomes(model, b, v2s)
 
 
-def _setting_indices(schedule: Schedule) -> np.ndarray:
-    n = len(schedule.pairs)
-    if schedule.policy == "fixed":
-        return np.zeros(schedule.trials, dtype=np.int64)
-    if schedule.policy == "cycle":
-        return np.arange(schedule.trials, dtype=np.int64) % n
-    rng = np.random.default_rng(schedule.seed_settings)
-    return rng.integers(0, n, size=schedule.trials)
+class _Runner:
+    """One schedule's draws and the compiled outputs of the setting pairs a run uses.
+
+    Equal angles share an integer code, as equal dict keys would; the test
+    angles come first. Pair (a, b) has the key ``code(a) * len(angles) + code(b)``.
+    """
+
+    def __init__(self, model: LocalModel, schedule: Schedule):
+        self.model, self.schedule = model, schedule
+        n, trial = len(schedule.pairs), np.arange(schedule.trials)
+        prior = np.asarray(model.source.prior)
+        rng = np.random.default_rng(schedule.seed_source)
+        self.state = rng.choice(len(prior), size=schedule.trials, p=prior / prior.sum())
+        if schedule.policy == "random":
+            self.pair = np.random.default_rng(schedule.seed_settings).integers(0, n, len(trial))
+        else:
+            self.pair = trial % n if schedule.policy == "cycle" else np.zeros_like(trial)
+        self.slot = trial % model.grid.slot_count
+        codes: dict[float, int] = {}
+        for x in [*TEST_ANGLES, *(x for pair in schedule.pairs for x in pair)]:
+            codes.setdefault(x, len(codes))
+        self.angles = list(codes)
+        a, b = np.array([[codes[a], codes[b]] for a, b in schedule.pairs]).T
+        self.a, self.b = a[self.pair], b[self.pair]
+        self.base = self.a * len(self.angles) + self.b
+        # The audit's alternatives to each angle: the test angles elsewhere on
+        # the circle, in grid order. Test angle k has code k.
+        d = np.subtract.outer(self.angles, TEST_ANGLES) % TWO_PI
+        apart = np.minimum(d, TWO_PI - d) > 1e-12
+        self.alt_count = apart.sum(axis=1)
+        self.alts = np.argsort(~apart, axis=1, kind="stable")
+
+    def perturbed(self, station: Station, p: int) -> np.ndarray:
+        """Pair keys with the station's remote angle replaced by its p-th
+        alternative, the alternatives rotating with the trial index; a trial
+        with fewer alternatives keeps its pair."""
+        remote = self.b if station is Station.S1 else self.a
+        count = self.alt_count[remote]
+        turn = (np.arange(len(remote)) + p) % count
+        alt = np.where(p < count, self.alts[remote, turn], remote)
+        n = len(self.angles)
+        return self.a * n + alt if station is Station.S1 else alt * n + self.b
+
+    def compile(self, columns: Iterable[np.ndarray]) -> None:
+        """Compile every pair the key columns use, in the order a loop over
+        trials, then over columns, would first use it."""
+        firsts = [np.unique(keys, return_index=True) for keys in columns]
+        keys = np.concatenate([k for k, _ in firsts])
+        uses = np.concatenate([t * len(firsts) + c for c, (_, t) in enumerate(firsts)])
+        n, s = len(self.angles), self.schedule
+        outputs = {}
+        for key in dict.fromkeys(keys[np.argsort(uses)].tolist()):
+            a, b = divmod(key, n)
+            outputs[key] = _pair_outputs(self.model, self.angles[a], self.angles[b],
+                                         s.seed_s1, s.seed_s2)
+        self.keys = np.array(sorted(outputs))
+        v1s, v2s, As, Bs = zip(*(outputs[k] for k in self.keys.tolist()))
+        self.values = {station: np.stack([np.fromiter(v, dtype=object) for v in vs])
+                       for station, vs in ((Station.S1, v1s), (Station.S2, v2s))}
+        self.outcomes = {Station.S1: np.stack(As), Station.S2: np.stack(Bs)}
+
+    def gather(self, station: Station, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every trial's instrument value and outcome at one station under the pair keys."""
+        q = np.searchsorted(self.keys, keys)
+        return self.values[station][q, self.slot], self.outcomes[station][q, self.state, self.slot]
 
 
-def _source_indices(model: LocalModel, schedule: Schedule) -> np.ndarray:
-    rng = np.random.default_rng(schedule.seed_source)
-    prior = np.asarray(model.source.prior)
-    return rng.choice(len(model.source.states), size=schedule.trials, p=prior / prior.sum())
-
-
-def run_experiment(model: LocalModel, schedule: Schedule) -> list[TrialRecord]:
+def run_experiment(model: LocalModel, schedule: Schedule) -> Trials:
     """Run the scheduled trials; fully reproducible from the schedule's seeds."""
-    n_slots = model.grid.slot_count
-    states = model.source.states
-    lam_idx = _source_indices(model, schedule)
-    pair_idx = _setting_indices(schedule)
-    cache = {}
-    records = []
-    for t in range(schedule.trials):
-        a_angle, b_angle = schedule.pairs[pair_idx[t]]
-        key = (a_angle, b_angle)
-        if key not in cache:
-            cache[key] = _pair_outputs(model, a_angle, b_angle, schedule.seed_s1, schedule.seed_s2)
-        v1s, v2s, As, Bs = cache[key]
-        i = lam_idx[t]
-        j = t % n_slots
-        records.append(
-            TrialRecord(t, j + 1, a_angle, b_angle, states[i], v1s[j], v2s[j], As[i][j], Bs[i][j])
-        )
-    return records
+    run = _Runner(model, schedule)
+    run.compile([run.base])
+    v1, A = run.gather(Station.S1, run.base)
+    v2, B = run.gather(Station.S2, run.base)
+    a, b = np.array(schedule.pairs).T
+    return Trials(model.source.states, run.state, run.slot + 1, a[run.pair], b[run.pair],
+                  v1, v2, A, B)
 
 
 def locality_audit(
@@ -155,170 +212,95 @@ def locality_audit(
     For every trial, station 1 is recomputed under ``remote_perturbations``
     alternative values of b drawn from the test angle grid (rotating with the
     trial index so all alternatives get exercised), and symmetrically for
-    station 2. A mismatch in (instrument value, outcome) is an Einstein
-    locality violation.
+    station 2. An alternative is a test angle at another point of the circle
+    than the current remote angle. A mismatch in (instrument value, outcome)
+    is an Einstein locality violation.
     """
     if remote_perturbations < 1:
         raise InvalidScheduleError("remote_perturbations must be >= 1")
-    n_slots = model.grid.slot_count
-    states = model.source.states
-    lam_idx = _source_indices(model, schedule)
-    pair_idx = _setting_indices(schedule)
-    cache = {}
-
-    def outputs(a_angle, b_angle):
-        key = (a_angle, b_angle)
-        if key not in cache:
-            cache[key] = _pair_outputs(model, a_angle, b_angle, schedule.seed_s1, schedule.seed_s2)
-        return cache[key]
-
-    def alternatives(current: float, t: int) -> list[float]:
-        alts = [x for x in TEST_ANGLES if abs(x - current) > 1e-12]
-        if not alts:
-            return []
-        k = t % len(alts)
-        rotated = alts[k:] + alts[:k]
-        return rotated[:remote_perturbations]
-
+    run = _Runner(model, schedule)
+    passes = [(station, p) for station in (Station.S1, Station.S2)
+              for p in range(min(remote_perturbations, len(TEST_ANGLES)))]
+    run.compile(chain([run.base], (run.perturbed(*q) for q in passes)))
+    base = {station: run.gather(station, run.base) for station in (Station.S1, Station.S2)}
     mismatches = 0
     first = None
-    for t in range(schedule.trials):
-        a_angle, b_angle = schedule.pairs[pair_idx[t]]
-        i = lam_idx[t]
-        lam = states[i]
-        j = t % n_slots
-        m = j + 1
-        v1s, v2s, As, Bs = outputs(a_angle, b_angle)
-        base_s1 = (v1s[j], As[i][j])
-        base_s2 = (v2s[j], Bs[i][j])
-        for b_alt in alternatives(b_angle, t):
-            alt = outputs(a_angle, b_alt)
-            seen = (alt[0][j], alt[2][i][j])
-            if seen != base_s1:
-                mismatches += 1
-                if first is None:
-                    first = {
-                        "trial": t,
-                        "station": "S1",
-                        "slot": m,
-                        "lambda": str(lam),
-                        "remote_original": b_angle,
-                        "remote_perturbed": b_alt,
-                        "baseline": [str(base_s1[0]), base_s1[1]],
-                        "perturbed": [str(seen[0]), seen[1]],
-                    }
-        for a_alt in alternatives(a_angle, t):
-            alt = outputs(a_alt, b_angle)
-            seen = (alt[1][j], alt[3][i][j])
-            if seen != base_s2:
-                mismatches += 1
-                if first is None:
-                    first = {
-                        "trial": t,
-                        "station": "S2",
-                        "slot": m,
-                        "lambda": str(lam),
-                        "remote_original": a_angle,
-                        "remote_perturbed": a_alt,
-                        "baseline": [str(base_s2[0]), base_s2[1]],
-                        "perturbed": [str(seen[0]), seen[1]],
-                    }
+    for station, p in passes:
+        keys = run.perturbed(station, p)
+        (values, outcomes), (base_values, base_outcomes) = run.gather(station, keys), base[station]
+        bad = (values != base_values) | (outcomes != base_outcomes)
+        mismatches += int(np.count_nonzero(bad))
+        t = int(bad.argmax())
+        # Within a trial, S1's perturbations come before S2's, in pass order.
+        if bad[t] and (first is None or t < first["trial"]):
+            side = int(station is Station.S1)  # the remote angle: b for S1, a for S2
+            remote = schedule.pairs[run.pair[t]][side]
+            perturbed = divmod(int(keys[t]), len(run.angles))[side]
+            first = {
+                "trial": t,
+                "station": station.value,
+                "slot": int(run.slot[t]) + 1,
+                "lambda": str(model.source.states[run.state[t]]),
+                "remote_original": remote,
+                "remote_perturbed": run.angles[perturbed],
+                "baseline": [str(base_values[t]), int(base_outcomes[t])],
+                "perturbed": [str(values[t]), int(outcomes[t])],
+            }
     return AuditReport(schedule.trials, mismatches, mismatches == 0, first)
 
 
-@dataclass
-class PairStats:
-    """Pooled empirical statistics for one setting pair."""
-
-    a: float
-    b: float
-    trials: int = 0
-    e_ab: float = 0.0
-    marginal_a: float = 0.0
-    marginal_b: float = 0.0
-    std_error: float = 0.0
-    cond_a: dict = field(default_factory=dict)
-    cond_b: dict = field(default_factory=dict)
-
-
-def empirical_correlations(records: list[TrialRecord]) -> dict[tuple[float, float], PairStats]:
-    """Group records by setting pair and compute empirical pair statistics."""
-    groups: dict[tuple[float, float], list[TrialRecord]] = {}
-    for r in records:
-        groups.setdefault((r.a, r.b), []).append(r)
+def empirical_correlations(trials: Trials) -> dict[tuple[float, float], CorrelationReport]:
+    """Each setting pair's pooled statistics, keyed by its angles as first run."""
+    _, a = np.unique(trials.a, return_inverse=True)
+    b_angles, b = np.unique(trials.b, return_inverse=True)
+    _, first, pair = np.unique(a * len(b_angles) + b, return_index=True, return_inverse=True)
     out = {}
-    for (a, b), rows in groups.items():
-        n = len(rows)
-        prods = [r.outcome_a * r.outcome_b for r in rows]
-        e = fsum(prods) / n
-        if n > 1:
-            var = fsum((x - e) ** 2 for x in prods) / (n - 1)
-            se = sqrt(var / n)
-        else:
-            se = 0.0
-        stats = PairStats(
-            a=a,
-            b=b,
-            trials=n,
-            e_ab=e,
-            marginal_a=fsum(r.outcome_a for r in rows) / n,
-            marginal_b=fsum(r.outcome_b for r in rows) / n,
-            std_error=se,
+    for g in np.argsort(first):
+        rows = pair == g
+        key = (float(trials.a[first[g]]), float(trials.b[first[g]]))
+        out[key] = sampled_correlation(
+            s1(key[0]), s2(key[1]), trials.A[rows], trials.B[rows], trials.state[rows],
+            trials.states, "lockstep",
         )
-        by_lam: dict[Hashable, list[TrialRecord]] = {}
-        for r in rows:
-            by_lam.setdefault(r.lam, []).append(r)
-        for lam, sub in by_lam.items():
-            stats.cond_a[lam] = fsum(r.outcome_a for r in sub) / len(sub)
-            stats.cond_b[lam] = fsum(r.outcome_b for r in sub) / len(sub)
-        out[(a, b)] = stats
     return out
 
 
-def trials_to_csv(records: list[TrialRecord], comments: list[str] | None = None) -> str:
-    buf = io.StringIO()
-    for line in comments or []:
-        buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRIALS_CSV_HEADER)
-    # Angles are coordinates, not expectations: keep full precision so the
-    # stream round-trips exactly.
-    for r in records:
-        writer.writerow(
-            [r.trial, r.m, repr(r.a), repr(r.b), r.lam, r.lambda_star, r.lambda_dblstar,
-             r.outcome_a, r.outcome_b]
-        )
-    return buf.getvalue()
+def write_trials_csv(trials: Trials, path: str | Path, comments: list[str] | None = None) -> None:
+    """Stream the trials to ``path`` as CSV rows, one per trial."""
+    columns = (
+        range(len(trials)),
+        trials.m.tolist(),
+        # Angles are coordinates, not expectations: keep full precision so the
+        # stream round-trips exactly.
+        map(repr, trials.a.tolist()),
+        map(repr, trials.b.tolist()),
+        np.fromiter(trials.states, dtype=object)[trials.state].tolist(),
+        trials.lambda_star.tolist(),
+        trials.lambda_dblstar.tolist(),
+        trials.A.tolist(),
+        trials.B.tolist(),
+    )
+    with open(path, "w", encoding="utf-8") as fp:
+        for line in comments or []:
+            fp.write(f"# {line}\n")
+        writer = csv.writer(fp, lineterminator="\n")
+        writer.writerow(TRIALS_CSV_HEADER)
+        writer.writerows(zip(*columns))
 
 
-def write_trials_csv(
-    records: list[TrialRecord], path: str | Path, comments: list[str] | None = None
-) -> None:
-    Path(path).write_text(trials_to_csv(records, comments), encoding="utf-8")
-
-
-def read_trials_csv(path: str | Path) -> list[TrialRecord]:
-    rows = []
+def read_trials_csv(path: str | Path) -> Trials:
+    """Load trials written by :func:`write_trials_csv`; state labels stay text."""
     with open(path, newline="", encoding="utf-8") as fp:
-        for row in csv.reader(fp):
-            if not row or row[0].startswith("#"):
-                continue
-            rows.append(row)
+        rows = [row for row in csv.reader(fp) if row and not row[0].startswith("#")]
     if not rows or tuple(rows[0]) != TRIALS_CSV_HEADER:
         raise InvalidScheduleError("trial CSV is empty or lacks the expected header")
-    records = []
-    for row in rows[1:]:
-        records.append(
-            TrialRecord(
-                trial=int(row[0]),
-                m=int(row[1]),
-                a=float(row[2]),
-                b=float(row[3]),
-                lam=parse_scalar(row[4]),
-                lambda_star=parse_scalar(row[5]),
-                lambda_dblstar=parse_scalar(row[6]),
-                outcome_a=int(row[7]),
-                outcome_b=int(row[8]),
-            )
-        )
-    return records
+    cols = list(zip(*rows[1:])) or [()] * len(TRIALS_CSV_HEADER)
+    if len(cols) != len(TRIALS_CSV_HEADER):
+        raise InvalidScheduleError("trial CSV rows need nine fields")
+    trial, m, A, B = (np.array(list(map(int, cols[k])), dtype=np.int64) for k in (0, 1, 7, 8))
+    if (trial != np.arange(len(trial))).any() or (np.abs([A, B]) != 1).any():
+        raise InvalidScheduleError("trial CSV needs trials numbered from 0 and outcomes of +-1")
+    states, state = np.unique(np.array(cols[4], dtype=str), return_inverse=True)
+    a, b = (np.array(list(map(float, cols[k]))) for k in (2, 3))
+    v1, v2 = (np.fromiter(map(parse_scalar, cols[k]), dtype=object) for k in (5, 6))
+    return Trials(tuple(states.tolist()), state, m, a, b, v1, v2, *np.array([A, B], dtype=np.int8))

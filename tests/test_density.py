@@ -17,6 +17,7 @@ from eprsim import (
     TimeGrid,
     check_factorization,
     marginal,
+    read_table_csv,
     s1,
     s2,
     swap_stations,
@@ -208,7 +209,7 @@ def test_csv_round_trip_preserves_entries(tmp_path):
     table = tabulate_joint(model, A0, B0)
     path = tmp_path / "table.csv"
     path.write_text(table_to_csv(table), encoding="utf-8")
-    loaded = table_from_csv(path, A0, B0)
+    loaded = read_table_csv(path, A0, B0)
     assert loaded.entries == dict(table.entries)
     assert table_to_csv(loaded).splitlines()[0] == ",".join(CSV_HEADER)
 

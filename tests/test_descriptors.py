@@ -7,16 +7,25 @@ import pytest
 from eprsim import (
     DescriptorError,
     InvalidWeightsError,
+    Schedule,
     Station,
     UnknownZooEntryError,
     apply_transform_op,
     correlate,
+    correlate_via_table,
+    empirical_correlations,
     evaluate_outcome,
     load_model,
     load_schedule,
     make_model,
+    read_trials_csv,
+    run_experiment,
     s1,
     s2,
+    table_from_csv,
+    table_to_csv,
+    tabulate_joint,
+    write_trials_csv,
     zoo_model,
 )
 from eprsim.cli import main
@@ -74,6 +83,36 @@ def test_explicit_descriptor_builds_and_evaluates(tmp_path):
     assert evaluate_outcome(model, Station.S1, s1(0.0), "g1", 1) == -1
     # out2 = -sign(cos(b - offset)); for g0 at b=0 that is -1
     assert evaluate_outcome(model, Station.S2, s2(0.0), "g0", 1) == -1
+
+
+def numeric_states_model(tmp_path):
+    """The handmade descriptor with its states renamed to the numbers 1 and 2."""
+    path = tmp_path / "numeric.ini"
+    path.write_text(EXPLICIT.replace("g0", "1").replace("g1", "2"), encoding="utf-8")
+    model = load_model(path)
+    assert model.source.states == ("1", "2")
+    return model
+
+
+def test_joint_table_csv_keeps_numeric_state_labels_as_text(tmp_path):
+    model = numeric_states_model(tmp_path)
+    a, b = s1(0.0), s2(math.pi / 4)
+    loaded = table_from_csv(table_to_csv(tabulate_joint(model, a, b)), a, b)
+    assert loaded.states == ("1", "2")
+    via_table = correlate_via_table(model, loaded)
+    direct = correlate(model, a, b)
+    assert (via_table.cond_a, via_table.cond_b) == (direct.cond_a, direct.cond_b)
+
+
+def test_trial_csv_keeps_numeric_state_labels_as_text(tmp_path):
+    model = numeric_states_model(tmp_path)
+    run = run_experiment(model, Schedule(trials=32, policy="cycle"))
+    write_trials_csv(run, tmp_path / "trials.csv")
+    loaded = read_trials_csv(tmp_path / "trials.csv")
+    assert loaded.states == ("1", "2")
+    expected = empirical_correlations(run)
+    for pair, report in empirical_correlations(loaded).items():
+        assert (report.cond_a, report.cond_b) == (expected[pair].cond_a, expected[pair].cond_b)
 
 
 def test_table_file_reference(tmp_path):

@@ -1,6 +1,9 @@
+import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprsim import (
     InstrumentParamGen,
@@ -21,8 +24,8 @@ from eprsim import (
     write_trials_csv,
     zoo_model,
 )
-from eprsim.stations import TRIALS_CSV_HEADER, empirical_correlations
-from eprsim.zoo import all_zoo_models
+from eprsim.stations import POLICIES, TRIALS_CSV_HEADER, empirical_correlations
+from eprsim.zoo import all_zoo_models, random_factorized_model
 
 
 def remote_reading_model() -> LocalModel:
@@ -98,38 +101,118 @@ def outcome_publishing_model() -> LocalModel:
     )
 
 
+def history_leak_model() -> LocalModel:
+    """Test-only fixture whose S1 generator reads the setting that the S2
+    generator published while the previous setting pair was compiled, so its
+    outputs depend on the order in which pairs are compiled."""
+    cell = {}
+
+    def gen1_rule(s, m, seed):
+        return 1 if cell.get("b", 0.0) > math.pi / 4 + 1e-9 else 0
+
+    def gen2_rule(s, m, seed):
+        cell["b"] = s.angle
+        return 0
+
+    return LocalModel(
+        name="history_leak_fixture",
+        source=SourceSpace(("u0",), (1.0,)),
+        grid=TimeGrid(4),
+        gen1=InstrumentParamGen(Station.S1, (0, 1), gen1_rule),
+        gen2=InstrumentParamGen(Station.S2, (0,), gen2_rule),
+        out1=OutcomeFn(Station.S1, lambda s, lam, v, m: 1),
+        out2=OutcomeFn(Station.S2, lambda s, lam, v, m: 1),
+    )
+
+
+def recording_model(calls: list) -> LocalModel:
+    """Test-only honest model that appends every rule call to ``calls``."""
+
+    def gen(station):
+        def rule(s, m, seed):
+            calls.append(("gen", station, s.angle, m, seed))
+            return (int(s.angle * 10) + m) % 3
+        return rule
+
+    def out(station):
+        def rule(s, lam, v, m):
+            calls.append(("out", station, s.angle, lam, v, m))
+            return 1 if (int(s.angle * 10) + v + m + (lam == "u1")) % 2 else -1
+        return rule
+
+    return LocalModel(
+        name="recording_fixture",
+        source=SourceSpace(("u0", "u1"), (0.4, 0.6)),
+        grid=TimeGrid(3),
+        gen1=InstrumentParamGen(Station.S1, (0, 1, 2), gen("S1")),
+        gen2=InstrumentParamGen(Station.S2, (0, 1, 2), gen("S2")),
+        out1=OutcomeFn(Station.S1, out("S1")),
+        out2=OutcomeFn(Station.S2, out("S2")),
+    )
+
+
+RECORDING_SCHEDULES = {
+    "cycle": Schedule(trials=40, policy="cycle", seed_source=1),
+    "random": Schedule(trials=40, policy="random", seed_source=2, seed_settings=3),
+    "fixed": Schedule(trials=40, policy="fixed", pairs=((0.3, 2.0),)),
+}
+
+
+def recorded_calls(schedule_name: str, perturbations: int | None) -> tuple[int, str]:
+    """Count and digest of the rule calls of one run (``perturbations`` None)
+    or one audit."""
+    calls = []
+    model = recording_model(calls)
+    schedule = RECORDING_SCHEDULES[schedule_name]
+    if perturbations is None:
+        run_experiment(model, schedule)
+    else:
+        assert locality_audit(model, schedule, perturbations).passed
+    return len(calls), hashlib.sha256(repr(calls).encode()).hexdigest()[:16]
+
+
+def trial_columns(trials) -> dict:
+    """A run's columns as lists, with each trial's state as its label."""
+    names = ("m", "a", "b", "lambda_star", "lambda_dblstar", "A", "B")
+    columns = {name: getattr(trials, name).tolist() for name in names}
+    columns["lambda"] = [trials.states[i] for i in trials.state]
+    return columns
+
+
 def test_single_trial_constant_model():
     schedule = Schedule(trials=1, policy="fixed", pairs=((0.0, 0.0),))
-    records = run_experiment(zoo_model("constant_plus"), schedule)
-    assert len(records) == 1
-    r = records[0]
-    assert (r.outcome_a, r.outcome_b) == (1, 1)
-    assert r.m == 1
+    trials = run_experiment(zoo_model("constant_plus"), schedule)
+    assert len(trials) == 1
+    assert (trials.A[0], trials.B[0]) == (1, 1)
+    assert trials.m[0] == 1
 
 
 def test_run_is_bitwise_reproducible():
     schedule = Schedule(trials=500, policy="random", seed_source=4, seed_settings=9)
     model = zoo_model("bell_product_basic")
-    assert run_experiment(model, schedule) == run_experiment(model, schedule)
+    assert trial_columns(run_experiment(model, schedule)) == trial_columns(
+        run_experiment(model, schedule)
+    )
 
 
 def test_clock_synchrony_slots_cycle_with_trial_index():
     model = zoo_model("cosine_threshold_lhv")
     n = model.grid.slot_count
-    records = run_experiment(model, Schedule(trials=25, policy="cycle"))
-    for r in records:
-        assert r.m == (r.trial % n) + 1
+    trials = run_experiment(model, Schedule(trials=25, policy="cycle"))
+    assert trials.m.tolist() == [(t % n) + 1 for t in range(25)]
 
 
 def test_records_match_station_recomputation():
     from eprsim import evaluate_outcome, s1, s2
 
     model = zoo_model("setting_dependent_density")
-    records = run_experiment(model, Schedule(trials=64, policy="cycle"))
-    for r in records:
-        assert r.outcome_a == evaluate_outcome(model, Station.S1, s1(r.a), r.lam, r.m)
-        assert r.outcome_b == evaluate_outcome(model, Station.S2, s2(r.b), r.lam, r.m)
-        assert r.lambda_star == model.gen1.evaluate(s1(r.a), r.m)
+    trials = run_experiment(model, Schedule(trials=64, policy="cycle"))
+    for t in range(len(trials)):
+        a, b, m = s1(trials.a[t]), s2(trials.b[t]), int(trials.m[t])
+        lam = trials.states[trials.state[t]]
+        assert trials.A[t] == evaluate_outcome(model, Station.S1, a, lam, m)
+        assert trials.B[t] == evaluate_outcome(model, Station.S2, b, lam, m)
+        assert trials.lambda_star[t] == model.gen1.evaluate(a, m)
 
 
 def test_empirical_agrees_with_exact_at_five_sigma():
@@ -240,10 +323,112 @@ def test_audit_rejects_nonpositive_perturbations():
 
 def test_trials_csv_round_trip(tmp_path):
     model = zoo_model("hp_time_correlated")
-    records = run_experiment(model, Schedule(trials=40, policy="cycle", seed_source=3))
+    trials = run_experiment(model, Schedule(trials=40, policy="cycle", seed_source=3))
     path = tmp_path / "trials.csv"
-    write_trials_csv(records, path, comments=["config = {}"])
+    write_trials_csv(trials, path, comments=["config = {}"])
     text = path.read_text(encoding="utf-8")
     assert text.startswith("# config = {}\n")
     assert text.splitlines()[1] == ",".join(TRIALS_CSV_HEADER)
-    assert read_trials_csv(path) == records
+    assert trial_columns(read_trials_csv(path)) == trial_columns(trials)
+
+
+def _first(trial, station, remote, perturbed, baseline, seen):
+    return {"trial": trial, "station": station, "slot": trial % 4 + 1, "lambda": "u0",
+            "remote_original": remote, "remote_perturbed": perturbed,
+            "baseline": baseline, "perturbed": seen}
+
+
+# Counts and first mismatches recorded from the trial-by-trial runner that
+# compiled each setting pair on first use.
+LEAK_REPORTS = [
+    (remote_reading_model, 1000, 2, 1334,
+     _first(0, "S1", 0.0, math.pi / 2, ["0", 1], ["0", -1])),
+    (remote_reading_model, 1000, 1, 666,
+     _first(1, "S1", math.pi / 4, math.pi / 2, ["0", 1], ["0", -1])),
+    (remote_reading_s2_model, 1000, 3, 2000,
+     _first(0, "S2", 0.0, math.pi / 2, ["0", 1], ["0", -1])),
+    (outcome_publishing_model, 1000, 3, 2000,
+     _first(0, "S2", 0.0, math.pi / 2, ["0", 1], ["0", -1])),
+    (history_leak_model, 1000, 3, 1624,
+     _first(0, "S1", 0.0, 3 * math.pi / 4, ["0", 1], ["1", 1])),
+    (history_leak_model, 2, 3, 2,
+     _first(0, "S1", 0.0, 3 * math.pi / 4, ["0", 1], ["1", 1])),
+]
+
+
+@pytest.mark.parametrize("make, trials, perturbations, mismatches, first", LEAK_REPORTS)
+def test_leaky_fixture_reports(make, trials, perturbations, mismatches, first):
+    report = locality_audit(make(), Schedule(trials=trials, policy="cycle"), perturbations)
+    assert (report.passed, report.mismatches) == (False, mismatches)
+    assert report.first_mismatch == first
+
+
+# Rule-call counts and digests recorded from the trial-by-trial runner.
+RECORDED_CALLS = {
+    ("cycle", None): (288, "52d2f2c014608cd0"),
+    ("cycle", 1): (288, "16122b97314bcc0d"),
+    ("cycle", 3): (288, "6e4532e4050775d6"),
+    ("cycle", 5): (288, "6e4532e4050775d6"),
+    ("random", None): (288, "43f2b47f2f246ee5"),
+    ("random", 1): (288, "8bba69510dcbe716"),
+    ("random", 3): (288, "b5af3f59f65c45fe"),
+    ("random", 5): (288, "b5af3f59f65c45fe"),
+    ("fixed", None): (18, "8d77c5587c6414fe"),
+    ("fixed", 1): (162, "bd3d29796cc24f9a"),
+    ("fixed", 3): (162, "9e0b0f1feba889c0"),
+    ("fixed", 5): (162, "7abcc49ec314359a"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORDED_CALLS, key=str))
+def test_setting_pairs_compile_in_first_use_order(case):
+    assert recorded_calls(*case) == RECORDED_CALLS[case]
+
+
+@pytest.mark.parametrize(
+    "remote, mismatches",
+    [(0.0, (666, 2000)), (2 * math.pi, (666, 2000)), (2 * math.pi - 1e-13, (334, 1000))],
+)
+def test_audit_never_perturbs_to_the_current_angle_on_the_circle(remote, mismatches):
+    # 2π and 2π − 1e-13 are the test angle 0.0 on the circle, so 0.0 is no
+    # perturbation of them; the counts are those of three alternatives.
+    schedule = Schedule(trials=1000, policy="fixed", pairs=((0.0, remote),))
+    found = tuple(locality_audit(remote_reading_model(), schedule, p).mismatches for p in (1, 3))
+    assert found == mismatches
+
+
+angles = st.one_of(
+    st.sampled_from((-0.0, 0.0, math.pi / 4, 2 * math.pi)),
+    st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    trials=st.integers(min_value=1, max_value=60),
+    policy=st.sampled_from(POLICIES),
+    pairs=st.lists(st.tuples(angles, angles), min_size=1, max_size=4),
+)
+def test_trials_csv_round_trips_byte_identically(tmp_path_factory, seed, trials, policy, pairs):
+    schedule = Schedule(trials=trials, policy=policy, pairs=tuple(pairs), seed_source=seed,
+                        seed_settings=seed + 1)
+    run = run_experiment(random_factorized_model(seed), schedule)
+    first, second = (tmp_path_factory.mktemp("trials") / "t.csv" for _ in range(2))
+    write_trials_csv(run, first, comments=["config = {}"])
+    loaded = read_trials_csv(first)
+    write_trials_csv(loaded, second, comments=["config = {}"])
+    assert second.read_bytes() == first.read_bytes()
+    assert trial_columns(loaded) == trial_columns(run)
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["0,1,0.0,0.0,u0,0,0,1", "1,1,0.0,0.0,u0,0,0,1,1", "0,1,0.0,0.0,u0,0,0,0,1"],
+    ids=["eight fields", "numbered from 1", "zero outcome"],
+)
+def test_read_trials_csv_rejects_malformed_rows(tmp_path, row):
+    path = tmp_path / "trials.csv"
+    path.write_text(",".join(TRIALS_CSV_HEADER) + "\n" + row + "\n", encoding="utf-8")
+    with pytest.raises(InvalidScheduleError):
+        read_trials_csv(path)
