@@ -168,7 +168,12 @@ def check_factorization(
     """Compare the conditional joint of the two stations' values to the product
     of its own marginals, reporting the largest absolute cell difference.
 
-    Conditions with zero mass are skipped (conditionals undefined there).
+    Conditions with zero mass are skipped (conditionals undefined there). A
+    condition that holds a single (value1, value2) cell of mass p has joint
+    p / p = 1.0 and both marginals 1.0 there and 0.0 elsewhere, so every cell
+    difference, and the total variation, is exactly 0.0 whatever the value
+    spaces list: such a condition is recorded as 0.0 without the value-grid
+    loop. Tables from :func:`tabulate_joint` hold one cell per (state, slot).
     """
     if tol <= 0.0:
         raise InvalidToleranceError(f"tolerance must be > 0, got {tol!r}")
@@ -181,14 +186,15 @@ def check_factorization(
     for (v1, v2, lam, m), p in table.entries.items():
         if p == 0.0:
             continue
-        cond = lam if mode == "given_lambda" else (lam, m)
-        conditions.setdefault(cond, {})
-        cell = (v1, v2)
-        conditions[cond][cell] = conditions[cond].get(cell, 0.0) + p
+        cells = conditions.setdefault(lam if mode == "given_lambda" else (lam, m), {})
+        cells[v1, v2] = cells.get((v1, v2), 0.0) + p
 
     deviations: dict[Hashable, float] = {}
     worst_tv = 0.0
     for cond, cells in conditions.items():
+        if len(cells) == 1:
+            deviations[cond] = 0.0
+            continue
         dev, tv = _pair_deviation(cells, table.value_space_1, table.value_space_2)
         deviations[cond] = dev
         worst_tv = max(worst_tv, tv)

@@ -40,6 +40,10 @@ DEFAULT_PAIRS = tuple((x, y) for x in TEST_ANGLES for y in TEST_ANGLES)
 
 POLICIES = ("fixed", "cycle", "random")
 
+# Rows per block in write_trials_csv: the writer's memory stays flat in the
+# trial count.
+CSV_BLOCK_ROWS = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class Trials:
@@ -129,8 +133,10 @@ def _pair_outputs(model: LocalModel, a_angle: float, b_angle: float, seed1, seed
 class _Runner:
     """One schedule's draws and the compiled outputs of the setting pairs a run uses.
 
-    Equal angles share an integer code, as equal dict keys would; the test
-    angles come first. Pair (a, b) has the key ``code(a) * len(angles) + code(b)``.
+    Angles at the same point of the circle (equal normalized :class:`Setting`
+    angles, such as 0.0 and 2π) share an integer code and so one compiled
+    pair; ``angles`` holds the normalized angles, the test angles first. Pair
+    (a, b) has the key ``code(a) * len(angles) + code(b)``.
     """
 
     def __init__(self, model: LocalModel, schedule: Schedule):
@@ -146,9 +152,9 @@ class _Runner:
         self.slot = trial % model.grid.slot_count
         codes: dict[float, int] = {}
         for x in [*TEST_ANGLES, *(x for pair in schedule.pairs for x in pair)]:
-            codes.setdefault(x, len(codes))
+            codes.setdefault(s1(x).angle, len(codes))
         self.angles = list(codes)
-        a, b = np.array([[codes[a], codes[b]] for a, b in schedule.pairs]).T
+        a, b = np.array([[codes[s1(x).angle] for x in pair] for pair in schedule.pairs]).T
         self.a, self.b = a[self.pair], b[self.pair]
         self.base = self.a * len(self.angles) + self.b
         # The audit's alternatives to each angle: the test angles elsewhere on
@@ -266,26 +272,29 @@ def empirical_correlations(trials: Trials) -> dict[tuple[float, float], Correlat
 
 
 def write_trials_csv(trials: Trials, path: str | Path, comments: list[str] | None = None) -> None:
-    """Stream the trials to ``path`` as CSV rows, one per trial."""
-    columns = (
-        range(len(trials)),
-        trials.m.tolist(),
-        # Angles are coordinates, not expectations: keep full precision so the
-        # stream round-trips exactly.
-        map(repr, trials.a.tolist()),
-        map(repr, trials.b.tolist()),
-        np.fromiter(trials.states, dtype=object)[trials.state].tolist(),
-        trials.lambda_star.tolist(),
-        trials.lambda_dblstar.tolist(),
-        trials.A.tolist(),
-        trials.B.tolist(),
-    )
+    """Stream the trials to ``path`` as CSV rows, one per trial, converting
+    the columns to Python values one block of rows at a time."""
+    labels = np.fromiter(trials.states, dtype=object)
     with open(path, "w", encoding="utf-8") as fp:
         for line in comments or []:
             fp.write(f"# {line}\n")
         writer = csv.writer(fp, lineterminator="\n")
         writer.writerow(TRIALS_CSV_HEADER)
-        writer.writerows(zip(*columns))
+        for start in range(0, len(trials), CSV_BLOCK_ROWS):
+            rows = slice(start, start + CSV_BLOCK_ROWS)
+            writer.writerows(zip(
+                range(start, start + CSV_BLOCK_ROWS),
+                trials.m[rows].tolist(),
+                # Angles are coordinates, not expectations: keep full
+                # precision so the stream round-trips exactly.
+                map(repr, trials.a[rows].tolist()),
+                map(repr, trials.b[rows].tolist()),
+                labels[trials.state[rows]].tolist(),
+                trials.lambda_star[rows].tolist(),
+                trials.lambda_dblstar[rows].tolist(),
+                trials.A[rows].tolist(),
+                trials.B[rows].tolist(),
+            ))
 
 
 def read_trials_csv(path: str | Path) -> Trials:

@@ -1,0 +1,27 @@
+"""The benchmark runs end to end and its correctness gate passes.
+
+One untimed pass of the ``exact_wide`` workload at seed 7: the golden
+``check.json``/``joint_table.csv`` comparison, the slot-correlated model's
+deviation and the doubled model's all-zero conditionals are all checked by
+the benchmark's own gate, so a change that breaks ``perfbench/run.py`` or the
+outputs it compares fails here.
+"""
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_exact_wide_benchmark_pass_is_correct():
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "exact_wide", "--seed", "7",
+         "--seconds", "0", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["attempted"] > 0

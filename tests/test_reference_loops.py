@@ -4,19 +4,25 @@ Each reference evaluates the rules cell by cell and adds in a fixed, visible
 order. Results must be equal, not merely close, because ``--deterministic``
 outputs are compared byte for byte.
 """
+import random
 from math import fsum
 
 from eprsim import (
     TEST_ANGLES,
+    JointTable,
     Setting,
     Station,
     balanced_sign_function,
+    check_factorization,
     condition_sign_on_source,
     correlate,
     evaluate_outcome,
     layer_double,
     s1,
     s2,
+    table_from_csv,
+    table_to_csv,
+    tabulate_joint,
     time_symmetrize,
     zoo_model,
 )
@@ -77,3 +83,92 @@ def test_exact_marginal_matches_reference_loop():
             for angle in TEST_ANGLES:
                 expected = reference_marginal(model, station, angle)
                 assert exact_marginal(model, station, angle) == expected, model.name
+
+
+def reference_pair_deviation(cells, values1, values2):
+    mass = fsum(cells.values())
+    joint = {k: p / mass for k, p in cells.items()}
+    p1, p2 = {}, {}
+    for (x, y), p in joint.items():
+        p1[x] = p1.get(x, 0.0) + p
+        p2[y] = p2.get(y, 0.0) + p
+    worst = 0.0
+    tv = 0.0
+    for x in values1:
+        for y in values2:
+            diff = abs(joint.get((x, y), 0.0) - p1.get(x, 0.0) * p2.get(y, 0.0))
+            tv += diff
+            if diff > worst:
+                worst = diff
+    return worst, 0.5 * tv
+
+
+def reference_factorization(table, mode):
+    """The value-grid loop run on every condition, one-cell conditions included."""
+    conditions = {}
+    for (v1, v2, lam, m), p in table.entries.items():
+        if p == 0.0:
+            continue
+        cells = conditions.setdefault(lam if mode == "given_lambda" else (lam, m), {})
+        cells[v1, v2] = cells.get((v1, v2), 0.0) + p
+    deviations = {}
+    worst_tv = 0.0
+    for cond, cells in conditions.items():
+        deviations[cond], tv = reference_pair_deviation(
+            cells, table.value_space_1, table.value_space_2)
+        worst_tv = max(worst_tv, tv)
+    return deviations, worst_tv
+
+
+def assert_factorization_matches_reference(table):
+    for mode in ("given_lambda", "given_lambda_and_m"):
+        report = check_factorization(table, mode)
+        deviations, worst_tv = reference_factorization(table, mode)
+        assert list(report.deviations) == list(deviations), mode
+        assert [repr(v) for v in report.deviations.values()] == [
+            repr(v) for v in deviations.values()], mode
+        max_dev = max(deviations.values(), default=0.0)
+        assert repr(report.max_deviation) == repr(max_dev), mode
+        assert repr(report.max_total_variation) == repr(worst_tv), mode
+        assert report.passed == (max_dev <= report.tol), mode
+
+
+def hand_built_tables(count):
+    """Tables with several cells per (state, slot), zero-probability entries,
+    a value listed twice in a value space and a value missing from it."""
+    rng = random.Random(11)
+    yield JointTable(
+        s1(0.0), s2(0.0),
+        {(0, 0, "u", 1): 0.1, (1, 1, "u", 1): 0.2, (0, 1, "u", 2): 0.3,
+         (1, 0, "u", 2): 0.0, (0, 0, "v", 1): 0.4},
+        value_space_1=(0, 1, 0), value_space_2=(0,), states=("u", "v"), slots=(1, 2),
+    )
+    for _ in range(count):
+        values = [0, 1, 2, "x"]
+        entries = {}
+        for lam in rng.sample("uvw", rng.randint(1, 3)):
+            for m in range(1, rng.randint(2, 4)):
+                for _ in range(rng.choice((1, 1, 2, 3, 5))):
+                    key = (rng.choice(values), rng.choice(values), lam, m)
+                    entries[key] = rng.choice((0.0, rng.random(), rng.randint(1, 9) / 10))
+        if not any(entries.values()):
+            entries[next(iter(entries))] = 1.0
+        total = fsum(entries.values())
+        entries = {k: p / total for k, p in entries.items()}
+
+        def space():
+            listed = rng.sample(values, rng.randint(1, len(values)))
+            return tuple(listed + [rng.choice(listed) for _ in range(rng.randint(0, 2))])
+
+        yield JointTable(s1(0.0), s2(0.0), entries, space(), space(),
+                         states=("u", "v", "w"), slots=(1, 2, 3))
+
+
+def test_check_factorization_matches_reference_loop():
+    for model in models():
+        for a, b in GRID_PAIRS:
+            table = tabulate_joint(model, a, b)
+            assert_factorization_matches_reference(table)
+            assert_factorization_matches_reference(table_from_csv(table_to_csv(table), a, b))
+    for table in hand_built_tables(500):
+        assert_factorization_matches_reference(table)

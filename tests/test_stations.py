@@ -1,4 +1,7 @@
+import csv
+import dataclasses
 import hashlib
+import io
 import math
 
 import pytest
@@ -24,7 +27,7 @@ from eprsim import (
     write_trials_csv,
     zoo_model,
 )
-from eprsim.stations import POLICIES, TRIALS_CSV_HEADER, empirical_correlations
+from eprsim.stations import CSV_BLOCK_ROWS, POLICIES, TRIALS_CSV_HEADER, empirical_correlations
 from eprsim.zoo import all_zoo_models, random_factorized_model
 
 
@@ -395,6 +398,49 @@ def test_audit_never_perturbs_to_the_current_angle_on_the_circle(remote, mismatc
     schedule = Schedule(trials=1000, policy="fixed", pairs=((0.0, remote),))
     found = tuple(locality_audit(remote_reading_model(), schedule, p).mismatches for p in (1, 3))
     assert found == mismatches
+
+
+def test_angles_at_one_point_of_the_circle_compile_once():
+    calls = []
+
+    def counted(gen):
+        def rule(s, m, seed):
+            calls.append(gen.station)
+            return gen.rule(s, m, seed)
+        return dataclasses.replace(gen, rule=rule)
+
+    base = zoo_model("bell_product_basic")
+    model = dataclasses.replace(base, gen1=counted(base.gen1), gen2=counted(base.gen2))
+    pairs = ((0.0, 0.5), (2 * math.pi, 0.5))
+    trials = run_experiment(model, Schedule(trials=8, policy="cycle", pairs=pairs))
+    # One compiled pair: one generator call per slot at each station.
+    assert len(calls) == 2 * base.grid.slot_count
+    # The columns and the per-pair statistics keep the scheduled angles.
+    assert trials.a.tolist() == [0.0, 2 * math.pi] * 4
+    assert list(empirical_correlations(trials)) == list(pairs)
+
+
+def row_by_row_trials_csv(trials, comments) -> bytes:
+    """Reference writer: one row at a time, straight from the columns."""
+    buf = io.StringIO()
+    for line in comments:
+        buf.write(f"# {line}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(TRIALS_CSV_HEADER)
+    for t in range(len(trials)):
+        writer.writerow([t, int(trials.m[t]), repr(float(trials.a[t])), repr(float(trials.b[t])),
+                         trials.states[trials.state[t]], trials.lambda_star[t],
+                         trials.lambda_dblstar[t], int(trials.A[t]), int(trials.B[t])])
+    return buf.getvalue().encode("utf-8")
+
+
+def test_trials_csv_written_in_blocks_equals_row_by_row(tmp_path):
+    schedule = Schedule(trials=CSV_BLOCK_ROWS + 3, policy="random", seed_source=5,
+                        seed_settings=6, pairs=((-0.0, 0.1), (math.pi / 4, 7.0)))
+    trials = run_experiment(zoo_model("hp_time_correlated"), schedule)
+    path = tmp_path / "trials.csv"
+    write_trials_csv(trials, path, comments=["config = {}"])
+    assert path.read_bytes() == row_by_row_trials_csv(trials, ["config = {}"])
 
 
 angles = st.one_of(
