@@ -93,9 +93,7 @@ from .zoo import (
     REFERENCE_TABLE_NAME,
     ZOO,
     all_zoo_models,
-    factorized_zoo_models,
     m_constant_zoo_models,
     random_factorized_model,
     zoo_model,
-    zoo_names,
 )

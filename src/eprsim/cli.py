@@ -33,8 +33,10 @@ from .inequality import (
     deterministic_bound,
     reference_correlation,
 )
-from .model import CHSH_OPTIMAL_ANGLES, TEST_ANGLES, s1, s2
+from .model import CHSH_OPTIMAL_ANGLES, TEST_ANGLES, LocalModel, s1, s2
 from .stations import (
+    DEFAULT_PAIRS,
+    POLICIES,
     Schedule,
     empirical_correlations,
     locality_audit,
@@ -74,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run scheduled trials, write the trial CSV and a summary")
     p.add_argument("--model", required=True, help="zoo name or descriptor path")
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--policy", choices=("fixed", "cycle", "random"), default="fixed")
+    p.add_argument("--policy", choices=POLICIES, default="fixed")
     p.add_argument("--angle-a", type=float, default=0.0)
     p.add_argument("--angle-b", type=float, default=TEST_ANGLES[1])
     p.add_argument("--angles", default=None, help="a,a',b,b' to add a CHSH block to the summary")
@@ -102,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="counterfactual Einstein-locality audit")
     p.add_argument("--model", required=True)
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--perturbations", type=int, default=3)
+    p.add_argument("--perturbations", type=int, default=3, help="remote alternatives per "
+                   "trial: at most 4, 3 at a test angle; more passes re-check the base pair")
     _common_flags(p)
 
     p = sub.add_parser("zoo", help="catalogue commands")
@@ -112,28 +115,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _timestamp_lines(deterministic: bool) -> list[str]:
-    if deterministic:
-        return []
-    return [f"generated_at = {datetime.now(timezone.utc).isoformat()}"]
+# Options that say where and how outputs are written, not what was run; a
+# schedule file is echoed as the pairs it resolves to.
+NOT_ECHOED = ("out", "deterministic", "schedule")
 
 
-def _write_json(path: Path, payload: dict, deterministic: bool) -> None:
-    doc = dict(payload)
-    if not deterministic:
-        doc["generated_at"] = datetime.now(timezone.utc).isoformat()
+def _stamp(args: argparse.Namespace) -> dict[str, str]:
+    """The timestamp every output carries, or nothing under --deterministic."""
+    if args.deterministic:
+        return {}
+    return {"generated_at": datetime.now(timezone.utc).isoformat()}
+
+
+def _report(args: argparse.Namespace, model: LocalModel | None, **body) -> dict:
+    """A JSON report: the parsed options, the model (``None`` for the cosine
+    reference table) and its transforms, then ``body``."""
+    config = {k: v for k, v in vars(args).items() if k not in NOT_ECHOED}
+    if model is None:
+        return {"config": config, "model": REFERENCE_TABLE_NAME, "transforms": [], **body}
+    return {"config": config, "model": model.name, "transforms": list(model.transforms), **body}
+
+
+def _write_json(path: Path, report: dict, args: argparse.Namespace) -> None:
+    """Write a report, creating its directory, stamped unless --deterministic."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(scrub(doc), indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _config_echo(args: argparse.Namespace, keys: list[str]) -> dict:
-    echo = {"command": args.command}
-    for key in keys:
-        value = getattr(args, key.replace("-", "_"))
-        if isinstance(value, Path):
-            value = str(value)
-        echo[key] = value
-    return echo
+    doc = scrub({**report, **_stamp(args)})
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _parse_angles(text: str) -> tuple[float, float, float, float]:
@@ -147,11 +154,6 @@ def _parse_angles(text: str) -> tuple[float, float, float, float]:
     return a, ap, b, bp
 
 
-def _require_positive_tol(tol: float) -> None:
-    if tol <= 0.0:
-        raise InvalidToleranceError(f"--tol must be > 0, got {tol!r}")
-
-
 def cmd_zoo(args) -> int:
     for name, entry in ZOO.items():
         print(f"{name:28s} {entry.summary}")
@@ -160,7 +162,6 @@ def cmd_zoo(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _require_positive_tol(args.tol)
     model = make_model(args.model)
     if args.schedule is not None:
         schedule = load_schedule(args.schedule)
@@ -168,7 +169,7 @@ def cmd_simulate(args) -> int:
         if args.policy == "fixed":
             pairs = ((args.angle_a, args.angle_b),)
         else:
-            pairs = tuple((x, y) for x in TEST_ANGLES for y in TEST_ANGLES)
+            pairs = DEFAULT_PAIRS
         schedule = Schedule(
             trials=args.trials,
             policy=args.policy,
@@ -177,30 +178,25 @@ def cmd_simulate(args) -> int:
             seed_settings=args.seed + 1,
         )
     run = run_experiment(model, schedule)
-    config = _config_echo(
-        args, ["model", "trials", "policy", "angle_a", "angle_b", "angles", "seed", "tol"]
-    )
-    config["schedule_pairs"] = [[fmt12(a), fmt12(b)] for a, b in schedule.pairs]
-
     pairs_block = []
     for (a_angle, b_angle), stats in sorted(empirical_correlations(run).items()):
         exact = correlate(model, s1(a_angle), s2(b_angle))
         block = stats.to_dict()
         del block["method"]
         pairs_block.append({**block, "a": a_angle, "b": b_angle, "exact_e_ab": exact.e_ab})
-    summary = {"config": config, "model": model.name, "transforms": list(model.transforms),
-               "pairs": pairs_block}
+    summary = _report(args, model, pairs=pairs_block)
+    config = summary["config"]
+    config["schedule_pairs"] = [[fmt12(a), fmt12(b)] for a, b in schedule.pairs]
     if args.angles:
         a, ap, b, bp = _parse_angles(args.angles)
         result = chsh(model, s1(a), s1(ap), s2(b), s2(bp), tol=args.tol)
         summary["chsh"] = result.to_dict()
 
     out_dir = args.out or Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_json(out_dir / "summary.json", summary, args)
     comments = [f"config = {json.dumps(scrub(config), sort_keys=True)}"]
-    comments += _timestamp_lines(args.deterministic)
+    comments += [f"{key} = {value}" for key, value in _stamp(args).items()]
     write_trials_csv(run, out_dir / "trials.csv", comments)
-    _write_json(out_dir / "summary.json", summary, args.deterministic)
 
     for block in pairs_block:
         print(
@@ -215,7 +211,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    _require_positive_tol(args.tol)
     model = make_model(args.model)
     a = s1(args.angle_a)
     b = s2(args.angle_b)
@@ -226,23 +221,18 @@ def cmd_check(args) -> int:
     }
     cond_a = conditional_table(model, a)
     cond_b = conditional_table(model, b)
-    config = _config_echo(args, ["model", "angle_a", "angle_b", "tol", "seed"])
-    payload = {
-        "config": config,
-        "model": model.name,
-        "transforms": list(model.transforms),
-        "factorization": {mode: rep.to_dict() for mode, rep in reports.items()},
-        "cond_a": {str(k): v for k, v in cond_a.items()},
-        "cond_b": {str(k): v for k, v in cond_b.items()},
-        "max_conditional_bias": max(
+    payload = _report(
+        args, model,
+        factorization={mode: rep.to_dict() for mode, rep in reports.items()},
+        cond_a={str(k): v for k, v in cond_a.items()},
+        cond_b={str(k): v for k, v in cond_b.items()},
+        max_conditional_bias=max(
             [abs(v) for v in cond_a.values()] + [abs(v) for v in cond_b.values()]
         ),
-    }
+    )
     if args.out is not None:
-        out_dir = args.out
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(out_dir / "check.json", payload, args.deterministic)
-        (out_dir / "joint_table.csv").write_text(table_to_csv(table), encoding="utf-8")
+        _write_json(args.out / "check.json", payload, args)
+        (args.out / "joint_table.csv").write_text(table_to_csv(table), encoding="utf-8")
     for mode, rep in reports.items():
         verdict = "pass" if rep.passed else "FAIL"
         print(f"factorization {mode}: {verdict} (max deviation {fmt12(rep.max_deviation)})")
@@ -254,7 +244,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    _require_positive_tol(args.tol)
     if not args.op:
         raise DescriptorError("transform needs at least one --op")
     model = make_model(args.model)
@@ -267,7 +256,6 @@ def cmd_transform(args) -> int:
     text = descriptor_text(args.model, args.op, notes)
     out = args.out or Path(f"{model.name}_transformed.ini")
     if out.suffix == "":
-        out.mkdir(parents=True, exist_ok=True)
         out = out / "model.ini"
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(text, encoding="utf-8")
@@ -280,49 +268,36 @@ def cmd_transform(args) -> int:
 
 
 def cmd_chsh(args) -> int:
-    _require_positive_tol(args.tol)
     angles = _parse_angles(args.angles) if args.angles else CHSH_OPTIMAL_ANGLES
     a, ap, b, bp = angles
     settings = (s1(a), s1(ap), s2(b), s2(bp))
     reference = chsh_from_correlations(reference_correlation, *settings, tol=args.tol)
+    trials = args.trials if args.method == "monte_carlo" else 0
     if args.model == REFERENCE_TABLE_NAME:
-        result = reference
-        model_name = REFERENCE_TABLE_NAME
-        transforms: list[str] = []
+        model, result = None, reference
     else:
         model = make_model(args.model)
-        model_name = model.name
-        transforms = list(model.transforms)
-        result = chsh(
-            model, *settings, method=args.method,
-            trials=args.trials if args.method == "monte_carlo" else 0,
-            seed=args.seed, tol=args.tol,
-        )
+        result = chsh(model, *settings, method=args.method, trials=trials, seed=args.seed,
+                      tol=args.tol)
     bound = deterministic_bound()
     gap = abs(reference.s_value) - abs(result.s_value)
-    config = _config_echo(args, ["model", "angles", "method", "trials", "seed", "tol"])
-    payload = {
-        "config": config,
-        "model": model_name,
-        "transforms": transforms,
-        "chsh": result.to_dict(),
-        "deterministic_bound": bound,
-        "reference_s": reference.s_value,
-        "gap_to_reference": gap,
-    }
+    payload = _report(
+        args, model,
+        chsh=result.to_dict(),
+        deterministic_bound=bound,
+        reference_s=reference.s_value,
+        gap_to_reference=gap,
+    )
     if args.out is not None:
-        out_dir = args.out
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(out_dir / "chsh.json", payload, args.deterministic)
-        trials = args.trials if args.method == "monte_carlo" else 0
+        _write_json(args.out / "chsh.json", payload, args)
         row = ",".join(
             [
-                model_name,
+                payload["model"],
                 fmt12(a),
                 fmt12(ap),
                 fmt12(b),
                 fmt12(bp),
-                args.method if args.model != REFERENCE_TABLE_NAME else "exact",
+                args.method if model is not None else "exact",
                 str(trials),
                 str(args.seed),
                 fmt12(result.s_value),
@@ -330,7 +305,7 @@ def cmd_chsh(args) -> int:
             ]
         )
         header = "model,a,aprime,b,bprime,method,trials,seed,S,within_bound"
-        (out_dir / "chsh.csv").write_text(header + "\n" + row + "\n", encoding="utf-8")
+        (args.out / "chsh.csv").write_text(header + "\n" + row + "\n", encoding="utf-8")
     print(f"S = {fmt12(result.s_value)}")
     print(f"local deterministic bound = {fmt12(bound)}")
     print(f"within local bound: {str(result.within_local_bound).lower()}")
@@ -340,7 +315,6 @@ def cmd_chsh(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    _require_positive_tol(args.tol)
     model = make_model(args.model)
     schedule = Schedule(
         trials=args.trials,
@@ -349,12 +323,8 @@ def cmd_audit(args) -> int:
         seed_settings=args.seed + 1,
     )
     report = locality_audit(model, schedule, args.perturbations)
-    config = _config_echo(args, ["model", "trials", "perturbations", "seed", "tol"])
-    payload = {"config": config, "model": model.name, "transforms": list(model.transforms),
-               "audit": report.to_dict()}
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        _write_json(args.out / "audit.json", payload, args.deterministic)
+        _write_json(args.out / "audit.json", _report(args, model, audit=report.to_dict()), args)
     verdict = "pass" if report.passed else "FAIL"
     print(f"locality audit: {verdict} ({report.mismatches} mismatches over "
           f"{report.trials_checked} trials)")
@@ -375,6 +345,8 @@ def main(argv: list[str] | None = None) -> int:
         "zoo": cmd_zoo,
     }
     try:
+        if args.tol <= 0.0:
+            raise InvalidToleranceError(f"--tol must be > 0, got {args.tol!r}")
         return handlers[args.command](args)
     except CONFIG_ERRORS as exc:
         print(f"eprsim: configuration error: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ from .errors import (
     InvalidWeightsError,
     StationMismatchError,
 )
-from .model import LocalModel, Setting, Station, station_values
+from .model import LocalModel, Setting, Station, _check_distribution, station_values
 from .util import parse_scalar
 
 CSV_HEADER = ("lambda_star", "lambda_dblstar", "lambda", "m", "prob")
@@ -43,17 +43,12 @@ class JointTable:
     value_space_1: tuple[Hashable, ...]
     value_space_2: tuple[Hashable, ...]
     states: tuple[Hashable, ...]
-    slots: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "entries", dict(self.entries))
         if not self.entries:
             raise EmptyTableError("joint table has no entries")
-        if any(p < 0.0 for p in self.entries.values()):
-            raise InvalidWeightsError("joint table has a negative probability")
-        total = fsum(self.entries.values())
-        if abs(total - 1.0) > 1e-12:
-            raise InvalidWeightsError(f"joint table mass is {total!r}, not 1")
+        _check_distribution(self.entries.values(), "joint table")
 
     def mass(self) -> float:
         return fsum(self.entries.values())
@@ -106,7 +101,6 @@ def tabulate_joint(model: LocalModel, a: Setting, b: Setting) -> JointTable:
         value_space_1=model.gen1.value_space,
         value_space_2=model.gen2.value_space,
         states=model.source.states,
-        slots=tuple(model.grid.slots),
     )
 
 
@@ -132,7 +126,6 @@ def swap_stations(table: JointTable) -> JointTable:
         value_space_1=table.value_space_2,
         value_space_2=table.value_space_1,
         states=table.states,
-        slots=table.slots,
     )
 
 
@@ -255,5 +248,4 @@ def table_from_csv(text: str, a: Setting, b: Setting) -> JointTable:
         value_space_1=axis(0),
         value_space_2=axis(1),
         states=axis(2),
-        slots=tuple(sorted({k[3] for k in entries})),
     )

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import DescriptorError, UnknownZooEntryError
@@ -59,8 +61,35 @@ def _new_parser() -> configparser.ConfigParser:
     return configparser.ConfigParser(interpolation=None)
 
 
-def _read_table(section: configparser.SectionProxy, base_dir: Path | None) -> list[list]:
-    """Rows from an inline ``table`` block or a referenced ``file``."""
+def _read_ini(path: str | Path, what: str) -> configparser.ConfigParser:
+    """Parse a descriptor file; a missing or malformed file is a configuration error."""
+    path = Path(path)
+    if not path.exists():
+        raise UnknownZooEntryError(f"{what} not found: {path}")
+    parser = _new_parser()
+    try:
+        parser.read(path, encoding="utf-8")
+    except configparser.Error as exc:
+        raise DescriptorError(f"cannot parse {what} {path}: {exc}") from exc
+    return parser
+
+
+class _Table(dict):
+    """A descriptor table keyed for its rule. A key the table lacks raises
+    DescriptorError (a configuration error) naming the section and the key."""
+
+    def __init__(self, section: configparser.SectionProxy, items):
+        super().__init__(items)
+        self.section = section.name
+
+    def __missing__(self, key):
+        raise DescriptorError(f"[{self.section}] table misses key {key!r}")
+
+
+def _read_table(section: configparser.SectionProxy, base_dir: Path | None,
+                widths: tuple[int, ...]) -> list[list]:
+    """Rows from an inline ``table`` block or a referenced ``file``, all of one
+    of the allowed ``widths``."""
     if "table" in section:
         text = section["table"]
     elif "file" in section:
@@ -80,6 +109,9 @@ def _read_table(section: configparser.SectionProxy, base_dir: Path | None) -> li
         rows.append([parse_scalar(tok.strip()) for tok in line.split(",")])
     if not rows:
         raise DescriptorError(f"section [{section.name}]: table is empty")
+    if len({len(r) for r in rows}) != 1 or len(rows[0]) not in widths:
+        need = " or ".join(map(str, widths))
+        raise DescriptorError(f"[{section.name}]: every table row needs {need} columns")
     return rows
 
 
@@ -116,24 +148,13 @@ def _build_gen(section, station: Station, base_dir: Path | None) -> InstrumentPa
         rule = lambda s, m, sd, v=values, st=stride, md=modulus: v[(((m - 1) // st) % md) % len(v)]
         return InstrumentParamGen(station, values, rule, seed)
     if kind == "table":
-        rows = _read_table(section, base_dir)
-        arity = len(rows[0])
-        if any(len(r) != arity for r in rows):
-            raise DescriptorError(f"[{section.name}]: ragged table rows")
-        if arity == 2:
-            mapping = {int(r[0]): r[1] for r in rows}
+        rows = _read_table(section, base_dir, (2, 3))
+        if len(rows[0]) == 2:
+            mapping = _Table(section, ((int(r[0]), r[1]) for r in rows))
             rule = lambda s, m, sd, t=mapping: t[m]
-        elif arity == 3:
-            mapping = {(_angle_key(float(r[0])), int(r[1])): r[2] for r in rows}
-
-            def rule(s, m, sd, t=mapping):
-                key = (_angle_key(s.angle), m)
-                if key not in t:
-                    raise DescriptorError(f"generator table misses angle/slot {key!r}")
-                return t[key]
-
         else:
-            raise DescriptorError(f"[{section.name}]: generator tables have 2 or 3 columns")
+            mapping = _Table(section, (((_angle_key(float(r[0])), int(r[1])), r[2]) for r in rows))
+            rule = lambda s, m, sd, t=mapping: t[(_angle_key(s.angle), m)]
         values = section.get("values")
         space = tuple(_parse_list(values)) if values else tuple(sorted(set(mapping.values()), key=str))
         return InstrumentParamGen(station, space, rule, seed)
@@ -146,37 +167,27 @@ def _build_out(section, station: Station, base_dir: Path | None) -> OutcomeFn:
         value = int(section.get("value", "1"))
         return OutcomeFn(station, lambda s, lam, v, m, o=value: o)
     if kind == "lambda_table":
-        rows = _read_table(section, base_dir)
-        mapping = {str(r[0]): int(r[1]) for r in rows}
+        rows = _read_table(section, base_dir, (2,))
+        mapping = _Table(section, ((str(r[0]), int(r[1])) for r in rows))
         return OutcomeFn(station, lambda s, lam, v, m, t=mapping: t[str(lam)])
     if kind == "cosine":
-        rows = _read_table(section, base_dir)
-        offsets = {str(r[0]): float(r[1]) for r in rows}
+        rows = _read_table(section, base_dir, (2,))
+        offsets = _Table(section, ((str(r[0]), float(r[1])) for r in rows))
         flip = -1 if section.getboolean("negate", fallback=False) else 1
 
         def rule(s, lam, v, m, t=offsets, f=flip):
-            import math
-
             return f * (1 if math.cos(s.angle - t[str(lam)]) >= 0.0 else -1)
 
         return OutcomeFn(station, rule)
     if kind == "table":
-        rows = _read_table(section, base_dir)
-        arity = len(rows[0])
-        if arity == 4:
-            mapping = {(str(r[0]), r[1], int(r[2])): int(r[3]) for r in rows}
+        rows = _read_table(section, base_dir, (4, 5))
+        if len(rows[0]) == 4:
+            mapping = _Table(section, (((str(r[0]), r[1], int(r[2])), int(r[3])) for r in rows))
             rule = lambda s, lam, v, m, t=mapping: t[(str(lam), v, m)]
-        elif arity == 5:
-            mapping = {(_angle_key(float(r[0])), str(r[1]), r[2], int(r[3])): int(r[4]) for r in rows}
-
-            def rule(s, lam, v, m, t=mapping):
-                key = (_angle_key(s.angle), str(lam), v, m)
-                if key not in t:
-                    raise DescriptorError(f"outcome table misses key {key!r}")
-                return t[key]
-
         else:
-            raise DescriptorError(f"[{section.name}]: outcome tables have 4 or 5 columns")
+            mapping = _Table(section, (((_angle_key(float(r[0])), str(r[1]), r[2], int(r[3])),
+                                        int(r[4])) for r in rows))
+            rule = lambda s, lam, v, m, t=mapping: t[(_angle_key(s.angle), str(lam), v, m)]
         return OutcomeFn(station, rule)
     raise DescriptorError(f"[{section.name}]: unknown outcome kind {kind!r}")
 
@@ -255,8 +266,6 @@ def model_from_config(parser: configparser.ConfigParser, base_dir: Path | None =
     if "model" in parser and parser["model"].get("zoo"):
         base = zoo_model(parser["model"]["zoo"].strip())
         if parser["model"].get("name"):
-            from dataclasses import replace
-
             base = replace(base, name=parser["model"]["name"].strip())
     else:
         missing = [s for s in MODEL_SECTIONS if s not in parser]
@@ -278,29 +287,16 @@ def model_from_config(parser: configparser.ConfigParser, base_dir: Path | None =
 
 
 def load_model(path: str | Path) -> LocalModel:
-    path = Path(path)
-    if not path.exists():
-        raise UnknownZooEntryError(f"model descriptor not found: {path}")
-    parser = _new_parser()
-    try:
-        parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
-        raise DescriptorError(f"cannot parse descriptor {path}: {exc}") from exc
-    return model_from_config(parser, base_dir=path.parent)
+    return model_from_config(_read_ini(path, "model descriptor"), base_dir=Path(path).parent)
 
 
-def make_model(spec: str | Path | configparser.ConfigParser) -> LocalModel:
-    """Build a validated model from a zoo name, a descriptor path, or a parser."""
-    if isinstance(spec, configparser.ConfigParser):
-        return model_from_config(spec)
-    if isinstance(spec, Path):
-        return load_model(spec)
-    name = str(spec)
-    if name in ZOO:
-        return zoo_model(name)
-    if Path(name).exists():
-        return load_model(name)
-    raise UnknownZooEntryError(f"unknown zoo entry or model file: {name!r}")
+def make_model(spec: str | Path) -> LocalModel:
+    """Build a validated model from a zoo name or a descriptor path."""
+    if isinstance(spec, str) and spec in ZOO:
+        return zoo_model(spec)
+    if not Path(spec).exists():
+        raise UnknownZooEntryError(f"unknown zoo entry or model file: {str(spec)!r}")
+    return load_model(spec)
 
 
 def descriptor_text(
@@ -320,17 +316,9 @@ def descriptor_text(
         parser.add_section("model")
         parser.set("model", "zoo", base_str)
     else:
-        path = Path(base_str)
-        if not path.exists():
-            raise UnknownZooEntryError(f"unknown zoo entry or model file: {base_str!r}")
-        parser = _new_parser()
-        try:
-            parser.read(path, encoding="utf-8")
-        except configparser.Error as exc:
-            raise DescriptorError(f"cannot parse descriptor {path}: {exc}") from exc
+        parser = _read_ini(base_str, "model descriptor")
     existing = _transform_ops(parser)
-    if "transform" in parser:
-        parser.remove_section("transform")
+    parser.remove_section("transform")
     parser.add_section("transform")
     for i, op in enumerate(existing + list(ops), start=1):
         parser.set("transform", f"op.{i}", op)
@@ -342,14 +330,7 @@ def descriptor_text(
 
 
 def load_schedule(path: str | Path) -> Schedule:
-    path = Path(path)
-    if not path.exists():
-        raise UnknownZooEntryError(f"schedule descriptor not found: {path}")
-    parser = _new_parser()
-    try:
-        parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
-        raise DescriptorError(f"cannot parse schedule {path}: {exc}") from exc
+    parser = _read_ini(path, "schedule descriptor")
     if "schedule" not in parser:
         raise DescriptorError(f"{path}: missing [schedule] section")
     return schedule_from_section(parser["schedule"])
@@ -373,14 +354,12 @@ def schedule_from_section(section) -> Schedule:
         pairs = tuple(parsed)
     elif "a" in section and "b" in section:
         pairs = ((float(section["a"]), float(section["b"])),)
-    seed_s1 = section.get("seed_s1")
-    seed_s2 = section.get("seed_s2")
     return Schedule(
         trials=int(section["trials"]),
         policy=policy,
         pairs=pairs,
         seed_source=int(section.get("seed_source", "0")),
         seed_settings=int(section.get("seed_settings", "0")),
-        seed_s1=int(seed_s1) if seed_s1 is not None else None,
-        seed_s2=int(seed_s2) if seed_s2 is not None else None,
+        seed_s1=section.getint("seed_s1"),
+        seed_s2=section.getint("seed_s2"),
     )

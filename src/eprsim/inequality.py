@@ -96,11 +96,9 @@ def _check_pair(a: Setting, b: Setting) -> None:
         raise StationMismatchError("second setting must be S2-typed")
 
 
-def conditional_table(
-    model: LocalModel, setting: Setting, station_seed: int | None = None
-) -> dict[Hashable, float]:
+def conditional_table(model: LocalModel, setting: Setting) -> dict[Hashable, float]:
     """Exact per-state conditional expectation E{outcome | state} at one setting."""
-    values = station_values(model, setting, station_seed)
+    values = station_values(model, setting)
     return _conditionals(model, station_outcomes(model, setting, values))
 
 

@@ -68,8 +68,8 @@ def s2(angle: float) -> Setting:
 def _check_distribution(weights, what: str) -> None:
     if len(weights) == 0:
         raise InvalidWeightsError(f"{what}: needs at least one entry")
-    if any(w < 0.0 for w in weights):
-        raise InvalidWeightsError(f"{what}: negative weight")
+    if not all(w >= 0.0 for w in weights):
+        raise InvalidWeightsError(f"{what}: negative or NaN weight")
     total = fsum(weights)
     if abs(total - 1.0) > WEIGHT_TOL:
         raise InvalidWeightsError(f"{what}: weights sum to {total!r}, not 1")
@@ -95,9 +95,6 @@ class SourceSpace:
 
     def has(self, lam: Hashable) -> bool:
         return lam in self._index
-
-    def index(self, lam: Hashable) -> int:
-        return self._index[lam]
 
     def weight(self, lam: Hashable) -> float:
         return self.prior[self._index[lam]]
@@ -344,10 +341,10 @@ def station_outcomes(model: LocalModel, setting: Setting, values: list[Hashable]
     )
 
 
-def composite_is_m_constant(model: LocalModel, angles=TEST_ANGLES) -> bool:
+def composite_is_m_constant(model: LocalModel) -> bool:
     """True when both stations' outcomes are slot-independent at the probe angles."""
     for station in (Station.S1, Station.S2):
-        for angle in angles:
+        for angle in TEST_ANGLES:
             setting = Setting(angle, station)
             outcomes = station_outcomes(model, setting, station_values(model, setting))
             if (outcomes != outcomes[:, :1]).any():

@@ -219,8 +219,10 @@ def locality_audit(
     alternative values of b drawn from the test angle grid (rotating with the
     trial index so all alternatives get exercised), and symmetrically for
     station 2. An alternative is a test angle at another point of the circle
-    than the current remote angle. A mismatch in (instrument value, outcome)
-    is an Einstein locality violation.
+    than the current remote angle, so at most 4 exist, and 3 when the remote
+    angle is itself a test angle. At most 4 passes run per station; in a pass
+    beyond a trial's alternatives, that trial re-checks its base pair. A
+    mismatch in (instrument value, outcome) is an Einstein locality violation.
     """
     if remote_perturbations < 1:
         raise InvalidScheduleError("remote_perturbations must be >= 1")

@@ -40,7 +40,6 @@ class MarginalTarget:
 
     alpha: float
     achieved: float
-    feasible: bool
     base_marginal: float
     sign_mean: float
 
@@ -166,7 +165,6 @@ def target_marginal(
     return transformed, MarginalTarget(
         alpha=alpha,
         achieved=achieved,
-        feasible=True,
         base_marginal=beta,
         sign_mean=sign.mean,
     )

@@ -204,10 +204,6 @@ ZOO: dict[str, ZooEntry] = {
 REFERENCE_TABLE_NAME = "reference_cosine"
 
 
-def zoo_names() -> tuple[str, ...]:
-    return tuple(ZOO)
-
-
 def zoo_model(name: str) -> LocalModel:
     try:
         entry = ZOO[name]
@@ -218,10 +214,6 @@ def zoo_model(name: str) -> LocalModel:
 
 def all_zoo_models() -> list[LocalModel]:
     return [entry.build() for entry in ZOO.values()]
-
-
-def factorized_zoo_models() -> list[LocalModel]:
-    return [entry.build() for entry in ZOO.values() if entry.factorized]
 
 
 def m_constant_zoo_models() -> list[LocalModel]:

@@ -64,8 +64,14 @@ def test_check_reports_both_modes(tmp_path, capsys):
     assert (out / "joint_table.csv").exists()
 
 
-def test_check_negative_tolerance_exits_2(tmp_path):
-    assert run_cli(["check", "--model", "constant_plus", "--tol", "-1"]) == 2
+@pytest.mark.parametrize("command", ["simulate", "check", "transform", "chsh", "audit", "zoo"])
+def test_check_negative_tolerance_exits_2(tmp_path, capsys, command):
+    argv = ["zoo", "list"] if command == "zoo" else [command, "--model", "constant_plus"]
+    if command == "transform":
+        argv += ["--op", "double"]
+    assert run_cli(argv + ["--tol", "-1", "--out", str(tmp_path / "out")]) == 2
+    assert "--tol must be > 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_check_layer_doubled_model_reports_zero_conditionals(tmp_path, capsys):
@@ -168,3 +174,64 @@ def test_config_echo_is_embedded(tmp_path):
     assert embedded["trials"] == 10
     summary = json.loads((out / "summary.json").read_text())
     assert "generated_at" not in summary
+
+
+def test_reports_carry_a_timestamp_without_deterministic(tmp_path):
+    runs = {
+        "simulate": ["simulate", "--model", "constant_plus", "--trials", "10"],
+        "check": ["check", "--model", "constant_plus"],
+        "chsh": ["chsh", "--model", "constant_plus"],
+        "audit": ["audit", "--model", "constant_plus", "--trials", "10"],
+    }
+    for name, argv in runs.items():
+        assert run_cli(argv + ["--out", str(tmp_path / name)]) == 0
+    lines = (tmp_path / "simulate" / "trials.csv").read_text().splitlines()
+    assert sum(line.startswith("# generated_at = ") for line in lines) == 1
+    reports = sorted(tmp_path.glob("*/*.json"))
+    assert [p.name for p in reports] == ["audit.json", "check.json", "chsh.json", "summary.json"]
+    for path in reports:
+        assert "generated_at" in json.loads(path.read_text()), path.name
+
+
+TABLE_MISS_MODEL = """[model]
+name = table_miss
+
+[source]
+states = u, v
+prior = 0.5, 0.5
+
+[grid]
+slots = 4
+
+[gen1]
+{gen1}
+
+[gen2]
+kind = constant
+
+[out1]
+{out1}
+
+[out2]
+kind = constant
+value = 1
+"""
+FULL_GEN = "kind = table\ntable =\n    1,0\n    2,0\n    3,0\n    4,0"
+CONSTANT_OUT = "kind = constant\nvalue = 1"
+
+
+@pytest.mark.parametrize("gen1, out1, message", [
+    ("kind = table\ntable =\n    1,0\n    2,1\n    3,0", CONSTANT_OUT, "misses key 4"),
+    (FULL_GEN, "kind = lambda_table\ntable =\n    u,1", "misses key 'v'"),
+    (FULL_GEN, "kind = cosine\ntable =\n    v,0.5", "misses key 'u'"),
+    (FULL_GEN, "kind = table\ntable =\n" + "\n".join(
+        f"    u,0,{m},1" for m in (1, 2, 3, 4)) + "\n    v,0,1,-1", "misses key ('v', 0, 2)"),
+    (FULL_GEN, "kind = lambda_table\ntable =\n    u,1\n    v", "[out1]: every table row"),
+], ids=["gen_slot", "lambda_table", "cosine", "out_table", "short_row"])
+def test_descriptor_table_miss_is_a_configuration_error(tmp_path, capsys, gen1, out1, message):
+    descriptor = tmp_path / "miss.ini"
+    descriptor.write_text(TABLE_MISS_MODEL.format(gen1=gen1, out1=out1))
+    assert run_cli(["check", "--model", str(descriptor)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("eprsim: configuration error:")
+    assert message in err

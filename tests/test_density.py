@@ -8,6 +8,7 @@ from eprsim import (
     EmptyTableError,
     InstrumentParamGen,
     InvalidToleranceError,
+    InvalidWeightsError,
     JointTable,
     LocalModel,
     OutcomeFn,
@@ -239,8 +240,14 @@ def test_imported_nondeterministic_table_can_fail_given_lambda_and_m():
     assert report.max_deviation == pytest.approx(0.25, abs=1e-12)
 
 
+def test_joint_csv_with_nan_probability_is_rejected():
+    text = "\n".join([",".join(CSV_HEADER), "0,0,u,1,nan", "1,1,u,1,0.5"])
+    with pytest.raises(InvalidWeightsError):
+        table_from_csv(text, A0, B0)
+
+
 def test_joint_table_validation():
     with pytest.raises(Exception):
-        JointTable(A0, B0, {}, (), (), (), ())
+        JointTable(A0, B0, {}, (), (), ())
     with pytest.raises(Exception):
-        JointTable(A0, B0, {(0, 0, "x", 1): 0.5}, (0,), (0,), ("x",), (1,))
+        JointTable(A0, B0, {(0, 0, "x", 1): 0.5}, (0,), (0,), ("x",))

@@ -48,6 +48,16 @@ def test_source_space_rejects_bad_priors():
         SourceSpace(("a", "a"), (0.5, 0.5))
 
 
+def test_source_space_rejects_nan_prior():
+    with pytest.raises(InvalidWeightsError):
+        SourceSpace(("a", "b"), (math.nan, 1.0))
+
+
+def test_time_grid_rejects_nan_weights():
+    with pytest.raises(InvalidWeightsError):
+        TimeGrid(2, (math.nan, 1.0))
+
+
 def test_time_grid_validation():
     with pytest.raises(InvalidWeightsError):
         TimeGrid(0)

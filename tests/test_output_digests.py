@@ -4,15 +4,20 @@
 commit 3ec384a from the per-cell implementation of the exact paths. The
 inputs are every zoo model, each with a time sign plus layer doubling and
 with a source-conditioned sign, and one 6-slot descriptor with non-uniform
-slot weights and priors that are not powers of two. A change that must alter
-an output replaces the file and names every changed digest.
+slot weights and priors that are not powers of two. Entries ending in
+``/stdout`` hash a command's exit code and standard output; they, the
+transform descriptors, ``zoo list``, the cosine reference table, the cycle,
+2π and schedule-file runs were recorded later, at commit adb9c9e. A change
+that must alter an output replaces the file and names every changed digest.
 """
 import hashlib
+import io
 import json
+from contextlib import redirect_stdout
 from pathlib import Path
 
 from eprsim.cli import main as cli_main
-from eprsim.zoo import ZOO
+from eprsim.zoo import REFERENCE_TABLE_NAME, ZOO
 
 DIGESTS = Path(__file__).with_name("output_digests.json")
 
@@ -59,24 +64,59 @@ table =
 """
 
 
-def _commands(model: str) -> dict[str, list[str]]:
-    chsh_angles = "0,1.5707963267948966,0.7853981633974483,2.356194490192345"
+# Pairs at 0 and 2π share one point of the circle; -0.0 must survive into the CSV.
+SCHEDULE = """[schedule]
+trials = 96
+policy = random
+pairs = 0:0.5, 6.283185307179586:0.5, -0.0:1.2
+seed_source = 4
+seed_settings = 9
+seed_s1 = 11
+"""
+
+CHSH_ANGLES = "0,1.5707963267948966,0.7853981633974483,2.356194490192345"
+
+
+def _chsh_commands(model: str) -> dict[str, list[str]]:
     return {
-        "check": ["check", "--model", model],
         "chsh_exact": ["chsh", "--model", model],
         "chsh_mc": ["chsh", "--model", model, "--method", "monte_carlo", "--trials", "2000",
                     "--seed", "3"],
+    }
+
+
+def _commands(model: str) -> dict[str, list[str]]:
+    return {
+        "check": ["check", "--model", model],
+        **_chsh_commands(model),
         "simulate": ["simulate", "--model", model, "--trials", "96", "--policy", "random",
-                     "--seed", "5", "--angles", chsh_angles],
+                     "--seed", "5", "--angles", CHSH_ANGLES],
+        "simulate_cycle": ["simulate", "--model", model, "--trials", "96", "--policy", "cycle",
+                           "--seed", "5"],
+        "simulate_two_pi": ["simulate", "--model", model, "--trials", "48", "--policy", "fixed",
+                            "--angle-a", "6.283185307179586"],
+        "simulate_schedule": ["simulate", "--model", model, "--schedule", "schedule.ini",
+                              "--angles", CHSH_ANGLES],
         "audit": ["audit", "--model", model, "--trials", "48", "--perturbations", "3"],
     }
 
 
-def _transform(base: str, ops: list[str], out: str) -> str:
+def _run(argv: list[str], key: str, digests: dict[str, str]) -> int:
+    """Run the CLI and record a digest of its exit code and standard output."""
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        code = cli_main(argv)
+    text = f"exit = {code}\n{stdout.getvalue()}"
+    digests[f"{key}/stdout"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return code
+
+
+def _transform(base: str, ops: list[str], out: str, digests: dict[str, str]) -> str:
     argv = ["transform", "--model", base, "--out", out]
     for op in ops:
         argv += ["--op", op]
-    assert cli_main(argv) == 0
+    assert _run(argv, f"transform/{out}", digests) == 0
+    digests[f"transform/{out}"] = hashlib.sha256(Path(out).read_bytes()).hexdigest()
     return out
 
 
@@ -87,25 +127,31 @@ def collect_digests() -> dict[str, str]:
     not depend on where the run happens.
     """
     Path("weighted_six.ini").write_text(_weighted_descriptor(), encoding="utf-8")
+    Path("schedule.ini").write_text(SCHEDULE, encoding="utf-8")
+    digests = {}
+    assert _run(["zoo", "list"], "zoo/list", digests) == 0
     cases = {}
     for name in ZOO:
-        cases[name] = name
-        cases[f"{name}+sign+double"] = _transform(
-            name, ["rademacher mean=0 seed=7", "double"], f"{name}_sign_double.ini"
-        )
-        cases[f"{name}+lambda-sign"] = _transform(
-            name, ["lambda-sign seed=2"], f"{name}_lambda_sign.ini"
-        )
-    cases["weighted_six"] = "weighted_six.ini"
-    cases["weighted_six+double"] = _transform("weighted_six.ini", ["double"], "w6_double.ini")
-    cases["weighted_six+lambda-sign"] = _transform(
-        "weighted_six.ini", ["lambda-sign seed=2"], "w6_lambda_sign.ini"
+        cases[name] = _commands(name)
+        cases[f"{name}+sign+double"] = _commands(_transform(
+            name, ["rademacher mean=0 seed=7", "double"], f"{name}_sign_double.ini", digests
+        ))
+        cases[f"{name}+lambda-sign"] = _commands(_transform(
+            name, ["lambda-sign seed=2"], f"{name}_lambda_sign.ini", digests
+        ))
+    cases["weighted_six"] = _commands("weighted_six.ini")
+    cases["weighted_six+double"] = _commands(
+        _transform("weighted_six.ini", ["double"], "w6_double.ini", digests)
     )
-    digests = {}
-    for case, model in cases.items():
-        for command, argv in _commands(model).items():
+    cases["weighted_six+lambda-sign"] = _commands(_transform(
+        "weighted_six.ini", ["lambda-sign seed=2"], "w6_lambda_sign.ini", digests
+    ))
+    cases[REFERENCE_TABLE_NAME] = _chsh_commands(REFERENCE_TABLE_NAME)
+    for case, commands in cases.items():
+        for command, argv in commands.items():
             out = Path("out", case, command)
-            assert cli_main(argv + ["--deterministic", "--out", str(out)]) == 0, (case, command)
+            argv = argv + ["--deterministic", "--out", str(out)]
+            assert _run(argv, f"{case}/{command}", digests) == 0, (case, command)
             for path in sorted(out.iterdir()):
                 key = f"{case}/{command}/{path.name}"
                 digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()

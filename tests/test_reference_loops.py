@@ -141,7 +141,7 @@ def hand_built_tables(count):
         s1(0.0), s2(0.0),
         {(0, 0, "u", 1): 0.1, (1, 1, "u", 1): 0.2, (0, 1, "u", 2): 0.3,
          (1, 0, "u", 2): 0.0, (0, 0, "v", 1): 0.4},
-        value_space_1=(0, 1, 0), value_space_2=(0,), states=("u", "v"), slots=(1, 2),
+        value_space_1=(0, 1, 0), value_space_2=(0,), states=("u", "v"),
     )
     for _ in range(count):
         values = [0, 1, 2, "x"]
@@ -161,7 +161,7 @@ def hand_built_tables(count):
             return tuple(listed + [rng.choice(listed) for _ in range(rng.randint(0, 2))])
 
         yield JointTable(s1(0.0), s2(0.0), entries, space(), space(),
-                         states=("u", "v", "w"), slots=(1, 2, 3))
+                         states=("u", "v", "w"))
 
 
 def test_check_factorization_matches_reference_loop():
