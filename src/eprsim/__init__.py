@@ -18,13 +18,13 @@ from .density import (
     table_from_csv,
     table_to_csv,
     tabulate_joint,
-    write_table_csv,
 )
 from .descriptors import apply_transform_op, load_model, load_schedule, make_model
 from .errors import (
     AlreadyDoubledError,
     AlreadySymmetrizedError,
     CodomainViolationError,
+    ConfigurationError,
     DescriptorError,
     EmptyTableError,
     GridMismatchError,
@@ -48,6 +48,7 @@ from .inequality import (
     correlate_via_table,
     deterministic_bound,
     deterministic_strategies,
+    exact_marginal,
     reference_correlation,
 )
 from .model import (
@@ -63,7 +64,6 @@ from .model import (
     TimeGrid,
     composite_is_m_constant,
     evaluate_outcome,
-    outcome_given_value,
     s1,
     s2,
     station_outcomes,
@@ -83,7 +83,6 @@ from .symmetry import (
     MarginalTarget,
     balanced_sign_function,
     condition_sign_on_source,
-    exact_marginal,
     layer_double,
     make_sign_function,
     target_marginal,

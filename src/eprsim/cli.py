@@ -18,12 +18,11 @@ from . import __version__
 from .density import check_factorization, table_to_csv, tabulate_joint
 from .descriptors import apply_transform_op, descriptor_text, load_schedule, make_model
 from .errors import (
+    ConfigurationError,
     DescriptorError,
     HarnessError,
     InvalidScheduleError,
     InvalidToleranceError,
-    UnknownZooEntryError,
-    ZeroTrialsError,
 )
 from .inequality import (
     chsh,
@@ -45,14 +44,6 @@ from .stations import (
 )
 from .util import fmt12, scrub
 from .zoo import REFERENCE_TABLE_NAME, ZOO
-
-CONFIG_ERRORS = (
-    UnknownZooEntryError,
-    InvalidToleranceError,
-    InvalidScheduleError,
-    ZeroTrialsError,
-    DescriptorError,
-)
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -166,10 +157,7 @@ def cmd_simulate(args) -> int:
     if args.schedule is not None:
         schedule = load_schedule(args.schedule)
     else:
-        if args.policy == "fixed":
-            pairs = ((args.angle_a, args.angle_b),)
-        else:
-            pairs = DEFAULT_PAIRS
+        pairs = ((args.angle_a, args.angle_b),) if args.policy == "fixed" else DEFAULT_PAIRS
         schedule = Schedule(
             trials=args.trials,
             policy=args.policy,
@@ -181,11 +169,16 @@ def cmd_simulate(args) -> int:
     pairs_block = []
     for (a_angle, b_angle), stats in sorted(empirical_correlations(run).items()):
         exact = correlate(model, s1(a_angle), s2(b_angle))
-        block = stats.to_dict()
-        del block["method"]
-        pairs_block.append({**block, "a": a_angle, "b": b_angle, "exact_e_ab": exact.e_ab})
+        pairs_block.append({**stats.to_dict(), "a": a_angle, "b": b_angle,
+                            "exact_e_ab": exact.e_ab})
     summary = _report(args, model, pairs=pairs_block)
     config = summary["config"]
+    if args.schedule is not None:
+        # Echo what ran: the schedule's trials, policy and seeds replace the
+        # command line's, and its pairs replace the angles.
+        for key in ("angle_a", "angle_b", "seed"):
+            del config[key]
+        config.update({k: v for k, v in vars(schedule).items() if k != "pairs"})
     config["schedule_pairs"] = [[fmt12(a), fmt12(b)] for a, b in schedule.pairs]
     if args.angles:
         a, ap, b, bp = _parse_angles(args.angles)
@@ -348,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.tol <= 0.0:
             raise InvalidToleranceError(f"--tol must be > 0, got {args.tol!r}")
         return handlers[args.command](args)
-    except CONFIG_ERRORS as exc:
+    except ConfigurationError as exc:
         print(f"eprsim: configuration error: {exc}", file=sys.stderr)
         return 2
     except HarnessError as exc:

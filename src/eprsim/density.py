@@ -19,13 +19,8 @@ from math import fsum
 from pathlib import Path
 from typing import Hashable, Mapping
 
-from .errors import (
-    EmptyTableError,
-    InvalidToleranceError,
-    InvalidWeightsError,
-    StationMismatchError,
-)
-from .model import LocalModel, Setting, Station, _check_distribution, station_values
+from .errors import EmptyTableError, InvalidToleranceError, InvalidWeightsError
+from .model import LocalModel, Setting, _check_distribution, check_pair, station_values
 from .util import parse_scalar
 
 CSV_HEADER = ("lambda_star", "lambda_dblstar", "lambda", "m", "prob")
@@ -80,15 +75,13 @@ def tabulate_joint(model: LocalModel, a: Setting, b: Setting) -> JointTable:
     """Exact joint distribution of Eq-style tuples for one setting pair.
 
     Each (state, slot) cell contributes its full mass to the single value pair
-    the deterministic generators select there.
+    the deterministic generators select there. The products ``p * w`` are
+    formed here, not taken from :func:`eprsim.model.cell_mass`, so the table
+    route shares no arithmetic with the direct sum.
     """
-    if a.station is not Station.S1:
-        raise StationMismatchError("tabulate_joint: first setting must be S1-typed")
-    if b.station is not Station.S2:
-        raise StationMismatchError("tabulate_joint: second setting must be S2-typed")
-    slots = model.grid.slots
-    cells = list(zip(slots, station_values(model, a), station_values(model, b),
-                     map(model.grid.weight, slots)))
+    check_pair(a, b)
+    cells = list(zip(model.grid.slots, station_values(model, a), station_values(model, b),
+                     model.grid.weights))
     entries = {
         (v1, v2, lam, m): p * w
         for lam, p in zip(model.source.states, model.source.prior)
@@ -172,8 +165,6 @@ def check_factorization(
         raise InvalidToleranceError(f"tolerance must be > 0, got {tol!r}")
     if mode not in ("given_lambda", "given_lambda_and_m"):
         raise InvalidToleranceError(f"unknown factorization mode {mode!r}")
-    if not table.entries or fsum(table.entries.values()) <= 0.0:
-        raise EmptyTableError("cannot check factorization of an empty table")
 
     conditions: dict[Hashable, dict[tuple[Hashable, Hashable], float]] = {}
     for (v1, v2, lam, m), p in table.entries.items():
@@ -213,12 +204,8 @@ def table_to_csv(table: JointTable) -> str:
     return buf.getvalue()
 
 
-def write_table_csv(table: JointTable, path: str | Path) -> None:
-    Path(path).write_text(table_to_csv(table), encoding="utf-8")
-
-
 def read_table_csv(path: str | Path, a: Setting, b: Setting) -> JointTable:
-    """Load a table file written by :func:`write_table_csv`."""
+    """Load a table file holding :func:`table_to_csv` text."""
     return table_from_csv(Path(path).read_text(encoding="utf-8"), a, b)
 
 

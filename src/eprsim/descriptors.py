@@ -9,7 +9,8 @@ or supplies explicit sections [source], [grid], [gen1], [gen2], [out1],
 [out2]. Tables are inline CSV blocks (indented continuation lines) or file
 references resolved relative to the descriptor. An optional [transform]
 section lists operations (op.1, op.2, ...) that are re-applied on load, so a
-transformed model round-trips through its descriptor alone.
+transformed model round-trips through its descriptor alone. A section or key
+that no reader knows, or a value that does not parse, is a DescriptorError.
 """
 from __future__ import annotations
 
@@ -17,10 +18,11 @@ import configparser
 import io
 import math
 import shlex
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import DescriptorError, UnknownZooEntryError
+from .errors import DescriptorError, HarnessError, UnknownZooEntryError
 from .model import (
     TWO_PI,
     InstrumentParamGen,
@@ -44,6 +46,15 @@ from .zoo import ZOO, zoo_model
 
 MODEL_SECTIONS = ("source", "grid", "gen1", "gen2", "out1", "out2")
 
+# Every section a reader knows, with the keys it reads; [transform] holds op keys.
+_GEN_KEYS = ("kind", "seed", "value", "values", "stride", "modulus", "table", "file")
+_OUT_KEYS = ("kind", "value", "negate", "table", "file")
+MODEL_KEYS = {"model": ("zoo", "name"), "source": ("states", "prior"), "grid": ("slots", "weights"),
+              "gen1": _GEN_KEYS, "gen2": _GEN_KEYS, "out1": _OUT_KEYS, "out2": _OUT_KEYS,
+              "transform": ()}
+SCHEDULE_KEYS = {"schedule": ("trials", "policy", "pairs", "a", "b", "seed_source",
+                              "seed_settings", "seed_s1", "seed_s2")}
+
 _ANGLE_KEY_DIGITS = 9
 
 
@@ -61,8 +72,9 @@ def _new_parser() -> configparser.ConfigParser:
     return configparser.ConfigParser(interpolation=None)
 
 
-def _read_ini(path: str | Path, what: str) -> configparser.ConfigParser:
-    """Parse a descriptor file; a missing or malformed file is a configuration error."""
+def _read_ini(path: str | Path, what: str, known: dict) -> configparser.ConfigParser:
+    """Parse a descriptor file holding only the ``known`` sections and keys; a
+    missing or malformed file is a configuration error."""
     path = Path(path)
     if not path.exists():
         raise UnknownZooEntryError(f"{what} not found: {path}")
@@ -71,7 +83,26 @@ def _read_ini(path: str | Path, what: str) -> configparser.ConfigParser:
         parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise DescriptorError(f"cannot parse {what} {path}: {exc}") from exc
+    for name in parser.sections():
+        if name not in known:
+            raise DescriptorError(f"{what} {path}: unknown section [{name}]")
+        unknown = [k for k in parser[name] if k not in known[name]
+                   and not (name == "transform" and k.startswith("op"))]
+        if unknown:
+            raise DescriptorError(f"{what} {path}: [{name}] has unknown keys {unknown}")
     return parser
+
+
+@contextmanager
+def _parsing(what: str):
+    """A value that does not parse (``int('two')``) becomes a DescriptorError;
+    a HarnessError, such as bad weights, passes unchanged."""
+    try:
+        yield
+    except HarnessError:
+        raise
+    except ValueError as exc:
+        raise DescriptorError(f"{what}: {exc}") from exc
 
 
 class _Table(dict):
@@ -203,16 +234,13 @@ def _op_params(tokens: list[str]) -> dict[str, str]:
 
 
 def _station_from(text: str) -> Station | None:
-    text = text.lower()
-    if text == "both":
-        return None
-    if text == "s1":
-        return Station.S1
-    if text == "s2":
-        return Station.S2
-    raise DescriptorError(f"unknown station {text!r} (use s1, s2 or both)")
+    text, stations = text.lower(), {"both": None, "s1": Station.S1, "s2": Station.S2}
+    if text not in stations:
+        raise DescriptorError(f"unknown station {text!r} (use s1, s2 or both)")
+    return stations[text]
 
 
+@_parsing("transform op")
 def apply_transform_op(model: LocalModel, op: str) -> LocalModel:
     """Apply one textual transform op; vocabulary shared with the CLI."""
     tokens = shlex.split(op)
@@ -252,14 +280,9 @@ def apply_transform_op(model: LocalModel, op: str) -> LocalModel:
 
 
 def _transform_ops(parser: configparser.ConfigParser) -> list[str]:
-    if "transform" not in parser:
-        return []
-    section = parser["transform"]
-    keys = sorted(
-        (k for k in section if k.startswith("op")),
-        key=lambda k: (len(k), k),
-    )
-    return [section[k] for k in keys]
+    """The ops in key order (op.2 before op.10); ``_read_ini`` admits op keys only."""
+    section = parser["transform"] if "transform" in parser else {}
+    return [section[k] for k in sorted(section, key=lambda k: (len(k), k))]
 
 
 def model_from_config(parser: configparser.ConfigParser, base_dir: Path | None = None) -> LocalModel:
@@ -287,7 +310,9 @@ def model_from_config(parser: configparser.ConfigParser, base_dir: Path | None =
 
 
 def load_model(path: str | Path) -> LocalModel:
-    return model_from_config(_read_ini(path, "model descriptor"), base_dir=Path(path).parent)
+    parser = _read_ini(path, "model descriptor", MODEL_KEYS)
+    with _parsing(f"model descriptor {path}"):
+        return model_from_config(parser, base_dir=Path(path).parent)
 
 
 def make_model(spec: str | Path) -> LocalModel:
@@ -316,7 +341,7 @@ def descriptor_text(
         parser.add_section("model")
         parser.set("model", "zoo", base_str)
     else:
-        parser = _read_ini(base_str, "model descriptor")
+        parser = _read_ini(base_str, "model descriptor", MODEL_KEYS)
     existing = _transform_ops(parser)
     parser.remove_section("transform")
     parser.add_section("transform")
@@ -330,10 +355,11 @@ def descriptor_text(
 
 
 def load_schedule(path: str | Path) -> Schedule:
-    parser = _read_ini(path, "schedule descriptor")
+    parser = _read_ini(path, "schedule descriptor", SCHEDULE_KEYS)
     if "schedule" not in parser:
         raise DescriptorError(f"{path}: missing [schedule] section")
-    return schedule_from_section(parser["schedule"])
+    with _parsing(f"schedule descriptor {path}"):
+        return schedule_from_section(parser["schedule"])
 
 
 def schedule_from_section(section) -> Schedule:

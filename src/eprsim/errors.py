@@ -1,13 +1,17 @@
 """Error vocabulary shared by all modules.
 
 Everything derives from HarnessError so callers can catch broadly; the CLI
-distinguishes configuration problems (exit 2) from model validation and
-infeasible-transform problems (exit 3).
+distinguishes configuration problems (ConfigurationError, exit 2) from model
+validation and infeasible-transform problems (exit 3).
 """
 
 
 class HarnessError(ValueError):
     """Base class for all contract violations raised by this package."""
+
+
+class ConfigurationError(HarnessError):
+    """A run was asked for wrongly: a name, file, option or descriptor value."""
 
 
 class InvalidWeightsError(HarnessError):
@@ -18,7 +22,7 @@ class CodomainViolationError(HarnessError):
     """An outcome rule left {-1, +1}, or a generator left its value space."""
 
 
-class UnknownZooEntryError(HarnessError):
+class UnknownZooEntryError(ConfigurationError):
     """A model descriptor names neither a zoo entry nor a readable file."""
 
 
@@ -30,7 +34,7 @@ class EmptyTableError(HarnessError):
     """A joint table carries no probability mass."""
 
 
-class InvalidToleranceError(HarnessError):
+class InvalidToleranceError(ConfigurationError):
     """A tolerance argument is not strictly positive."""
 
 
@@ -54,13 +58,13 @@ class AlreadySymmetrizedError(HarnessError):
     """A sign transform applied to a model that already carries one."""
 
 
-class InvalidScheduleError(HarnessError):
+class InvalidScheduleError(ConfigurationError):
     """An experiment schedule fails validation."""
 
 
-class ZeroTrialsError(HarnessError):
+class ZeroTrialsError(ConfigurationError):
     """Monte-Carlo estimation requested with fewer than one trial."""
 
 
-class DescriptorError(HarnessError):
+class DescriptorError(ConfigurationError):
     """A model or schedule descriptor file cannot be parsed."""

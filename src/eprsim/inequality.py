@@ -4,8 +4,11 @@ Two independent exact routes exist on purpose: :func:`correlate` sums over
 each station's compiled (state, slot) outcome array
 (:func:`eprsim.model.station_outcomes`), while :func:`correlate_via_table`
 sums over a tabulated joint distribution, calling the outcome rules itself and
-never a generator. Tests cross-check the two. Every exact sum is ``math.fsum``
-over per-cell products, so it is correctly rounded whatever the summation order.
+never a generator. Tests cross-check the two. Every exact whole-model sum
+(``e_ab``, both marginals, :func:`exact_marginal`) is one ``math.fsum`` over
+per-cell products with :func:`eprsim.model.cell_mass`, so it is the correctly
+rounded sum of those rounded products whatever the summation order, and the two
+routes agree bit for bit.
 Sampled +-1 outcomes, from the Monte Carlo draw here or from a lockstep run
 (:mod:`eprsim.stations`), reduce through one function, :func:`sampled_correlation`.
 """
@@ -20,8 +23,16 @@ from typing import Callable, Hashable, Mapping
 import numpy as np
 
 from .density import JointTable
-from .errors import StationMismatchError, ZeroTrialsError
-from .model import LocalModel, Setting, Station, station_outcomes, station_values
+from .errors import ZeroTrialsError
+from .model import (
+    LocalModel,
+    Setting,
+    Station,
+    cell_mass,
+    check_pair,
+    station_outcomes,
+    station_values,
+)
 from .util import fmt12, stable_seed
 
 BOUND_TOL = 1e-9
@@ -38,7 +49,6 @@ class CorrelationReport:
     marginal_b: float
     cond_a: Mapping[Hashable, float]
     cond_b: Mapping[Hashable, float]
-    method: str
     trials: int
     std_error: float
 
@@ -51,7 +61,6 @@ class CorrelationReport:
             "marginal_b": self.marginal_b,
             "cond_a": {str(k): v for k, v in self.cond_a.items()},
             "cond_b": {str(k): v for k, v in self.cond_b.items()},
-            "method": self.method,
             "trials": self.trials,
             "std_error": self.std_error,
         }
@@ -89,22 +98,28 @@ class ChshResult:
         }
 
 
-def _check_pair(a: Setting, b: Setting) -> None:
-    if a.station is not Station.S1:
-        raise StationMismatchError("first setting must be S1-typed")
-    if b.station is not Station.S2:
-        raise StationMismatchError("second setting must be S2-typed")
+def _compiled(model: LocalModel, setting: Setting) -> np.ndarray:
+    return station_outcomes(model, setting, station_values(model, setting))
+
+
+def _cell_sum(model: LocalModel, cells: np.ndarray) -> float:
+    """The exact kernel: fsum of each (state, slot) cell's mass times ``cells``."""
+    return fsum((cell_mass(model) * cells).ravel().tolist())
 
 
 def conditional_table(model: LocalModel, setting: Setting) -> dict[Hashable, float]:
     """Exact per-state conditional expectation E{outcome | state} at one setting."""
-    values = station_values(model, setting)
-    return _conditionals(model, station_outcomes(model, setting, values))
+    return _conditionals(model, _compiled(model, setting))
 
 
 def _conditionals(model: LocalModel, outcomes: np.ndarray) -> dict[Hashable, float]:
-    weighted = model.grid.weight_array() * outcomes
+    weighted = outcomes * np.array(model.grid.weights)
     return dict(zip(model.source.states, map(fsum, weighted.tolist())))
+
+
+def exact_marginal(model: LocalModel, station: Station, angle: float = 0.0) -> float:
+    """Exact one-sided expectation at the given setting angle."""
+    return _cell_sum(model, _compiled(model, Setting(angle, station)))
 
 
 def correlate(
@@ -122,7 +137,7 @@ def correlate(
     i.i.d. with the model's weights and reports empirical means with the
     standard error of the pair product.
     """
-    _check_pair(a, b)
+    check_pair(a, b)
     if method == "exact":
         return _correlate_exact(model, a, b)
     if method == "monte_carlo":
@@ -131,16 +146,11 @@ def correlate(
 
 
 def _correlate_exact(model: LocalModel, a: Setting, b: Setting) -> CorrelationReport:
-    A = station_outcomes(model, a, station_values(model, a))
-    B = station_outcomes(model, b, station_values(model, b))
-    prior = model.source.prior
-    mass = np.outer(prior, model.grid.weight_array())
-    e_ab = fsum((mass * A * B).ravel().tolist())
-    cond_a = _conditionals(model, A)
-    cond_b = _conditionals(model, B)
-    marginal_a = fsum(p * c for p, c in zip(prior, cond_a.values()))
-    marginal_b = fsum(p * c for p, c in zip(prior, cond_b.values()))
-    return CorrelationReport(a, b, e_ab, marginal_a, marginal_b, cond_a, cond_b, "exact", 0, 0.0)
+    A, B = _compiled(model, a), _compiled(model, b)
+    return CorrelationReport(
+        a, b, _cell_sum(model, A * B), _cell_sum(model, A), _cell_sum(model, B),
+        _conditionals(model, A), _conditionals(model, B), 0, 0.0,
+    )
 
 
 def _correlate_monte_carlo(
@@ -149,14 +159,13 @@ def _correlate_monte_carlo(
     if trials < 1:
         raise ZeroTrialsError("monte_carlo needs trials >= 1")
     states = model.source.states
-    A = station_outcomes(model, a, station_values(model, a))
-    B = station_outcomes(model, b, station_values(model, b))
+    A, B = _compiled(model, a), _compiled(model, b)
     rng = np.random.default_rng(stable_seed("correlate", seed, fmt12(a.angle), fmt12(b.angle)))
     prior = np.asarray(model.source.prior)
-    weights = model.grid.weight_array()
+    weights = np.array(model.grid.weights)
     li = rng.choice(len(states), size=trials, p=prior / prior.sum())
     mi = rng.choice(model.grid.slot_count, size=trials, p=weights / weights.sum())
-    return sampled_correlation(a, b, A[li, mi], B[li, mi], li, states, "monte_carlo")
+    return sampled_correlation(a, b, A[li, mi], B[li, mi], li, states)
 
 
 def sampled_correlation(
@@ -166,7 +175,6 @@ def sampled_correlation(
     B: np.ndarray,
     state: np.ndarray,
     states: tuple[Hashable, ...],
-    method: str,
 ) -> CorrelationReport:
     """Pair statistics of sampled +-1 outcomes: sample t saw ``A[t]``, ``B[t]``
     with the source in ``states[state[t]]``; conditionals cover sampled states.
@@ -190,7 +198,7 @@ def sampled_correlation(
 
     return CorrelationReport(
         a, b, e_ab, int(A.sum()) / n, int(B.sum()) / n, conditionals(A), conditionals(B),
-        method, n, std_error,
+        n, std_error,
     )
 
 
@@ -201,7 +209,7 @@ def correlate_via_table(model: LocalModel, table: JointTable) -> CorrelationRepo
     arithmetic with the direct (state, slot) sum.
     """
     a, b = table.setting_a, table.setting_b
-    _check_pair(a, b)
+    check_pair(a, b)
     terms_ab, terms_a, terms_b = [], [], []
     cond_a: dict[Hashable, list[float]] = {lam: [] for lam in table.states}
     cond_b: dict[Hashable, list[float]] = {lam: [] for lam in table.states}
@@ -235,8 +243,7 @@ def correlate_via_table(model: LocalModel, table: JointTable) -> CorrelationRepo
             cond_a_out[lam] = fsum(cond_a[lam]) / mass
             cond_b_out[lam] = fsum(cond_b[lam]) / mass
     return CorrelationReport(
-        a, b, fsum(terms_ab), fsum(terms_a), fsum(terms_b), cond_a_out, cond_b_out,
-        "exact", 0, 0.0,
+        a, b, fsum(terms_ab), fsum(terms_a), fsum(terms_b), cond_a_out, cond_b_out, 0, 0.0,
     )
 
 
@@ -281,7 +288,7 @@ def chsh_from_correlations(
 
 def reference_correlation(a: Setting, b: Setting) -> float:
     """Singlet-state reference value -cos(a - b); used only for gap reporting."""
-    _check_pair(a, b)
+    check_pair(a, b)
     return -cos(a.angle - b.angle)
 
 

@@ -102,7 +102,8 @@ class SourceSpace:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Shared clock: slots labelled 1..slot_count, uniform unless overridden."""
+    """Shared clock: slots labelled 1..slot_count. Without ``weights`` every
+    slot weighs 1/slot_count, and ``weights`` holds those values."""
 
     slot_count: int
     weights: tuple[float, ...] | None = None
@@ -110,12 +111,11 @@ class TimeGrid:
     def __post_init__(self):
         if self.slot_count < 1:
             raise InvalidWeightsError("grid: slot_count must be >= 1")
-        if self.weights is not None:
-            w = tuple(float(x) for x in self.weights)
-            object.__setattr__(self, "weights", w)
-            if len(w) != self.slot_count:
-                raise InvalidWeightsError("grid: weights length != slot_count")
-            _check_distribution(w, "grid weights")
+        w = (1.0 / self.slot_count,) * self.slot_count if self.weights is None else self.weights
+        object.__setattr__(self, "weights", tuple(float(x) for x in w))
+        if len(self.weights) != self.slot_count:
+            raise InvalidWeightsError("grid: weights length != slot_count")
+        _check_distribution(self.weights, "grid weights")
 
     @property
     def slots(self) -> range:
@@ -123,18 +123,10 @@ class TimeGrid:
 
     @property
     def is_uniform(self) -> bool:
-        if self.weights is None:
-            return True
         return max(self.weights) - min(self.weights) <= WEIGHT_TOL
 
     def weight(self, m: int) -> float:
-        if self.weights is None:
-            return 1.0 / self.slot_count
         return self.weights[m - 1]
-
-    def weight_array(self) -> np.ndarray:
-        """Every slot's weight, slot 1 first."""
-        return np.array([self.weight(m) for m in self.slots])
 
 
 @dataclass(frozen=True)
@@ -255,6 +247,20 @@ class LocalModel:
 
     def out(self, station: Station) -> OutcomeFn:
         return self.out1 if station is Station.S1 else self.out2
+
+
+def check_pair(a: Setting, b: Setting) -> None:
+    """A setting pair is an S1 setting, then an S2 setting."""
+    if a.station is not Station.S1:
+        raise StationMismatchError("first setting must be S1-typed")
+    if b.station is not Station.S2:
+        raise StationMismatchError("second setting must be S2-typed")
+
+
+def cell_mass(model: LocalModel) -> np.ndarray:
+    """Every (state, slot) cell's probability: prior times slot weight, each
+    product rounded once. Every exact sum over cells weighs them by this."""
+    return np.outer(model.source.prior, model.grid.weights)
 
 
 def outcome_given_value(

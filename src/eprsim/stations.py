@@ -268,7 +268,7 @@ def empirical_correlations(trials: Trials) -> dict[tuple[float, float], Correlat
         key = (float(trials.a[first[g]]), float(trials.b[first[g]]))
         out[key] = sampled_correlation(
             s1(key[0]), s2(key[1]), trials.A[rows], trials.B[rows], trials.state[rows],
-            trials.states, "lockstep",
+            trials.states,
         )
     return out
 

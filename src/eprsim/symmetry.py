@@ -11,8 +11,6 @@ import random
 from dataclasses import dataclass, replace
 from math import fsum
 
-import numpy as np
-
 from .errors import (
     AlreadyDoubledError,
     AlreadySymmetrizedError,
@@ -20,17 +18,8 @@ from .errors import (
     InfeasibleMeanError,
     InfeasibleTargetError,
 )
-from .model import (
-    InstrumentParamGen,
-    LocalModel,
-    OutcomeFn,
-    Setting,
-    SignFunction,
-    Station,
-    TimeGrid,
-    station_outcomes,
-    station_values,
-)
+from .inequality import exact_marginal
+from .model import InstrumentParamGen, LocalModel, OutcomeFn, SignFunction, Station, TimeGrid
 from .util import fmt12, stable_seed
 
 
@@ -97,12 +86,11 @@ def time_symmetrize(
     By default the same r applies at both stations (the clock is commonly
     available), which preserves every pair correlation exactly because
     r(m)^2 = 1. One-sided application (``station`` set) scales pair
-    correlations by mean(r) when the base outcomes are slot-constant.
+    correlations by mean(r) when the base outcomes are slot-constant. A sign
+    of another length than the grid raises GridMismatchError (from the model).
     """
     if model.sign is not None:
         raise AlreadySymmetrizedError(f"{model.name}: model already carries a sign function")
-    if len(sign.values) != model.grid.slot_count:
-        raise GridMismatchError(f"{model.name}: sign function does not match the grid")
     side = "both" if station is None else station.value.lower()
     op = f"sign values={encode_sign(sign)} station={side}"
     return replace(
@@ -111,14 +99,6 @@ def time_symmetrize(
         sign_station=station,
         transforms=model.transforms + (op,),
     )
-
-
-def exact_marginal(model: LocalModel, station: Station, angle: float = 0.0) -> float:
-    """Exact one-sided expectation at the given setting angle."""
-    setting = Setting(angle, station)
-    outcomes = station_outcomes(model, setting, station_values(model, setting))
-    mass = np.outer(model.source.prior, model.grid.weight_array())
-    return fsum((mass * outcomes).ravel().tolist())
 
 
 def target_marginal(
@@ -184,14 +164,9 @@ def layer_double(model: LocalModel) -> LocalModel:
     """
     if model.flip_mask is not None:
         raise AlreadyDoubledError(f"{model.name}: model is already layer-doubled")
-    n = model.grid.slot_count
-    if model.grid.weights is None:
-        grid = TimeGrid(2 * n)
-    else:
-        halves = []
-        for w in model.grid.weights:
-            halves.extend((w / 2.0, w / 2.0))
-        grid = TimeGrid(2 * n, tuple(halves))
+    # Halving is exact, so a uniform grid's 1/n halves to 1/(2n).
+    halves = tuple(w / 2.0 for w in model.grid.weights for _ in range(2))
+    grid = TimeGrid(2 * model.grid.slot_count, halves)
 
     def lift_gen(gen: InstrumentParamGen) -> InstrumentParamGen:
         base = gen.rule

@@ -235,3 +235,48 @@ def test_descriptor_table_miss_is_a_configuration_error(tmp_path, capsys, gen1, 
     err = capsys.readouterr().err
     assert err.startswith("eprsim: configuration error:")
     assert message in err
+
+
+VALID_MODEL = TABLE_MISS_MODEL.format(gen1=FULL_GEN, out1=CONSTANT_OUT)
+SCHEDULE = "[schedule]\ntrials = 96\npolicy = random\npairs = 0:0.5, 1:1.5\nseed_source = 4\n"
+
+
+def descriptor_argv(tmp_path, model=VALID_MODEL, schedule=SCHEDULE, op="double"):
+    (tmp_path / "model.ini").write_text(model)
+    (tmp_path / "schedule.ini").write_text(schedule)
+    return ["transform", "--model", str(tmp_path / "model.ini"), "--op", op,
+            "--out", str(tmp_path / "out.ini")]
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"model": VALID_MODEL.replace("slots = 4", "slots = two")}, "'two'"),
+    ({"schedule": SCHEDULE + "seed_s1 = x\n"}, "'x'"),
+    ({"op": "rademacher mean=abc"}, "'abc'"),
+    ({"model": VALID_MODEL.replace("slots = 4", "slots = 2\nweigths = 0.9, 0.1")},
+     "[grid] has unknown keys ['weigths']"),
+    ({"model": VALID_MODEL + "\n[gen3]\nkind = constant\n"}, "unknown section [gen3]"),
+    ({"schedule": SCHEDULE.replace("pairs", "pair")}, "[schedule] has unknown keys ['pair']"),
+], ids=["slots", "seed_s1", "mean", "grid_key", "section", "schedule_key"])
+def test_wrong_descriptor_input_is_a_configuration_error(tmp_path, capsys, edit, message):
+    argv = descriptor_argv(tmp_path, **edit)
+    if "schedule" in edit:
+        argv = ["simulate", "--model", "constant_plus", "--schedule", str(tmp_path / "schedule.ini"),
+                "--out", str(tmp_path / "run")]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("eprsim: configuration error:")
+    assert message in err
+
+
+def test_simulate_schedule_echoes_what_ran(tmp_path):
+    descriptor_argv(tmp_path, schedule=SCHEDULE + "seed_settings = 9\nseed_s1 = 11\n")
+    out = tmp_path / "run"
+    assert run_cli(["simulate", "--model", "constant_plus", "--schedule",
+                    str(tmp_path / "schedule.ini"), "--deterministic", "--out", str(out)]) == 0
+    config = json.loads((out / "summary.json").read_text())["config"]
+    ran = {"trials": 96, "policy": "random", "seed_source": 4, "seed_settings": 9,
+           "seed_s1": 11, "seed_s2": None, "schedule_pairs": [["0", "0.5"], ["1", "1.5"]]}
+    assert {k: config.get(k) for k in ran} == ran
+    assert not {"seed", "angle_a", "angle_b"} & set(config)
+    comment = (out / "trials.csv").read_text().splitlines()[0]
+    assert comment == f"# config = {json.dumps(config, sort_keys=True)}"

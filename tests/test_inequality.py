@@ -46,7 +46,6 @@ def test_constant_outcomes_give_unit_statistics():
     assert report.e_ab == -1.0
     assert report.marginal_a == 1.0
     assert report.marginal_b == -1.0
-    assert report.method == "exact"
     assert report.trials == 0
     assert report.std_error == 0.0
 
@@ -63,9 +62,9 @@ def test_direct_and_table_routes_agree_on_zoo(zoo_name):
     for a, b in GRID_PAIRS:
         direct = correlate(model, a, b)
         table = correlate_via_table(model, tabulate_joint(model, a, b))
-        assert abs(direct.e_ab - table.e_ab) <= 1e-12
-        assert abs(direct.marginal_a - table.marginal_a) <= 1e-12
-        assert abs(direct.marginal_b - table.marginal_b) <= 1e-12
+        assert direct.e_ab == table.e_ab
+        assert direct.marginal_a == table.marginal_a
+        assert direct.marginal_b == table.marginal_b
         for lam in model.source.states:
             if model.source.weight(lam) > 0:
                 assert abs(direct.cond_a[lam] - table.cond_a[lam]) <= 1e-12

@@ -7,7 +7,10 @@ with a source-conditioned sign, and one 6-slot descriptor with non-uniform
 slot weights and priors that are not powers of two. Entries ending in
 ``/stdout`` hash a command's exit code and standard output; they, the
 transform descriptors, ``zoo list``, the cosine reference table, the cycle,
-2π and schedule-file runs were recorded later, at commit adb9c9e. A change
+2π and schedule-file runs were recorded later, at commit adb9c9e. The 42
+``*/simulate_schedule/summary.json`` and ``*/simulate_schedule/trials.csv``
+entries were re-recorded when a schedule-file run began to echo the
+schedule's trials, policy and seeds instead of the command line's. A change
 that must alter an output replaces the file and names every changed digest.
 """
 import hashlib

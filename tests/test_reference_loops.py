@@ -16,6 +16,7 @@ from eprsim import (
     check_factorization,
     condition_sign_on_source,
     correlate,
+    correlate_via_table,
     evaluate_outcome,
     layer_double,
     s1,
@@ -54,8 +55,8 @@ def reference_correlation(model, a, b):
     e_ab = fsum(p[i] * w[j] * A[i][j] * B[i][j] for i in rows for j in cols)
     cond_a = {lam: fsum(w[j] * A[i][j] for j in cols) for i, lam in enumerate(states)}
     cond_b = {lam: fsum(w[j] * B[i][j] for j in cols) for i, lam in enumerate(states)}
-    marginal_a = fsum(p[i] * cond_a[lam] for i, lam in enumerate(states))
-    marginal_b = fsum(p[i] * cond_b[lam] for i, lam in enumerate(states))
+    marginal_a = fsum(p[i] * w[j] * A[i][j] for i in rows for j in cols)
+    marginal_b = fsum(p[i] * w[j] * B[i][j] for i in rows for j in cols)
     return e_ab, marginal_a, marginal_b, cond_a, cond_b
 
 
@@ -83,6 +84,19 @@ def test_exact_marginal_matches_reference_loop():
             for angle in TEST_ANGLES:
                 expected = reference_marginal(model, station, angle)
                 assert exact_marginal(model, station, angle) == expected, model.name
+
+
+def test_exact_routes_agree_bit_for_bit():
+    """The direct sum, the joint-table route and exact_marginal each give the
+    correctly rounded sum of the same rounded per-cell products."""
+    for model in models():
+        for a, b in GRID_PAIRS:
+            direct = correlate(model, a, b)
+            table = correlate_via_table(model, tabulate_joint(model, a, b))
+            found = (direct.e_ab, direct.marginal_a, direct.marginal_b)
+            assert found == (table.e_ab, table.marginal_a, table.marginal_b), (model.name, a, b)
+            assert direct.marginal_a == exact_marginal(model, Station.S1, a.angle), model.name
+            assert direct.marginal_b == exact_marginal(model, Station.S2, b.angle), model.name
 
 
 def reference_pair_deviation(cells, values1, values2):
