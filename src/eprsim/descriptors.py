@@ -176,6 +176,8 @@ def _build_gen(section, station: Station, base_dir: Path | None) -> InstrumentPa
             raise DescriptorError(f"[{section.name}] kind=cycle needs 'values'")
         stride = int(section.get("stride", "1"))
         modulus = int(section.get("modulus", str(len(values))))
+        if stride < 1 or modulus < 1:
+            raise DescriptorError(f"[{section.name}] kind=cycle needs stride and modulus >= 1")
         rule = lambda s, m, sd, v=values, st=stride, md=modulus: v[(((m - 1) // st) % md) % len(v)]
         return InstrumentParamGen(station, values, rule, seed)
     if kind == "table":

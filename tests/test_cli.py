@@ -241,9 +241,13 @@ VALID_MODEL = TABLE_MISS_MODEL.format(gen1=FULL_GEN, out1=CONSTANT_OUT)
 SCHEDULE = "[schedule]\ntrials = 96\npolicy = random\npairs = 0:0.5, 1:1.5\nseed_source = 4\n"
 
 
-def descriptor_argv(tmp_path, model=VALID_MODEL, schedule=SCHEDULE, op="double"):
+def wrong_input_argv(tmp_path, model=VALID_MODEL, schedule=None, op="double"):
+    """A simulate run on ``schedule`` if given, else a transform run on ``model``."""
+    if schedule is not None:
+        (tmp_path / "schedule.ini").write_text(schedule)
+        return ["simulate", "--model", "constant_plus", "--schedule",
+                str(tmp_path / "schedule.ini"), "--out", str(tmp_path / "run")]
     (tmp_path / "model.ini").write_text(model)
-    (tmp_path / "schedule.ini").write_text(schedule)
     return ["transform", "--model", str(tmp_path / "model.ini"), "--op", op,
             "--out", str(tmp_path / "out.ini")]
 
@@ -256,20 +260,18 @@ def descriptor_argv(tmp_path, model=VALID_MODEL, schedule=SCHEDULE, op="double")
      "[grid] has unknown keys ['weigths']"),
     ({"model": VALID_MODEL + "\n[gen3]\nkind = constant\n"}, "unknown section [gen3]"),
     ({"schedule": SCHEDULE.replace("pairs", "pair")}, "[schedule] has unknown keys ['pair']"),
-], ids=["slots", "seed_s1", "mean", "grid_key", "section", "schedule_key"])
+    ({"model": VALID_MODEL.replace("[gen2]\nkind = constant", "[gen2]\nkind = cycle\n"
+                                   "values = 0, 1\nstride = 0")}, "needs stride and modulus"),
+], ids=["slots", "seed_s1", "mean", "grid_key", "section", "schedule_key", "stride"])
 def test_wrong_descriptor_input_is_a_configuration_error(tmp_path, capsys, edit, message):
-    argv = descriptor_argv(tmp_path, **edit)
-    if "schedule" in edit:
-        argv = ["simulate", "--model", "constant_plus", "--schedule", str(tmp_path / "schedule.ini"),
-                "--out", str(tmp_path / "run")]
-    assert run_cli(argv) == 2
+    assert run_cli(wrong_input_argv(tmp_path, **edit)) == 2
     err = capsys.readouterr().err
     assert err.startswith("eprsim: configuration error:")
     assert message in err
 
 
 def test_simulate_schedule_echoes_what_ran(tmp_path):
-    descriptor_argv(tmp_path, schedule=SCHEDULE + "seed_settings = 9\nseed_s1 = 11\n")
+    (tmp_path / "schedule.ini").write_text(SCHEDULE + "seed_settings = 9\nseed_s1 = 11\n")
     out = tmp_path / "run"
     assert run_cli(["simulate", "--model", "constant_plus", "--schedule",
                     str(tmp_path / "schedule.ini"), "--deterministic", "--out", str(out)]) == 0
