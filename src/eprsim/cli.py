@@ -9,6 +9,7 @@ is set, in which case repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from datetime import datetime, timezone
@@ -283,22 +284,22 @@ def cmd_chsh(args) -> int:
     )
     if args.out is not None:
         _write_json(args.out / "chsh.json", payload, args)
-        row = ",".join(
-            [
+        with open(args.out / "chsh.csv", "w", encoding="utf-8") as fp:
+            writer = csv.writer(fp, lineterminator="\n")
+            writer.writerow(("model", "a", "aprime", "b", "bprime", "method", "trials", "seed",
+                             "S", "within_bound"))
+            writer.writerow((
                 payload["model"],
                 fmt12(a),
                 fmt12(ap),
                 fmt12(b),
                 fmt12(bp),
                 args.method if model is not None else "exact",
-                str(trials),
-                str(args.seed),
+                trials,
+                args.seed,
                 fmt12(result.s_value),
                 str(result.within_local_bound).lower(),
-            ]
-        )
-        header = "model,a,aprime,b,bprime,method,trials,seed,S,within_bound"
-        (args.out / "chsh.csv").write_text(header + "\n" + row + "\n", encoding="utf-8")
+            ))
     print(f"S = {fmt12(result.s_value)}")
     print(f"local deterministic bound = {fmt12(bound)}")
     print(f"within local bound: {str(result.within_local_bound).lower()}")

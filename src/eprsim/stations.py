@@ -12,8 +12,9 @@ construction, so the audit is a regression guard on the harness itself.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
-from itertools import chain
+import io
+from dataclasses import dataclass, fields
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Hashable, Iterable
 
@@ -40,9 +41,9 @@ DEFAULT_PAIRS = tuple((x, y) for x in TEST_ANGLES for y in TEST_ANGLES)
 
 POLICIES = ("fixed", "cycle", "random")
 
-# Rows per block in write_trials_csv: the writer's memory stays flat in the
-# trial count.
-CSV_BLOCK_ROWS = 1 << 16
+# Rows per joined block in write_trials_csv: the writer's memory stays flat
+# in the trial count.
+CSV_BLOCK_ROWS = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,6 +63,12 @@ class Trials:
     lambda_dblstar: np.ndarray
     A: np.ndarray
     B: np.ndarray
+
+    def __post_init__(self):
+        # Every field after ``states`` is a column of one entry per trial.
+        short = [f.name for f in fields(self)[1:] if len(getattr(self, f.name)) != len(self.A)]
+        if short:
+            raise InvalidScheduleError(f"trial columns {short} need {len(self.A)} rows like A")
 
     def __len__(self) -> int:
         return len(self.A)
@@ -273,30 +280,77 @@ def empirical_correlations(trials: Trials) -> dict[tuple[float, float], Correlat
     return out
 
 
+def _distinct_rows(trials: Trials) -> tuple[np.ndarray, np.ndarray]:
+    """One trial of each distinct row after the trial number, and each
+    trial's index into those rows.
+
+    Rows are keyed on what is written, not on how the columns were made:
+    each column gets integer codes such that equal codes always format
+    identically, and the codes combine by mixed radix. Integers are coded as
+    value minus minimum, floats by bit pattern (``-0.0`` is not ``0.0``), and
+    instrument values by object identity, since ``1``, ``1.0`` and ``True``
+    are equal but print differently.
+    """
+    # One column at a time: beside the key, only one code array is alive.
+    codes = chain(
+        (np.asarray(c, dtype=np.int64) - c.min()
+         for c in (trials.m, trials.state, trials.A, trials.B)),
+        (np.unique(np.asarray(c, dtype=np.float64).view(np.int64), return_inverse=True)[1]
+         for c in (trials.a, trials.b)),
+        (np.unique(np.fromiter(map(id, c), dtype=np.int64, count=len(c)), return_inverse=True)[1]
+         for c in (trials.lambda_star, trials.lambda_dblstar)),
+    )
+    key, size = np.zeros(len(trials), dtype=np.int64), 1
+    for code in codes:
+        radix = int(code.max()) + 1
+        if size * radix > 1 << 62:
+            keys, key = np.unique(key, return_inverse=True)
+            size = len(keys)
+        key, size = key * radix + code, size * radix
+    keys, row = np.unique(key, return_inverse=True)
+    # Rows with one key format identically, so any of them stands for all.
+    rep = np.empty(len(keys), dtype=np.int64)
+    rep[row] = np.arange(len(trials))
+    return rep, row
+
+
 def write_trials_csv(trials: Trials, path: str | Path, comments: list[str] | None = None) -> None:
-    """Stream the trials to ``path`` as CSV rows, one per trial, converting
-    the columns to Python values one block of rows at a time."""
-    labels = np.fromiter(trials.states, dtype=object)
+    """Write the trials to ``path`` as CSV rows, one per trial.
+
+    After the trial number, a row is a pure function of its eight column
+    values, so each distinct row is formatted once through the same
+    ``csv.writer`` settings; csv quotes field by field, so
+    ``f"{trial},{suffix}"`` is the full row's bytes. The rows are joined and
+    written one block at a time.
+    """
     with open(path, "w", encoding="utf-8") as fp:
         for line in comments or []:
             fp.write(f"# {line}\n")
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(TRIALS_CSV_HEADER)
+        csv.writer(fp, lineterminator="\n").writerow(TRIALS_CSV_HEADER)
+        if not len(trials):
+            return
+        rep, row = _distinct_rows(trials)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        # writerow returns the characters it wrote: each row's end in buf.
+        # (str.splitlines would also split inside fields on \x0b, \u2028, ...)
+        ends = list(accumulate(map(writer.writerow, zip(
+            trials.m[rep].tolist(),
+            # Angles are coordinates, not expectations: keep full precision
+            # so the stream round-trips exactly.
+            map(repr, trials.a[rep].tolist()),
+            map(repr, trials.b[rep].tolist()),
+            [trials.states[s] for s in trials.state[rep].tolist()],
+            trials.lambda_star[rep].tolist(),
+            trials.lambda_dblstar[rep].tolist(),
+            trials.A[rep].tolist(),
+            trials.B[rep].tolist(),
+        ))))
+        text = buf.getvalue()
+        suffixes = np.array([text[s:e] for s, e in zip([0, *ends], ends)], dtype=object)
         for start in range(0, len(trials), CSV_BLOCK_ROWS):
-            rows = slice(start, start + CSV_BLOCK_ROWS)
-            writer.writerows(zip(
-                range(start, start + CSV_BLOCK_ROWS),
-                trials.m[rows].tolist(),
-                # Angles are coordinates, not expectations: keep full
-                # precision so the stream round-trips exactly.
-                map(repr, trials.a[rows].tolist()),
-                map(repr, trials.b[rows].tolist()),
-                labels[trials.state[rows]].tolist(),
-                trials.lambda_star[rows].tolist(),
-                trials.lambda_dblstar[rows].tolist(),
-                trials.A[rows].tolist(),
-                trials.B[rows].tolist(),
-            ))
+            block = suffixes[row[start:start + CSV_BLOCK_ROWS]].tolist()
+            fp.write("".join([f"{t},{s}" for t, s in enumerate(block, start)]))
 
 
 def read_trials_csv(path: str | Path) -> Trials:

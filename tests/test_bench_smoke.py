@@ -1,22 +1,26 @@
 """The benchmark runs end to end and its correctness gate passes.
 
-One untimed pass of the ``exact_wide`` workload at seed 7: the golden
-``check.json``/``joint_table.csv`` comparison, the slot-correlated model's
-deviation and the doubled model's all-zero conditionals are all checked by
-the benchmark's own gate, so a change that breaks ``perfbench/run.py`` or the
-outputs it compares fails here.
+One untimed pass per workload at seed 7, checked by the benchmark's own
+gate. On ``exact_wide`` that is the golden ``check.json``/``joint_table.csv``
+comparison, the slot-correlated model's deviation and the doubled model's
+all-zero conditionals; on ``trials`` it includes ``trials.csv`` against
+``golden.json``, written through ``write_trials_csv``. A change that breaks
+``perfbench/run.py`` or the outputs it compares fails here.
 """
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_exact_wide_benchmark_pass_is_correct():
+@pytest.mark.parametrize("workload", ["trials", "exact_wide"])
+def test_benchmark_pass_is_correct(workload):
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "exact_wide", "--seed", "7",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "7",
          "--seconds", "0", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -129,6 +130,21 @@ def test_chsh_reference_prints_gap(tmp_path, capsys):
     assert csv_text[0] == "model,a,aprime,b,bprime,method,trials,seed,S,within_bound"
     assert csv_text[1].startswith("reference_cosine,")
     assert csv_text[1].endswith(",false")
+
+
+def test_chsh_csv_quotes_a_model_name_with_a_comma(tmp_path):
+    descriptor = tmp_path / "odd.ini"
+    descriptor.write_text(
+        '[model]\nname = wide, "odd"\n\n[source]\nstates = x\nprior = 1.0\n\n[grid]\nslots = 3\n\n'
+        "[gen1]\nkind = constant\n\n[gen2]\nkind = constant\n\n"
+        "[out1]\nkind = constant\nvalue = 1\n\n[out2]\nkind = constant\nvalue = 1\n"
+    )
+    out = tmp_path / "chsh"
+    assert run_cli(["chsh", "--model", str(descriptor), "--deterministic", "--out", str(out)]) == 0
+    with open(out / "chsh.csv", newline="", encoding="utf-8") as fp:
+        header, row = csv.reader(fp)
+    assert len(header) == len(row) == 10
+    assert row[0] == 'wide, "odd"'
 
 
 def test_chsh_zoo_model_within_bound(tmp_path):

@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +28,13 @@ from eprsim import (
     write_trials_csv,
     zoo_model,
 )
-from eprsim.stations import CSV_BLOCK_ROWS, POLICIES, TRIALS_CSV_HEADER, empirical_correlations
+from eprsim.stations import (
+    CSV_BLOCK_ROWS,
+    POLICIES,
+    TRIALS_CSV_HEADER,
+    Trials,
+    empirical_correlations,
+)
 from eprsim.zoo import all_zoo_models, random_factorized_model
 
 
@@ -441,6 +448,84 @@ def test_trials_csv_written_in_blocks_equals_row_by_row(tmp_path):
     path = tmp_path / "trials.csv"
     write_trials_csv(trials, path, comments=["config = {}"])
     assert path.read_bytes() == row_by_row_trials_csv(trials, ["config = {}"])
+
+
+# Instrument values that are equal but print differently (1, 1.0, True),
+# equal but distinct objects ("u1" twice), nan, and strings that csv must
+# quote or that str.splitlines would split.
+ODD_VALUES = [1, 1.0, True, "u1", "".join(["u", "1"]), math.nan, "x,y", 'say "hi"',
+              "two\nlines", "tab\x0bvertical", "para\u2028sep"]
+
+
+def odd_trials(n: int) -> Trials:
+    """Hand-built trials whose (state, slot, pair) does not determine the rest.
+
+    Within each run of 22 rows, only ``a`` (-0.0 or 0.0) and ``lambda_star``
+    (the odd values) change, so every keying that merges -0.0 with 0.0, or
+    keys instrument values by value, merges rows that print differently.
+    """
+    t = np.arange(n)
+    group = t // (2 * len(ODD_VALUES))
+    values = np.array(ODD_VALUES, dtype=object)
+    return Trials(
+        states=("a,b", 'q"r', "plain"),
+        state=group % 3,
+        m=1 + group % 4,
+        a=np.where(t % 2, 0.0, -0.0),
+        b=np.array([0.0, -0.0, 0.1, 7.0])[group % 4],
+        lambda_star=values[t % len(values)],
+        lambda_dblstar=values[group % len(values)],
+        A=np.where(group % 2, 1, -1).astype(np.int8),
+        B=np.where(group // 2 % 2, 1, -1).astype(np.int8),
+    )
+
+
+def test_trials_csv_of_odd_values_equals_row_by_row(tmp_path):
+    trials = odd_trials(CSV_BLOCK_ROWS + 3)
+    path = tmp_path / "trials.csv"
+    write_trials_csv(trials, path, comments=["config = {}"])
+    assert path.read_bytes() == row_by_row_trials_csv(trials, ["config = {}"])
+
+
+def test_trials_csv_row_keys_do_not_wrap(tmp_path):
+    # Slots 1, 1 + 2^61 and 2^62 take 2^62 codes, so the mixed-radix row key
+    # is re-compressed before the next column; left to wrap at 2^64, it would
+    # merge rows that differ in the slot alone.
+    t = np.arange(48)
+    values = np.array([0, 1, 2], dtype=object)
+    trials = Trials(
+        states=("u0", "u1"),
+        state=t // 24,
+        m=np.array([1, 1 + 2**61, 2**62])[t % 3],
+        a=np.array([0.0, 0.5])[t // 3 % 2],
+        b=np.array([0.0, 0.5])[t // 6 % 2],
+        lambda_star=values[t // 3 % 3],
+        lambda_dblstar=values[t // 6 % 3],
+        A=np.where(t // 12 % 2, 1, -1).astype(np.int8),
+        B=np.where(t // 24, 1, -1).astype(np.int8),
+    )
+    path = tmp_path / "trials.csv"
+    write_trials_csv(trials, path)
+    assert path.read_bytes() == row_by_row_trials_csv(trials, [])
+
+
+def test_zero_trials_write_the_header_alone(tmp_path):
+    header_only = tmp_path / "empty.csv"
+    header_only.write_text(",".join(TRIALS_CSV_HEADER) + "\n", encoding="utf-8")
+    trials = read_trials_csv(header_only)
+    assert len(trials) == 0
+    written = tmp_path / "written.csv"
+    write_trials_csv(trials, written, comments=["config = {}"])
+    assert written.read_bytes() == row_by_row_trials_csv(trials, ["config = {}"])
+    again = tmp_path / "again.csv"
+    write_trials_csv(read_trials_csv(written), again, comments=["config = {}"])
+    assert again.read_bytes() == written.read_bytes()
+
+
+def test_trials_rejects_columns_of_unequal_length():
+    trials = run_experiment(zoo_model("bell_product_basic"), Schedule(trials=3))
+    with pytest.raises(InvalidScheduleError, match="'m'"):
+        dataclasses.replace(trials, m=trials.m[:2])
 
 
 angles = st.one_of(
