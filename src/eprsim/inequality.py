@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from itertools import product
 from math import fsum, sqrt, cos
 from typing import Callable, Hashable, Mapping
@@ -258,15 +259,27 @@ def chsh(
     seed: int = 0,
     tol: float = BOUND_TOL,
 ) -> ChshResult:
-    """Assemble the four-correlation combination from :func:`correlate` calls.
+    """The four-correlation combination of the model at (a, a', b, b').
 
-    Monte-Carlo seeds are derived per setting pair, so evaluating the four
-    pairs in any order (or in parallel) gives bit-identical results.
+    ``exact`` compiles each of the four settings once and sums each pair's
+    products with the same kernel as :func:`correlate`, so every ``e_ab`` is
+    bit-identical to the per-pair one. Sharing compiled arrays across pairs
+    relies on the model being pure, as every exact path does; the locality
+    audit is the guard against models that are not. ``monte_carlo`` runs
+    :func:`correlate` per pair with seeds derived per setting pair, so
+    evaluating the four pairs in any order (or in parallel) gives
+    bit-identical results.
     """
+    if method == "exact":
+        compiled = cache(partial(_compiled, model))
 
-    def corr(x: Setting, y: Setting) -> float:
-        pair_seed = stable_seed("chsh-pair", seed, fmt12(x.angle), fmt12(y.angle))
-        return correlate(model, x, y, method=method, trials=trials, seed=pair_seed).e_ab
+        def corr(x: Setting, y: Setting) -> float:
+            check_pair(x, y)
+            return _cell_sum(model, compiled(x) * compiled(y))
+    else:
+        def corr(x: Setting, y: Setting) -> float:
+            pair_seed = stable_seed("chsh-pair", seed, fmt12(x.angle), fmt12(y.angle))
+            return correlate(model, x, y, method=method, trials=trials, seed=pair_seed).e_ab
 
     return chsh_from_correlations(corr, a, a_prime, b, b_prime, tol)
 

@@ -263,6 +263,30 @@ def cell_mass(model: LocalModel) -> np.ndarray:
     return np.outer(model.source.prior, model.grid.weights)
 
 
+def _checked(model: LocalModel, raw) -> int:
+    """One raw rule return as an int, or the codomain error that names it."""
+    if raw not in (-1, 1):
+        raise CodomainViolationError(
+            f"{model.name}: outcome rule returned {raw!r}, expected -1 or +1"
+        )
+    return int(raw)
+
+
+def _modifiers(
+    model: LocalModel, station: Station
+) -> tuple[list[tuple[int, ...]], Mapping[Hashable, int] | None]:
+    """The outcome modifiers installed at ``station``, in the order they
+    multiply the raw outcome: per-slot factors (the time sign, on both
+    stations unless ``sign_station`` names one, then the layer flip mask),
+    indexed by ``m - 1``, then the source-conditioned sign by state, or None."""
+    per_slot = []
+    if model.sign is not None and model.sign_station in (None, station):
+        per_slot.append(model.sign.values)
+    if model.flip_mask is not None:
+        per_slot.append(model.flip_mask)
+    return per_slot, model.lambda_sign
+
+
 def outcome_given_value(
     model: LocalModel,
     station: Station,
@@ -280,18 +304,12 @@ def outcome_given_value(
         raise StationMismatchError(
             f"{station.value} evaluation received a {setting.station.value} setting"
         )
-    raw = model.out(station).rule(setting, lam, value, m)
-    if raw not in (-1, 1):
-        raise CodomainViolationError(
-            f"{model.name}: outcome rule returned {raw!r}, expected -1 or +1"
-        )
-    o = int(raw)
-    if model.sign is not None and model.sign_station in (None, station):
-        o *= model.sign.values[m - 1]
-    if model.flip_mask is not None:
-        o *= model.flip_mask[m - 1]
-    if model.lambda_sign is not None:
-        o *= model.lambda_sign[lam]
+    o = _checked(model, model.out(station).rule(setting, lam, value, m))
+    per_slot, per_state = _modifiers(model, station)
+    for factors in per_slot:
+        o *= factors[m - 1]
+    if per_state is not None:
+        o *= per_state[lam]
     return o
 
 
@@ -331,20 +349,29 @@ def station_values(
 def station_outcomes(model: LocalModel, setting: Setting, values: list[Hashable]) -> np.ndarray:
     """The station's compiled form at one setting: int8 ``outcomes[state, slot]``.
 
-    ``values`` are the slot values from :func:`station_values`. Every cell goes
-    through :func:`outcome_given_value`, so codomain checks and modifiers apply
-    exactly as for a single evaluation. Every exact quantity is a weighted sum
-    over such arrays.
+    ``values`` are the slot values from :func:`station_values`. One flat pass
+    calls the outcome rule once per cell, state by state and slot by slot
+    within a state, as :func:`outcome_given_value` would. The codomain check
+    and the modifiers then apply to the whole array, with the same error
+    message and the same factors as a single evaluation. Every exact quantity
+    is a weighted sum over such arrays.
     """
-    station = setting.station
-    return np.array(
-        [
-            [outcome_given_value(model, station, setting, lam, v, m)
-             for m, v in zip(model.grid.slots, values)]
-            for lam in model.source.states
-        ],
-        dtype=np.int8,
-    )
+    states, rule = model.source.states, model.out(setting.station).rule
+    cells = list(zip(model.grid.slots, values))
+    raw = [rule(setting, lam, v, m) for lam in states for m, v in cells]
+    try:
+        valid = set(raw) <= {-1, 1}
+    except TypeError:  # an unhashable return: the cell-by-cell check names it
+        valid = False
+    if not valid:
+        raw = [_checked(model, r) for r in raw]
+    outcomes = np.array(raw, dtype=np.int8).reshape(len(states), len(cells))
+    per_slot, per_state = _modifiers(model, setting.station)
+    for factors in per_slot:
+        outcomes *= np.array(factors, dtype=np.int8)
+    if per_state is not None:
+        outcomes *= np.array([per_state[lam] for lam in states], dtype=np.int8)[:, None]
+    return outcomes
 
 
 def composite_is_m_constant(model: LocalModel) -> bool:

@@ -359,9 +359,9 @@ def read_trials_csv(path: str | Path) -> Trials:
         rows = [row for row in csv.reader(fp) if row and not row[0].startswith("#")]
     if not rows or tuple(rows[0]) != TRIALS_CSV_HEADER:
         raise InvalidScheduleError("trial CSV is empty or lacks the expected header")
-    cols = list(zip(*rows[1:])) or [()] * len(TRIALS_CSV_HEADER)
-    if len(cols) != len(TRIALS_CSV_HEADER):
+    if any(len(row) != len(TRIALS_CSV_HEADER) for row in rows[1:]):
         raise InvalidScheduleError("trial CSV rows need nine fields")
+    cols = list(zip(*rows[1:])) or [()] * len(TRIALS_CSV_HEADER)
     trial, m, A, B = (np.array(list(map(int, cols[k])), dtype=np.int64) for k in (0, 1, 7, 8))
     if (trial != np.arange(len(trial))).any() or (np.abs([A, B]) != 1).any():
         raise InvalidScheduleError("trial CSV needs trials numbered from 0 and outcomes of +-1")

@@ -253,6 +253,18 @@ def test_descriptor_table_miss_is_a_configuration_error(tmp_path, capsys, gen1, 
     assert message in err
 
 
+@pytest.mark.parametrize("last", [0, 2])
+def test_check_of_an_outcome_outside_plus_minus_one_exits_3(tmp_path, capsys, last):
+    rows = [f"    {lam},0,{m},{last if (lam, m) == ('v', 4) else 1}"
+            for lam in "uv" for m in (1, 2, 3, 4)]
+    descriptor = tmp_path / "codomain.ini"
+    descriptor.write_text(TABLE_MISS_MODEL.format(
+        gen1=FULL_GEN, out1="kind = table\ntable =\n" + "\n".join(rows)))
+    assert run_cli(["check", "--model", str(descriptor)]) == 3
+    message = f"table_miss: outcome rule returned {last}, expected -1 or +1"
+    assert capsys.readouterr().err == f"eprsim: model error: {message}\n"
+
+
 VALID_MODEL = TABLE_MISS_MODEL.format(gen1=FULL_GEN, out1=CONSTANT_OUT)
 SCHEDULE = "[schedule]\ntrials = 96\npolicy = random\npairs = 0:0.5, 1:1.5\nseed_source = 4\n"
 

@@ -1,5 +1,6 @@
 import math
 import statistics
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -127,6 +128,36 @@ def test_chsh_examples():
         assert abs(result.s_value) <= 2.0 + 1e-12
         assert result.within_local_bound
         assert result.local_bound == 2.0
+
+
+def counted_rules(model):
+    """The model with every generator and outcome rule call counted."""
+    calls = Counter()
+
+    def count(part, kind):
+        def rule(*args):
+            calls[kind] += 1
+            return part.rule(*args)
+        return replace(part, rule=rule)
+
+    counted = replace(model, gen1=count(model.gen1, "gen"), gen2=count(model.gen2, "gen"),
+                      out1=count(model.out1, "out"), out2=count(model.out2, "out"))
+    return counted, calls
+
+
+@pytest.mark.parametrize(
+    "model",
+    [*all_zoo_models(), *(random_factorized_model(seed) for seed in range(20))],
+    ids=lambda model: model.name,
+)
+def test_exact_chsh_compiles_each_setting_once(model):
+    counted, calls = counted_rules(model)
+    result = chsh(counted, *OPTIMAL)
+    # Four station compiles, where one compile per setting of each pair made eight.
+    slots, states = model.grid.slot_count, len(model.source.states)
+    assert calls == {"gen": 4 * slots, "out": 4 * states * slots}
+    per_pair = chsh_from_correlations(lambda x, y: correlate(model, x, y).e_ab, *OPTIMAL)
+    assert repr(result) == repr(per_pair)
 
 
 def test_deterministic_strategy_reaches_two():

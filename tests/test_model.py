@@ -1,5 +1,7 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from eprsim import (
@@ -21,7 +23,7 @@ from eprsim import (
     time_symmetrize,
     zoo_model,
 )
-from eprsim.model import SignFunction, TEST_ANGLES
+from eprsim.model import SignFunction, TEST_ANGLES, station_outcomes, station_values
 from eprsim.zoo import ZOO, all_zoo_models
 
 
@@ -197,3 +199,45 @@ def test_unknown_state_and_slot_rejected():
         evaluate_outcome(model, Station.S1, s1(0.0), "nope", 1)
     with pytest.raises(Exception):
         evaluate_outcome(model, Station.S1, s1(0.0), "u0", 99)
+
+
+def last_cell_model(last):
+    """bell_product_basic with S1's outcome replaced by ``last`` at the last
+    (state, slot) cell only."""
+    base = zoo_model("bell_product_basic")
+    lam_n, m_n = base.source.states[-1], base.grid.slot_count
+
+    def rule(s, lam, v, m):
+        return last if (lam, m) == (lam_n, m_n) else base.out1.rule(s, lam, v, m)
+
+    return replace(base, out1=OutcomeFn(Station.S1, rule), name="last_cell")
+
+
+@pytest.mark.parametrize("last", [0, 2, 0.5, None, "1", [1]], ids=repr)
+def test_compiled_codomain_check_names_the_bad_last_cell(last):
+    model = last_cell_model(last)
+    setting = s1(0.0)
+    with pytest.raises(CodomainViolationError) as one_cell:
+        evaluate_outcome(model, Station.S1, setting, model.source.states[-1],
+                         model.grid.slot_count)
+    with pytest.raises(CodomainViolationError) as compiled:
+        station_outcomes(model, setting, station_values(model, setting))
+    assert str(compiled.value) == str(one_cell.value)
+    assert repr(last) in str(compiled.value)
+
+
+def test_compiled_outcomes_accept_values_equal_to_plus_minus_one():
+    base = zoo_model("cosine_threshold_lhv")
+    spelled = {1: (True, 1.0, np.int64(1)), -1: (np.int8(-1), -1.0, np.int64(-1))}
+
+    def rule(s, lam, v, m):
+        o = base.out1.rule(s, lam, v, m)
+        return spelled[o][m % 3]
+
+    model = replace(base, out1=OutcomeFn(Station.S1, rule))
+    for angle in TEST_ANGLES:
+        setting = s1(angle)
+        found = station_outcomes(model, setting, station_values(model, setting))
+        expected = station_outcomes(base, setting, station_values(base, setting))
+        assert found.dtype == np.int8
+        assert found.tolist() == expected.tolist()

@@ -7,6 +7,8 @@ outputs are compared byte for byte.
 import random
 from math import fsum
 
+import numpy as np
+
 from eprsim import (
     TEST_ANGLES,
     JointTable,
@@ -27,6 +29,7 @@ from eprsim import (
     time_symmetrize,
     zoo_model,
 )
+from eprsim.model import station_outcomes, station_values
 from eprsim.symmetry import exact_marginal
 from eprsim.zoo import ZOO, random_factorized_model
 
@@ -39,6 +42,13 @@ def models():
         yield base
         yield layer_double(time_symmetrize(base, balanced_sign_function(base.grid, seed=7)))
         yield condition_sign_on_source(base, seed=2)
+        for station in (Station.S1, Station.S2):
+            yield time_symmetrize(base, balanced_sign_function(base.grid, seed=5), station=station)
+        # The time sign, the flip mask and the source sign at once; the sign
+        # is drawn on the doubled grid, so it need not repeat within a pair.
+        doubled = layer_double(base)
+        yield condition_sign_on_source(
+            time_symmetrize(doubled, balanced_sign_function(doubled.grid, seed=3)), seed=4)
     for seed in range(100):
         yield random_factorized_model(seed)
 
@@ -68,6 +78,20 @@ def reference_marginal(model, station, angle):
         for lam in model.source.states
         for m in model.grid.slots
     )
+
+
+def test_compiled_outcomes_match_one_cell_route():
+    """The flat compile applies the codomain check and the modifiers to the
+    whole array; evaluate_outcome applies them to one cell."""
+    for model in models():
+        for station in (Station.S1, Station.S2):
+            for angle in TEST_ANGLES:
+                setting = Setting(angle, station)
+                found = station_outcomes(model, setting, station_values(model, setting))
+                expected = [[evaluate_outcome(model, station, setting, lam, m)
+                             for m in model.grid.slots] for lam in model.source.states]
+                assert found.dtype == np.int8, model.name
+                assert found.tolist() == expected, (model.name, model.transforms, setting)
 
 
 def test_correlate_matches_reference_loop():

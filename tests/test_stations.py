@@ -555,8 +555,12 @@ def test_trials_csv_round_trips_byte_identically(tmp_path_factory, seed, trials,
 
 @pytest.mark.parametrize(
     "row",
-    ["0,1,0.0,0.0,u0,0,0,1", "1,1,0.0,0.0,u0,0,0,1,1", "0,1,0.0,0.0,u0,0,0,0,1"],
-    ids=["eight fields", "numbered from 1", "zero outcome"],
+    ["0,1,0.0,0.0,u0,0,0,1", "1,1,0.0,0.0,u0,0,0,1,1", "0,1,0.0,0.0,u0,0,0,0,1",
+     # zip(*rows) stops at the shortest row, so a long row among full ones
+     # still gives nine columns: each row's width is checked.
+     "0,1,0.0,0.0,u0,0,0,1,1,EXTRA\n1,2,0.0,0.0,u0,0,0,1,1",
+     "0,1,0.0,0.0,u0,0,0,1,1\n1,2,0.0,0.0,u0,0,0,1"],
+    ids=["eight fields", "numbered from 1", "zero outcome", "long row", "short row"],
 )
 def test_read_trials_csv_rejects_malformed_rows(tmp_path, row):
     path = tmp_path / "trials.csv"
