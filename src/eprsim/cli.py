@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--perturbations", type=int, default=3, help="remote alternatives per "
-                   "trial: at most 4, 3 at a test angle; more passes re-check the base pair")
+                   "trial: at most 4, 3 at a test angle; a larger count adds no pass")
     _common_flags(p)
 
     p = sub.add_parser("zoo", help="catalogue commands")

@@ -220,8 +220,14 @@ def table_from_csv(text: str, a: Setting, b: Setting) -> JointTable:
     for row in rows[1:]:
         if len(row) != 5:
             raise InvalidWeightsError(f"joint-table CSV row has {len(row)} fields: {row!r}")
-        key = (parse_scalar(row[0]), parse_scalar(row[1]), row[2], int(row[3]))
-        entries[key] = entries.get(key, 0.0) + float(row[4])
+        try:
+            m, p = int(row[3]), float(row[4])
+        except ValueError:
+            raise InvalidWeightsError(
+                f"joint-table CSV row {row!r}: m must be an integer and prob a number"
+            ) from None
+        key = (parse_scalar(row[0]), parse_scalar(row[1]), row[2], m)
+        entries[key] = entries.get(key, 0.0) + p
     if not entries:
         raise EmptyTableError("joint-table CSV holds no rows")
 

@@ -51,7 +51,7 @@ class InfeasibleTargetError(HarnessError):
 
 
 class AlreadyDoubledError(HarnessError):
-    """Layer doubling applied to a model that already carries a flip mask."""
+    """Layer doubling applied to a model that is already doubled."""
 
 
 class AlreadySymmetrizedError(HarnessError):

@@ -206,8 +206,9 @@ def sampled_correlation(
 def correlate_via_table(model: LocalModel, table: JointTable) -> CorrelationReport:
     """Independent exact route: sum over a tabulated joint distribution.
 
-    Outcome modifiers are reapplied inline here so this path shares no
-    arithmetic with the direct (state, slot) sum.
+    Outcome modifiers are reapplied inline from the model's fields, never
+    from ``model.signs``, so this path shares no arithmetic with the direct
+    (state, slot) sum.
     """
     a, b = table.setting_a, table.setting_b
     check_pair(a, b)
@@ -224,9 +225,8 @@ def correlate_via_table(model: LocalModel, table: JointTable) -> CorrelationRepo
                 oa *= r
             if model.sign_station in (None, Station.S2):
                 ob *= r
-        if model.flip_mask is not None:
-            oa *= model.flip_mask[m - 1]
-            ob *= model.flip_mask[m - 1]
+        if model.doubled and m % 2 == 0:
+            oa, ob = -oa, -ob
         if model.lambda_sign is not None:
             oa *= model.lambda_sign[lam]
             ob *= model.lambda_sign[lam]

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     CodomainViolationError,
+    ConfigurationError,
     GridMismatchError,
     HarnessError,
     InvalidWeightsError,
@@ -52,7 +53,10 @@ class Setting:
     def __post_init__(self):
         if not isinstance(self.station, Station):
             raise StationMismatchError(f"setting station must be a Station, got {self.station!r}")
-        angle = float(self.angle) % TWO_PI
+        angle = float(self.angle)
+        if not math.isfinite(angle):
+            raise ConfigurationError(f"setting angle {self.angle!r} is not finite")
+        angle %= TWO_PI
         # A tiny negative angle rounds up to TWO_PI itself under the modulo.
         object.__setattr__(self, "angle", 0.0 if angle == TWO_PI else angle)
 
@@ -193,9 +197,13 @@ class OutcomeFn:
 class LocalModel:
     """One complete, finite experiment description.
 
-    ``sign``, ``flip_mask`` and ``lambda_sign`` are outcome modifiers installed
+    ``sign``, ``doubled`` and ``lambda_sign`` are outcome modifiers installed
     by the transforms in :mod:`eprsim.symmetry`; they multiply the raw outcome
-    and never touch the instrument-parameter distribution.
+    and never touch the instrument-parameter distribution. ``signs[station]``
+    is their product at that station as an int8 +-1 array over (state, slot),
+    or None when none applies there: the time sign (at both stations unless
+    ``sign_station`` names one), the layer flip (-1 on even slots of a
+    doubled model) and the source-conditioned sign.
     """
 
     name: str
@@ -207,40 +215,41 @@ class LocalModel:
     out2: OutcomeFn
     sign: SignFunction | None = None
     sign_station: Station | None = None
-    flip_mask: tuple[int, ...] | None = None
+    doubled: bool = False
     lambda_sign: Mapping[Hashable, int] | None = None
     transforms: tuple[str, ...] = ()
+    signs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.gen1.station is not Station.S1 or self.out1.station is not Station.S1:
             raise StationMismatchError(f"{self.name}: gen1/out1 must be S1-typed")
         if self.gen2.station is not Station.S2 or self.out2.station is not Station.S2:
             raise StationMismatchError(f"{self.name}: gen2/out2 must be S2-typed")
-        if self.sign is not None and len(self.sign.values) != self.grid.slot_count:
+        n = self.grid.slot_count
+        if self.sign is not None and len(self.sign.values) != n:
             raise GridMismatchError(f"{self.name}: sign function does not cover the grid")
-        if self.flip_mask is not None:
-            self._check_flip_mask()
+        if self.doubled and n % 2 != 0:
+            raise HarnessError(f"{self.name}: a doubled model needs an even slot count")
         if self.lambda_sign is not None:
             missing = [lam for lam in self.source.states if lam not in self.lambda_sign]
             if missing:
                 raise HarnessError(f"{self.name}: lambda_sign misses states {missing!r}")
             if any(v not in (-1, 1) for v in self.lambda_sign.values()):
                 raise CodomainViolationError(f"{self.name}: lambda_sign values must be +-1")
-
-    def _check_flip_mask(self):
-        mask = tuple(int(v) for v in self.flip_mask)
-        object.__setattr__(self, "flip_mask", mask)
-        n = self.grid.slot_count
-        if len(mask) != n:
-            raise GridMismatchError(f"{self.name}: flip mask length != slot count")
-        if n % 2 != 0:
-            raise HarnessError(f"{self.name}: flip mask requires an even slot count")
-        if any(v not in (-1, 1) for v in mask):
-            raise CodomainViolationError(f"{self.name}: flip mask values must be +-1")
-        # Paired layout: each (2k-1, 2k) pair holds one +1 and one -1.
-        for k in range(n // 2):
-            if mask[2 * k] + mask[2 * k + 1] != 0:
-                raise HarnessError(f"{self.name}: flip mask pair {k + 1} does not cancel")
+        states, signs = self.source.states, {Station.S1: None, Station.S2: None}
+        for station in signs:
+            timed = self.sign is not None and self.sign_station in (None, station)
+            if not (timed or self.doubled or self.lambda_sign is not None):
+                continue
+            row = np.array(self.sign.values if timed else [1] * n, dtype=np.int8)
+            if self.doubled:
+                row[1::2] *= -1
+            column = [1] * len(states)
+            if self.lambda_sign is not None:
+                column = [self.lambda_sign[lam] for lam in states]
+            signs[station] = np.array(column, dtype=np.int8)[:, None] * row
+            signs[station].setflags(write=False)
+        object.__setattr__(self, "signs", signs)
 
     def gen(self, station: Station) -> InstrumentParamGen:
         return self.gen1 if station is Station.S1 else self.gen2
@@ -272,47 +281,6 @@ def _checked(model: LocalModel, raw) -> int:
     return int(raw)
 
 
-def _modifiers(
-    model: LocalModel, station: Station
-) -> tuple[list[tuple[int, ...]], Mapping[Hashable, int] | None]:
-    """The outcome modifiers installed at ``station``, in the order they
-    multiply the raw outcome: per-slot factors (the time sign, on both
-    stations unless ``sign_station`` names one, then the layer flip mask),
-    indexed by ``m - 1``, then the source-conditioned sign by state, or None."""
-    per_slot = []
-    if model.sign is not None and model.sign_station in (None, station):
-        per_slot.append(model.sign.values)
-    if model.flip_mask is not None:
-        per_slot.append(model.flip_mask)
-    return per_slot, model.lambda_sign
-
-
-def outcome_given_value(
-    model: LocalModel,
-    station: Station,
-    setting: Setting,
-    lam: Hashable,
-    value: Hashable,
-    m: int,
-) -> int:
-    """Apply the station's outcome rule to an explicit instrument value.
-
-    Installed modifiers (time sign, layer flip mask, source-conditioned sign)
-    multiply the raw outcome, in that order.
-    """
-    if setting.station is not station:
-        raise StationMismatchError(
-            f"{station.value} evaluation received a {setting.station.value} setting"
-        )
-    o = _checked(model, model.out(station).rule(setting, lam, value, m))
-    per_slot, per_state = _modifiers(model, station)
-    for factors in per_slot:
-        o *= factors[m - 1]
-    if per_state is not None:
-        o *= per_state[lam]
-    return o
-
-
 def evaluate_outcome(
     model: LocalModel,
     station: Station,
@@ -325,13 +293,17 @@ def evaluate_outcome(
 
     Pure in all arguments; the instrument value is produced by the station's
     own generator, so the other station's setting cannot enter by construction.
+    The station's installed modifiers, ``model.signs[station]`` at this cell,
+    multiply the raw outcome.
     """
     if not model.source.has(lam):
         raise HarnessError(f"{model.name}: unknown source state {lam!r}")
     if not 1 <= m <= model.grid.slot_count:
         raise HarnessError(f"{model.name}: slot {m} outside 1..{model.grid.slot_count}")
     value = model.gen(station).evaluate(setting, m, station_seed)
-    return outcome_given_value(model, station, setting, lam, value, m)
+    o = _checked(model, model.out(station).rule(setting, lam, value, m))
+    signs = model.signs[station]
+    return o if signs is None else o * int(signs[model.source.states.index(lam), m - 1])
 
 
 def station_values(
@@ -351,10 +323,10 @@ def station_outcomes(model: LocalModel, setting: Setting, values: list[Hashable]
 
     ``values`` are the slot values from :func:`station_values`. One flat pass
     calls the outcome rule once per cell, state by state and slot by slot
-    within a state, as :func:`outcome_given_value` would. The codomain check
-    and the modifiers then apply to the whole array, with the same error
-    message and the same factors as a single evaluation. Every exact quantity
-    is a weighted sum over such arrays.
+    within a state, as cell-by-cell calls of :func:`evaluate_outcome` would.
+    The codomain check then applies to the whole array, with the message a
+    single evaluation gives, and the array is multiplied by the station's
+    ``model.signs``. Every exact quantity is a weighted sum over such arrays.
     """
     states, rule = model.source.states, model.out(setting.station).rule
     cells = list(zip(model.grid.slots, values))
@@ -366,12 +338,8 @@ def station_outcomes(model: LocalModel, setting: Setting, values: list[Hashable]
     if not valid:
         raw = [_checked(model, r) for r in raw]
     outcomes = np.array(raw, dtype=np.int8).reshape(len(states), len(cells))
-    per_slot, per_state = _modifiers(model, setting.station)
-    for factors in per_slot:
-        outcomes *= np.array(factors, dtype=np.int8)
-    if per_state is not None:
-        outcomes *= np.array([per_state[lam] for lam in states], dtype=np.int8)[:, None]
-    return outcomes
+    signs = model.signs[setting.station]
+    return outcomes if signs is None else outcomes * signs
 
 
 def composite_is_m_constant(model: LocalModel) -> bool:

@@ -171,11 +171,15 @@ class _Runner:
         self.alt_count = apart.sum(axis=1)
         self.alts = np.argsort(~apart, axis=1, kind="stable")
 
+    def remote(self, station: Station) -> np.ndarray:
+        """Every trial's code of the station's remote angle: b for S1, a for S2."""
+        return self.b if station is Station.S1 else self.a
+
     def perturbed(self, station: Station, p: int) -> np.ndarray:
         """Pair keys with the station's remote angle replaced by its p-th
         alternative, the alternatives rotating with the trial index; a trial
         with fewer alternatives keeps its pair."""
-        remote = self.b if station is Station.S1 else self.a
+        remote = self.remote(station)
         count = self.alt_count[remote]
         turn = (np.arange(len(remote)) + p) % count
         alt = np.where(p < count, self.alts[remote, turn], remote)
@@ -227,21 +231,24 @@ def locality_audit(
     trial index so all alternatives get exercised), and symmetrically for
     station 2. An alternative is a test angle at another point of the circle
     than the current remote angle, so at most 4 exist, and 3 when the remote
-    angle is itself a test angle. At most 4 passes run per station; in a pass
-    beyond a trial's alternatives, that trial re-checks its base pair. A
-    mismatch in (instrument value, outcome) is an Einstein locality violation.
+    angle is itself a test angle. A station runs at most as many passes as
+    its remote angles in use have alternatives: a further pass would only
+    re-check base pairs. A mismatch in (instrument value, outcome) is an
+    Einstein locality violation.
     """
     if remote_perturbations < 1:
         raise InvalidScheduleError("remote_perturbations must be >= 1")
     run = _Runner(model, schedule)
-    passes = [(station, p) for station in (Station.S1, Station.S2)
-              for p in range(min(remote_perturbations, len(TEST_ANGLES)))]
-    run.compile(chain([run.base], (run.perturbed(*q) for q in passes)))
+    passes = [
+        (station, run.perturbed(station, p))
+        for station in (Station.S1, Station.S2)
+        for p in range(min(remote_perturbations, run.alt_count[run.remote(station)].max()))
+    ]
+    run.compile([run.base, *(keys for _, keys in passes)])
     base = {station: run.gather(station, run.base) for station in (Station.S1, Station.S2)}
     mismatches = 0
     first = None
-    for station, p in passes:
-        keys = run.perturbed(station, p)
+    for station, keys in passes:
         (values, outcomes), (base_values, base_outcomes) = run.gather(station, keys), base[station]
         bad = (values != base_values) | (outcomes != base_outcomes)
         mismatches += int(np.count_nonzero(bad))
@@ -353,6 +360,19 @@ def write_trials_csv(trials: Trials, path: str | Path, comments: list[str] | Non
             fp.write("".join([f"{t},{s}" for t, s in enumerate(block, start)]))
 
 
+def _numbers(cols: list[tuple[str, ...]], k: int, convert) -> list:
+    """Column ``k`` of a trial CSV through ``convert``, or the error naming
+    the first data row (from 1) whose cell does not parse."""
+    out = []
+    for text in cols[k]:
+        try:
+            out.append(convert(text))
+        except ValueError:
+            raise InvalidScheduleError(f"trial CSV data row {len(out) + 1}: "
+                                       f"{TRIALS_CSV_HEADER[k]} = {text!r} does not parse") from None
+    return out
+
+
 def read_trials_csv(path: str | Path) -> Trials:
     """Load trials written by :func:`write_trials_csv`; state labels stay text."""
     with open(path, newline="", encoding="utf-8") as fp:
@@ -362,10 +382,10 @@ def read_trials_csv(path: str | Path) -> Trials:
     if any(len(row) != len(TRIALS_CSV_HEADER) for row in rows[1:]):
         raise InvalidScheduleError("trial CSV rows need nine fields")
     cols = list(zip(*rows[1:])) or [()] * len(TRIALS_CSV_HEADER)
-    trial, m, A, B = (np.array(list(map(int, cols[k])), dtype=np.int64) for k in (0, 1, 7, 8))
+    trial, m, A, B = (np.array(_numbers(cols, k, int), dtype=np.int64) for k in (0, 1, 7, 8))
     if (trial != np.arange(len(trial))).any() or (np.abs([A, B]) != 1).any():
         raise InvalidScheduleError("trial CSV needs trials numbered from 0 and outcomes of +-1")
     states, state = np.unique(np.array(cols[4], dtype=str), return_inverse=True)
-    a, b = (np.array(list(map(float, cols[k]))) for k in (2, 3))
+    a, b = (np.array(_numbers(cols, k, float)) for k in (2, 3))
     v1, v2 = (np.fromiter(map(parse_scalar, cols[k]), dtype=object) for k in (5, 6))
     return Trials(tuple(states.tolist()), state, m, a, b, v1, v2, *np.array([A, B], dtype=np.int8))

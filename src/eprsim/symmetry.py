@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from math import fsum
 
 from .errors import (
     AlreadyDoubledError,
@@ -33,11 +32,14 @@ class MarginalTarget:
     sign_mean: float
 
 
-def make_sign_function(grid: TimeGrid, target_mean: float, seed: int = 0) -> SignFunction:
+def make_sign_function(
+    grid: TimeGrid, target_mean: float, seed: int = 0, *, nearest: bool = False
+) -> SignFunction:
     """Seeded +-1 assignment over the slots with the requested mean.
 
     The mean must be representable as (2k - N)/N for an integer k; otherwise
-    the request is infeasible. Requires a uniform grid so counts translate into
+    the request is infeasible, unless ``nearest`` asks for the representable
+    mean closest to it. Requires a uniform grid so counts translate into
     means exactly.
     """
     if not grid.is_uniform:
@@ -45,7 +47,9 @@ def make_sign_function(grid: TimeGrid, target_mean: float, seed: int = 0) -> Sig
     n = grid.slot_count
     k_float = (target_mean * n + n) / 2.0
     k = round(k_float)
-    if abs(k - k_float) > 1e-9 or not 0 <= k <= n:
+    if nearest:
+        k = min(n, max(0, k))
+    elif abs(k - k_float) > 1e-9 or not 0 <= k <= n:
         raise InfeasibleMeanError(
             f"mean {target_mean!r} is not representable on {n} slots"
         )
@@ -71,11 +75,8 @@ def encode_sign(sign: SignFunction) -> str:
 def decode_sign(text: str, grid: TimeGrid) -> SignFunction:
     if any(c not in "+-" for c in text):
         raise GridMismatchError(f"sign encoding must be +/- characters, got {text!r}")
-    values = tuple(1 if c == "+" else -1 for c in text)
-    if len(values) != grid.slot_count:
-        raise GridMismatchError("sign encoding does not cover the grid")
-    mean = fsum(grid.weight(m) * values[m - 1] for m in grid.slots)
-    return SignFunction(values, mean)
+    sign = SignFunction(tuple(1 if c == "+" else -1 for c in text), 0.0)
+    return replace(sign, mean=sign.recomputed_mean(grid))
 
 
 def time_symmetrize(
@@ -137,9 +138,7 @@ def target_marginal(
             raise InfeasibleTargetError(
                 f"sign mean {fmt12(mean)} is not representable on {model.grid.slot_count} slots"
             ) from None
-        n = model.grid.slot_count
-        k = min(n, max(0, round((mean * n + n) / 2.0)))
-        sign = make_sign_function(model.grid, (2 * k - n) / n, seed)
+        sign = make_sign_function(model.grid, mean, seed, nearest=True)
     transformed = time_symmetrize(model, sign)
     achieved = exact_marginal(transformed, station, setting_angle)
     return transformed, MarginalTarget(
@@ -162,7 +161,7 @@ def layer_double(model: LocalModel) -> LocalModel:
     instrument value), so every one-sided conditional expectation vanishes,
     while each pair product is unchanged pointwise.
     """
-    if model.flip_mask is not None:
+    if model.doubled:
         raise AlreadyDoubledError(f"{model.name}: model is already layer-doubled")
     # Halving is exact, so a uniform grid's 1/n halves to 1/(2n).
     halves = tuple(w / 2.0 for w in model.grid.weights for _ in range(2))
@@ -186,7 +185,6 @@ def layer_double(model: LocalModel) -> LocalModel:
         sign = SignFunction(
             tuple(sign.values[_parent_slot(m) - 1] for m in grid.slots), sign.mean
         )
-    flip = tuple(1 if m % 2 == 1 else -1 for m in grid.slots)
     return replace(
         model,
         grid=grid,
@@ -195,7 +193,7 @@ def layer_double(model: LocalModel) -> LocalModel:
         out1=lift_out(model.out1),
         out2=lift_out(model.out2),
         sign=sign,
-        flip_mask=flip,
+        doubled=True,
         transforms=model.transforms + ("double",),
     )
 

@@ -179,6 +179,20 @@ def test_bad_angles_exit_2():
     assert run_cli(["chsh", "--model", "constant_plus", "--angles", "a,b,c,d"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "bell_product_basic", "--angle-a", "nan"],
+    ["simulate", "--model", "bell_product_basic", "--angle-b", "inf"],
+    ["check", "--model", "bell_product_basic", "--angle-a", "nan"],
+    ["chsh", "--model", "bell_product_basic", "--angles", "nan,0,0,0"],
+    ["chsh", "--model", "reference_cosine", "--angles", "inf,0,0,0"],
+], ids=["simulate_a", "simulate_b", "check", "chsh_model", "chsh_reference"])
+def test_non_finite_angle_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--deterministic", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("eprsim: configuration error: setting angle ")
+    assert not out.exists()
+
+
 def test_config_echo_is_embedded(tmp_path):
     out = tmp_path / "echo"
     run_cli(["simulate", "--model", "constant_plus", "--trials", "10",
@@ -296,6 +310,11 @@ def test_wrong_descriptor_input_is_a_configuration_error(tmp_path, capsys, edit,
     err = capsys.readouterr().err
     assert err.startswith("eprsim: configuration error:")
     assert message in err
+
+
+def test_schedule_with_a_non_finite_angle_exits_2(tmp_path, capsys):
+    assert run_cli(wrong_input_argv(tmp_path, schedule=SCHEDULE.replace("0:0.5", "nan:0"))) == 2
+    assert capsys.readouterr().err.startswith("eprsim: configuration error: setting angle nan")
 
 
 def test_simulate_schedule_echoes_what_ran(tmp_path):

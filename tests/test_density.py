@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from math import fsum
 
 import pytest
@@ -243,6 +244,13 @@ def test_imported_nondeterministic_table_can_fail_given_lambda_and_m():
 def test_joint_csv_with_nan_probability_is_rejected():
     text = "\n".join([",".join(CSV_HEADER), "0,0,u,1,nan", "1,1,u,1,0.5"])
     with pytest.raises(InvalidWeightsError):
+        table_from_csv(text, A0, B0)
+
+
+@pytest.mark.parametrize("row", ["0,0,u,1,half", "0,0,u,one,1.0"], ids=["prob", "m"])
+def test_joint_csv_with_a_non_numeric_cell_is_rejected(row):
+    text = "\n".join([",".join(CSV_HEADER), "1,1,u,2,0.0", row])
+    with pytest.raises(InvalidWeightsError, match=re.escape(f"row {row.split(',')!r}")):
         table_from_csv(text, A0, B0)
 
 

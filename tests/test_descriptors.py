@@ -286,7 +286,7 @@ def test_transform_section_applies_in_order(tmp_path):
     model = load_model(path)
     assert model.grid.slot_count == 8
     assert model.sign is not None
-    assert model.flip_mask is not None
+    assert model.doubled
     assert correlate(model, s1(0.0), s2(0.0)).marginal_a == 0.0
 
 
@@ -313,7 +313,7 @@ def test_descriptor_text_appends_to_existing_transforms(tmp_path):
 
 def test_apply_transform_op_vocabulary():
     model = zoo_model("constant_plus")
-    assert apply_transform_op(model, "double").flip_mask is not None
+    assert apply_transform_op(model, "double").doubled
     assert apply_transform_op(model, "lambda-sign seed=4").lambda_sign is not None
     assert apply_transform_op(model, "sign values=+-+- station=s1").sign_station is Station.S1
     targeted = apply_transform_op(model, "target alpha=0.5 station=s1 seed=2")

@@ -6,6 +6,8 @@ import pytest
 
 from eprsim import (
     CodomainViolationError,
+    ConfigurationError,
+    HarnessError,
     InstrumentParamGen,
     InvalidWeightsError,
     LocalModel,
@@ -16,7 +18,9 @@ from eprsim import (
     TimeGrid,
     UnknownZooEntryError,
     composite_is_m_constant,
+    condition_sign_on_source,
     evaluate_outcome,
+    layer_double,
     make_model,
     s1,
     s2,
@@ -31,6 +35,12 @@ def test_setting_angle_is_normalized():
     assert s1(2 * math.pi).angle == 0.0
     assert s1(-math.pi / 2).angle == pytest.approx(3 * math.pi / 2)
     assert s2(7.0).angle == pytest.approx(7.0 - 2 * math.pi)
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_non_finite_setting_angle_is_a_configuration_error(angle):
+    with pytest.raises(ConfigurationError, match=f"setting angle {angle!r} is not finite"):
+        s1(angle)
 
 
 def test_tiny_negative_angle_normalizes_to_zero():
@@ -178,19 +188,25 @@ def test_m_constant_flags_match_probe():
         assert composite_is_m_constant(entry.build()) == entry.m_constant, name
 
 
-def test_flip_mask_invariants_enforced():
+def test_doubled_model_needs_an_even_slot_count():
     model = zoo_model("constant_plus")
-    with pytest.raises(Exception):
-        LocalModel(
-            name="bad_mask",
-            source=model.source,
-            grid=model.grid,
-            gen1=model.gen1,
-            gen2=model.gen2,
-            out1=model.out1,
-            out2=model.out2,
-            flip_mask=(1, 1, -1, -1),
-        )
+    with pytest.raises(HarnessError, match="even slot count"):
+        replace(model, grid=TimeGrid(3), doubled=True)
+
+
+def test_signs_are_the_product_of_the_installed_modifiers():
+    base = zoo_model("bell_product_basic")
+    assert base.signs == {Station.S1: None, Station.S2: None}
+    one_sided = time_symmetrize(base, SignFunction((1, -1, -1, 1), 0.0), Station.S1)
+    assert one_sided.signs[Station.S2] is None
+    model = condition_sign_on_source(layer_double(one_sided), seed=3)
+    states, slots = model.source.states, model.grid.slots
+    for station, timed in ((Station.S1, True), (Station.S2, False)):
+        expected = [[(model.sign.values[m - 1] if timed else 1) * (-1) ** (m % 2 == 0)
+                     * model.lambda_sign[lam] for m in slots] for lam in states]
+        signs = model.signs[station]
+        assert signs.dtype == np.int8 and signs.tolist() == expected
+        assert not signs.flags.writeable
 
 
 def test_unknown_state_and_slot_rejected():

@@ -44,7 +44,7 @@ def models():
         yield condition_sign_on_source(base, seed=2)
         for station in (Station.S1, Station.S2):
             yield time_symmetrize(base, balanced_sign_function(base.grid, seed=5), station=station)
-        # The time sign, the flip mask and the source sign at once; the sign
+        # The time sign, the layer flip and the source sign at once; the sign
         # is drawn on the doubled grid, so it need not repeat within a pair.
         doubled = layer_double(base)
         yield condition_sign_on_source(

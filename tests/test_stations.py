@@ -30,9 +30,11 @@ from eprsim import (
 )
 from eprsim.stations import (
     CSV_BLOCK_ROWS,
+    DEFAULT_PAIRS,
     POLICIES,
     TRIALS_CSV_HEADER,
     Trials,
+    _Runner,
     empirical_correlations,
 )
 from eprsim.zoo import all_zoo_models, random_factorized_model
@@ -559,11 +561,39 @@ def test_trials_csv_round_trips_byte_identically(tmp_path_factory, seed, trials,
      # zip(*rows) stops at the shortest row, so a long row among full ones
      # still gives nine columns: each row's width is checked.
      "0,1,0.0,0.0,u0,0,0,1,1,EXTRA\n1,2,0.0,0.0,u0,0,0,1,1",
-     "0,1,0.0,0.0,u0,0,0,1,1\n1,2,0.0,0.0,u0,0,0,1"],
-    ids=["eight fields", "numbered from 1", "zero outcome", "long row", "short row"],
+     "0,1,0.0,0.0,u0,0,0,1,1\n1,2,0.0,0.0,u0,0,0,1",
+     "0,x,0.0,0.0,u0,0,0,1,1", "0,1,zero,0.0,u0,0,0,1,1", "0,1,0.0,0.0,u0,0,0,one,1"],
+    ids=["eight fields", "numbered from 1", "zero outcome", "long row", "short row",
+         "non-numeric m", "non-numeric a", "non-numeric A"],
 )
 def test_read_trials_csv_rejects_malformed_rows(tmp_path, row):
     path = tmp_path / "trials.csv"
     path.write_text(",".join(TRIALS_CSV_HEADER) + "\n" + row + "\n", encoding="utf-8")
     with pytest.raises(InvalidScheduleError):
         read_trials_csv(path)
+
+
+def test_read_trials_csv_names_the_row_of_a_non_numeric_cell(tmp_path):
+    path = tmp_path / "trials.csv"
+    rows = ["0,1,0.0,0.0,u0,0,0,1,1", "1,2,0.0,0.0,u0,0,0,1,1", "2,3,0.0,half,u0,0,0,1,1"]
+    path.write_text("\n".join([",".join(TRIALS_CSV_HEADER), *rows]) + "\n", encoding="utf-8")
+    with pytest.raises(InvalidScheduleError, match="data row 3: b = 'half'"):
+        read_trials_csv(path)
+
+
+@pytest.mark.parametrize("pairs, perturbations, passes", [
+    (DEFAULT_PAIRS, 1, 2), (DEFAULT_PAIRS, 3, 6), (DEFAULT_PAIRS, 4, 6), (DEFAULT_PAIRS, 5, 6),
+    # Off the test grid every remote angle has four alternatives.
+    (((0.3, 2.0),), 5, 8),
+], ids=["cycle-1", "cycle-3", "cycle-4", "cycle-5", "off-grid-5"])
+def test_audit_computes_each_pass_column_once(monkeypatch, pairs, perturbations, passes):
+    counts = {"perturbed": 0, "gather": 0}
+    for name in counts:
+        def counted(self, *args, _name=name, _method=getattr(_Runner, name)):
+            counts[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(_Runner, name, counted)
+    schedule = Schedule(trials=1000, policy="cycle", pairs=pairs)
+    assert locality_audit(zoo_model("bell_product_basic"), schedule, perturbations).passed
+    # One key column per (station, pass); one gather per column, with the base at each station.
+    assert counts == {"perturbed": passes, "gather": passes + 2}

@@ -260,7 +260,7 @@ def test_unflipping_restores_parent_outcomes():
             base = evaluate_outcome(model, Station.S1, s1(0.0), lam, parent)
             for child in (2 * parent - 1, 2 * parent):
                 flipped = evaluate_outcome(doubled, Station.S1, s1(0.0), lam, child)
-                assert flipped * doubled.flip_mask[child - 1] == base
+                assert flipped * (-1 if child % 2 == 0 else 1) == base
 
 
 def test_doubled_hp_factorization_verdicts_match_original():
