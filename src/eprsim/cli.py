@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -54,7 +55,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
         "--deterministic", action="store_true",
         help="suppress timestamps so outputs are byte-identical across reruns",
     )
-    parser.add_argument("--tol", type=float, default=1e-9, help="tolerance (default 1e-9)")
+    parser.add_argument("--tol", type=float, default=1e-9, help="tolerance, finite, > 0 (default 1e-9)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,8 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="counterfactual Einstein-locality audit")
     p.add_argument("--model", required=True)
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--perturbations", type=int, default=3, help="remote alternatives per "
-                   "trial: at most 4, 3 at a test angle; a larger count adds no pass")
+    p.add_argument("--perturbations", type=int, choices=(1, 2, 3), default=3, help="remote "
+                   "alternatives per trial; each remote test angle of the audit has 3")
     _common_flags(p)
 
     p = sub.add_parser("zoo", help="catalogue commands")
@@ -154,6 +155,7 @@ def cmd_zoo(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    s1(args.angle_a), s2(args.angle_b)  # Setting checks the angles under every policy
     model = make_model(args.model)
     if args.schedule is not None:
         schedule = load_schedule(args.schedule)
@@ -339,8 +341,8 @@ def main(argv: list[str] | None = None) -> int:
         "zoo": cmd_zoo,
     }
     try:
-        if args.tol <= 0.0:
-            raise InvalidToleranceError(f"--tol must be > 0, got {args.tol!r}")
+        if not 0.0 < args.tol < math.inf:
+            raise InvalidToleranceError(f"--tol must be > 0 and finite, got {args.tol!r}")
         return handlers[args.command](args)
     except ConfigurationError as exc:
         print(f"eprsim: configuration error: {exc}", file=sys.stderr)

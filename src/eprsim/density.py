@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from math import fsum
+from math import fsum, inf
 from pathlib import Path
 from typing import Hashable, Mapping
 
@@ -161,8 +161,8 @@ def check_factorization(
     spaces list: such a condition is recorded as 0.0 without the value-grid
     loop. Tables from :func:`tabulate_joint` hold one cell per (state, slot).
     """
-    if tol <= 0.0:
-        raise InvalidToleranceError(f"tolerance must be > 0, got {tol!r}")
+    if not 0.0 < tol < inf:
+        raise InvalidToleranceError(f"tolerance must be > 0 and finite, got {tol!r}")
     if mode not in ("given_lambda", "given_lambda_and_m"):
         raise InvalidToleranceError(f"unknown factorization mode {mode!r}")
 

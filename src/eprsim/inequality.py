@@ -131,7 +131,7 @@ def correlate(
     trials: int = 0,
     seed: int = 0,
 ) -> CorrelationReport:
-    """Pair statistics for one setting pair.
+    """Pair statistics for one setting pair, from its two compiled settings.
 
     ``exact`` performs the full weighted sum over (state, slot); the model is
     finite so this is always available. ``monte_carlo`` draws (state, slot)
@@ -139,28 +139,23 @@ def correlate(
     standard error of the pair product.
     """
     check_pair(a, b)
+    return _pair_report(model, a, b, _compiled(model, a), _compiled(model, b),
+                        method, trials, seed)
+
+
+def _pair_report(model: LocalModel, a: Setting, b: Setting, A: np.ndarray, B: np.ndarray,
+                 method: str, trials: int, seed: int) -> CorrelationReport:
+    """:func:`correlate` on the two settings' compiled (state, slot) arrays."""
     if method == "exact":
-        return _correlate_exact(model, a, b)
-    if method == "monte_carlo":
-        return _correlate_monte_carlo(model, a, b, trials, seed)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _correlate_exact(model: LocalModel, a: Setting, b: Setting) -> CorrelationReport:
-    A, B = _compiled(model, a), _compiled(model, b)
-    return CorrelationReport(
-        a, b, _cell_sum(model, A * B), _cell_sum(model, A), _cell_sum(model, B),
-        _conditionals(model, A), _conditionals(model, B), 0, 0.0,
-    )
-
-
-def _correlate_monte_carlo(
-    model: LocalModel, a: Setting, b: Setting, trials: int, seed: int
-) -> CorrelationReport:
+        return CorrelationReport(
+            a, b, _cell_sum(model, A * B), _cell_sum(model, A), _cell_sum(model, B),
+            _conditionals(model, A), _conditionals(model, B), 0, 0.0,
+        )
+    if method != "monte_carlo":
+        raise ValueError(f"unknown method {method!r}")
     if trials < 1:
         raise ZeroTrialsError("monte_carlo needs trials >= 1")
     states = model.source.states
-    A, B = _compiled(model, a), _compiled(model, b)
     rng = np.random.default_rng(stable_seed("correlate", seed, fmt12(a.angle), fmt12(b.angle)))
     prior = np.asarray(model.source.prior)
     weights = np.array(model.grid.weights)
@@ -261,25 +256,23 @@ def chsh(
 ) -> ChshResult:
     """The four-correlation combination of the model at (a, a', b, b').
 
-    ``exact`` compiles each of the four settings once and sums each pair's
-    products with the same kernel as :func:`correlate`, so every ``e_ab`` is
-    bit-identical to the per-pair one. Sharing compiled arrays across pairs
-    relies on the model being pure, as every exact path does; the locality
-    audit is the guard against models that are not. ``monte_carlo`` runs
-    :func:`correlate` per pair with seeds derived per setting pair, so
-    evaluating the four pairs in any order (or in parallel) gives
-    bit-identical results.
+    Both methods compile each of the four settings once and share the arrays
+    across the pairs that use them, which relies on the model being pure, as
+    every exact path does; the locality audit is the guard against models
+    that are not. ``exact`` sums each pair's products with the same kernel as
+    :func:`correlate`, so every ``e_ab`` is bit-identical to the per-pair one.
+    ``monte_carlo`` samples each pair through :func:`_pair_report`, as
+    :func:`correlate` does, with seeds derived per setting pair, so evaluating
+    the four pairs in any order (or in parallel) gives bit-identical results.
     """
-    if method == "exact":
-        compiled = cache(partial(_compiled, model))
+    compiled = cache(partial(_compiled, model))
 
-        def corr(x: Setting, y: Setting) -> float:
-            check_pair(x, y)
+    def corr(x: Setting, y: Setting) -> float:
+        check_pair(x, y)
+        if method == "exact":
             return _cell_sum(model, compiled(x) * compiled(y))
-    else:
-        def corr(x: Setting, y: Setting) -> float:
-            pair_seed = stable_seed("chsh-pair", seed, fmt12(x.angle), fmt12(y.angle))
-            return correlate(model, x, y, method=method, trials=trials, seed=pair_seed).e_ab
+        pair_seed = stable_seed("chsh-pair", seed, fmt12(x.angle), fmt12(y.angle))
+        return _pair_report(model, x, y, compiled(x), compiled(y), method, trials, pair_seed).e_ab
 
     return chsh_from_correlations(corr, a, a_prime, b, b_prime, tol)
 

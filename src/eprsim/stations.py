@@ -78,9 +78,11 @@ class Trials:
 class Schedule:
     """Deterministic run plan: trial count, setting policy, slot cycling, seeds.
 
-    Slots advance with the trial index modulo the grid size at both stations
-    (clock synchrony). Station seeds default to each generator's own seed, so
-    runs match the exact-summation paths unless explicitly overridden.
+    ``fixed`` runs its one pair in every trial, ``cycle`` runs the pairs in
+    turn and ``random`` draws each trial's pair from ``seed_settings``. Slots
+    advance with the trial index modulo the grid size at both stations (clock
+    synchrony). Station seeds default to each generator's own seed, so runs
+    match the exact-summation paths unless explicitly overridden.
     """
 
     trials: int
@@ -100,6 +102,8 @@ class Schedule:
         object.__setattr__(self, "pairs", pairs)
         if not pairs:
             raise InvalidScheduleError("schedule needs at least one setting pair")
+        if self.policy == "fixed" and len(pairs) != 1:
+            raise InvalidScheduleError(f"a fixed schedule holds one setting pair, got {len(pairs)}")
 
 
 @dataclass(frozen=True)
@@ -155,7 +159,7 @@ class _Runner:
         if schedule.policy == "random":
             self.pair = np.random.default_rng(schedule.seed_settings).integers(0, n, len(trial))
         else:
-            self.pair = trial % n if schedule.policy == "cycle" else np.zeros_like(trial)
+            self.pair = trial % n  # all zeros for the one pair of a fixed schedule
         self.slot = trial % model.grid.slot_count
         codes: dict[float, int] = {}
         for x in [*TEST_ANGLES, *(x for pair in schedule.pairs for x in pair)]:

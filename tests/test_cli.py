@@ -70,9 +70,10 @@ def test_check_negative_tolerance_exits_2(tmp_path, capsys, command):
     argv = ["zoo", "list"] if command == "zoo" else [command, "--model", "constant_plus"]
     if command == "transform":
         argv += ["--op", "double"]
-    assert run_cli(argv + ["--tol", "-1", "--out", str(tmp_path / "out")]) == 2
-    assert "--tol must be > 0" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    for tol in ("-1", "nan", "inf"):
+        assert run_cli(argv + ["--tol", tol, "--out", str(tmp_path / "out")]) == 2
+        assert "--tol must be > 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_check_layer_doubled_model_reports_zero_conditionals(tmp_path, capsys):
@@ -174,6 +175,16 @@ def test_audit_command(tmp_path, capsys):
     assert payload["audit"]["pass"] is True
 
 
+def test_audit_perturbations_beyond_the_alternatives_exit_2(tmp_path, capsys):
+    out = tmp_path / "aud"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["audit", "--model", "bell_product_basic", "--perturbations", "4",
+                 "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--perturbations: invalid choice: 4" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_angles_exit_2():
     assert run_cli(["chsh", "--model", "constant_plus", "--angles", "1,2,3"]) == 2
     assert run_cli(["chsh", "--model", "constant_plus", "--angles", "a,b,c,d"]) == 2
@@ -182,10 +193,15 @@ def test_bad_angles_exit_2():
 @pytest.mark.parametrize("argv", [
     ["simulate", "--model", "bell_product_basic", "--angle-a", "nan"],
     ["simulate", "--model", "bell_product_basic", "--angle-b", "inf"],
+    ["simulate", "--model", "bell_product_basic", "--policy", "cycle", "--angle-a", "nan",
+     "--trials", "16"],
+    ["simulate", "--model", "bell_product_basic", "--policy", "random", "--angle-b", "inf",
+     "--trials", "16"],
     ["check", "--model", "bell_product_basic", "--angle-a", "nan"],
     ["chsh", "--model", "bell_product_basic", "--angles", "nan,0,0,0"],
     ["chsh", "--model", "reference_cosine", "--angles", "inf,0,0,0"],
-], ids=["simulate_a", "simulate_b", "check", "chsh_model", "chsh_reference"])
+], ids=["simulate_a", "simulate_b", "simulate_cycle", "simulate_random", "check", "chsh_model",
+        "chsh_reference"])
 def test_non_finite_angle_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert run_cli(argv + ["--deterministic", "--out", str(out)]) == 2
@@ -304,7 +320,9 @@ def wrong_input_argv(tmp_path, model=VALID_MODEL, schedule=None, op="double"):
     ({"schedule": SCHEDULE.replace("pairs", "pair")}, "[schedule] has unknown keys ['pair']"),
     ({"model": VALID_MODEL.replace("[gen2]\nkind = constant", "[gen2]\nkind = cycle\n"
                                    "values = 0, 1\nstride = 0")}, "needs stride and modulus"),
-], ids=["slots", "seed_s1", "mean", "grid_key", "section", "schedule_key", "stride"])
+    ({"schedule": SCHEDULE.replace("random", "fixed")}, "a fixed schedule holds one setting pair"),
+], ids=["slots", "seed_s1", "mean", "grid_key", "section", "schedule_key", "stride",
+        "fixed_pairs"])
 def test_wrong_descriptor_input_is_a_configuration_error(tmp_path, capsys, edit, message):
     assert run_cli(wrong_input_argv(tmp_path, **edit)) == 2
     err = capsys.readouterr().err

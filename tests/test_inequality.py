@@ -30,6 +30,7 @@ from eprsim import (
     zoo_model,
 )
 from eprsim.model import CHSH_OPTIMAL_ANGLES
+from eprsim.util import fmt12, stable_seed
 from eprsim.zoo import all_zoo_models, random_factorized_model
 
 from conftest import GRID_PAIRS, OPTIMAL
@@ -145,11 +146,10 @@ def counted_rules(model):
     return counted, calls
 
 
-@pytest.mark.parametrize(
-    "model",
-    [*all_zoo_models(), *(random_factorized_model(seed) for seed in range(20))],
-    ids=lambda model: model.name,
-)
+COMPILE_MODELS = [*all_zoo_models(), *(random_factorized_model(seed) for seed in range(20))]
+
+
+@pytest.mark.parametrize("model", COMPILE_MODELS, ids=lambda model: model.name)
 def test_exact_chsh_compiles_each_setting_once(model):
     counted, calls = counted_rules(model)
     result = chsh(counted, *OPTIMAL)
@@ -158,6 +158,20 @@ def test_exact_chsh_compiles_each_setting_once(model):
     assert calls == {"gen": 4 * slots, "out": 4 * states * slots}
     per_pair = chsh_from_correlations(lambda x, y: correlate(model, x, y).e_ab, *OPTIMAL)
     assert repr(result) == repr(per_pair)
+
+
+@pytest.mark.parametrize("model", COMPILE_MODELS, ids=lambda model: model.name)
+def test_monte_carlo_chsh_compiles_each_setting_once(model):
+    counted, calls = counted_rules(model)
+    result = chsh(counted, *OPTIMAL, method="monte_carlo", trials=500, seed=3)
+    slots, states = model.grid.slot_count, len(model.source.states)
+    assert calls == {"gen": 4 * slots, "out": 4 * states * slots}
+
+    def corr(x, y):
+        seed = stable_seed("chsh-pair", 3, fmt12(x.angle), fmt12(y.angle))
+        return correlate(model, x, y, method="monte_carlo", trials=500, seed=seed).e_ab
+
+    assert repr(result) == repr(chsh_from_correlations(corr, *OPTIMAL))
 
 
 def test_deterministic_strategy_reaches_two():

@@ -246,6 +246,12 @@ def test_schedule_validation():
         Schedule(trials=5, policy="sometimes")
     with pytest.raises(InvalidScheduleError):
         Schedule(trials=5, pairs=())
+    # A fixed schedule runs one pair: extra pairs would be dropped, and a fixed
+    # schedule given no pairs would run the first default pair.
+    with pytest.raises(InvalidScheduleError, match="one setting pair, got 2"):
+        Schedule(trials=5, policy="fixed", pairs=((0.0, 0.5), (1.0, 1.5)))
+    with pytest.raises(InvalidScheduleError, match="one setting pair, got 16"):
+        Schedule(trials=5, policy="fixed")
 
 
 def test_station_seed_override_reaches_generators():
@@ -544,6 +550,7 @@ angles = st.one_of(
     pairs=st.lists(st.tuples(angles, angles), min_size=1, max_size=4),
 )
 def test_trials_csv_round_trips_byte_identically(tmp_path_factory, seed, trials, policy, pairs):
+    pairs = pairs[:1] if policy == "fixed" else pairs  # a fixed schedule holds one pair
     schedule = Schedule(trials=trials, policy=policy, pairs=tuple(pairs), seed_source=seed,
                         seed_settings=seed + 1)
     run = run_experiment(random_factorized_model(seed), schedule)
