@@ -39,10 +39,12 @@ from .errors import (
     ZeroTrialsError,
 )
 from .inequality import (
+    FALSE_ALARM_RATE,
     ChshResult,
     CorrelationReport,
     chsh,
     chsh_from_correlations,
+    chsh_from_reports,
     conditional_table,
     correlate,
     correlate_via_table,

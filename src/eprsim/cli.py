@@ -27,6 +27,7 @@ from .errors import (
     InvalidToleranceError,
 )
 from .inequality import (
+    FALSE_ALARM_RATE,
     chsh,
     chsh_from_correlations,
     conditional_table,
@@ -270,6 +271,9 @@ def cmd_chsh(args) -> int:
     reference = chsh_from_correlations(reference_correlation, *settings, tol=args.tol)
     trials = args.trials if args.method == "monte_carlo" else 0
     if args.model == REFERENCE_TABLE_NAME:
+        if args.method == "monte_carlo":
+            raise ConfigurationError(f"{REFERENCE_TABLE_NAME} is a table of exact "
+                                     "correlations; it takes only --method exact")
         model, result = None, reference
     else:
         model = make_model(args.model)
@@ -296,15 +300,20 @@ def cmd_chsh(args) -> int:
                 fmt12(ap),
                 fmt12(b),
                 fmt12(bp),
-                args.method if model is not None else "exact",
+                args.method,
                 trials,
                 args.seed,
                 fmt12(result.s_value),
                 str(result.within_local_bound).lower(),
             ))
     print(f"S = {fmt12(result.s_value)}")
+    if result.verdict is not None:
+        print(f"standard error = {fmt12(result.std_error)}")
     print(f"local deterministic bound = {fmt12(bound)}")
     print(f"within local bound: {str(result.within_local_bound).lower()}")
+    if result.verdict is not None:
+        print(f"sampled verdict: {result.verdict} "
+              f"(false-alarm rate {fmt12(FALSE_ALARM_RATE)})")
     print(f"reference (singlet cosine) S = {fmt12(reference.s_value)}")
     print(f"gap to reference = {fmt12(gap)}")
     return 0

@@ -63,7 +63,8 @@ class InvalidScheduleError(ConfigurationError):
 
 
 class ZeroTrialsError(ConfigurationError):
-    """Monte-Carlo estimation requested with fewer than one trial."""
+    """Monte-Carlo estimation requested with fewer than one trial, or more
+    than its counts can hold."""
 
 
 class DescriptorError(ConfigurationError):

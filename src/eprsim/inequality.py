@@ -9,8 +9,14 @@ never a generator. Tests cross-check the two. Every exact whole-model sum
 per-cell products with :func:`eprsim.model.cell_mass`, so it is the correctly
 rounded sum of those rounded products whatever the summation order, and the two
 routes agree bit for bit.
-Sampled +-1 outcomes, from the Monte Carlo draw here or from a lockstep run
-(:mod:`eprsim.stations`), reduce through one function, :func:`sampled_correlation`.
+Sampled +-1 outcomes reduce through one function, :func:`sampled_correlation`,
+from a tensor of integer counts over (state, A, B). A lockstep run
+(:mod:`eprsim.stations`) fills it by counting its trials; Monte Carlo fills it
+from one multinomial draw of the (state, slot) cell counts per pair, so its
+cost and memory do not grow with the trial count. A sampled CHSH value
+carries a standard error and a three-way verdict whose false-alarm rate is at
+most :data:`FALSE_ALARM_RATE` (Hoeffding's bound per pair, a union bound over
+the four pairs).
 """
 from __future__ import annotations
 
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import product
-from math import fsum, sqrt, cos
+from math import cos, fsum, log, sqrt
 from typing import Callable, Hashable, Mapping
 
 import numpy as np
@@ -37,6 +43,14 @@ from .model import (
 from .util import fmt12, stable_seed
 
 BOUND_TOL = 1e-9
+
+# A sampled CHSH value is reported as a violation of the local bound only
+# when a model within the bound would give it with probability at most this
+# (W. Hoeffding, JASA 58, 13 (1963); R. D. Gill, arXiv:quant-ph/0301059).
+FALSE_ALARM_RATE = 1e-6
+
+# The most Monte Carlo trials per pair: the multinomial draw counts in int64.
+MAX_TRIALS = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -69,13 +83,20 @@ class CorrelationReport:
 
 @dataclass(frozen=True)
 class ChshResult:
-    """Four pair correlations combined as e(a,b) - e(a,b') + e(a',b) + e(a',b')."""
+    """Four pair correlations combined as e(a,b) - e(a,b') + e(a',b) + e(a',b').
+
+    A sampled result (:func:`chsh_from_reports`) also holds the standard
+    error of S and its ``verdict``, ``within``, ``inconclusive`` or
+    ``violation``; an exact one holds ``None`` for both.
+    """
 
     settings: tuple[Setting, Setting, Setting, Setting]
     correlations: tuple[float, float, float, float]
     s_value: float
     local_bound: float
     within_local_bound: bool
+    std_error: float | None = None
+    verdict: str | None = None
 
     def __post_init__(self):
         e = self.correlations
@@ -96,6 +117,8 @@ class ChshResult:
             "s_value": self.s_value,
             "local_bound": self.local_bound,
             "within_local_bound": self.within_local_bound,
+            **({} if self.verdict is None
+               else {"std_error": self.std_error, "verdict": self.verdict}),
         }
 
 
@@ -134,9 +157,11 @@ def correlate(
     """Pair statistics for one setting pair, from its two compiled settings.
 
     ``exact`` performs the full weighted sum over (state, slot); the model is
-    finite so this is always available. ``monte_carlo`` draws (state, slot)
-    i.i.d. with the model's weights and reports empirical means with the
-    standard error of the pair product.
+    finite so this is always available. ``monte_carlo`` reports the empirical
+    means of ``trials`` i.i.d. draws of (state, slot) with the model's
+    weights, with the standard error of the pair product. Only how many
+    draws land in each cell matters, so the cell counts are drawn at once
+    from their multinomial law: time and memory do not grow with ``trials``.
     """
     check_pair(a, b)
     return _pair_report(model, a, b, _compiled(model, a), _compiled(model, b),
@@ -153,48 +178,51 @@ def _pair_report(model: LocalModel, a: Setting, b: Setting, A: np.ndarray, B: np
         )
     if method != "monte_carlo":
         raise ValueError(f"unknown method {method!r}")
-    if trials < 1:
-        raise ZeroTrialsError("monte_carlo needs trials >= 1")
-    states = model.source.states
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ZeroTrialsError(f"monte_carlo needs 1 <= trials <= {MAX_TRIALS}, got {trials}")
     rng = np.random.default_rng(stable_seed("correlate", seed, fmt12(a.angle), fmt12(b.angle)))
     prior = np.asarray(model.source.prior)
     weights = np.array(model.grid.weights)
-    li = rng.choice(len(states), size=trials, p=prior / prior.sum())
-    mi = rng.choice(model.grid.slot_count, size=trials, p=weights / weights.sum())
-    return sampled_correlation(a, b, A[li, mi], B[li, mi], li, states)
+    p = np.outer(prior / prior.sum(), weights / weights.sum())
+    cells = rng.multinomial(trials, p.ravel()).reshape(p.shape)
+    # Each cell's count goes to its state and its two outcomes.
+    counts = np.zeros((len(prior), 2, 2), dtype=np.int64)
+    np.add.at(counts, (np.arange(len(prior))[:, None], (A + 1) // 2, (B + 1) // 2), cells)
+    return sampled_correlation(a, b, counts, model.source.states)
 
 
 def sampled_correlation(
     a: Setting,
     b: Setting,
-    A: np.ndarray,
-    B: np.ndarray,
-    state: np.ndarray,
+    counts: np.ndarray,
     states: tuple[Hashable, ...],
 ) -> CorrelationReport:
-    """Pair statistics of sampled +-1 outcomes: sample t saw ``A[t]``, ``B[t]``
-    with the source in ``states[state[t]]``; conditionals cover sampled states.
+    """Pair statistics of sampled +-1 outcomes from their integer count tensor:
+    ``counts[s, i, j]`` samples saw the source in ``states[s]``, outcome
+    ``2i - 1`` at S1 and ``2j - 1`` at S2. Conditionals cover sampled states.
 
     Means are integer sums over counts, so each is correctly rounded. The
     squared deviations of the pair product take two values, so their sum is
     exact and rounded once, as ``math.fsum`` would round it.
     """
-    n = len(A)
-    plus = int(np.count_nonzero(A == B))
+    per_state = counts.sum(axis=(1, 2)).tolist()
+    n = sum(per_state)
+    plus = int(counts[:, 0, 0].sum() + counts[:, 1, 1].sum())
     e_ab = (2 * plus - n) / n
     std_error = 0.0
     if n > 1:
         squares = Fraction((1 - e_ab) ** 2) * plus + Fraction((-1 - e_ab) ** 2) * (n - plus)
         std_error = sqrt(float(squares) / (n - 1) / n)
-    counts = np.bincount(state, minlength=len(states)).tolist()
+    # Per-state outcome sums: plus-one counts minus minus-one counts.
+    sums_a = (counts[:, 1, :] - counts[:, 0, :]).sum(axis=1).tolist()
+    sums_b = (counts[:, :, 1] - counts[:, :, 0]).sum(axis=1).tolist()
 
-    def conditionals(outcomes):
-        sums = np.bincount(state, weights=outcomes, minlength=len(states)).tolist()
-        return {lam: s / c for lam, s, c in zip(states, sums, counts) if c}
+    def conditionals(sums):
+        return {lam: s / c for lam, s, c in zip(states, sums, per_state) if c}
 
     return CorrelationReport(
-        a, b, e_ab, int(A.sum()) / n, int(B.sum()) / n, conditionals(A), conditionals(B),
-        n, std_error,
+        a, b, e_ab, sum(sums_a) / n, sum(sums_b) / n, conditionals(sums_a),
+        conditionals(sums_b), n, std_error,
     )
 
 
@@ -261,20 +289,25 @@ def chsh(
     every exact path does; the locality audit is the guard against models
     that are not. ``exact`` sums each pair's products with the same kernel as
     :func:`correlate`, so every ``e_ab`` is bit-identical to the per-pair one.
-    ``monte_carlo`` samples each pair through :func:`_pair_report`, as
-    :func:`correlate` does, with seeds derived per setting pair, so evaluating
-    the four pairs in any order (or in parallel) gives bit-identical results.
+    ``monte_carlo`` samples each pair's cell counts as :func:`correlate` does,
+    with seeds derived per setting pair, so evaluating the four pairs in any
+    order (or in parallel) gives bit-identical results, and combines the four
+    reports with :func:`chsh_from_reports`.
     """
     compiled = cache(partial(_compiled, model))
-
-    def corr(x: Setting, y: Setting) -> float:
-        check_pair(x, y)
-        if method == "exact":
+    if method == "exact":
+        def corr(x: Setting, y: Setting) -> float:
+            check_pair(x, y)
             return _cell_sum(model, compiled(x) * compiled(y))
-        pair_seed = stable_seed("chsh-pair", seed, fmt12(x.angle), fmt12(y.angle))
-        return _pair_report(model, x, y, compiled(x), compiled(y), method, trials, pair_seed).e_ab
 
-    return chsh_from_correlations(corr, a, a_prime, b, b_prime, tol)
+        return chsh_from_correlations(corr, a, a_prime, b, b_prime, tol)
+    reports = []
+    for x, y in ((a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime)):
+        check_pair(x, y)
+        pair_seed = stable_seed("chsh-pair", seed, fmt12(x.angle), fmt12(y.angle))
+        reports.append(_pair_report(model, x, y, compiled(x), compiled(y), method, trials,
+                                    pair_seed))
+    return chsh_from_reports(*reports, tol=tol)
 
 
 def chsh_from_correlations(
@@ -290,6 +323,39 @@ def chsh_from_correlations(
     es = (corr(a, b), corr(a, b_prime), corr(a_prime, b), corr(a_prime, b_prime))
     s = es[0] - es[1] + es[2] + es[3]
     return ChshResult((a, a_prime, b, b_prime), es, s, 2.0, abs(s) <= 2.0 + tol)
+
+
+def chsh_from_reports(
+    ab: CorrelationReport,
+    ab_prime: CorrelationReport,
+    a_prime_b: CorrelationReport,
+    a_prime_b_prime: CorrelationReport,
+    tol: float = BOUND_TOL,
+) -> ChshResult:
+    """CHSH combination of four sampled pair reports, with an honest verdict.
+
+    The pairs are sampled with independent seeds, so the variances add. The
+    verdict is ``within`` when |S| <= 2 + ``tol``, ``violation`` when |S| - 2
+    exceeds the sum over the pairs of sqrt(2 ln(8/alpha) / n), and
+    ``inconclusive`` otherwise. With probability at least 1 - alpha/4 each
+    sampled e(x, y) lies within its term of its mean (Hoeffding, for n
+    outcomes in [-1, 1]), so a model whose true |S| is at most 2 is reported
+    as a violation with probability at most alpha = :data:`FALSE_ALARM_RATE`.
+    Only a ``violation`` is outside the local bound.
+    """
+    reports = (ab, ab_prime, a_prime_b, a_prime_b_prime)
+    es = tuple(r.e_ab for r in reports)
+    s = es[0] - es[1] + es[2] + es[3]
+    margin = fsum(sqrt(2.0 * log(8.0 / FALSE_ALARM_RATE) / r.trials) for r in reports)
+    if abs(s) <= 2.0 + tol:
+        verdict = "within"
+    elif abs(s) - 2.0 > margin:
+        verdict = "violation"
+    else:
+        verdict = "inconclusive"
+    settings = (ab.setting_a, a_prime_b.setting_a, ab.setting_b, ab_prime.setting_b)
+    return ChshResult(settings, es, s, 2.0, verdict != "violation",
+                      sqrt(fsum(r.std_error ** 2 for r in reports)), verdict)
 
 
 def reference_correlation(a: Setting, b: Setting) -> float:

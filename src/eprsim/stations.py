@@ -276,18 +276,21 @@ def locality_audit(
 
 
 def empirical_correlations(trials: Trials) -> dict[tuple[float, float], CorrelationReport]:
-    """Each setting pair's pooled statistics, keyed by its angles as first run."""
+    """Each setting pair's pooled statistics, keyed by its angles as first run.
+
+    One count over (pair, state, A, B) gives every pair's count tensor for
+    :func:`eprsim.inequality.sampled_correlation`.
+    """
     _, a = np.unique(trials.a, return_inverse=True)
     b_angles, b = np.unique(trials.b, return_inverse=True)
     _, first, pair = np.unique(a * len(b_angles) + b, return_index=True, return_inverse=True)
+    n_states = len(trials.states)
+    cells = ((pair * n_states + trials.state) * 2 + (trials.A > 0)) * 2 + (trials.B > 0)
+    counts = np.bincount(cells, minlength=len(first) * n_states * 4).reshape(-1, n_states, 2, 2)
     out = {}
     for g in np.argsort(first):
-        rows = pair == g
         key = (float(trials.a[first[g]]), float(trials.b[first[g]]))
-        out[key] = sampled_correlation(
-            s1(key[0]), s2(key[1]), trials.A[rows], trials.B[rows], trials.state[rows],
-            trials.states,
-        )
+        out[key] = sampled_correlation(s1(key[0]), s2(key[1]), counts[g], trials.states)
     return out
 
 

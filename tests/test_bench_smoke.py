@@ -4,8 +4,10 @@ One untimed pass per workload at seed 7, checked by the benchmark's own
 gate. On ``exact_wide`` that is the golden ``check.json``/``joint_table.csv``
 comparison, the slot-correlated model's deviation and the doubled model's
 all-zero conditionals; on ``trials`` it includes ``trials.csv`` against
-``golden.json``, written through ``write_trials_csv``. A change that breaks
-``perfbench/run.py`` or the outputs it compares fails here.
+``golden.json``, written through ``write_trials_csv``; on ``monte_carlo`` it
+includes the Monte Carlo S within 6 sigma of the exact S at 2e6 trials per
+pair. A change that breaks ``perfbench/run.py`` or the outputs it compares
+fails here.
 """
 import json
 import subprocess
@@ -17,7 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["trials", "exact_wide"])
+@pytest.mark.parametrize("workload", ["trials", "exact_wide", "monte_carlo"])
 def test_benchmark_pass_is_correct(workload):
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "7",

@@ -157,6 +157,45 @@ def test_chsh_zoo_model_within_bound(tmp_path):
     assert abs(payload["chsh"]["s_value"]) <= 2.0 + 1e-9
 
 
+def test_chsh_reference_table_rejects_monte_carlo(tmp_path, capsys):
+    out = tmp_path / "ref"
+    code = run_cli(["chsh", "--model", "reference_cosine", "--method", "monte_carlo",
+                    "--deterministic", "--out", str(out)])
+    assert code == 2
+    assert "only --method exact" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_chsh_monte_carlo_trials_beyond_int64_exit_2(tmp_path, capsys):
+    out = tmp_path / "mc"
+    code = run_cli(["chsh", "--model", "bell_product_basic", "--method", "monte_carlo",
+                    "--trials", str(2**63), "--deterministic", "--out", str(out)])
+    assert code == 2
+    assert "trials <= 9223372036854775807" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_chsh_verdict_and_standard_error_only_for_monte_carlo(tmp_path, capsys):
+    """cosine_threshold_lhv has exact S = -2: a sampled |S| above 2 is
+    inconclusive, not outside the local bound."""
+    out = tmp_path / "mc"
+    assert run_cli(["chsh", "--model", "cosine_threshold_lhv", "--method", "monte_carlo",
+                    "--trials", "100000", "--seed", "1", "--deterministic",
+                    "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    result = json.loads((out / "chsh.json").read_text())["chsh"]
+    assert abs(result["s_value"]) > 2.0
+    assert (result["verdict"], result["within_local_bound"]) == ("inconclusive", True)
+    assert 0.0 < result["std_error"] < 0.01
+    assert "sampled verdict: inconclusive (false-alarm rate 1e-06)" in stdout
+    assert "within local bound: true" in stdout
+    assert run_cli(["chsh", "--model", "cosine_threshold_lhv", "--deterministic",
+                    "--out", str(tmp_path / "exact")]) == 0
+    assert "verdict" not in capsys.readouterr().out
+    exact = json.loads((tmp_path / "exact" / "chsh.json").read_text())["chsh"]
+    assert "verdict" not in exact and "std_error" not in exact
+
+
 def test_chsh_deterministic_reruns_are_byte_identical(tmp_path):
     args = ["chsh", "--model", "hp_time_correlated", "--method", "monte_carlo",
             "--trials", "5000", "--seed", "3", "--deterministic"]

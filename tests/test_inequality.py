@@ -1,5 +1,6 @@
 import math
 import statistics
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -9,12 +10,15 @@ import pytest
 
 from eprsim import (
     OutcomeFn,
+    SourceSpace,
     Station,
     StationMismatchError,
+    TimeGrid,
     ZeroTrialsError,
     balanced_sign_function,
     chsh,
     chsh_from_correlations,
+    chsh_from_reports,
     condition_sign_on_source,
     conditional_table,
     correlate,
@@ -29,6 +33,7 @@ from eprsim import (
     time_symmetrize,
     zoo_model,
 )
+from eprsim.inequality import _pair_report
 from eprsim.model import CHSH_OPTIMAL_ANGLES
 from eprsim.util import fmt12, stable_seed
 from eprsim.zoo import all_zoo_models, random_factorized_model
@@ -115,6 +120,54 @@ def test_monte_carlo_requires_trials():
         correlate(zoo_model("constant_plus"), s1(0.0), s2(0.0), method="monte_carlo", trials=0)
 
 
+def test_sampled_chsh_of_a_local_model_is_never_a_violation():
+    """Every zoo model is local, so a sampled violation would be a false alarm.
+    cosine_threshold_lhv sits on the bound (exact S = -2): about half its
+    runs land beyond it, and they read inconclusive, within the bound."""
+    verdicts = Counter()
+    for model in all_zoo_models():
+        for seed in range(100):
+            result = chsh(model, *OPTIMAL, method="monte_carlo", trials=10**5, seed=seed)
+            assert result.within_local_bound, (model.name, seed, result.s_value)
+            verdicts[result.verdict] += 1
+    assert verdicts["violation"] == 0
+    assert verdicts["inconclusive"] > 0
+
+
+@pytest.mark.parametrize("agree, exact_s", [(16, 4.0), (13, 2.5)])
+def test_sampled_chsh_of_per_pair_arrays_beyond_the_bound_is_a_violation(agree, exact_s):
+    """Compiled arrays per pair, where S1's array reads the S2 setting: A = B
+    in ``agree`` of 16 equal slots, with A flipped on (a, b'). That is a PR
+    box at 16 and exact S = 4 * 10/16 = 2.5 at 13; no local model reaches either."""
+    model = replace(zoo_model("constant_plus"), source=SourceSpace(("u",), (1.0,)),
+                    grid=TimeGrid(16))
+    pattern = np.where(np.arange(16) < agree, 1, -1).astype(np.int8)[None, :]
+    ones = np.ones((1, 16), dtype=np.int8)
+    a, ap, b, bp = OPTIMAL
+    reports = [_pair_report(model, x, y, sign * pattern, ones, "monte_carlo", 10**5, seed)
+               for seed, (x, y, sign) in enumerate(
+                   [(a, b, 1), (a, bp, -1), (ap, b, 1), (ap, bp, 1)])]
+    result = chsh_from_reports(*reports)
+    assert abs(result.s_value - exact_s) < 10 * result.std_error + 1e-12
+    assert (result.verdict, result.within_local_bound) == ("violation", False)
+    assert result.to_dict()["verdict"] == "violation"
+
+
+def test_monte_carlo_cost_does_not_grow_with_trials():
+    model = zoo_model("cosine_threshold_lhv")
+    a, b = s1(0.0), s2(math.pi / 4)
+    correlate(model, a, b, method="monte_carlo", trials=10, seed=1)  # lazy imports
+    tracemalloc.start()
+    try:
+        report = correlate(model, a, b, method="monte_carlo", trials=10**9, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.trials == 10**9
+    assert peak < 1 << 20
+    assert abs(report.e_ab - correlate(model, a, b).e_ab) < 6 * report.std_error
+
+
 def test_station_order_is_enforced():
     with pytest.raises(StationMismatchError):
         correlate(zoo_model("constant_plus"), s2(0.0), s2(0.0))  # type: ignore[arg-type]
@@ -167,11 +220,13 @@ def test_monte_carlo_chsh_compiles_each_setting_once(model):
     slots, states = model.grid.slot_count, len(model.source.states)
     assert calls == {"gen": 4 * slots, "out": 4 * states * slots}
 
-    def corr(x, y):
+    def report(x, y):
         seed = stable_seed("chsh-pair", 3, fmt12(x.angle), fmt12(y.angle))
-        return correlate(model, x, y, method="monte_carlo", trials=500, seed=seed).e_ab
+        return correlate(model, x, y, method="monte_carlo", trials=500, seed=seed)
 
-    assert repr(result) == repr(chsh_from_correlations(corr, *OPTIMAL))
+    a, ap, b, bp = OPTIMAL
+    per_pair = chsh_from_reports(report(a, b), report(a, bp), report(ap, b), report(ap, bp))
+    assert repr(result) == repr(per_pair)
 
 
 def test_deterministic_strategy_reaches_two():

@@ -2,15 +2,20 @@
 
 Each reference evaluates the rules cell by cell and adds in a fixed, visible
 order. Results must be equal, not merely close, because ``--deterministic``
-outputs are compared byte for byte.
+outputs are compared byte for byte. The sampled paths reduce integer count
+tensors; their references reduce one sample at a time, as the per-sample
+reducer and the per-pair mask loop they replaced did.
 """
 import random
-from math import fsum
+from dataclasses import fields
+from fractions import Fraction
+from math import fsum, sqrt
 
 import numpy as np
 
 from eprsim import (
     TEST_ANGLES,
+    CorrelationReport,
     JointTable,
     Setting,
     Station,
@@ -29,14 +34,19 @@ from eprsim import (
     time_symmetrize,
     zoo_model,
 )
+from eprsim import cli
+from eprsim.inequality import sampled_correlation
 from eprsim.model import station_outcomes, station_values
+from eprsim.stations import empirical_correlations
 from eprsim.symmetry import exact_marginal
+from eprsim.util import fmt12, stable_seed
 from eprsim.zoo import ZOO, random_factorized_model
 
 from conftest import GRID_PAIRS
+from test_output_digests import collect_digests
 
 
-def models():
+def models(random_seeds=100):
     for name in ZOO:
         base = zoo_model(name)
         yield base
@@ -49,7 +59,7 @@ def models():
         doubled = layer_double(base)
         yield condition_sign_on_source(
             time_symmetrize(doubled, balanced_sign_function(doubled.grid, seed=3)), seed=4)
-    for seed in range(100):
+    for seed in range(random_seeds):
         yield random_factorized_model(seed)
 
 
@@ -210,3 +220,108 @@ def test_check_factorization_matches_reference_loop():
             assert_factorization_matches_reference(table_from_csv(table_to_csv(table), a, b))
     for table in hand_built_tables(500):
         assert_factorization_matches_reference(table)
+
+
+def reference_sampled_correlation(a, b, A, B, state, states):
+    """Pair statistics one sample at a time: sample t saw ``A[t]``, ``B[t]``
+    with the source in ``states[state[t]]``."""
+    n = len(A)
+    plus = int(np.count_nonzero(A == B))
+    e_ab = (2 * plus - n) / n
+    std_error = 0.0
+    if n > 1:
+        squares = Fraction((1 - e_ab) ** 2) * plus + Fraction((-1 - e_ab) ** 2) * (n - plus)
+        std_error = sqrt(float(squares) / (n - 1) / n)
+    counts = np.bincount(state, minlength=len(states)).tolist()
+
+    def conditionals(outcomes):
+        sums = np.bincount(state, weights=outcomes, minlength=len(states)).tolist()
+        return {lam: s / c for lam, s, c in zip(states, sums, counts) if c}
+
+    return CorrelationReport(
+        a, b, e_ab, int(A.sum()) / n, int(B.sum()) / n, conditionals(A), conditionals(B),
+        n, std_error,
+    )
+
+
+def report_fields(report):
+    return [repr(getattr(report, f.name)) for f in fields(report)]
+
+
+def compiled_pair(model, a, b):
+    return (station_outcomes(model, a, station_values(model, a)),
+            station_outcomes(model, b, station_values(model, b)))
+
+
+def test_count_tensor_reducer_matches_per_sample_reference():
+    """The per-cell draw of state and slot, binned one sample at a time."""
+    for k, model in enumerate(models(random_seeds=20)):
+        rng = np.random.default_rng(k)
+        prior = np.asarray(model.source.prior)
+        weights = np.array(model.grid.weights)
+        states = model.source.states
+        for a, b in GRID_PAIRS:
+            A, B = compiled_pair(model, a, b)
+            trials = int(rng.choice((1, 2, 7, 300)))
+            li = rng.choice(len(states), size=trials, p=prior / prior.sum())
+            mi = rng.choice(model.grid.slot_count, size=trials, p=weights / weights.sum())
+            counts = np.zeros((len(states), 2, 2), dtype=np.int64)
+            for s, x, y in zip(li.tolist(), A[li, mi].tolist(), B[li, mi].tolist()):
+                counts[s, (x + 1) // 2, (y + 1) // 2] += 1
+            expected = reference_sampled_correlation(a, b, A[li, mi], B[li, mi], li, states)
+            found = sampled_correlation(a, b, counts, states)
+            assert report_fields(found) == report_fields(expected), (model.name, a, b)
+
+
+def test_monte_carlo_counts_match_per_sample_reference():
+    """Each multinomial cell count expanded into that many samples of the cell."""
+    for model in models(random_seeds=20):
+        prior = np.asarray(model.source.prior)
+        weights = np.array(model.grid.weights)
+        p = np.outer(prior / prior.sum(), weights / weights.sum()).ravel()
+        for seed, (a, b) in enumerate(GRID_PAIRS):
+            A, B = compiled_pair(model, a, b)
+            trials = 1 + 97 * seed
+            rng = np.random.default_rng(
+                stable_seed("correlate", seed, fmt12(a.angle), fmt12(b.angle)))
+            cell = np.repeat(np.arange(p.size), rng.multinomial(trials, p))
+            li, mi = np.divmod(cell, model.grid.slot_count)
+            expected = reference_sampled_correlation(a, b, A[li, mi], B[li, mi], li,
+                                                     model.source.states)
+            found = correlate(model, a, b, method="monte_carlo", trials=trials, seed=seed)
+            assert report_fields(found) == report_fields(expected), (model.name, a, b)
+
+
+def reference_empirical_correlations(trials):
+    """Each setting pair's statistics from a boolean mask over its trials."""
+    _, a = np.unique(trials.a, return_inverse=True)
+    b_angles, b = np.unique(trials.b, return_inverse=True)
+    _, first, pair = np.unique(a * len(b_angles) + b, return_index=True, return_inverse=True)
+    out = {}
+    for g in np.argsort(first):
+        rows = pair == g
+        key = (float(trials.a[first[g]]), float(trials.b[first[g]]))
+        out[key] = reference_sampled_correlation(
+            s1(key[0]), s2(key[1]), trials.A[rows], trials.B[rows], trials.state[rows],
+            trials.states,
+        )
+    return out
+
+
+def test_empirical_correlations_match_mask_loop_on_recorded_runs(tmp_path, monkeypatch):
+    """Every ``simulate`` case whose outputs ``tests/output_digests.json`` records."""
+    runs = []
+
+    def checked(trials):
+        found = empirical_correlations(trials)
+        expected = reference_empirical_correlations(trials)
+        assert list(found) == list(expected)
+        assert [report_fields(r) for r in found.values()] == [
+            report_fields(r) for r in expected.values()]
+        runs.append(len(trials))
+        return found
+
+    monkeypatch.setattr(cli, "empirical_correlations", checked)
+    monkeypatch.chdir(tmp_path)
+    digests = collect_digests()
+    assert len(runs) == sum(key.endswith("/summary.json") for key in digests) > 0
