@@ -8,9 +8,9 @@ import argparse
 
 from eprsim import (
     CHSH_OPTIMAL_ANGLES,
+    LOCAL_BOUND,
     chsh,
     chsh_from_correlations,
-    deterministic_bound,
     reference_correlation,
     s1,
     s2,
@@ -34,8 +34,7 @@ def main():
     args = parser.parse_args()
 
     reference = chsh_from_correlations(reference_correlation, *SETTINGS)
-    bound = deterministic_bound()
-    print(f"local deterministic bound: {fmt12(bound)}")
+    print(f"local deterministic bound: {fmt12(LOCAL_BOUND)}")
     print(f"singlet cosine reference:  S = {fmt12(reference.s_value)}")
     print()
     print(f"{'model':28s} {'S':>16s} {'|S|':>14s} {'gap to ref':>12s}")

@@ -40,6 +40,7 @@ from .errors import (
 )
 from .inequality import (
     FALSE_ALARM_RATE,
+    LOCAL_BOUND,
     ChshResult,
     CorrelationReport,
     chsh,
@@ -48,8 +49,6 @@ from .inequality import (
     conditional_table,
     correlate,
     correlate_via_table,
-    deterministic_bound,
-    deterministic_strategies,
     exact_marginal,
     reference_correlation,
 )

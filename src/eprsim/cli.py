@@ -28,11 +28,11 @@ from .errors import (
 )
 from .inequality import (
     FALSE_ALARM_RATE,
+    LOCAL_BOUND,
     chsh,
     chsh_from_correlations,
     conditional_table,
     correlate,
-    deterministic_bound,
     reference_correlation,
 )
 from .model import CHSH_OPTIMAL_ANGLES, TEST_ANGLES, LocalModel, s1, s2
@@ -279,12 +279,11 @@ def cmd_chsh(args) -> int:
         model = make_model(args.model)
         result = chsh(model, *settings, method=args.method, trials=trials, seed=args.seed,
                       tol=args.tol)
-    bound = deterministic_bound()
     gap = abs(reference.s_value) - abs(result.s_value)
     payload = _report(
         args, model,
         chsh=result.to_dict(),
-        deterministic_bound=bound,
+        deterministic_bound=LOCAL_BOUND,
         reference_s=reference.s_value,
         gap_to_reference=gap,
     )
@@ -309,7 +308,7 @@ def cmd_chsh(args) -> int:
     print(f"S = {fmt12(result.s_value)}")
     if result.verdict is not None:
         print(f"standard error = {fmt12(result.std_error)}")
-    print(f"local deterministic bound = {fmt12(bound)}")
+    print(f"local deterministic bound = {fmt12(LOCAL_BOUND)}")
     print(f"within local bound: {str(result.within_local_bound).lower()}")
     if result.verdict is not None:
         print(f"sampled verdict: {result.verdict} "

@@ -1,4 +1,4 @@
-"""Correlations, conditional expectations, CHSH combinations and reference bounds.
+"""Correlations, conditional expectations, CHSH combinations and the local bound.
 
 Two independent exact routes exist on purpose: :func:`correlate` sums over
 each station's compiled (state, slot) outcome array
@@ -16,14 +16,14 @@ from one multinomial draw of the (state, slot) cell counts per pair, so its
 cost and memory do not grow with the trial count. A sampled CHSH value
 carries a standard error and a three-way verdict whose false-alarm rate is at
 most :data:`FALSE_ALARM_RATE` (Hoeffding's bound per pair, a union bound over
-the four pairs).
+the four pairs). A :class:`ChshResult` holds the four correlations and
+derives S and its comparison with :data:`LOCAL_BOUND` from them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, partial
-from itertools import product
 from math import cos, fsum, log, sqrt
 from typing import Callable, Hashable, Mapping
 
@@ -43,6 +43,12 @@ from .model import (
 from .util import fmt12, stable_seed
 
 BOUND_TOL = 1e-9
+
+# The CHSH bound of every local model. Each of the 16 deterministic +-1
+# strategies, A(a), A(a'), B(b), B(b'), gives S = +-2, and a local model,
+# conditioned on its clock slot too, is a mixture of them (A. Fine, PRL 48,
+# 291 (1982)), so |S| <= 2.
+LOCAL_BOUND = 2.0
 
 # A sampled CHSH value is reported as a violation of the local bound only
 # when a model within the bound would give it with probability at most this
@@ -83,28 +89,35 @@ class CorrelationReport:
 
 @dataclass(frozen=True)
 class ChshResult:
-    """Four pair correlations combined as e(a,b) - e(a,b') + e(a',b) + e(a',b').
-
-    A sampled result (:func:`chsh_from_reports`) also holds the standard
-    error of S and its ``verdict``, ``within``, ``inconclusive`` or
-    ``violation``; an exact one holds ``None`` for both.
+    """Four pair correlations, e(a,b), e(a,b'), e(a',b), e(a',b'), and the
+    tolerance of the local bound; ``s_value`` and ``within_local_bound``
+    derive from them. A sampled result (:func:`chsh_from_reports`) also holds
+    the standard error of S and its ``verdict``, ``within``, ``inconclusive``
+    or ``violation``; an exact one holds ``None`` for both.
     """
 
     settings: tuple[Setting, Setting, Setting, Setting]
     correlations: tuple[float, float, float, float]
-    s_value: float
-    local_bound: float
-    within_local_bound: bool
+    tol: float
     std_error: float | None = None
     verdict: str | None = None
 
     def __post_init__(self):
-        e = self.correlations
-        combo = e[0] - e[1] + e[2] + e[3]
-        if abs(self.s_value - combo) > 1e-12:
-            raise ValueError("CHSH value does not match its four correlations")
         if abs(self.s_value) > 4.0 + 1e-12:
             raise ValueError("CHSH value outside [-4, 4]")
+
+    @property
+    def s_value(self) -> float:
+        """The CHSH combination e(a,b) - e(a,b') + e(a',b) + e(a',b')."""
+        e = self.correlations
+        return e[0] - e[1] + e[2] + e[3]
+
+    @property
+    def within_local_bound(self) -> bool:
+        """Sampled: unless a violation. Exact: |S| <= :data:`LOCAL_BOUND` + ``tol``."""
+        if self.verdict is not None:
+            return self.verdict != "violation"
+        return abs(self.s_value) <= LOCAL_BOUND + self.tol
 
     def to_dict(self) -> dict:
         a, ap, b, bp = self.settings
@@ -115,7 +128,7 @@ class ChshResult:
             "bprime": bp.angle,
             "correlations": list(self.correlations),
             "s_value": self.s_value,
-            "local_bound": self.local_bound,
+            "local_bound": LOCAL_BOUND,
             "within_local_bound": self.within_local_bound,
             **({} if self.verdict is None
                else {"std_error": self.std_error, "verdict": self.verdict}),
@@ -321,8 +334,7 @@ def chsh_from_correlations(
     """CHSH combination of any correlation function: a model's (via :func:`chsh`)
     or the cosine reference table, which bypasses any local model."""
     es = (corr(a, b), corr(a, b_prime), corr(a_prime, b), corr(a_prime, b_prime))
-    s = es[0] - es[1] + es[2] + es[3]
-    return ChshResult((a, a_prime, b, b_prime), es, s, 2.0, abs(s) <= 2.0 + tol)
+    return ChshResult((a, a_prime, b, b_prime), es, tol)
 
 
 def chsh_from_reports(
@@ -341,40 +353,28 @@ def chsh_from_reports(
     sampled e(x, y) lies within its term of its mean (Hoeffding, for n
     outcomes in [-1, 1]), so a model whose true |S| is at most 2 is reported
     as a violation with probability at most alpha = :data:`FALSE_ALARM_RATE`.
-    Only a ``violation`` is outside the local bound.
+    Only a ``violation`` is outside the local bound. Every report must be
+    sampled: an exact one (no trials) raises :class:`ZeroTrialsError`.
     """
     reports = (ab, ab_prime, a_prime_b, a_prime_b_prime)
-    es = tuple(r.e_ab for r in reports)
-    s = es[0] - es[1] + es[2] + es[3]
+    for r in reports:
+        if r.trials == 0:
+            raise ZeroTrialsError(f"pair a={fmt12(r.setting_a.angle)}, b={fmt12(r.setting_b.angle)}"
+                                  " is an exact report; a sampled CHSH needs trials")
+    settings = (ab.setting_a, a_prime_b.setting_a, ab.setting_b, ab_prime.setting_b)
+    result = ChshResult(settings, tuple(r.e_ab for r in reports), tol)
     margin = fsum(sqrt(2.0 * log(8.0 / FALSE_ALARM_RATE) / r.trials) for r in reports)
-    if abs(s) <= 2.0 + tol:
+    if result.within_local_bound:
         verdict = "within"
-    elif abs(s) - 2.0 > margin:
+    elif abs(result.s_value) - LOCAL_BOUND > margin:
         verdict = "violation"
     else:
         verdict = "inconclusive"
-    settings = (ab.setting_a, a_prime_b.setting_a, ab.setting_b, ab_prime.setting_b)
-    return ChshResult(settings, es, s, 2.0, verdict != "violation",
-                      sqrt(fsum(r.std_error ** 2 for r in reports)), verdict)
+    return replace(result, std_error=sqrt(fsum(r.std_error ** 2 for r in reports)),
+                   verdict=verdict)
 
 
 def reference_correlation(a: Setting, b: Setting) -> float:
     """Singlet-state reference value -cos(a - b); used only for gap reporting."""
     check_pair(a, b)
     return -cos(a.angle - b.angle)
-
-
-def deterministic_strategies(n_settings_per_side: int):
-    """All deterministic +-1 assignments for n settings per side."""
-    for avals in product((-1, 1), repeat=n_settings_per_side):
-        for bvals in product((-1, 1), repeat=n_settings_per_side):
-            yield avals, bvals
-
-
-def deterministic_bound() -> float:
-    """Maximum of the CHSH combination over the 16 deterministic strategies
-    with two settings per side."""
-    return max(
-        float(a0 * b0 - a0 * b1 + a1 * b0 + a1 * b1)
-        for (a0, a1), (b0, b1) in deterministic_strategies(2)
-    )

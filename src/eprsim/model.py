@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import fsum
 from typing import Callable, Hashable, Mapping
 
@@ -218,7 +219,6 @@ class LocalModel:
     doubled: bool = False
     lambda_sign: Mapping[Hashable, int] | None = None
     transforms: tuple[str, ...] = ()
-    signs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.gen1.station is not Station.S1 or self.out1.station is not Station.S1:
@@ -236,12 +236,18 @@ class LocalModel:
                 raise HarnessError(f"{self.name}: lambda_sign misses states {missing!r}")
             if any(v not in (-1, 1) for v in self.lambda_sign.values()):
                 raise CodomainViolationError(f"{self.name}: lambda_sign values must be +-1")
+
+    @cached_property
+    def signs(self) -> dict[Station, np.ndarray | None]:
+        """Each station's read-only modifier product, built on first read:
+        a transform chain builds only its last model's arrays."""
         states, signs = self.source.states, {Station.S1: None, Station.S2: None}
         for station in signs:
             timed = self.sign is not None and self.sign_station in (None, station)
             if not (timed or self.doubled or self.lambda_sign is not None):
                 continue
-            row = np.array(self.sign.values if timed else [1] * n, dtype=np.int8)
+            row = np.array(self.sign.values if timed else [1] * self.grid.slot_count,
+                           dtype=np.int8)
             if self.doubled:
                 row[1::2] *= -1
             column = [1] * len(states)
@@ -249,7 +255,7 @@ class LocalModel:
                 column = [self.lambda_sign[lam] for lam in states]
             signs[station] = np.array(column, dtype=np.int8)[:, None] * row
             signs[station].setflags(write=False)
-        object.__setattr__(self, "signs", signs)
+        return signs
 
     def gen(self, station: Station) -> InstrumentParamGen:
         return self.gen1 if station is Station.S1 else self.gen2

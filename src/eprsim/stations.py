@@ -45,6 +45,10 @@ POLICIES = ("fixed", "cycle", "random")
 # in the trial count.
 CSV_BLOCK_ROWS = 1 << 12
 
+# The most trials a run holds: its int64 per-trial columns must fit numpy's
+# largest array.
+MAX_RUN_TRIALS = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize
+
 
 @dataclass(frozen=True, eq=False)
 class Trials:
@@ -94,8 +98,8 @@ class Schedule:
     seed_s2: int | None = None
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise InvalidScheduleError(f"trials must be >= 1, got {self.trials}")
+        if not 1 <= self.trials <= MAX_RUN_TRIALS:
+            raise InvalidScheduleError(f"trials must be in 1..{MAX_RUN_TRIALS}, got {self.trials}")
         if self.policy not in POLICIES:
             raise InvalidScheduleError(f"unknown setting policy {self.policy!r}")
         pairs = tuple((float(a), float(b)) for a, b in self.pairs)
@@ -151,6 +155,12 @@ class _Runner:
     """
 
     def __init__(self, model: LocalModel, schedule: Schedule):
+        try:
+            self._draw(model, schedule)
+        except MemoryError:
+            raise InvalidScheduleError(f"{schedule.trials} trials do not fit in memory") from None
+
+    def _draw(self, model: LocalModel, schedule: Schedule) -> None:
         self.model, self.schedule = model, schedule
         n, trial = len(schedule.pairs), np.arange(schedule.trials)
         prior = np.asarray(model.source.prior)

@@ -11,6 +11,7 @@ from math import fsum
 import pytest
 
 from eprsim import (
+    LOCAL_BOUND,
     Schedule,
     Station,
     balanced_sign_function,
@@ -21,8 +22,6 @@ from eprsim import (
     conditional_table,
     correlate,
     correlate_via_table,
-    deterministic_bound,
-    deterministic_strategies,
     evaluate_outcome,
     layer_double,
     locality_audit,
@@ -37,7 +36,7 @@ from eprsim.cli import main as cli_main
 from eprsim.model import TEST_ANGLES
 from eprsim.zoo import ZOO, all_zoo_models, m_constant_zoo_models, random_factorized_model
 
-from conftest import GRID_PAIRS, OPTIMAL
+from conftest import DETERMINISTIC_STRATEGIES, GRID_PAIRS, OPTIMAL, strategy_s
 from test_stations import remote_reading_model
 
 
@@ -222,8 +221,9 @@ def test_criterion_7_locality_audit():
 
 
 def test_criterion_8_reference_gap_report(tmp_path, capsys):
-    assert deterministic_bound() == 2.0
-    assert len(list(deterministic_strategies(2))) == 16
+    assert len(set(DETERMINISTIC_STRATEGIES)) == 16
+    assert {abs(strategy_s(strategy)) for strategy in DETERMINISTIC_STRATEGIES} == {2}
+    assert max(map(strategy_s, DETERMINISTIC_STRATEGIES)) == LOCAL_BOUND == 2.0
     a, ap, b, bp = OPTIMAL
     reference = chsh_from_correlations(reference_correlation, a, ap, b, bp)
     assert abs(abs(reference.s_value) - 2 * math.sqrt(2)) <= 1e-9
@@ -235,8 +235,9 @@ def test_criterion_8_reference_gap_report(tmp_path, capsys):
     payload = json.loads((tmp_path / "chsh.json").read_text())
     expected_gap = abs(reference.s_value) - abs(payload["chsh"]["s_value"])
     assert payload["gap_to_reference"] == pytest.approx(expected_gap, abs=1e-12)
+    assert payload["deterministic_bound"] == payload["chsh"]["local_bound"] == LOCAL_BOUND
     print(
-        f"ACCEPTANCE 8 PASS: deterministic_bound() = 2 over 16 strategies; "
+        f"ACCEPTANCE 8 PASS: LOCAL_BOUND = 2 = max |S| over the 16 deterministic strategies; "
         f"reference |S| = {abs(reference.s_value):.9f} = 2*sqrt(2) within 1e-9; "
         f"gap printed and recorded"
     )

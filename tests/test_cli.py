@@ -2,6 +2,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from eprsim.cli import main
@@ -172,6 +173,37 @@ def test_chsh_monte_carlo_trials_beyond_int64_exit_2(tmp_path, capsys):
                     "--trials", str(2**63), "--deterministic", "--out", str(out)])
     assert code == 2
     assert "trials <= 9223372036854775807" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, trials", [("simulate", 2**63 - 1), ("audit", 10**20)])
+def test_trial_counts_no_run_can_hold_exit_2(tmp_path, capsys, command, trials):
+    out = tmp_path / "run"
+    code = run_cli([command, "--model", "bell_product_basic", "--trials", str(trials),
+                    "--deterministic", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"got {trials}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "audit"])
+def test_trial_count_beyond_memory_exits_2(tmp_path, capsys, monkeypatch, command):
+    """10^12 trials pass the count check, but their trial column alone needs
+    8 TB. numpy's MemoryError is simulated: a real run could exhaust the host."""
+    arange = np.arange
+
+    def arange_without_room(n, *args, **kwargs):
+        if n >= 10**12:
+            raise MemoryError(f"cannot allocate {8 * n} bytes")
+        return arange(n, *args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", arange_without_room)
+    out = tmp_path / "run"
+    code = run_cli([command, "--model", "bell_product_basic", "--trials", str(10**12),
+                    "--deterministic", "--out", str(out)])
+    assert code == 2
+    assert "1000000000000 trials do not fit in memory" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -3,12 +3,14 @@ import statistics
 import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from eprsim import (
+    LOCAL_BOUND,
+    ChshResult,
     OutcomeFn,
     SourceSpace,
     Station,
@@ -23,8 +25,6 @@ from eprsim import (
     conditional_table,
     correlate,
     correlate_via_table,
-    deterministic_bound,
-    deterministic_strategies,
     layer_double,
     reference_correlation,
     s1,
@@ -38,7 +38,7 @@ from eprsim.model import CHSH_OPTIMAL_ANGLES
 from eprsim.util import fmt12, stable_seed
 from eprsim.zoo import all_zoo_models, random_factorized_model
 
-from conftest import GRID_PAIRS, OPTIMAL
+from conftest import DETERMINISTIC_STRATEGIES, GRID_PAIRS, OPTIMAL, strategy_s
 
 
 def constants_model():
@@ -181,7 +181,7 @@ def test_chsh_examples():
         result = chsh(model, a, ap, b, bp)
         assert abs(result.s_value) <= 2.0 + 1e-12
         assert result.within_local_bound
-        assert result.local_bound == 2.0
+        assert result.to_dict()["local_bound"] == LOCAL_BOUND == 2.0
 
 
 def counted_rules(model):
@@ -230,16 +230,65 @@ def test_monte_carlo_chsh_compiles_each_setting_once(model):
 
 
 def test_deterministic_strategy_reaches_two():
-    # A(a)=A(a')=B(b)=+1, B(b')=-1: S = 1 - (-1) + 1 + 1 ... combination
-    # e(a,b) - e(a,b') + e(a',b) + e(a',b') = 1 + 1 + 1 - 1 = 2.
-    s = (1 * 1) - (1 * -1) + (1 * 1) + (1 * -1)
-    assert s == 2
-    assert deterministic_bound() == 2.0
+    # A(a)=A(a')=B(b)=+1, B(b')=-1: e(a,b) - e(a,b') + e(a',b) + e(a',b')
+    # = 1 + 1 + 1 - 1 = 2.
+    assert strategy_s(((1, 1), (1, -1))) == 2
+    assert max(map(strategy_s, DETERMINISTIC_STRATEGIES)) == LOCAL_BOUND
 
 
 def test_enumeration_counts():
-    assert len(list(deterministic_strategies(2))) == 16
-    assert len(list(deterministic_strategies(3))) == 64
+    assert len(set(DETERMINISTIC_STRATEGIES)) == 16
+
+
+@pytest.mark.parametrize("strategy", DETERMINISTIC_STRATEGIES, ids=str)
+def test_every_deterministic_strategy_gives_s_of_two(strategy):
+    """Each strategy's S, through ChshResult, is +-2 exactly and equals the
+    oracle's combination, so no strategy exceeds LOCAL_BOUND."""
+    (a0, a1), (b0, b1) = strategy
+    outcomes = dict(zip(OPTIMAL, (a0, a1, b0, b1)))
+    result = chsh_from_correlations(lambda x, y: float(outcomes[x] * outcomes[y]), *OPTIMAL)
+    assert result.s_value == strategy_s(strategy)
+    assert abs(result.s_value) == LOCAL_BOUND
+    assert result.within_local_bound
+
+
+def test_chsh_result_stores_only_what_was_measured_and_asked():
+    assert [f.name for f in fields(ChshResult)] == [
+        "settings", "correlations", "tol", "std_error", "verdict"]
+
+
+TOL = 1e-3
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("excess, within", [(TOL / 2, True), (2 * TOL, False)])
+def test_exact_bound_check_allows_tol(sign, excess, within):
+    e = (sign, -sign, sign * excess, 0.0)
+    result = ChshResult(OPTIMAL, e, TOL)
+    assert result.s_value == pytest.approx(sign * (2.0 + excess), abs=1e-15)
+    assert result.within_local_bound is within
+    assert result.to_dict()["within_local_bound"] is within
+
+
+@pytest.mark.parametrize("verdict, within", [
+    ("within", True), ("inconclusive", True), ("violation", False)])
+def test_sampled_bound_check_reads_the_verdict(verdict, within):
+    result = ChshResult(OPTIMAL, (1.0, -1.0, 2 * TOL, 0.0), TOL, 0.01, verdict)
+    assert result.within_local_bound is within
+
+
+def test_chsh_value_beyond_four_raises():
+    with pytest.raises(ValueError, match="outside"):
+        ChshResult(OPTIMAL, (1.0, -1.0, 1.0, 1.0 + 1e-9), TOL)
+
+
+def test_sampled_chsh_rejects_an_exact_report():
+    model = zoo_model("bell_product_basic")
+    a, ap, b, bp = OPTIMAL
+    reports = [correlate(model, x, y, method="monte_carlo", trials=100, seed=1)
+               for x, y in ((a, b), (a, bp), (ap, b))]
+    with pytest.raises(ZeroTrialsError, match=f"a={fmt12(ap.angle)}, b={fmt12(bp.angle)}"):
+        chsh_from_reports(*reports, correlate(model, ap, bp))
 
 
 def test_reference_correlation_values():

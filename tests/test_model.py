@@ -209,6 +209,15 @@ def test_signs_are_the_product_of_the_installed_modifiers():
         assert not signs.flags.writeable
 
 
+def test_signs_are_built_on_the_first_compile():
+    base = zoo_model("bell_product_basic")
+    model = layer_double(time_symmetrize(base, SignFunction((1, -1, -1, 1), 0.0)))
+    assert "signs" not in vars(model)
+    station_outcomes(model, s1(0.0), station_values(model, s1(0.0)))
+    assert vars(model)["signs"] is model.signs
+    assert model.signs[Station.S1].tolist() == [[1, -1, -1, 1, -1, 1, 1, -1]] * 2
+
+
 def test_unknown_state_and_slot_rejected():
     model = zoo_model("constant_plus")
     with pytest.raises(Exception):

@@ -31,6 +31,7 @@ from eprsim import (
 from eprsim.stations import (
     CSV_BLOCK_ROWS,
     DEFAULT_PAIRS,
+    MAX_RUN_TRIALS,
     POLICIES,
     TRIALS_CSV_HEADER,
     Trials,
@@ -252,6 +253,12 @@ def test_schedule_validation():
         Schedule(trials=5, policy="fixed", pairs=((0.0, 0.5), (1.0, 1.5)))
     with pytest.raises(InvalidScheduleError, match="one setting pair, got 16"):
         Schedule(trials=5, policy="fixed")
+    # Counts whose int64 trial column no numpy array can hold fail here,
+    # before the run allocates anything.
+    for trials in (MAX_RUN_TRIALS + 1, 2**63 - 1, 10**20):
+        with pytest.raises(InvalidScheduleError, match=f"got {trials}"):
+            Schedule(trials=trials)
+    assert Schedule(trials=MAX_RUN_TRIALS).trials == MAX_RUN_TRIALS
 
 
 def test_station_seed_override_reaches_generators():
