@@ -198,11 +198,11 @@ def _build_out(section, station: Station, base_dir: Path | None) -> OutcomeFn:
     kind = section.get("kind", "constant").strip()
     if kind == "constant":
         value = int(section.get("value", "1"))
-        return OutcomeFn(station, lambda s, lam, v, m, o=value: o)
+        return OutcomeFn(station, lambda s, lam, v, m, o=value: o, reads=())
     if kind == "lambda_table":
         rows = _read_table(section, base_dir, (2,))
         mapping = _Table(section, ((str(r[0]), int(r[1])) for r in rows))
-        return OutcomeFn(station, lambda s, lam, v, m, t=mapping: t[str(lam)])
+        return OutcomeFn(station, lambda s, lam, v, m, t=mapping: t[str(lam)], reads={"state"})
     if kind == "cosine":
         rows = _read_table(section, base_dir, (2,))
         offsets = _Table(section, ((str(r[0]), float(r[1])) for r in rows))
@@ -211,7 +211,7 @@ def _build_out(section, station: Station, base_dir: Path | None) -> OutcomeFn:
         def rule(s, lam, v, m, t=offsets, f=flip):
             return f * (1 if math.cos(s.angle - t[str(lam)]) >= 0.0 else -1)
 
-        return OutcomeFn(station, rule)
+        return OutcomeFn(station, rule, reads={"setting", "state"})
     if kind == "table":
         rows = _read_table(section, base_dir, (4, 5))
         if len(rows[0]) == 4:

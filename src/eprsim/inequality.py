@@ -30,7 +30,7 @@ from typing import Callable, Hashable, Mapping
 import numpy as np
 
 from .density import JointTable
-from .errors import ZeroTrialsError
+from .errors import HarnessError, ZeroTrialsError
 from .model import (
     LocalModel,
     Setting,
@@ -354,9 +354,19 @@ def chsh_from_reports(
     outcomes in [-1, 1]), so a model whose true |S| is at most 2 is reported
     as a violation with probability at most alpha = :data:`FALSE_ALARM_RATE`.
     Only a ``violation`` is outside the local bound. Every report must be
-    sampled: an exact one (no trials) raises :class:`ZeroTrialsError`.
+    sampled: an exact one (no trials) raises :class:`ZeroTrialsError`. The
+    four must form a CHSH quadruple, (a, b), (a, b'), (a', b), (a', b'), or
+    a :class:`HarnessError` names the two reports whose settings disagree.
     """
     reports = (ab, ab_prime, a_prime_b, a_prime_b_prime)
+    named = dict(zip(("ab", "ab_prime", "a_prime_b", "a_prime_b_prime"), reports))
+    for x, y, side in (("ab", "ab_prime", "a"), ("a_prime_b", "a_prime_b_prime", "a"),
+                       ("ab", "a_prime_b", "b"), ("ab_prime", "a_prime_b_prime", "b")):
+        first, second = (getattr(named[k], f"setting_{side}") for k in (x, y))
+        if first != second:
+            raise HarnessError(
+                f"reports {x} and {y} must share setting {side}, got {fmt12(first.angle)}"
+                f" and {fmt12(second.angle)}; pass them as (a,b), (a,b'), (a',b), (a',b')")
     for r in reports:
         if r.trials == 0:
             raise ZeroTrialsError(f"pair a={fmt12(r.setting_a.angle)}, b={fmt12(r.setting_b.angle)}"

@@ -186,12 +186,35 @@ class InstrumentParamGen:
         return value
 
 
+# The arguments of an outcome rule, in call order.
+OUTCOME_ARGS = ("setting", "state", "value", "slot")
+
+
 @dataclass(frozen=True)
 class OutcomeFn:
-    """Deterministic spin-value rule: (local setting, state, local value, m) -> +-1."""
+    """Deterministic spin-value rule: (local setting, state, local value, m) -> +-1.
+
+    ``reads`` names the arguments of :data:`OUTCOME_ARGS` that the rule reads;
+    the default is all four. The compiled form (:func:`station_outcomes`)
+    calls the rule once per state only if it reads the state, and once per
+    slot only if it reads the value or the slot. A rule that declares too
+    few reads is compiled wrongly, so only rules whose reads are known by
+    construction, such as the descriptor kinds, declare fewer.
+    """
 
     station: Station
     rule: Callable[[Setting, Hashable, Hashable, int], int]
+    reads: frozenset[str] = frozenset(OUTCOME_ARGS)
+
+    def __post_init__(self):
+        reads = frozenset(self.reads)
+        unknown = sorted(reads.difference(OUTCOME_ARGS))
+        if unknown:
+            raise HarnessError(
+                f"{self.station.value} outcome rule reads unknown arguments {unknown};"
+                f" known: {', '.join(OUTCOME_ARGS)}"
+            )
+        object.__setattr__(self, "reads", reads)
 
 
 @dataclass(frozen=True)
@@ -327,23 +350,34 @@ def station_values(
 def station_outcomes(model: LocalModel, setting: Setting, values: list[Hashable]) -> np.ndarray:
     """The station's compiled form at one setting: int8 ``outcomes[state, slot]``.
 
-    ``values`` are the slot values from :func:`station_values`. One flat pass
-    calls the outcome rule once per cell, state by state and slot by slot
-    within a state, as cell-by-cell calls of :func:`evaluate_outcome` would.
-    The codomain check then applies to the whole array, with the message a
-    single evaluation gives, and the array is multiplied by the station's
-    ``model.signs``. Every exact quantity is a weighted sum over such arrays.
+    ``values`` are the slot values from :func:`station_values`. The outcome
+    rule is called only along the axes its ``reads`` declare: once per state
+    if it reads the state, once per slot if it reads the value or the slot.
+    An unread axis gets a real grid point, the first state or slot 1 with its
+    value, and the result is broadcast along it. A rule that reads both axes,
+    as every undeclared rule does, is called once per cell, state by state
+    and slot by slot within a state, as cell-by-cell calls of
+    :func:`evaluate_outcome` would be. The codomain check then applies to
+    every return, with the message a single evaluation gives, and the array
+    is multiplied by the station's ``model.signs``. Every exact quantity is a
+    weighted sum over such arrays.
     """
-    states, rule = model.source.states, model.out(setting.station).rule
+    states, out = model.source.states, model.out(setting.station)
+    rule, reads = out.rule, out.reads
+    rows = states if "state" in reads else states[:1]
     cells = list(zip(model.grid.slots, values))
-    raw = [rule(setting, lam, v, m) for lam in states for m, v in cells]
+    if reads.isdisjoint(("value", "slot")):
+        cells = cells[:1]
+    raw = [rule(setting, lam, v, m) for lam in rows for m, v in cells]
     try:
         valid = set(raw) <= {-1, 1}
     except TypeError:  # an unhashable return: the cell-by-cell check names it
         valid = False
     if not valid:
         raw = [_checked(model, r) for r in raw]
-    outcomes = np.array(raw, dtype=np.int8).reshape(len(states), len(cells))
+    outcomes = np.array(raw, dtype=np.int8).reshape(len(rows), len(cells))
+    if outcomes.shape != (len(states), len(values)):
+        outcomes = np.broadcast_to(outcomes, (len(states), len(values))).copy()
     signs = model.signs[setting.station]
     return outcomes if signs is None else outcomes * signs
 

@@ -178,7 +178,7 @@ def layer_double(model: LocalModel) -> LocalModel:
 
     def lift_out(out: OutcomeFn) -> OutcomeFn:
         base = out.rule
-        return OutcomeFn(out.station, lambda s, lam, v, m, _r=base: _r(s, lam, v, _parent_slot(m)))
+        return replace(out, rule=lambda s, lam, v, m, _r=base: _r(s, lam, v, _parent_slot(m)))
 
     sign = model.sign
     if sign is not None:

@@ -1,6 +1,8 @@
 import json
 import math
 import textwrap
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -8,13 +10,16 @@ from eprsim import (
     DescriptorError,
     InvalidWeightsError,
     Schedule,
+    Setting,
     Station,
+    TEST_ANGLES,
     UnknownZooEntryError,
     apply_transform_op,
     correlate,
     correlate_via_table,
     empirical_correlations,
     evaluate_outcome,
+    layer_double,
     load_model,
     load_schedule,
     make_model,
@@ -22,6 +27,8 @@ from eprsim import (
     run_experiment,
     s1,
     s2,
+    station_outcomes,
+    station_values,
     table_from_csv,
     table_to_csv,
     tabulate_joint,
@@ -30,6 +37,7 @@ from eprsim import (
 )
 from eprsim.cli import main
 from eprsim.descriptors import _angle_key, descriptor_text
+from eprsim.model import OUTCOME_ARGS
 
 EXPLICIT = textwrap.dedent(
     """
@@ -357,3 +365,66 @@ def test_load_schedule_pairs_list(tmp_path):
     )
     schedule = load_schedule(path)
     assert len(schedule.pairs) == 2
+
+
+WIDE_STATES = [f"s{i}" for i in range(64)]
+WIDE_OUTCOMES = {
+    "constant": "kind = constant\nvalue = 1",
+    "lambda_table": "kind = lambda_table\ntable =" + "".join(
+        f"\n    {lam}, {(-1) ** i}" for i, lam in enumerate(WIDE_STATES)),
+    "cosine": "kind = cosine\ntable =" + "".join(
+        f"\n    {lam}, {i / 10!r}" for i, lam in enumerate(WIDE_STATES)),
+    "table": "kind = table\ntable =" + "".join(
+        f"\n    {lam}, 0, {m}, {(-1) ** (i + m)}" for i, lam in enumerate(WIDE_STATES)
+        for m in range(1, 65)),
+}
+
+
+def wide_model(tmp_path, kind):
+    """A 64-state, 64-slot descriptor whose two outcome sections are of ``kind``."""
+    out = WIDE_OUTCOMES[kind]
+    path = tmp_path / f"wide_{kind}.ini"
+    path.write_text(
+        f"[source]\nstates = {', '.join(WIDE_STATES)}\nprior = {', '.join(['0.015625'] * 64)}\n"
+        "[grid]\nslots = 64\n[gen1]\nkind = constant\n[gen2]\nkind = constant\n"
+        f"[out1]\n{out}\n[out2]\n{out}\n",
+        encoding="utf-8",
+    )
+    return load_model(path)
+
+
+def compile_calls(model):
+    """Outcome rule calls per station over one compile at each test angle."""
+    calls = Counter()
+
+    def count(out):
+        rule = out.rule
+
+        def counted(s, lam, v, m):
+            calls[out.station] += 1
+            return rule(s, lam, v, m)
+        return replace(out, rule=counted)  # keeps the declared reads
+
+    counted = replace(model, out1=count(model.out1), out2=count(model.out2))
+    for station in (Station.S1, Station.S2):
+        for angle in TEST_ANGLES:
+            setting = Setting(angle, station)
+            station_outcomes(counted, setting, station_values(counted, setting))
+    return calls
+
+
+@pytest.mark.parametrize("kind, reads, per_setting, doubled_per_setting", [
+    ("constant", set(), 1, 1),
+    ("lambda_table", {"state"}, 64, 64),
+    ("cosine", {"setting", "state"}, 64, 64),
+    ("table", set(OUTCOME_ARGS), 64 * 64, 64 * 128),
+])
+def test_descriptor_kinds_compile_by_their_declared_reads(
+        tmp_path, kind, reads, per_setting, doubled_per_setting):
+    """A table is called for every cell; the other kinds for one cell of
+    each axis they do not read. Layer doubling keeps the declared reads."""
+    model = wide_model(tmp_path, kind)
+    for compiled, calls in ((model, per_setting), (layer_double(model), doubled_per_setting)):
+        assert compiled.out1.reads == compiled.out2.reads == reads
+        per_station = len(TEST_ANGLES) * calls
+        assert compile_calls(compiled) == {Station.S1: per_station, Station.S2: per_station}

@@ -11,6 +11,7 @@ import pytest
 from eprsim import (
     LOCAL_BOUND,
     ChshResult,
+    HarnessError,
     OutcomeFn,
     SourceSpace,
     Station,
@@ -289,6 +290,24 @@ def test_sampled_chsh_rejects_an_exact_report():
                for x, y in ((a, b), (a, bp), (ap, b))]
     with pytest.raises(ZeroTrialsError, match=f"a={fmt12(ap.angle)}, b={fmt12(bp.angle)}"):
         chsh_from_reports(*reports, correlate(model, ap, bp))
+
+
+def test_sampled_chsh_rejects_reports_out_of_quadruple_order():
+    """(a,b), (a',b), (a,b'), (a',b') once gave S = -0.016 for a model whose
+    exact S is -2, with no error."""
+    model = zoo_model("cosine_threshold_lhv")
+    a, ap, b, bp = OPTIMAL
+
+    def report(x, y):
+        return correlate(model, x, y, method="monte_carlo", trials=1000, seed=1)
+
+    with pytest.raises(HarnessError, match="reports ab and ab_prime must share setting a"):
+        chsh_from_reports(report(a, b), report(ap, b), report(a, bp), report(ap, bp))
+    with pytest.raises(HarnessError,
+                       match="reports ab_prime and a_prime_b_prime must share setting b"):
+        chsh_from_reports(report(a, b), report(a, bp), report(ap, b), report(ap, s2(0.3)))
+    result = chsh_from_reports(report(a, b), report(a, bp), report(ap, b), report(ap, bp))
+    assert result.settings == (a, ap, b, bp)
 
 
 def test_reference_correlation_values():

@@ -27,7 +27,13 @@ from eprsim import (
     time_symmetrize,
     zoo_model,
 )
-from eprsim.model import SignFunction, TEST_ANGLES, station_outcomes, station_values
+from eprsim.model import (
+    OUTCOME_ARGS,
+    SignFunction,
+    TEST_ANGLES,
+    station_outcomes,
+    station_values,
+)
 from eprsim.zoo import ZOO, all_zoo_models
 
 
@@ -266,3 +272,40 @@ def test_compiled_outcomes_accept_values_equal_to_plus_minus_one():
         expected = station_outcomes(base, setting, station_values(base, setting))
         assert found.dtype == np.int8
         assert found.tolist() == expected.tolist()
+
+
+def test_outcome_reads_default_to_every_argument_and_reject_others():
+    rule = zoo_model("bell_product_basic").out1.rule
+    assert OutcomeFn(Station.S1, rule).reads == frozenset(OUTCOME_ARGS)
+    assert OutcomeFn(Station.S1, rule, reads=["state"]).reads == frozenset({"state"})
+    with pytest.raises(HarnessError, match=r"S1 outcome rule reads unknown arguments \['angle'\]"):
+        OutcomeFn(Station.S1, rule, reads={"setting", "angle"})
+
+
+SLOT_VALUE_ROW = [("u0", 0, 1), ("u0", 1, 2), ("u0", 0, 3), ("u0", 1, 4)]
+
+
+@pytest.mark.parametrize("reads, cells, expected", [
+    ((), [("u0", 0, 1)], [[1, 1, 1, 1], [1, 1, 1, 1]]),
+    ({"state"}, [("u0", 0, 1), ("u1", 0, 1)], [[1, 1, 1, 1], [-1, -1, -1, -1]]),
+    ({"value"}, SLOT_VALUE_ROW, [[1, -1, -1, -1], [1, -1, -1, -1]]),
+    ({"setting", "slot"}, SLOT_VALUE_ROW, [[1, -1, -1, -1], [1, -1, -1, -1]]),
+    (OUTCOME_ARGS, [(lam, v, m) for lam in ("u0", "u1") for _, v, m in SLOT_VALUE_ROW],
+     [[1, -1, -1, -1], [-1, 1, -1, -1]]),
+], ids=["none", "state", "value", "slot", "all"])
+def test_compile_calls_the_rule_at_real_grid_points_of_unread_axes(reads, cells, expected):
+    """An unread axis gets the first state, or slot 1 and its value; the
+    result is broadcast along it."""
+    base = zoo_model("bell_product_basic")
+    calls = []
+
+    def rule(s, lam, v, m):
+        calls.append((lam, v, m))
+        return 1 if (lam, m) in (("u0", 1), ("u1", 2)) else -1
+
+    model = replace(base, out1=OutcomeFn(Station.S1, rule, reads))
+    setting = s1(0.3)
+    found = station_outcomes(model, setting, station_values(model, setting))
+    assert calls == cells
+    assert found.dtype == np.int8 and found.flags.writeable
+    assert found.tolist() == expected

@@ -6,19 +6,23 @@ outputs are compared byte for byte. The sampled paths reduce integer count
 tensors; their references reduce one sample at a time, as the per-sample
 reducer and the per-pair mask loop they replaced did.
 """
+import configparser
 import random
 from dataclasses import fields
 from fractions import Fraction
-from math import fsum, sqrt
+from math import fsum, pi, sqrt
 
 import numpy as np
+import pytest
 
 from eprsim import (
     TEST_ANGLES,
+    CodomainViolationError,
     CorrelationReport,
     JointTable,
     Setting,
     Station,
+    apply_transform_op,
     balanced_sign_function,
     check_factorization,
     condition_sign_on_source,
@@ -35,6 +39,7 @@ from eprsim import (
     zoo_model,
 )
 from eprsim import cli
+from eprsim.descriptors import model_from_config
 from eprsim.inequality import sampled_correlation
 from eprsim.model import station_outcomes, station_values
 from eprsim.stations import empirical_correlations
@@ -90,6 +95,11 @@ def reference_marginal(model, station, angle):
     )
 
 
+def one_cell_outcomes(model, setting):
+    return [[evaluate_outcome(model, setting.station, setting, lam, m) for m in model.grid.slots]
+            for lam in model.source.states]
+
+
 def test_compiled_outcomes_match_one_cell_route():
     """The flat compile applies the codomain check and the modifiers to the
     whole array; evaluate_outcome applies them to one cell."""
@@ -98,10 +108,91 @@ def test_compiled_outcomes_match_one_cell_route():
             for angle in TEST_ANGLES:
                 setting = Setting(angle, station)
                 found = station_outcomes(model, setting, station_values(model, setting))
-                expected = [[evaluate_outcome(model, station, setting, lam, m)
-                             for m in model.grid.slots] for lam in model.source.states]
                 assert found.dtype == np.int8, model.name
-                assert found.tolist() == expected, (model.name, model.transforms, setting)
+                assert found.tolist() == one_cell_outcomes(model, setting), (
+                    model.name, model.transforms, setting)
+
+
+DESCRIPTOR_STATES = ("s0", "s1", "s2")
+# The slot values of the descriptor generators below, slot 1 first.
+DESCRIPTOR_VALUES = {"out1": (0, 1, 0, 1), "out2": (0, 0, 1, 1)}
+
+
+def outcome_section(name, kind):
+    """An [out1] or [out2] section of a descriptor kind over the three states
+    and four slots of :func:`descriptor_model`, with outcomes that vary by
+    state, and by slot and angle where the kind reads them."""
+    rng = random.Random(f"{name}:{kind}")
+    cells = list(enumerate(DESCRIPTOR_VALUES[name], start=1))
+    if kind == "constant":
+        return "kind = constant\nvalue = -1"
+    if kind == "lambda_table":
+        rows = [f"{lam}, {o}" for lam, o in zip(DESCRIPTOR_STATES, (1, -1, 1))]
+    elif kind.startswith("cosine"):
+        rows = [f"{lam}, {i * pi / 2!r}" for i, lam in enumerate(DESCRIPTOR_STATES)]
+    elif kind == "table4":
+        rows = [f"{lam}, {v}, {m}, {rng.choice((-1, 1))}"
+                for lam in DESCRIPTOR_STATES for m, v in cells]
+    else:
+        rows = [f"{angle!r}, {lam}, {v}, {m}, {rng.choice((-1, 1))}"
+                for angle in TEST_ANGLES for lam in DESCRIPTOR_STATES for m, v in cells]
+    if kind == "cosine_negate":
+        header = "kind = cosine\nnegate = true"
+    else:
+        header = f"kind = {kind.rstrip('45')}"
+    return header + "\ntable =" + "".join(f"\n    {row}" for row in rows)
+
+
+def descriptor_model(out1, out2, ops=()):
+    """A three-state, four-slot descriptor model with the given outcome
+    sections, built as a descriptor file would be, then transformed by ``ops``."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(
+        f"[source]\nstates = {', '.join(DESCRIPTOR_STATES)}\nprior = 0.5, 0.25, 0.25\n"
+        "[grid]\nslots = 4\n"
+        "[gen1]\nkind = cycle\nvalues = 0, 1\n"
+        "[gen2]\nkind = cycle\nvalues = 0, 1\nstride = 2\n"
+        f"[out1]\n{out1}\n[out2]\n{out2}\n"
+    )
+    model = model_from_config(parser)
+    for op in ops:
+        model = apply_transform_op(model, op)
+    return model
+
+
+DESCRIPTOR_KINDS = ("constant", "lambda_table", "cosine", "cosine_negate", "table4", "table5")
+DESCRIPTOR_OPS = ((), ("rademacher mean=0 seed=3",), ("sign values=+--+ station=s1",),
+                  ("double",), ("lambda-sign seed=2",))
+
+
+@pytest.mark.parametrize("ops", DESCRIPTOR_OPS, ids=lambda ops: ",".join(ops) or "none")
+@pytest.mark.parametrize("kind", DESCRIPTOR_KINDS)
+def test_declared_compile_matches_one_cell_route(kind, ops):
+    """Each descriptor kind compiles along the axes its outcome rule declares
+    it reads, and broadcasts; evaluate_outcome still calls it for every cell."""
+    model = descriptor_model(outcome_section("out1", kind), outcome_section("out2", kind), ops)
+    for station in (Station.S1, Station.S2):
+        for angle in TEST_ANGLES:
+            setting = Setting(angle, station)
+            found = station_outcomes(model, setting, station_values(model, setting))
+            assert found.dtype == np.int8
+            assert found.shape == (len(model.source.states), model.grid.slot_count)
+            assert found.tolist() == one_cell_outcomes(model, setting), (kind, ops, setting)
+
+
+@pytest.mark.parametrize("out1", [
+    "kind = constant\nvalue = 0",
+    "kind = lambda_table\ntable =\n    s0, 1\n    s1, 0\n    s2, -1",
+], ids=["constant", "lambda_table"])
+def test_declared_compile_keeps_the_codomain_message(out1):
+    model = descriptor_model(out1, outcome_section("out2", "cosine"))
+    setting = Setting(0.0, Station.S1)
+    with pytest.raises(CodomainViolationError) as one_cell:
+        one_cell_outcomes(model, setting)
+    with pytest.raises(CodomainViolationError) as compiled:
+        station_outcomes(model, setting, station_values(model, setting))
+    assert str(compiled.value) == str(one_cell.value)
+    assert "returned 0" in str(compiled.value)
 
 
 def test_correlate_matches_reference_loop():
