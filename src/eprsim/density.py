@@ -16,6 +16,7 @@ import csv
 import io
 from dataclasses import dataclass
 from math import fsum, inf
+from operator import itemgetter
 from pathlib import Path
 from typing import Hashable, Mapping
 
@@ -67,7 +68,9 @@ class FactorizationReport:
             "max_deviation": self.max_deviation,
             "pass": self.passed,
             "max_total_variation": self.max_total_variation,
-            "deviations": {str(k): v for k, v in sorted(self.deviations.items(), key=lambda kv: str(kv[0]))},
+            # Each key formatted once; the sort is stable on the formatted key alone.
+            "deviations": dict(sorted(((str(k), v) for k, v in self.deviations.items()),
+                                      key=itemgetter(0))),
         }
 
 

@@ -5,18 +5,21 @@ same slot index per trial (the shared clock), and each sees only its own
 setting, the drawn source state, the slot and its own seed. One private
 runner draws every trial once, compiles each setting pair it uses once, and
 gathers the trials' outputs from the compiled arrays; a run is a set of
-columns (:class:`Trials`). The audit re-gathers one station's columns under
-varied remote settings and counts any change; honest models pass by
-construction, so the audit is a regression guard on the harness itself.
+columns (:class:`Trials`). The audit re-gathers one station's outcomes under
+varied remote settings, compares its instrument values once per situation a
+trial takes, and counts any change; honest models pass by construction, so
+the audit is a regression guard on the harness itself.
 """
 from __future__ import annotations
 
 import csv
 import io
+import operator
 from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import accumulate, chain
 from pathlib import Path
-from typing import Hashable, Iterable
+from typing import Hashable
 
 import numpy as np
 
@@ -48,6 +51,11 @@ CSV_BLOCK_ROWS = 1 << 12
 # The most trials a run holds: its int64 per-trial columns must fit numpy's
 # largest array.
 MAX_RUN_TRIALS = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize
+
+# A remote angle has at most len(TEST_ANGLES) alternatives, and a trial's turn
+# among k of them follows its index modulo k, so the index modulo PHASES fixes
+# the turn for every k.
+PHASES = int(np.lcm.reduce(np.arange(1, len(TEST_ANGLES) + 1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,6 +106,14 @@ class Schedule:
     seed_s2: int | None = None
 
     def __post_init__(self):
+        try:
+            trials = operator.index(self.trials)
+        except TypeError:
+            trials = None
+        # operator.index accepts a bool, but True is no trial count.
+        if trials is None or isinstance(self.trials, bool):
+            raise InvalidScheduleError(f"trials must be an integer, got {self.trials!r}")
+        object.__setattr__(self, "trials", trials)
         if not 1 <= self.trials <= MAX_RUN_TRIALS:
             raise InvalidScheduleError(f"trials must be in 1..{MAX_RUN_TRIALS}, got {self.trials}")
         if self.policy not in POLICIES:
@@ -145,13 +161,34 @@ def _pair_outputs(model: LocalModel, a_angle: float, b_angle: float, seed1, seed
     return v1s, v2s, station_outcomes(model, a, v1s), station_outcomes(model, b, v2s)
 
 
+def _int_type(top: int) -> np.dtype:
+    """The narrowest signed integer type that holds 0..top."""
+    return np.min_scalar_type(-top - 1)
+
+
+def _first_use(index: np.ndarray, size: int) -> np.ndarray:
+    """The first trial to take each of ``size`` values in the per-trial
+    ``index``, or ``len(index)`` for a value no trial takes; one pass, no
+    sort. The result is int64, so ranks built on it do not wrap."""
+    trial = np.arange(len(index), dtype=_int_type(len(index)))
+    first = np.full(size, len(index), dtype=trial.dtype)
+    np.minimum.at(first, index, trial)
+    return first.astype(np.int64)
+
+
 class _Runner:
     """One schedule's draws and the compiled outputs of the setting pairs a run uses.
 
     Angles at the same point of the circle (equal normalized :class:`Setting`
     angles, such as 0.0 and 2π) share an integer code and so one compiled
     pair; ``angles`` holds the normalized angles, the test angles first. Pair
-    (a, b) has the key ``code(a) * len(angles) + code(b)``.
+    (a, b) has the key ``code(a) * len(angles) + code(b)``. ``base_keys``
+    holds the distinct scheduled keys in first-use order and ``base`` each
+    trial's index into them, so a run's key columns are tables over small
+    domains, indexed per trial. Compiled outputs are flat: row r of a station
+    holds its values at ``r * slots + slot`` and its outcomes at
+    ``r * cells + state * slots + slot``. Per-trial columns hold integers in
+    the narrowest type of their range.
     """
 
     def __init__(self, model: LocalModel, schedule: Schedule):
@@ -162,22 +199,37 @@ class _Runner:
 
     def _draw(self, model: LocalModel, schedule: Schedule) -> None:
         self.model, self.schedule = model, schedule
-        n, trial = len(schedule.pairs), np.arange(schedule.trials)
-        prior = np.asarray(model.source.prior)
+        n, prior = len(schedule.pairs), np.asarray(model.source.prior)
+        self.slots = model.grid.slot_count
+        self.cells = len(prior) * self.slots
+        # Wide enough for the trial count and every modulus below.
+        trial = np.arange(schedule.trials, dtype=_int_type(max(schedule.trials, n, self.slots)))
         rng = np.random.default_rng(schedule.seed_source)
-        self.state = rng.choice(len(prior), size=schedule.trials, p=prior / prior.sum())
+        state = rng.choice(len(prior), size=len(trial), p=prior / prior.sum())
+        self.state = state.astype(_int_type(len(prior)))
         if schedule.policy == "random":
-            self.pair = np.random.default_rng(schedule.seed_settings).integers(0, n, len(trial))
+            pair = np.random.default_rng(schedule.seed_settings).integers(0, n, len(trial))
         else:
-            self.pair = trial % n  # all zeros for the one pair of a fixed schedule
-        self.slot = trial % model.grid.slot_count
+            pair = trial % n  # all zeros for the one pair of a fixed schedule
+        self.pair = pair.astype(_int_type(n), copy=False)
+        self.slot = (trial % self.slots).astype(_int_type(self.slots), copy=False)
+        self.cell = self.state.astype(_int_type(self.cells)) * self.slots + self.slot
         codes: dict[float, int] = {}
         for x in [*TEST_ANGLES, *(x for pair in schedule.pairs for x in pair)]:
             codes.setdefault(s1(x).angle, len(codes))
         self.angles = list(codes)
         a, b = np.array([[codes[s1(x).angle] for x in pair] for pair in schedule.pairs]).T
-        self.a, self.b = a[self.pair], b[self.pair]
-        self.base = self.a * len(self.angles) + self.b
+        keys = a * len(self.angles) + b
+        first = _first_use(self.pair, n)
+        used = np.flatnonzero(first < len(trial))
+        index: dict[int, int] = {}
+        for key in keys[used[np.argsort(first[used])]].tolist():
+            index.setdefault(key, len(index))
+        self.base_keys = np.array(list(index))
+        pair_base = np.array([index.get(k, 0) for k in keys.tolist()], dtype=_int_type(len(index)))
+        self.base = pair_base.take(self.pair)
+        self.base_first = np.full(len(index), len(trial))
+        np.minimum.at(self.base_first, pair_base[used], first[used])
         # The audit's alternatives to each angle: the test angles elsewhere on
         # the circle, in grid order. Test angle k has code k.
         d = np.subtract.outer(self.angles, TEST_ANGLES) % TWO_PI
@@ -186,53 +238,112 @@ class _Runner:
         self.alts = np.argsort(~apart, axis=1, kind="stable")
 
     def remote(self, station: Station) -> np.ndarray:
-        """Every trial's code of the station's remote angle: b for S1, a for S2."""
-        return self.b if station is Station.S1 else self.a
+        """Each base pair's code of the station's remote angle: b for S1, a for S2."""
+        a, b = np.divmod(self.base_keys, len(self.angles))
+        return b if station is Station.S1 else a
+
+    @cached_property
+    def phase(self) -> np.ndarray:
+        """Every trial's (base pair, phase) index, ``base * PHASES + trial % PHASES``."""
+        phase = self.base.astype(_int_type(len(self.base_keys) * PHASES)) * PHASES
+        phase += np.arange(len(phase), dtype=_int_type(len(phase))) % PHASES
+        return phase
+
+    @cached_property
+    def situation(self) -> np.ndarray:
+        """Every trial's (base pair, phase, slot) index."""
+        top = len(self.base_keys) * PHASES * self.slots
+        return self.phase.astype(_int_type(top)) * self.slots + self.slot
+
+    @cached_property
+    def taken(self) -> np.ndarray:
+        """The (base pair, phase, slot) indices some trial takes, ascending."""
+        seen = np.zeros(len(self.base_keys) * PHASES * self.slots, dtype=bool)
+        seen[self.situation] = True
+        return np.flatnonzero(seen)
 
     def perturbed(self, station: Station, p: int) -> np.ndarray:
-        """Pair keys with the station's remote angle replaced by its p-th
-        alternative, the alternatives rotating with the trial index; a trial
-        with fewer alternatives keeps its pair."""
-        remote = self.remote(station)
-        count = self.alt_count[remote]
-        turn = (np.arange(len(remote)) + p) % count
-        alt = np.where(p < count, self.alts[remote, turn], remote)
+        """Pair keys over (base pair, phase) with the station's remote angle
+        replaced by its p-th alternative; a pair with fewer alternatives keeps
+        its key. The alternatives rotate with the trial index, so the phase
+        ``trial % PHASES`` fixes which one a trial takes."""
         n = len(self.angles)
-        return self.a * n + alt if station is Station.S1 else alt * n + self.b
+        remote = np.repeat(self.remote(station), PHASES)
+        count = self.alt_count[remote]
+        turn = (np.tile(np.arange(PHASES), len(self.base_keys)) + p) % count
+        alt = np.where(p < count, self.alts[remote, turn], remote)
+        keys = np.repeat(self.base_keys, PHASES)
+        return keys - keys % n + alt if station is Station.S1 else alt * n + keys % n
 
-    def compile(self, columns: Iterable[np.ndarray]) -> None:
+    def compile(self, columns: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
         """Compile every pair the key columns use, in the order a loop over
-        trials, then over columns, would first use it."""
-        firsts = [np.unique(keys, return_index=True) for keys in columns]
-        keys = np.concatenate([k for k, _ in firsts])
-        uses = np.concatenate([t * len(firsts) + c for c, (_, t) in enumerate(firsts)])
-        n, s = len(self.angles), self.schedule
-        outputs = {}
-        for key in dict.fromkeys(keys[np.argsort(uses)].tolist()):
-            a, b = divmod(key, n)
-            outputs[key] = _pair_outputs(self.model, self.angles[a], self.angles[b],
-                                         s.seed_s1, s.seed_s2)
-        self.keys = np.array(sorted(outputs))
-        v1s, v2s, As, Bs = zip(*(outputs[k] for k in self.keys.tolist()))
-        self.values = {station: np.stack([np.fromiter(v, dtype=object) for v in vs])
-                       for station, vs in ((Station.S1, v1s), (Station.S2, v2s))}
-        self.outcomes = {Station.S1: np.stack(As), Station.S2: np.stack(Bs)}
+        trials, then over columns, would first use it; return each column's
+        compiled-row table.
 
-    def gather(self, station: Station, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every trial's instrument value and outcome at one station under the pair keys."""
-        q = np.searchsorted(self.keys, keys)
-        return self.values[station][q, self.slot], self.outcomes[station][q, self.state, self.slot]
+        A column is a key table over a small domain and each domain entry's
+        first trial (the trial count for an entry no trial takes), so a pair
+        that column c first uses in trial t ranks ``t * len(columns) + c``.
+        An entry no trial takes gets row 0.
+        """
+        ranks = np.concatenate([first * len(columns) + c for c, (first, _) in enumerate(columns)])
+        keys = np.concatenate([keys for _, keys in columns])
+        used = np.flatnonzero(ranks < self.schedule.trials * len(columns))
+        order = dict.fromkeys(keys[used[np.argsort(ranks[used])]].tolist())
+        n, s = len(self.angles), self.schedule
+        v1s, v2s, As, Bs = zip(*(_pair_outputs(self.model, self.angles[k // n],
+                                               self.angles[k % n], s.seed_s1, s.seed_s2)
+                                 for k in order))
+        self.values = {station: np.fromiter(chain.from_iterable(vs), dtype=object,
+                                            count=len(order) * self.slots)
+                       for station, vs in ((Station.S1, v1s), (Station.S2, v2s))}
+        self.outcomes = {Station.S1: np.concatenate(As, axis=None),
+                         Station.S2: np.concatenate(Bs, axis=None)}
+        row = dict(zip(order, range(len(order))))
+        rows = np.zeros(len(keys), dtype=np.intp)
+        rows[used] = [row[k] for k in keys[used].tolist()]
+        return np.split(rows, np.cumsum([len(k) for _, k in columns[:-1]]))
+
+    def at(self, rows: np.ndarray, index: np.ndarray, stride: int, offset: np.ndarray) -> np.ndarray:
+        """Every trial's position ``rows[index] * stride + offset`` in a flat
+        compiled array: ``rows`` is a compiled-row table and ``index`` each
+        trial's index into it."""
+        table = rows * stride
+        return table.astype(_int_type(table.max(initial=0) + stride)).take(index) + offset
+
+    def outcomes_at(self, station: Station, rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Every trial's outcome at the station under the compiled-row table
+        ``rows``, indexed per trial by ``index``."""
+        return self.outcomes[station].take(self.at(rows, index, self.cells, self.cell))
+
+    def values_differ(self, station: Station, rows: np.ndarray,
+                      base_rows: np.ndarray) -> np.ndarray | None:
+        """Every trial's flag: does the station's instrument value under the
+        (base pair, phase) rows differ, by numpy's object ``!=``, from its
+        value under the base rows? A value depends on the pair and the slot
+        alone, so each situation in ``taken`` is compared once; None when
+        none differs."""
+        phase, slot = np.divmod(self.taken, self.slots)
+        values = self.values[station]
+        differ = (values[rows[phase] * self.slots + slot]
+                  != values[base_rows[phase // PHASES] * self.slots + slot])
+        if not differ.any():
+            return None
+        table = np.zeros(len(self.base_keys) * PHASES * self.slots, dtype=bool)
+        table[self.taken] = differ
+        return table.take(self.situation)
 
 
 def run_experiment(model: LocalModel, schedule: Schedule) -> Trials:
     """Run the scheduled trials; fully reproducible from the schedule's seeds."""
     run = _Runner(model, schedule)
-    run.compile([run.base])
-    v1, A = run.gather(Station.S1, run.base)
-    v2, B = run.gather(Station.S2, run.base)
+    (rows,) = run.compile([(run.base_first, run.base_keys)])
+    values = run.at(rows, run.base, run.slots, run.slot)
+    cells = run.at(rows, run.base, run.cells, run.cell)
     a, b = np.array(schedule.pairs).T
-    return Trials(model.source.states, run.state, run.slot + 1, a[run.pair], b[run.pair],
-                  v1, v2, A, B)
+    return Trials(model.source.states, run.state.astype(np.int64), run.slot.astype(np.int64) + 1,
+                  a[run.pair], b[run.pair],
+                  run.values[Station.S1].take(values), run.values[Station.S2].take(values),
+                  run.outcomes[Station.S1].take(cells), run.outcomes[Station.S2].take(cells))
 
 
 def locality_audit(
@@ -249,40 +360,59 @@ def locality_audit(
     its remote angles in use have alternatives: a further pass would only
     re-check base pairs. A mismatch in (instrument value, outcome) is an
     Einstein locality violation.
+
+    Outcomes are compared trial by trial as int8 arrays. Instrument values
+    depend on the pair and the slot alone, so they are compared once per
+    (base pair, phase, slot) that some trial takes; only a pass with a
+    differing value maps them back to its trials.
     """
     if remote_perturbations < 1:
         raise InvalidScheduleError("remote_perturbations must be >= 1")
     run = _Runner(model, schedule)
+    stations = (Station.S1, Station.S2)
     passes = [
         (station, run.perturbed(station, p))
-        for station in (Station.S1, Station.S2)
+        for station in stations
         for p in range(min(remote_perturbations, run.alt_count[run.remote(station)].max()))
     ]
-    run.compile([run.base, *(keys for _, keys in passes)])
-    base = {station: run.gather(station, run.base) for station in (Station.S1, Station.S2)}
-    mismatches = 0
-    first = None
-    for station, keys in passes:
-        (values, outcomes), (base_values, base_outcomes) = run.gather(station, keys), base[station]
-        bad = (values != base_values) | (outcomes != base_outcomes)
+    phase_first = _first_use(run.phase, len(run.base_keys) * PHASES)
+    base_rows, *pass_rows = run.compile(
+        [(run.base_first, run.base_keys), *((phase_first, keys) for _, keys in passes)])
+    base = {station: run.outcomes_at(station, base_rows, run.base) for station in stations}
+    mismatches, first = 0, None
+    for (station, keys), rows in zip(passes, pass_rows):
+        bad = run.outcomes_at(station, rows, run.phase) != base[station]
+        differ = run.values_differ(station, rows, base_rows)
+        if differ is not None:
+            bad |= differ
         mismatches += int(np.count_nonzero(bad))
         t = int(bad.argmax())
         # Within a trial, S1's perturbations come before S2's, in pass order.
-        if bad[t] and (first is None or t < first["trial"]):
-            side = int(station is Station.S1)  # the remote angle: b for S1, a for S2
-            remote = schedule.pairs[run.pair[t]][side]
-            perturbed = divmod(int(keys[t]), len(run.angles))[side]
-            first = {
-                "trial": t,
-                "station": station.value,
-                "slot": int(run.slot[t]) + 1,
-                "lambda": str(model.source.states[run.state[t]]),
-                "remote_original": remote,
-                "remote_perturbed": run.angles[perturbed],
-                "baseline": [str(base_values[t]), int(base_outcomes[t])],
-                "perturbed": [str(values[t]), int(outcomes[t])],
-            }
-    return AuditReport(schedule.trials, mismatches, mismatches == 0, first)
+        if bad[t] and (first is None or t < first[0]):
+            first = t, station, keys, rows
+    report = None if first is None else _first_mismatch(run, base_rows, *first)
+    return AuditReport(schedule.trials, mismatches, mismatches == 0, report)
+
+
+def _first_mismatch(run: _Runner, base_rows: np.ndarray, t: int, station: Station,
+                    keys: np.ndarray, rows: np.ndarray) -> dict:
+    """The audit's record of trial t's mismatch in the pass at ``station``
+    whose (base pair, phase) table holds ``keys`` and compiled ``rows``."""
+    side = int(station is Station.S1)  # the remote angle: b for S1, a for S2
+    slot, cell = int(run.slot[t]), int(run.cell[t])
+    values, outcomes = run.values[station], run.outcomes[station]
+    base_row, row = int(base_rows[run.base[t]]), int(rows[run.phase[t]])
+    return {
+        "trial": t,
+        "station": station.value,
+        "slot": slot + 1,
+        "lambda": str(run.model.source.states[run.state[t]]),
+        "remote_original": run.schedule.pairs[run.pair[t]][side],
+        "remote_perturbed": run.angles[divmod(int(keys[run.phase[t]]), len(run.angles))[side]],
+        "baseline": [str(values[base_row * run.slots + slot]),
+                     int(outcomes[base_row * run.cells + cell])],
+        "perturbed": [str(values[row * run.slots + slot]), int(outcomes[row * run.cells + cell])],
+    }
 
 
 def empirical_correlations(trials: Trials) -> dict[tuple[float, float], CorrelationReport]:

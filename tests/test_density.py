@@ -28,7 +28,7 @@ from eprsim import (
     tabulate_joint,
     zoo_model,
 )
-from eprsim.density import CSV_HEADER
+from eprsim.density import CSV_HEADER, FactorizationReport
 from eprsim.zoo import ZOO, random_factorized_model
 
 from conftest import GRID_PAIRS
@@ -259,3 +259,12 @@ def test_joint_table_validation():
         JointTable(A0, B0, {}, (), (), ())
     with pytest.raises(Exception):
         JointTable(A0, B0, {(0, 0, "x", 1): 0.5}, (0,), (0,), ("x",))
+
+
+def test_report_dict_orders_deviations_by_formatted_key():
+    # 1 and "1" format alike: the stable sort keeps their order, and the later
+    # value wins under the first one's place, as a dict comprehension would.
+    deviations = {(1, 2): 0.5, 10: 0.1, "1": 0.2, 2: 0.3, 1: 0.4}
+    report = FactorizationReport("given_lambda", 1e-9, 0.5, False, deviations, 0.5)
+    assert list(report.to_dict()["deviations"].items()) == [
+        ("(1, 2)", 0.5), ("1", 0.4), ("10", 0.1), ("2", 0.3)]

@@ -17,9 +17,11 @@ import pytest
 
 from eprsim import (
     TEST_ANGLES,
+    AuditReport,
     CodomainViolationError,
     CorrelationReport,
     JointTable,
+    Schedule,
     Setting,
     Station,
     apply_transform_op,
@@ -30,6 +32,7 @@ from eprsim import (
     correlate_via_table,
     evaluate_outcome,
     layer_double,
+    locality_audit,
     s1,
     s2,
     table_from_csv,
@@ -41,14 +44,20 @@ from eprsim import (
 from eprsim import cli
 from eprsim.descriptors import model_from_config
 from eprsim.inequality import sampled_correlation
-from eprsim.model import station_outcomes, station_values
-from eprsim.stations import empirical_correlations
+from eprsim.model import TWO_PI, station_outcomes, station_values
+from eprsim.stations import DEFAULT_PAIRS, empirical_correlations
 from eprsim.symmetry import exact_marginal
 from eprsim.util import fmt12, stable_seed
 from eprsim.zoo import ZOO, random_factorized_model
 
 from conftest import GRID_PAIRS
 from test_output_digests import collect_digests
+from test_stations import (
+    history_leak_model,
+    outcome_publishing_model,
+    remote_reading_model,
+    remote_reading_s2_model,
+)
 
 
 def models(random_seeds=100):
@@ -416,3 +425,104 @@ def test_empirical_correlations_match_mask_loop_on_recorded_runs(tmp_path, monke
     monkeypatch.chdir(tmp_path)
     digests = collect_digests()
     assert len(runs) == sum(key.endswith("/summary.json") for key in digests) > 0
+
+
+def reference_audit(model, schedule, perturbations):
+    """The locality audit as per-trial columns over object arrays.
+
+    Every trial's pair key is a column, one for the base run and one per
+    (station, pass); pairs are compiled in the order a loop over trials, then
+    over columns, first uses them (found with ``np.unique``), looked up again
+    with ``searchsorted``, and each trial's (instrument value, outcome) is
+    compared with the base run's by numpy's object ``!=``.
+    """
+    S1, S2 = Station.S1, Station.S2
+    t = np.arange(schedule.trials)
+    prior = np.asarray(model.source.prior)
+    state = np.random.default_rng(schedule.seed_source).choice(
+        len(prior), size=len(t), p=prior / prior.sum())
+    n = len(schedule.pairs)
+    if schedule.policy == "random":
+        pair = np.random.default_rng(schedule.seed_settings).integers(0, n, len(t))
+    else:
+        pair = t % n
+    slot = t % model.grid.slot_count
+    codes = {}
+    for x in [*TEST_ANGLES, *(x for p in schedule.pairs for x in p)]:
+        codes.setdefault(s1(x).angle, len(codes))
+    angles = list(codes)
+    a, b = (np.array([codes[s1(x).angle] for x in side])[pair] for side in zip(*schedule.pairs))
+    d = np.subtract.outer(angles, TEST_ANGLES) % TWO_PI
+    apart = np.minimum(d, TWO_PI - d) > 1e-12
+    alt_count, alts = apart.sum(axis=1), np.argsort(~apart, axis=1, kind="stable")
+    size = len(angles)
+    passes = []
+    for station, remote in ((S1, b), (S2, a)):
+        count = alt_count[remote]
+        for p in range(min(perturbations, count.max())):
+            alt = np.where(p < count, alts[remote, (t + p) % count], remote)
+            passes.append((station, a * size + alt if station is S1 else alt * size + b))
+    columns = [a * size + b, *(keys for _, keys in passes)]
+    firsts = [np.unique(keys, return_index=True) for keys in columns]
+    keys = np.concatenate([k for k, _ in firsts])
+    uses = np.concatenate([f * len(columns) + c for c, (_, f) in enumerate(firsts)])
+    outputs = {}
+    for key in dict.fromkeys(keys[np.argsort(uses)].tolist()):
+        x, y = Setting(angles[key // size], S1), Setting(angles[key % size], S2)
+        v1 = station_values(model, x, schedule.seed_s1)
+        v2 = station_values(model, y, schedule.seed_s2)
+        outputs[key] = {S1: (v1, station_outcomes(model, x, v1)),
+                        S2: (v2, station_outcomes(model, y, v2))}
+    compiled = sorted(outputs)
+
+    def gather(station, keys):
+        q = np.searchsorted(compiled, keys)
+        values = np.stack([np.fromiter(outputs[k][station][0], dtype=object) for k in compiled])
+        outcomes = np.stack([outputs[k][station][1] for k in compiled])
+        return values[q, slot], outcomes[q, state, slot]
+
+    base = {station: gather(station, columns[0]) for station in (S1, S2)}
+    mismatches, first = 0, None
+    for station, keys in passes:
+        (values, outcomes), (base_values, base_outcomes) = gather(station, keys), base[station]
+        bad = (values != base_values) | (outcomes != base_outcomes)
+        mismatches += int(np.count_nonzero(bad))
+        k = int(bad.argmax())
+        if bad[k] and (first is None or k < first["trial"]):
+            side = int(station is S1)
+            first = {
+                "trial": k,
+                "station": station.value,
+                "slot": int(slot[k]) + 1,
+                "lambda": str(model.source.states[state[k]]),
+                "remote_original": schedule.pairs[pair[k]][side],
+                "remote_perturbed": angles[divmod(int(keys[k]), size)[side]],
+                "baseline": [str(base_values[k]), int(base_outcomes[k])],
+                "perturbed": [str(values[k]), int(outcomes[k])],
+            }
+    return AuditReport(schedule.trials, mismatches, mismatches == 0, first)
+
+
+AUDIT_SCHEDULES = {
+    "cycle": Schedule(trials=101, policy="cycle"),
+    "random": Schedule(trials=101, policy="random", seed_source=3, seed_settings=4),
+    "fixed": Schedule(trials=37, policy="fixed", pairs=((pi / 4, 0.0),)),
+    # Off the test grid, with 0.0 and 2π at one point of the circle.
+    "off-grid": Schedule(trials=53, policy="cycle", pairs=((0.3, 2.0), (0.0, 2 * pi), (-0.0, 1.0))),
+}
+
+LEAKY = (remote_reading_model, remote_reading_s2_model, outcome_publishing_model,
+         history_leak_model)
+
+
+@pytest.mark.parametrize("schedule", AUDIT_SCHEDULES.values(), ids=AUDIT_SCHEDULES)
+def test_locality_audit_matches_per_trial_reference(schedule):
+    for perturbations in range(1, 6):
+        for model in models(random_seeds=0):
+            expected = reference_audit(model, schedule, perturbations)
+            assert expected.passed, model.name
+            assert locality_audit(model, schedule, perturbations) == expected, model.name
+        # A leaky fixture keeps state across calls: each audit gets a fresh one.
+        for make in LEAKY:
+            expected = reference_audit(make(), schedule, perturbations)
+            assert locality_audit(make(), schedule, perturbations) == expected, make.__name__

@@ -259,6 +259,13 @@ def test_schedule_validation():
         with pytest.raises(InvalidScheduleError, match=f"got {trials}"):
             Schedule(trials=trials)
     assert Schedule(trials=MAX_RUN_TRIALS).trials == MAX_RUN_TRIALS
+    # A trial count is an integer: 2.5 would reach numpy's draw, and True
+    # would run one trial and be echoed as true. A numpy integer is kept as
+    # an int, which JSON can write.
+    for trials in (2.5, 3.0, True, False, "5", None):
+        with pytest.raises(InvalidScheduleError, match="trials must be an integer"):
+            Schedule(trials=trials)
+    assert type(Schedule(trials=np.int64(5)).trials) is int
 
 
 def test_station_seed_override_reaches_generators():
@@ -601,7 +608,7 @@ def test_read_trials_csv_names_the_row_of_a_non_numeric_cell(tmp_path):
     (((0.3, 2.0),), 5, 8),
 ], ids=["cycle-1", "cycle-3", "cycle-4", "cycle-5", "off-grid-5"])
 def test_audit_computes_each_pass_column_once(monkeypatch, pairs, perturbations, passes):
-    counts = {"perturbed": 0, "gather": 0}
+    counts = {"perturbed": 0, "outcomes_at": 0, "values_differ": 0}
     for name in counts:
         def counted(self, *args, _name=name, _method=getattr(_Runner, name)):
             counts[_name] += 1
@@ -609,5 +616,7 @@ def test_audit_computes_each_pass_column_once(monkeypatch, pairs, perturbations,
         monkeypatch.setattr(_Runner, name, counted)
     schedule = Schedule(trials=1000, policy="cycle", pairs=pairs)
     assert locality_audit(zoo_model("bell_product_basic"), schedule, perturbations).passed
-    # One key column per (station, pass); one gather per column, with the base at each station.
-    assert counts == {"perturbed": passes, "gather": passes + 2}
+    # One key table per (station, pass) and one comparison per pass: the
+    # outcomes of each pass plus the base at each station, and the values of
+    # each pass.
+    assert counts == {"perturbed": passes, "outcomes_at": passes + 2, "values_differ": passes}
