@@ -3,12 +3,13 @@
 The two stations are pure computations inside one process: both consume the
 same slot index per trial (the shared clock), and each sees only its own
 setting, the drawn source state, the slot and its own seed. One private
-runner draws every trial once, compiles each setting pair it uses once, and
-gathers the trials' outputs from the compiled arrays; a run is a set of
-columns (:class:`Trials`). The audit re-gathers one station's outcomes under
-varied remote settings, compares its instrument values once per situation a
-trial takes, and counts any change; honest models pass by construction, so
-the audit is a regression guard on the harness itself.
+runner draws every trial once and compiles each setting pair it uses once. A
+run (:class:`Trials`) is the table of distinct rows its trials take, each
+gathered once from the compiled arrays, plus each trial's row index. The
+audit re-gathers one station's outcomes under varied remote settings,
+compares its instrument values once per situation a trial takes, and counts
+any change; honest models pass by construction, so the audit is a regression
+guard on the harness itself.
 """
 from __future__ import annotations
 
@@ -48,8 +49,7 @@ POLICIES = ("fixed", "cycle", "random")
 # in the trial count.
 CSV_BLOCK_ROWS = 1 << 12
 
-# The most trials a run holds: its int64 per-trial columns must fit numpy's
-# largest array.
+# The most trials a run holds: one int64 per trial must fit numpy's largest array.
 MAX_RUN_TRIALS = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize
 
 # A remote angle has at most len(TEST_ANGLES) alternatives, and a trial's turn
@@ -60,13 +60,17 @@ PHASES = int(np.lcm.reduce(np.arange(1, len(TEST_ANGLES) + 1)))
 
 @dataclass(frozen=True, eq=False)
 class Trials:
-    """A run as columns; row t is trial t. ``state`` indexes ``states``, ``m``
-    is the slot (from 1), ``a`` and ``b`` are the scheduled angles as given (a
-    ``-0.0`` stays), ``lambda_star`` and ``lambda_dblstar`` are object arrays
-    of the two instrument values, and ``A`` and ``B`` are the int8 outcomes.
+    """A run in factored form: a table of rows and each trial's index into it.
+
+    Trial t reads ``a[row[t]]``, ``A[row[t]]`` and so on. ``state`` indexes
+    ``states``, ``m`` is the slot (from 1), ``a`` and ``b`` are the scheduled
+    angles as given (a ``-0.0`` stays), ``lambda_star`` and ``lambda_dblstar``
+    are object arrays of the instrument values, and ``A`` and ``B`` are the
+    int8 outcomes. A row may be listed twice or taken by no trial.
     """
 
     states: tuple[Hashable, ...]
+    row: np.ndarray
     state: np.ndarray
     m: np.ndarray
     a: np.ndarray
@@ -77,13 +81,15 @@ class Trials:
     B: np.ndarray
 
     def __post_init__(self):
-        # Every field after ``states`` is a column of one entry per trial.
-        short = [f.name for f in fields(self)[1:] if len(getattr(self, f.name)) != len(self.A)]
+        # Every field after ``row`` is a table column of one entry per row.
+        short = [f.name for f in fields(self)[2:] if len(getattr(self, f.name)) != len(self.A)]
         if short:
-            raise InvalidScheduleError(f"trial columns {short} need {len(self.A)} rows like A")
+            raise InvalidScheduleError(f"table columns {short} need {len(self.A)} rows like A")
+        if len(self.row) and not 0 <= self.row.min() <= self.row.max() < len(self.A):
+            raise InvalidScheduleError(f"trial rows must index the {len(self.A)} table rows")
 
     def __len__(self) -> int:
-        return len(self.A)
+        return len(self.row)
 
 
 @dataclass(frozen=True)
@@ -106,16 +112,14 @@ class Schedule:
     seed_s2: int | None = None
 
     def __post_init__(self):
-        try:
-            trials = operator.index(self.trials)
-        except TypeError:
-            trials = None
-        # operator.index accepts a bool, but True is no trial count.
-        if trials is None or isinstance(self.trials, bool):
-            raise InvalidScheduleError(f"trials must be an integer, got {self.trials!r}")
-        object.__setattr__(self, "trials", trials)
-        if not 1 <= self.trials <= MAX_RUN_TRIALS:
-            raise InvalidScheduleError(f"trials must be in 1..{MAX_RUN_TRIALS}, got {self.trials}")
+        self._integer("trials", 1, MAX_RUN_TRIALS)
+        # numpy's generators take non-negative seeds; a station seed goes to
+        # the model's own rules, which may take any integer.
+        self._integer("seed_source", 0)
+        self._integer("seed_settings", 0)
+        for name in ("seed_s1", "seed_s2"):
+            if getattr(self, name) is not None:
+                self._integer(name)
         if self.policy not in POLICIES:
             raise InvalidScheduleError(f"unknown setting policy {self.policy!r}")
         pairs = tuple((float(a), float(b)) for a, b in self.pairs)
@@ -124,6 +128,20 @@ class Schedule:
             raise InvalidScheduleError("schedule needs at least one setting pair")
         if self.policy == "fixed" and len(pairs) != 1:
             raise InvalidScheduleError(f"a fixed schedule holds one setting pair, got {len(pairs)}")
+
+    def _integer(self, name: str, low: float = -np.inf, high: float = np.inf) -> None:
+        """Keep field ``name`` as an int in low..high; a float, a string or a bool is refused."""
+        value = getattr(self, name)
+        try:
+            number = operator.index(value)
+        except TypeError:
+            number = None
+        # operator.index accepts a bool, but True is no trial count or seed.
+        if number is None or isinstance(value, bool):
+            raise InvalidScheduleError(f"{name} must be an integer, got {value!r}")
+        if not low <= number <= high:
+            raise InvalidScheduleError(f"{name} must be in {low}..{high}, got {number}")
+        object.__setattr__(self, name, number)
 
 
 @dataclass(frozen=True)
@@ -303,17 +321,13 @@ class _Runner:
         rows[used] = [row[k] for k in keys[used].tolist()]
         return np.split(rows, np.cumsum([len(k) for _, k in columns[:-1]]))
 
-    def at(self, rows: np.ndarray, index: np.ndarray, stride: int, offset: np.ndarray) -> np.ndarray:
-        """Every trial's position ``rows[index] * stride + offset`` in a flat
-        compiled array: ``rows`` is a compiled-row table and ``index`` each
-        trial's index into it."""
-        table = rows * stride
-        return table.astype(_int_type(table.max(initial=0) + stride)).take(index) + offset
-
     def outcomes_at(self, station: Station, rows: np.ndarray, index: np.ndarray) -> np.ndarray:
         """Every trial's outcome at the station under the compiled-row table
-        ``rows``, indexed per trial by ``index``."""
-        return self.outcomes[station].take(self.at(rows, index, self.cells, self.cell))
+        ``rows``, indexed per trial by ``index``: the flat position
+        ``rows[index] * cells + cell``."""
+        table = rows * self.cells
+        at = table.astype(_int_type(table.max(initial=0) + self.cells)).take(index) + self.cell
+        return self.outcomes[station].take(at)
 
     def values_differ(self, station: Station, rows: np.ndarray,
                       base_rows: np.ndarray) -> np.ndarray | None:
@@ -334,16 +348,28 @@ class _Runner:
 
 
 def run_experiment(model: LocalModel, schedule: Schedule) -> Trials:
-    """Run the scheduled trials; fully reproducible from the schedule's seeds."""
+    """Run the scheduled trials; fully reproducible from the schedule's seeds.
+
+    The table holds one row per (scheduled pair, state, slot) key that some
+    trial takes, in first-use order, and each column is gathered once per row.
+    """
     run = _Runner(model, schedule)
     (rows,) = run.compile([(run.base_first, run.base_keys)])
-    values = run.at(rows, run.base, run.slots, run.slot)
-    cells = run.at(rows, run.base, run.cells, run.cell)
+    size = len(schedule.pairs) * run.cells
+    key = run.pair.astype(_int_type(size)) * run.cells + run.cell
+    first = _first_use(key, size)
+    used = np.flatnonzero(first < len(key))
+    used = used[np.argsort(first[used])]
+    pair, cell = np.divmod(used, run.cells)
+    state, slot = np.divmod(cell, run.slots)
+    compiled = rows[run.base.take(first[used])]
+    index = np.zeros(size, dtype=_int_type(len(used)))
+    index[used] = np.arange(len(used))
     a, b = np.array(schedule.pairs).T
-    return Trials(model.source.states, run.state.astype(np.int64), run.slot.astype(np.int64) + 1,
-                  a[run.pair], b[run.pair],
-                  run.values[Station.S1].take(values), run.values[Station.S2].take(values),
-                  run.outcomes[Station.S1].take(cells), run.outcomes[Station.S2].take(cells))
+    values, cells = compiled * run.slots + slot, compiled * run.cells + cell
+    return Trials(model.source.states, index.take(key), state, slot + 1, a[pair], b[pair],
+                  run.values[Station.S1][values], run.values[Station.S2][values],
+                  run.outcomes[Station.S1][cells], run.outcomes[Station.S2][cells])
 
 
 def locality_audit(
@@ -418,121 +444,97 @@ def _first_mismatch(run: _Runner, base_rows: np.ndarray, t: int, station: Statio
 def empirical_correlations(trials: Trials) -> dict[tuple[float, float], CorrelationReport]:
     """Each setting pair's pooled statistics, keyed by its angles as first run.
 
-    One count over (pair, state, A, B) gives every pair's count tensor for
-    :func:`eprsim.inequality.sampled_correlation`.
+    The table rows that trials take are grouped by angle in first-use order;
+    one count of trials per row, added into (pair, state, A, B), gives every
+    pair's count tensor for :func:`eprsim.inequality.sampled_correlation`.
     """
-    _, a = np.unique(trials.a, return_inverse=True)
-    b_angles, b = np.unique(trials.b, return_inverse=True)
-    _, first, pair = np.unique(a * len(b_angles) + b, return_index=True, return_inverse=True)
-    n_states = len(trials.states)
-    cells = ((pair * n_states + trials.state) * 2 + (trials.A > 0)) * 2 + (trials.B > 0)
-    counts = np.bincount(cells, minlength=len(first) * n_states * 4).reshape(-1, n_states, 2, 2)
-    out = {}
-    for g in np.argsort(first):
-        key = (float(trials.a[first[g]]), float(trials.b[first[g]]))
-        out[key] = sampled_correlation(s1(key[0]), s2(key[1]), counts[g], trials.states)
-    return out
-
-
-def _distinct_rows(trials: Trials) -> tuple[np.ndarray, np.ndarray]:
-    """One trial of each distinct row after the trial number, and each
-    trial's index into those rows.
-
-    Rows are keyed on what is written, not on how the columns were made:
-    each column gets integer codes such that equal codes always format
-    identically, and the codes combine by mixed radix. Integers are coded as
-    value minus minimum, floats by bit pattern (``-0.0`` is not ``0.0``), and
-    instrument values by object identity, since ``1``, ``1.0`` and ``True``
-    are equal but print differently.
-    """
-    # One column at a time: beside the key, only one code array is alive.
-    codes = chain(
-        (np.asarray(c, dtype=np.int64) - c.min()
-         for c in (trials.m, trials.state, trials.A, trials.B)),
-        (np.unique(np.asarray(c, dtype=np.float64).view(np.int64), return_inverse=True)[1]
-         for c in (trials.a, trials.b)),
-        (np.unique(np.fromiter(map(id, c), dtype=np.int64, count=len(c)), return_inverse=True)[1]
-         for c in (trials.lambda_star, trials.lambda_dblstar)),
-    )
-    key, size = np.zeros(len(trials), dtype=np.int64), 1
-    for code in codes:
-        radix = int(code.max()) + 1
-        if size * radix > 1 << 62:
-            keys, key = np.unique(key, return_inverse=True)
-            size = len(keys)
-        key, size = key * radix + code, size * radix
-    keys, row = np.unique(key, return_inverse=True)
-    # Rows with one key format identically, so any of them stands for all.
-    rep = np.empty(len(keys), dtype=np.int64)
-    rep[row] = np.arange(len(trials))
-    return rep, row
+    first = _first_use(trials.row, len(trials.A))
+    rows = np.argsort(first)[:np.count_nonzero(first < len(trials))]
+    # -0.0 == 0.0, so each pair keeps the angles it first ran with.
+    pairs: dict[tuple[float, float], int] = {}
+    pair = np.array([pairs.setdefault(key, len(pairs)) for key in
+                     zip(trials.a[rows].tolist(), trials.b[rows].tolist())], dtype=np.intp)
+    counts = np.zeros((len(pairs), len(trials.states), 2, 2), dtype=np.int64)
+    np.add.at(counts, (pair, trials.state[rows], (trials.A[rows] + 1) // 2,
+                       (trials.B[rows] + 1) // 2), np.bincount(trials.row)[rows])
+    return {key: sampled_correlation(s1(key[0]), s2(key[1]), tensor, trials.states)
+            for key, tensor in zip(pairs, counts)}
 
 
 def write_trials_csv(trials: Trials, path: str | Path, comments: list[str] | None = None) -> None:
     """Write the trials to ``path`` as CSV rows, one per trial.
 
-    After the trial number, a row is a pure function of its eight column
-    values, so each distinct row is formatted once through the same
-    ``csv.writer`` settings; csv quotes field by field, so
-    ``f"{trial},{suffix}"`` is the full row's bytes. The rows are joined and
-    written one block at a time.
+    After the trial number, a trial's row is its table row, so each table
+    row is formatted once through the same ``csv.writer`` settings; csv
+    quotes field by field, so ``f"{t},{suffix[row[t]]}"`` is trial t's full
+    row. The rows are joined and written one block at a time.
     """
     with open(path, "w", encoding="utf-8") as fp:
         for line in comments or []:
             fp.write(f"# {line}\n")
         csv.writer(fp, lineterminator="\n").writerow(TRIALS_CSV_HEADER)
-        if not len(trials):
-            return
-        rep, row = _distinct_rows(trials)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         # writerow returns the characters it wrote: each row's end in buf.
         # (str.splitlines would also split inside fields on \x0b, \u2028, ...)
         ends = list(accumulate(map(writer.writerow, zip(
-            trials.m[rep].tolist(),
+            trials.m.tolist(),
             # Angles are coordinates, not expectations: keep full precision
             # so the stream round-trips exactly.
-            map(repr, trials.a[rep].tolist()),
-            map(repr, trials.b[rep].tolist()),
-            [trials.states[s] for s in trials.state[rep].tolist()],
-            trials.lambda_star[rep].tolist(),
-            trials.lambda_dblstar[rep].tolist(),
-            trials.A[rep].tolist(),
-            trials.B[rep].tolist(),
+            map(repr, trials.a.tolist()),
+            map(repr, trials.b.tolist()),
+            [trials.states[s] for s in trials.state.tolist()],
+            trials.lambda_star.tolist(),
+            trials.lambda_dblstar.tolist(),
+            trials.A.tolist(),
+            trials.B.tolist(),
         ))))
         text = buf.getvalue()
-        suffixes = np.array([text[s:e] for s, e in zip([0, *ends], ends)], dtype=object)
+        suffix = np.array([text[s:e] for s, e in zip([0, *ends], ends)], dtype=object)
         for start in range(0, len(trials), CSV_BLOCK_ROWS):
-            block = suffixes[row[start:start + CSV_BLOCK_ROWS]].tolist()
+            block = suffix.take(trials.row[start:start + CSV_BLOCK_ROWS]).tolist()
             fp.write("".join([f"{t},{s}" for t, s in enumerate(block, start)]))
 
 
-def _numbers(cols: list[tuple[str, ...]], k: int, convert) -> list:
-    """Column ``k`` of a trial CSV through ``convert``, or the error naming
-    the first data row (from 1) whose cell does not parse."""
+def _numbers(cols: list[tuple[str, ...]], k: int, convert, data_rows) -> list:
+    """Column ``k`` of a trial CSV through ``convert``; the first cell that
+    does not parse is named by its data row (from 1) in ``data_rows``."""
     out = []
-    for text in cols[k]:
+    for text, data_row in zip(cols[k], data_rows):
         try:
             out.append(convert(text))
         except ValueError:
-            raise InvalidScheduleError(f"trial CSV data row {len(out) + 1}: "
+            raise InvalidScheduleError(f"trial CSV data row {data_row}: "
                                        f"{TRIALS_CSV_HEADER[k]} = {text!r} does not parse") from None
     return out
 
 
 def read_trials_csv(path: str | Path) -> Trials:
-    """Load trials written by :func:`write_trials_csv`; state labels stay text."""
+    """Load trials written by :func:`write_trials_csv`; state labels stay text.
+
+    Each distinct text after the trial number is one table row, parsed once;
+    a cell that does not parse is named by the first data row that holds it.
+    """
     with open(path, newline="", encoding="utf-8") as fp:
-        rows = [row for row in csv.reader(fp) if row and not row[0].startswith("#")]
-    if not rows or tuple(rows[0]) != TRIALS_CSV_HEADER:
-        raise InvalidScheduleError("trial CSV is empty or lacks the expected header")
-    if any(len(row) != len(TRIALS_CSV_HEADER) for row in rows[1:]):
-        raise InvalidScheduleError("trial CSV rows need nine fields")
-    cols = list(zip(*rows[1:])) or [()] * len(TRIALS_CSV_HEADER)
-    trial, m, A, B = (np.array(_numbers(cols, k, int), dtype=np.int64) for k in (0, 1, 7, 8))
+        lines = (row for row in csv.reader(fp) if row and not row[0].startswith("#"))
+        if tuple(next(lines, ())) != TRIALS_CSV_HEADER:
+            raise InvalidScheduleError("trial CSV is empty or lacks the expected header")
+        numbers, row, table = [], [], {}
+        for line in lines:
+            if len(line) != len(TRIALS_CSV_HEADER):
+                raise InvalidScheduleError("trial CSV rows need nine fields")
+            numbers.append(line[0])
+            row.append(table.setdefault(tuple(line[1:]), len(table)))
+    row = np.array(row, dtype=np.intp)
+    first = (_first_use(row, len(table)) + 1).tolist()  # each table row's first data row
+    # Numbered as in the header: every trial's number, then the table's columns.
+    cols = [numbers, *(zip(*table) if table else [()] * (len(TRIALS_CSV_HEADER) - 1))]
+    trial = np.array(_numbers(cols, 0, int, range(1, len(numbers) + 1)), dtype=np.int64)
+    m, A, B = (np.array(_numbers(cols, k, int, first), dtype=np.int64) for k in (1, 7, 8))
     if (trial != np.arange(len(trial))).any() or (np.abs([A, B]) != 1).any():
         raise InvalidScheduleError("trial CSV needs trials numbered from 0 and outcomes of +-1")
     states, state = np.unique(np.array(cols[4], dtype=str), return_inverse=True)
-    a, b = (np.array(_numbers(cols, k, float)) for k in (2, 3))
+    a, b = (np.array(_numbers(cols, k, float, first)) for k in (2, 3))
     v1, v2 = (np.fromiter(map(parse_scalar, cols[k]), dtype=object) for k in (5, 6))
-    return Trials(tuple(states.tolist()), state, m, a, b, v1, v2, *np.array([A, B], dtype=np.int8))
+    return Trials(tuple(states.tolist()), row, state, m, a, b, v1, v2,
+                  *np.array([A, B], dtype=np.int8))

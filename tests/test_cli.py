@@ -392,13 +392,26 @@ def wrong_input_argv(tmp_path, model=VALID_MODEL, schedule=None, op="double"):
     ({"model": VALID_MODEL.replace("[gen2]\nkind = constant", "[gen2]\nkind = cycle\n"
                                    "values = 0, 1\nstride = 0")}, "needs stride and modulus"),
     ({"schedule": SCHEDULE.replace("random", "fixed")}, "a fixed schedule holds one setting pair"),
+    ({"schedule": SCHEDULE.replace("seed_source = 4", "seed_source = -1")},
+     "seed_source must be in 0..inf, got -1"),
 ], ids=["slots", "seed_s1", "mean", "grid_key", "section", "schedule_key", "stride",
-        "fixed_pairs"])
+        "fixed_pairs", "negative_seed"])
 def test_wrong_descriptor_input_is_a_configuration_error(tmp_path, capsys, edit, message):
     assert run_cli(wrong_input_argv(tmp_path, **edit)) == 2
     err = capsys.readouterr().err
     assert err.startswith("eprsim: configuration error:")
     assert message in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "audit"])
+def test_negative_seed_is_a_configuration_error(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    argv = [command, "--model", "bell_product_basic", "--trials", "10", "--seed", "-1",
+            "--out", str(out)]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == (
+        "eprsim: configuration error: seed_source must be in 0..inf, got -1\n")
+    assert not out.exists()
 
 
 def test_schedule_with_a_non_finite_angle_exits_2(tmp_path, capsys):

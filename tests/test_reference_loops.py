@@ -53,6 +53,7 @@ from eprsim.zoo import ZOO, random_factorized_model
 from conftest import GRID_PAIRS
 from test_output_digests import collect_digests
 from test_stations import (
+    factored_trials,
     history_leak_model,
     outcome_publishing_model,
     remote_reading_model,
@@ -394,18 +395,35 @@ def test_monte_carlo_counts_match_per_sample_reference():
 
 def reference_empirical_correlations(trials):
     """Each setting pair's statistics from a boolean mask over its trials."""
-    _, a = np.unique(trials.a, return_inverse=True)
-    b_angles, b = np.unique(trials.b, return_inverse=True)
+    a_col, b_col, A, B, state = (
+        column[trials.row] for column in (trials.a, trials.b, trials.A, trials.B, trials.state))
+    _, a = np.unique(a_col, return_inverse=True)
+    b_angles, b = np.unique(b_col, return_inverse=True)
     _, first, pair = np.unique(a * len(b_angles) + b, return_index=True, return_inverse=True)
     out = {}
     for g in np.argsort(first):
         rows = pair == g
-        key = (float(trials.a[first[g]]), float(trials.b[first[g]]))
+        key = (float(a_col[first[g]]), float(b_col[first[g]]))
         out[key] = reference_sampled_correlation(
-            s1(key[0]), s2(key[1]), trials.A[rows], trials.B[rows], trials.state[rows],
-            trials.states,
-        )
+            s1(key[0]), s2(key[1]), A[rows], B[rows], state[rows], trials.states)
     return out
+
+
+def assert_same_correlations(found, expected):
+    assert list(found) == list(expected)
+    assert [report_fields(r) for r in found.values()] == [
+        report_fields(r) for r in expected.values()]
+
+
+def test_empirical_correlations_of_a_factored_run_match_mask_loop():
+    """A table out of first-use order, with a row listed twice and one untaken."""
+    trials = factored_trials()
+    found = empirical_correlations(trials)
+    # -0.0 and 0.0 are one angle, keyed as trial 0 ran it; the untaken
+    # (1.0, 1.5) row gives no entry.
+    assert list(found) == [(0.0, 0.0), (0.5, 0.0)]
+    assert str(list(found)[0][0]) == "0.0"
+    assert_same_correlations(found, reference_empirical_correlations(trials))
 
 
 def test_empirical_correlations_match_mask_loop_on_recorded_runs(tmp_path, monkeypatch):
@@ -414,10 +432,7 @@ def test_empirical_correlations_match_mask_loop_on_recorded_runs(tmp_path, monke
 
     def checked(trials):
         found = empirical_correlations(trials)
-        expected = reference_empirical_correlations(trials)
-        assert list(found) == list(expected)
-        assert [report_fields(r) for r in found.values()] == [
-            report_fields(r) for r in expected.values()]
+        assert_same_correlations(found, reference_empirical_correlations(trials))
         runs.append(len(trials))
         return found
 

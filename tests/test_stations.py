@@ -187,17 +187,18 @@ def recorded_calls(schedule_name: str, perturbations: int | None) -> tuple[int, 
 def trial_columns(trials) -> dict:
     """A run's columns as lists, with each trial's state as its label."""
     names = ("m", "a", "b", "lambda_star", "lambda_dblstar", "A", "B")
-    columns = {name: getattr(trials, name).tolist() for name in names}
-    columns["lambda"] = [trials.states[i] for i in trials.state]
+    columns = {name: getattr(trials, name)[trials.row].tolist() for name in names}
+    columns["lambda"] = [trials.states[i] for i in trials.state[trials.row]]
     return columns
 
 
 def test_single_trial_constant_model():
     schedule = Schedule(trials=1, policy="fixed", pairs=((0.0, 0.0),))
     trials = run_experiment(zoo_model("constant_plus"), schedule)
+    A, B, m = (column[trials.row] for column in (trials.A, trials.B, trials.m))
     assert len(trials) == 1
-    assert (trials.A[0], trials.B[0]) == (1, 1)
-    assert trials.m[0] == 1
+    assert (A[0], B[0]) == (1, 1)
+    assert m[0] == 1
 
 
 def test_run_is_bitwise_reproducible():
@@ -212,7 +213,7 @@ def test_clock_synchrony_slots_cycle_with_trial_index():
     model = zoo_model("cosine_threshold_lhv")
     n = model.grid.slot_count
     trials = run_experiment(model, Schedule(trials=25, policy="cycle"))
-    assert trials.m.tolist() == [(t % n) + 1 for t in range(25)]
+    assert trials.m[trials.row].tolist() == [(t % n) + 1 for t in range(25)]
 
 
 def test_records_match_station_recomputation():
@@ -220,12 +221,13 @@ def test_records_match_station_recomputation():
 
     model = zoo_model("setting_dependent_density")
     trials = run_experiment(model, Schedule(trials=64, policy="cycle"))
-    for t in range(len(trials)):
-        a, b, m = s1(trials.a[t]), s2(trials.b[t]), int(trials.m[t])
-        lam = trials.states[trials.state[t]]
-        assert trials.A[t] == evaluate_outcome(model, Station.S1, a, lam, m)
-        assert trials.B[t] == evaluate_outcome(model, Station.S2, b, lam, m)
-        assert trials.lambda_star[t] == model.gen1.evaluate(a, m)
+    A, B, lambda_star = (column[trials.row] for column in (trials.A, trials.B, trials.lambda_star))
+    for t, row in enumerate(trials.row):
+        a, b, m = s1(trials.a[row]), s2(trials.b[row]), int(trials.m[row])
+        lam = trials.states[trials.state[row]]
+        assert A[t] == evaluate_outcome(model, Station.S1, a, lam, m)
+        assert B[t] == evaluate_outcome(model, Station.S2, b, lam, m)
+        assert lambda_star[t] == model.gen1.evaluate(a, m)
 
 
 def test_empirical_agrees_with_exact_at_five_sigma():
@@ -266,6 +268,30 @@ def test_schedule_validation():
         with pytest.raises(InvalidScheduleError, match="trials must be an integer"):
             Schedule(trials=trials)
     assert type(Schedule(trials=np.int64(5)).trials) is int
+
+
+@pytest.mark.parametrize("seeds, message", [
+    ({"seed_source": -1}, "seed_source must be in 0..inf, got -1"),
+    ({"seed_settings": -3}, "seed_settings must be in 0..inf, got -3"),
+    ({"seed_source": 2.5}, "seed_source must be an integer, got 2.5"),
+    ({"seed_source": True}, "seed_source must be an integer, got True"),
+    ({"seed_settings": "4"}, "seed_settings must be an integer, got '4'"),
+    ({"seed_s1": 1.0}, "seed_s1 must be an integer, got 1.0"),
+    ({"seed_s2": False}, "seed_s2 must be an integer, got False"),
+], ids=["negative source", "negative settings", "float", "bool", "string", "float station",
+        "bool station"])
+def test_schedule_rejects_bad_seeds(seeds, message):
+    # numpy would refuse -1 and 2.5 only once the run draws, and would run
+    # True as seed 1.
+    with pytest.raises(InvalidScheduleError, match=message):
+        Schedule(trials=5, **seeds)
+
+
+def test_schedule_keeps_integer_seeds_as_int():
+    schedule = Schedule(trials=5, seed_source=np.int64(3), seed_settings=0, seed_s1=-2,
+                        seed_s2=np.int32(4))
+    assert [(type(x), x) for x in (schedule.seed_source, schedule.seed_s1, schedule.seed_s2)] \
+        == [(int, 3), (int, -2), (int, 4)]
 
 
 def test_station_seed_override_reaches_generators():
@@ -445,21 +471,24 @@ def test_angles_at_one_point_of_the_circle_compile_once():
     # One compiled pair: one generator call per slot at each station.
     assert len(calls) == 2 * base.grid.slot_count
     # The columns and the per-pair statistics keep the scheduled angles.
-    assert trials.a.tolist() == [0.0, 2 * math.pi] * 4
+    assert trials.a[trials.row].tolist() == [0.0, 2 * math.pi] * 4
     assert list(empirical_correlations(trials)) == list(pairs)
 
 
 def row_by_row_trials_csv(trials, comments) -> bytes:
-    """Reference writer: one row at a time, straight from the columns."""
+    """Reference writer: one row at a time, straight from the expanded columns."""
     buf = io.StringIO()
     for line in comments:
         buf.write(f"# {line}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(TRIALS_CSV_HEADER)
+    m, a, b, state, lambda_star, lambda_dblstar, A, B = (
+        getattr(trials, name)[trials.row]
+        for name in ("m", "a", "b", "state", "lambda_star", "lambda_dblstar", "A", "B"))
     for t in range(len(trials)):
-        writer.writerow([t, int(trials.m[t]), repr(float(trials.a[t])), repr(float(trials.b[t])),
-                         trials.states[trials.state[t]], trials.lambda_star[t],
-                         trials.lambda_dblstar[t], int(trials.A[t]), int(trials.B[t])])
+        writer.writerow([t, int(m[t]), repr(float(a[t])), repr(float(b[t])),
+                         trials.states[state[t]], lambda_star[t], lambda_dblstar[t],
+                         int(A[t]), int(B[t])])
     return buf.getvalue().encode("utf-8")
 
 
@@ -491,6 +520,7 @@ def odd_trials(n: int) -> Trials:
     values = np.array(ODD_VALUES, dtype=object)
     return Trials(
         states=("a,b", 'q"r', "plain"),
+        row=np.arange(n),
         state=group % 3,
         m=1 + group % 4,
         a=np.where(t % 2, 0.0, -0.0),
@@ -509,26 +539,31 @@ def test_trials_csv_of_odd_values_equals_row_by_row(tmp_path):
     assert path.read_bytes() == row_by_row_trials_csv(trials, ["config = {}"])
 
 
-def test_trials_csv_row_keys_do_not_wrap(tmp_path):
-    # Slots 1, 1 + 2^61 and 2^62 take 2^62 codes, so the mixed-radix row key
-    # is re-compressed before the next column; left to wrap at 2^64, it would
-    # merge rows that differ in the slot alone.
-    t = np.arange(48)
-    values = np.array([0, 1, 2], dtype=object)
-    trials = Trials(
+def factored_trials() -> Trials:
+    """A hand-built run whose table is out of first-use order (trial 0 takes
+    row 2), lists one row twice (rows 2 and 3) and holds a row that no trial
+    takes (row 4). Row 1 differs from rows 2 and 3 in the sign of a zero
+    angle, its outcomes and nothing else."""
+    values = np.array([0, 1, "x,y"], dtype=object)
+    return Trials(
         states=("u0", "u1"),
-        state=t // 24,
-        m=np.array([1, 1 + 2**61, 2**62])[t % 3],
-        a=np.array([0.0, 0.5])[t // 3 % 2],
-        b=np.array([0.0, 0.5])[t // 6 % 2],
-        lambda_star=values[t // 3 % 3],
-        lambda_dblstar=values[t // 6 % 3],
-        A=np.where(t // 12 % 2, 1, -1).astype(np.int8),
-        B=np.where(t // 24, 1, -1).astype(np.int8),
+        row=np.array([2, 1, 0, 3, 2, 0, 0, 1, 3, 3, 2]),
+        state=np.array([1, 0, 0, 0, 1]),
+        m=np.array([2, 1, 1, 1, 3]),
+        a=np.array([0.5, -0.0, 0.0, 0.0, 1.0]),
+        b=np.array([0.0, 0.0, 0.0, 0.0, 1.5]),
+        lambda_star=values[[1, 0, 0, 0, 2]],
+        lambda_dblstar=values[[2, 1, 1, 1, 0]],
+        A=np.array([1, -1, 1, 1, -1], dtype=np.int8),
+        B=np.array([-1, -1, 1, 1, 1], dtype=np.int8),
     )
+
+
+def test_factored_trials_csv_equals_row_by_row(tmp_path):
+    trials = factored_trials()
     path = tmp_path / "trials.csv"
-    write_trials_csv(trials, path)
-    assert path.read_bytes() == row_by_row_trials_csv(trials, [])
+    write_trials_csv(trials, path, comments=["config = {}"])
+    assert path.read_bytes() == row_by_row_trials_csv(trials, ["config = {}"])
 
 
 def test_zero_trials_write_the_header_alone(tmp_path):
@@ -546,8 +581,15 @@ def test_zero_trials_write_the_header_alone(tmp_path):
 
 def test_trials_rejects_columns_of_unequal_length():
     trials = run_experiment(zoo_model("bell_product_basic"), Schedule(trials=3))
-    with pytest.raises(InvalidScheduleError, match="'m'"):
-        dataclasses.replace(trials, m=trials.m[:2])
+    with pytest.raises(InvalidScheduleError, match="table columns \\['m'\\]"):
+        dataclasses.replace(trials, m=trials.m[:-1])
+
+
+@pytest.mark.parametrize("row", [[0, 5], [-1, 0]], ids=["past the table", "negative"])
+def test_trials_rejects_rows_outside_its_table(row):
+    trials = factored_trials()
+    with pytest.raises(InvalidScheduleError, match="must index the 5 table rows"):
+        dataclasses.replace(trials, row=np.array(row))
 
 
 angles = st.one_of(
@@ -596,10 +638,14 @@ def test_read_trials_csv_rejects_malformed_rows(tmp_path, row):
 
 def test_read_trials_csv_names_the_row_of_a_non_numeric_cell(tmp_path):
     path = tmp_path / "trials.csv"
-    rows = ["0,1,0.0,0.0,u0,0,0,1,1", "1,2,0.0,0.0,u0,0,0,1,1", "2,3,0.0,half,u0,0,0,1,1"]
-    path.write_text("\n".join([",".join(TRIALS_CSV_HEADER), *rows]) + "\n", encoding="utf-8")
-    with pytest.raises(InvalidScheduleError, match="data row 3: b = 'half'"):
-        read_trials_csv(path)
+    for rows in (
+        ["0,1,0.0,0.0,u0,0,0,1,1", "1,2,0.0,0.0,u0,0,0,1,1", "2,3,0.0,half,u0,0,0,1,1"],
+        # Rows 1 and 2 are one distinct row; the bad cell is still in data row 3.
+        ["0,1,0.0,0.0,u0,0,0,1,1", "1,1,0.0,0.0,u0,0,0,1,1", "2,3,0.0,half,u0,0,0,1,1"],
+    ):
+        path.write_text("\n".join([",".join(TRIALS_CSV_HEADER), *rows]) + "\n", encoding="utf-8")
+        with pytest.raises(InvalidScheduleError, match="data row 3: b = 'half'"):
+            read_trials_csv(path)
 
 
 @pytest.mark.parametrize("pairs, perturbations, passes", [
