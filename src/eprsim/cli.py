@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", type=Path, default=None, help="schedule descriptor file")
     _common_flags(p)
 
-    p = sub.add_parser("check", help="factorization (both modes) and parameter independence")
+    p = sub.add_parser("check", help="factorization (both modes) and per-state conditionals")
     p.add_argument("--model", required=True)
     p.add_argument("--angle-a", type=float, default=0.0)
     p.add_argument("--angle-b", type=float, default=TEST_ANGLES[1])

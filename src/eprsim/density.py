@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Hashable, Mapping
 
 from .errors import EmptyTableError, InvalidToleranceError, InvalidWeightsError
-from .model import LocalModel, Setting, _check_distribution, check_pair, station_values
+from .model import LocalModel, Setting, _check_distribution, check_pair
 from .util import parse_scalar
 
 CSV_HEADER = ("lambda_star", "lambda_dblstar", "lambda", "m", "prob")
@@ -78,12 +78,13 @@ def tabulate_joint(model: LocalModel, a: Setting, b: Setting) -> JointTable:
     """Exact joint distribution of Eq-style tuples for one setting pair.
 
     Each (state, slot) cell contributes its full mass to the single value pair
-    the deterministic generators select there. The products ``p * w`` are
-    formed here, not taken from :func:`eprsim.model.cell_mass`, so the table
-    route shares no arithmetic with the direct sum.
+    the deterministic generators select there (read from the model's memo).
+    The products ``p * w`` are formed here, not taken from
+    :func:`eprsim.model.cell_mass`, so the table route shares no arithmetic
+    with the direct sum.
     """
     check_pair(a, b)
-    cells = list(zip(model.grid.slots, station_values(model, a), station_values(model, b),
+    cells = list(zip(model.grid.slots, model.compiled(a)[0], model.compiled(b)[0],
                      model.grid.weights))
     entries = {
         (v1, v2, lam, m): p * w

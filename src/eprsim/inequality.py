@@ -1,14 +1,15 @@
 """Correlations, conditional expectations, CHSH combinations and the local bound.
 
 Two independent exact routes exist on purpose: :func:`correlate` sums over
-each station's compiled (state, slot) outcome array
-(:func:`eprsim.model.station_outcomes`), while :func:`correlate_via_table`
-sums over a tabulated joint distribution, calling the outcome rules itself and
-never a generator. Tests cross-check the two. Every exact whole-model sum
-(``e_ab``, both marginals, :func:`exact_marginal`) is one ``math.fsum`` over
-per-cell products with :func:`eprsim.model.cell_mass`, so it is the correctly
-rounded sum of those rounded products whatever the summation order, and the two
-routes agree bit for bit.
+each station's compiled (state, slot) outcome array, read from the model's
+memo (:meth:`eprsim.model.LocalModel.compiled`) like every exact path, while
+:func:`correlate_via_table` sums over a tabulated joint distribution, calling
+the outcome rules itself and never a generator. Tests cross-check the two.
+Every exact whole-model sum (``e_ab``, both marginals, :func:`exact_marginal`)
+is one ``math.fsum`` over per-cell products with
+:func:`eprsim.model.cell_mass`, so it is the correctly rounded sum of those
+rounded products whatever the summation order, and the two routes agree bit
+for bit.
 Sampled +-1 outcomes reduce through one function, :func:`sampled_correlation`,
 from a tensor of integer counts over (state, A, B). A lockstep run
 (:mod:`eprsim.stations`) fills it by counting its trials; Monte Carlo fills it
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache, partial
 from math import cos, fsum, log, sqrt
 from typing import Callable, Hashable, Mapping
 
@@ -37,8 +37,6 @@ from .model import (
     Station,
     cell_mass,
     check_pair,
-    station_outcomes,
-    station_values,
 )
 from .util import fmt12, stable_seed
 
@@ -135,10 +133,6 @@ class ChshResult:
         }
 
 
-def _compiled(model: LocalModel, setting: Setting) -> np.ndarray:
-    return station_outcomes(model, setting, station_values(model, setting))
-
-
 def _cell_sum(model: LocalModel, cells: np.ndarray) -> float:
     """The exact kernel: fsum of each (state, slot) cell's mass times ``cells``."""
     return fsum((cell_mass(model) * cells).ravel().tolist())
@@ -146,7 +140,7 @@ def _cell_sum(model: LocalModel, cells: np.ndarray) -> float:
 
 def conditional_table(model: LocalModel, setting: Setting) -> dict[Hashable, float]:
     """Exact per-state conditional expectation E{outcome | state} at one setting."""
-    return _conditionals(model, _compiled(model, setting))
+    return _conditionals(model, model.compiled(setting)[1])
 
 
 def _conditionals(model: LocalModel, outcomes: np.ndarray) -> dict[Hashable, float]:
@@ -156,7 +150,7 @@ def _conditionals(model: LocalModel, outcomes: np.ndarray) -> dict[Hashable, flo
 
 def exact_marginal(model: LocalModel, station: Station, angle: float = 0.0) -> float:
     """Exact one-sided expectation at the given setting angle."""
-    return _cell_sum(model, _compiled(model, Setting(angle, station)))
+    return _cell_sum(model, model.compiled(Setting(angle, station))[1])
 
 
 def correlate(
@@ -177,13 +171,7 @@ def correlate(
     from their multinomial law: time and memory do not grow with ``trials``.
     """
     check_pair(a, b)
-    return _pair_report(model, a, b, _compiled(model, a), _compiled(model, b),
-                        method, trials, seed)
-
-
-def _pair_report(model: LocalModel, a: Setting, b: Setting, A: np.ndarray, B: np.ndarray,
-                 method: str, trials: int, seed: int) -> CorrelationReport:
-    """:func:`correlate` on the two settings' compiled (state, slot) arrays."""
+    A, B = model.compiled(a)[1], model.compiled(b)[1]
     if method == "exact":
         return CorrelationReport(
             a, b, _cell_sum(model, A * B), _cell_sum(model, A), _cell_sum(model, B),
@@ -297,29 +285,23 @@ def chsh(
 ) -> ChshResult:
     """The four-correlation combination of the model at (a, a', b, b').
 
-    Both methods compile each of the four settings once and share the arrays
-    across the pairs that use them, which relies on the model being pure, as
-    every exact path does; the locality audit is the guard against models
-    that are not. ``exact`` sums each pair's products with the same kernel as
-    :func:`correlate`, so every ``e_ab`` is bit-identical to the per-pair one.
-    ``monte_carlo`` samples each pair's cell counts as :func:`correlate` does,
-    with seeds derived per setting pair, so evaluating the four pairs in any
-    order (or in parallel) gives bit-identical results, and combines the four
-    reports with :func:`chsh_from_reports`.
+    Both methods read the settings' arrays from the model's memo, which
+    relies on the model being pure; the locality audit is the guard against
+    models that are not. ``exact`` sums each pair's products with the same
+    kernel as :func:`correlate`, so every ``e_ab`` is bit-identical to the
+    per-pair one. ``monte_carlo`` calls :func:`correlate` per pair under a
+    seed derived from the pair, so the four pairs give bit-identical results
+    in any order, and combines the reports with :func:`chsh_from_reports`.
     """
-    compiled = cache(partial(_compiled, model))
     if method == "exact":
         def corr(x: Setting, y: Setting) -> float:
             check_pair(x, y)
-            return _cell_sum(model, compiled(x) * compiled(y))
+            return _cell_sum(model, model.compiled(x)[1] * model.compiled(y)[1])
 
         return chsh_from_correlations(corr, a, a_prime, b, b_prime, tol)
-    reports = []
-    for x, y in ((a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime)):
-        check_pair(x, y)
-        pair_seed = stable_seed("chsh-pair", seed, fmt12(x.angle), fmt12(y.angle))
-        reports.append(_pair_report(model, x, y, compiled(x), compiled(y), method, trials,
-                                    pair_seed))
+    reports = [correlate(model, x, y, method, trials,
+                         stable_seed("chsh-pair", seed, fmt12(x.angle), fmt12(y.angle)))
+               for x, y in ((a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime))]
     return chsh_from_reports(*reports, tol=tol)
 
 

@@ -6,6 +6,11 @@ per-station instrument-parameter generator, and a per-station outcome
 function. All randomness (state draws, slot scheduling, setting
 choices) lives in the harness; models are pure, immutable, and safe to share
 across threads.
+
+Every exact path reads one memo per model, :meth:`LocalModel.compiled`,
+filled on first use. It is not part of the model's identity (no part in
+equality, hashing or ``repr``; ``dataclasses.replace`` starts it empty), and
+two threads that first fill one setting at once only repeat pure work.
 """
 from __future__ import annotations
 
@@ -242,6 +247,7 @@ class LocalModel:
     doubled: bool = False
     lambda_sign: Mapping[Hashable, int] | None = None
     transforms: tuple[str, ...] = ()
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.gen1.station is not Station.S1 or self.out1.station is not Station.S1:
@@ -279,6 +285,17 @@ class LocalModel:
             signs[station] = np.array(column, dtype=np.int8)[:, None] * row
             signs[station].setflags(write=False)
         return signs
+
+    def compiled(self, setting: Setting) -> tuple[tuple[Hashable, ...], np.ndarray]:
+        """The station's slot values and read-only int8 (state, slot) outcomes
+        at one setting under its default seed, compiled once and kept."""
+        entry = self._memo.get(setting)
+        if entry is None:
+            values = station_values(self, setting)
+            outcomes = station_outcomes(self, setting, values)
+            outcomes.setflags(write=False)
+            entry = self._memo.setdefault(setting, (tuple(values), outcomes))
+        return entry
 
     def gen(self, station: Station) -> InstrumentParamGen:
         return self.gen1 if station is Station.S1 else self.gen2
@@ -384,10 +401,6 @@ def station_outcomes(model: LocalModel, setting: Setting, values: list[Hashable]
 
 def composite_is_m_constant(model: LocalModel) -> bool:
     """True when both stations' outcomes are slot-independent at the probe angles."""
-    for station in (Station.S1, Station.S2):
-        for angle in TEST_ANGLES:
-            setting = Setting(angle, station)
-            outcomes = station_outcomes(model, setting, station_values(model, setting))
-            if (outcomes != outcomes[:, :1]).any():
-                return False
-    return True
+    compiled = (model.compiled(Setting(angle, station))[1]
+                for station in (Station.S1, Station.S2) for angle in TEST_ANGLES)
+    return all((outcomes == outcomes[:, :1]).all() for outcomes in compiled)

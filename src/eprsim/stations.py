@@ -171,6 +171,10 @@ def _pair_outputs(model: LocalModel, a_angle: float, b_angle: float, seed1, seed
     cell before S2's does, so S2's rule sees only the last cell's S1 outcome:
     an outcome-to-outcome leak is caught only when that cell's outcome
     changes with the remote setting.
+
+    This per-pair compile is the one deliberate exception to the model's
+    memo (:meth:`eprsim.model.LocalModel.compiled`): read through a map of
+    one array per setting, a leaky model could not show its leak.
     """
     a = Setting(a_angle, Station.S1)
     b = Setting(b_angle, Station.S2)

@@ -3,7 +3,10 @@
 Both transforms leave every pair-product expectation unchanged while driving
 one-sided statistics to a target (zero, or a chosen alpha). A third transform
 conditions the sign on the source state instead of the clock; it exists only
-as a negative control and is expected to break parameter independence.
+as a negative control. That sign is a function of the state alone, so the
+model stays local and its pair correlations are unchanged, but its per-state
+conditionals become r(state) times the base ones instead of cancelling (+-1
+on a model with constant outcomes).
 """
 from __future__ import annotations
 
@@ -169,12 +172,7 @@ def layer_double(model: LocalModel) -> LocalModel:
 
     def lift_gen(gen: InstrumentParamGen) -> InstrumentParamGen:
         base = gen.rule
-        return InstrumentParamGen(
-            gen.station,
-            gen.value_space,
-            lambda s, m, seed, _r=base: _r(s, _parent_slot(m), seed),
-            gen.seed,
-        )
+        return replace(gen, rule=lambda s, m, seed, _r=base: _r(s, _parent_slot(m), seed))
 
     def lift_out(out: OutcomeFn) -> OutcomeFn:
         base = out.rule

@@ -34,8 +34,8 @@ from eprsim import (
     time_symmetrize,
     zoo_model,
 )
-from eprsim.inequality import _pair_report
-from eprsim.model import CHSH_OPTIMAL_ANGLES
+from eprsim.model import CHSH_OPTIMAL_ANGLES, OUTCOME_ARGS
+from eprsim.stations import DEFAULT_PAIRS
 from eprsim.util import fmt12, stable_seed
 from eprsim.zoo import all_zoo_models, random_factorized_model
 
@@ -137,15 +137,18 @@ def test_sampled_chsh_of_a_local_model_is_never_a_violation():
 
 @pytest.mark.parametrize("agree, exact_s", [(16, 4.0), (13, 2.5)])
 def test_sampled_chsh_of_per_pair_arrays_beyond_the_bound_is_a_violation(agree, exact_s):
-    """Compiled arrays per pair, where S1's array reads the S2 setting: A = B
-    in ``agree`` of 16 equal slots, with A flipped on (a, b'). That is a PR
-    box at 16 and exact S = 4 * 10/16 = 2.5 at 13; no local model reaches either."""
-    model = replace(zoo_model("constant_plus"), source=SourceSpace(("u",), (1.0,)),
-                    grid=TimeGrid(16))
-    pattern = np.where(np.arange(16) < agree, 1, -1).astype(np.int8)[None, :]
-    ones = np.ones((1, 16), dtype=np.int8)
+    """One model per pair, where S1's rule reads the S2 setting: A = B in
+    ``agree`` of 16 equal slots, with A flipped on (a, b'). That is a PR box
+    at 16 and exact S = 4 * 10/16 = 2.5 at 13; no local model reaches either."""
+    base = replace(zoo_model("constant_plus"), source=SourceSpace(("u",), (1.0,)),
+                   grid=TimeGrid(16))
+
+    def pair_model(sign):
+        return replace(base, out1=OutcomeFn(
+            Station.S1, lambda s, lam, v, m: sign * (1 if m <= agree else -1)))
+
     a, ap, b, bp = OPTIMAL
-    reports = [_pair_report(model, x, y, sign * pattern, ones, "monte_carlo", 10**5, seed)
+    reports = [correlate(pair_model(sign), x, y, "monte_carlo", 10**5, seed)
                for seed, (x, y, sign) in enumerate(
                    [(a, b, 1), (a, bp, -1), (ap, b, 1), (ap, bp, 1)])]
     result = chsh_from_reports(*reports)
@@ -212,6 +215,9 @@ def test_exact_chsh_compiles_each_setting_once(model):
     assert calls == {"gen": 4 * slots, "out": 4 * states * slots}
     per_pair = chsh_from_correlations(lambda x, y: correlate(model, x, y).e_ab, *OPTIMAL)
     assert repr(result) == repr(per_pair)
+    # A second chsh on the same model object reads its compiled map.
+    assert repr(chsh(counted, *OPTIMAL)) == repr(result)
+    assert calls == {"gen": 4 * slots, "out": 4 * states * slots}
 
 
 @pytest.mark.parametrize("model", COMPILE_MODELS, ids=lambda model: model.name)
@@ -228,6 +234,37 @@ def test_monte_carlo_chsh_compiles_each_setting_once(model):
     a, ap, b, bp = OPTIMAL
     per_pair = chsh_from_reports(report(a, b), report(a, bp), report(ap, b), report(ap, bp))
     assert repr(result) == repr(per_pair)
+    again = chsh(counted, *OPTIMAL, method="monte_carlo", trials=500, seed=3)
+    assert repr(again) == repr(result)
+    assert calls == {"gen": 4 * slots, "out": 4 * states * slots}
+
+
+@pytest.mark.parametrize("model", COMPILE_MODELS, ids=lambda model: model.name)
+def test_check_compiles_each_setting_once(model):
+    """The joint table and both stations' conditionals at one pair, as the
+    ``check`` command computes them, share one compile per setting."""
+    counted, calls = counted_rules(model)
+    a, b = s1(0.0), s2(math.pi / 4)
+    table = tabulate_joint(counted, a, b)
+    conditionals = conditional_table(counted, a), conditional_table(counted, b)
+    slots, states = model.grid.slot_count, len(model.source.states)
+    assert calls == {"gen": 2 * slots, "out": 2 * states * slots}
+    assert table == tabulate_joint(model, a, b)
+    assert conditionals == (conditional_table(model, a), conditional_table(model, b))
+
+
+@pytest.mark.parametrize("model", COMPILE_MODELS, ids=lambda model: model.name)
+def test_grid_correlations_and_chsh_compile_each_setting_once(model):
+    """The ``simulate --angles`` summary: the 16 grid pairs, then CHSH at the
+    optimal angles, which lie on the grid, compile the 8 grid settings once.
+    Every rule here is undeclared, so a compile calls it once per cell."""
+    assert model.out1.reads == model.out2.reads == frozenset(OUTCOME_ARGS)
+    counted, calls = counted_rules(model)
+    for x, y in DEFAULT_PAIRS:
+        correlate(counted, s1(x), s2(y))
+    chsh(counted, *OPTIMAL)
+    slots, states = model.grid.slot_count, len(model.source.states)
+    assert calls == {"gen": 8 * slots, "out": 8 * states * slots}
 
 
 def test_deterministic_strategy_reaches_two():

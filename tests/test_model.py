@@ -17,6 +17,7 @@ from eprsim import (
     StationMismatchError,
     TimeGrid,
     UnknownZooEntryError,
+    balanced_sign_function,
     composite_is_m_constant,
     condition_sign_on_source,
     evaluate_outcome,
@@ -222,6 +223,41 @@ def test_signs_are_built_on_the_first_compile():
     station_outcomes(model, s1(0.0), station_values(model, s1(0.0)))
     assert vars(model)["signs"] is model.signs
     assert model.signs[Station.S1].tolist() == [[1, -1, -1, 1, -1, 1, 1, -1]] * 2
+
+
+def test_compiled_outcomes_are_read_only():
+    model = zoo_model("bell_product_basic")
+    values, outcomes = model.compiled(s1(0.0))
+    assert model.compiled(s1(2 * math.pi)) == (values, outcomes)
+    with pytest.raises(ValueError, match="read-only"):
+        outcomes[0, 0] = -outcomes[0, 0]
+
+
+DERIVED = {
+    "time_symmetrize": lambda model: time_symmetrize(
+        model, balanced_sign_function(model.grid, seed=1)),
+    "layer_double": layer_double,
+    "condition_sign_on_source": lambda model: condition_sign_on_source(model, seed=1),
+    "replace_out1": lambda model: replace(
+        model, out1=OutcomeFn(Station.S1, lambda s, lam, v, m: -1)),
+}
+
+
+@pytest.mark.parametrize("derive", DERIVED.values(), ids=DERIVED)
+def test_derived_models_compile_their_own_arrays(derive):
+    """A model made from a compiled one starts with an empty map: each of its
+    entries equals a fresh compile of the derived model."""
+    parent = zoo_model("anticorrelated_signs")
+    settings = [s1(angle) for angle in TEST_ANGLES] + [s2(angle) for angle in TEST_ANGLES]
+    before = {setting: parent.compiled(setting)[1].tolist() for setting in settings}
+    model = derive(parent)
+    for setting in settings:
+        values, outcomes = model.compiled(setting)
+        fresh = station_values(model, setting)
+        assert values == tuple(fresh)
+        assert outcomes.tolist() == station_outcomes(model, setting, fresh).tolist()
+    assert any(model.compiled(s)[1].tolist() != before[s] for s in settings)
+    assert {s: parent.compiled(s)[1].tolist() for s in settings} == before
 
 
 def test_unknown_state_and_slot_rejected():

@@ -283,7 +283,7 @@ def test_layer_double_then_symmetrize_composes():
         assert abs(correlate(transformed, x, y).e_ab - 1.0) <= 1e-12
 
 
-def test_source_conditioned_sign_breaks_parameter_independence():
+def test_source_conditioned_sign_gives_unit_conditionals_and_keeps_correlation():
     # Negative control: conditioning the sign on the source state leaves the
     # pair correlation intact but the conditionals become +-1, not 0.
     model = zoo_model("constant_plus")
