@@ -227,7 +227,11 @@ class _Runner:
         # Wide enough for the trial count and every modulus below.
         trial = np.arange(schedule.trials, dtype=_int_type(max(schedule.trials, n, self.slots)))
         rng = np.random.default_rng(schedule.seed_source)
-        state = rng.choice(len(prior), size=len(trial), p=prior / prior.sum())
+        # What ``rng.choice(len(prior), size=len(trial), p=prior / prior.sum())``
+        # draws, without its checks of p: the prior was checked when built.
+        cdf = (prior / prior.sum()).cumsum()
+        cdf /= cdf[-1]
+        state = cdf.searchsorted(rng.random(len(trial)), side="right")
         self.state = state.astype(_int_type(len(prior)))
         if schedule.policy == "random":
             pair = np.random.default_rng(schedule.seed_settings).integers(0, n, len(trial))

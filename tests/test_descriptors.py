@@ -184,6 +184,49 @@ def test_repeated_cycle_value_is_checked_in_both_modes(tmp_path):
     assert len(report["given_lambda_and_m"]["deviations"]) == 3
 
 
+HASH_VALUE = textwrap.dedent(
+    """
+    [model]
+    name = hash_value
+
+    [source]
+    states = u0, u1
+    prior = 0.5, 0.5
+
+    [grid]
+    slots = 2
+
+    [gen1]
+    kind = cycle
+    values = #x, y
+
+    [gen2]
+    kind = constant
+    value = p
+
+    [out1]
+    kind = constant
+
+    [out2]
+    kind = constant
+    """
+)
+
+
+def test_joint_table_csv_with_a_value_that_starts_with_hash_reads_back(tmp_path):
+    # Only lines before the header are comments; the rows of #x are data.
+    path = tmp_path / "hash.ini"
+    path.write_text(HASH_VALUE, encoding="utf-8")
+    out = tmp_path / "chk"
+    assert main(["check", "--model", str(path), "--deterministic", "--out", str(out)]) == 0
+    text = (out / "joint_table.csv").read_text(encoding="utf-8")
+    assert "\n#x,p,u0,1,0.25\n" in text
+    a, b = s1(0.0), s2(0.0)
+    expected = dict(tabulate_joint(load_model(path), a, b).entries)
+    for commented in (text, f"# written by check\n\n{text}"):
+        assert dict(table_from_csv(commented, a, b).entries) == expected
+
+
 def test_angle_keyed_generator_table(tmp_path):
     text = textwrap.dedent(
         f"""

@@ -7,6 +7,8 @@ tensors; their references reduce one sample at a time, as the per-sample
 reducer and the per-pair mask loop they replaced did.
 """
 import configparser
+import csv
+import io
 import random
 from dataclasses import fields
 from fractions import Fraction
@@ -35,6 +37,7 @@ from eprsim import (
     locality_audit,
     s1,
     s2,
+    swap_stations,
     table_from_csv,
     table_to_csv,
     tabulate_joint,
@@ -43,6 +46,7 @@ from eprsim import (
 )
 from eprsim import cli
 from eprsim.descriptors import model_from_config
+from eprsim.density import CSV_HEADER
 from eprsim.inequality import sampled_correlation
 from eprsim.model import TWO_PI, station_outcomes, station_values
 from eprsim.stations import DEFAULT_PAIRS, empirical_correlations
@@ -282,16 +286,33 @@ def assert_factorization_matches_reference(table):
         assert report.passed == (max_dev <= report.tol), mode
 
 
-def hand_built_tables(count):
-    """Tables with several cells per (state, slot), zero-probability entries,
-    a value listed twice in a value space and a value missing from it."""
+def hand_built_cases(count):
+    """Entries with several cells per (state, slot), zero-probability entries,
+    a value listed twice in a value space and a value missing from it; values
+    that are equal but print differently; labels that CSV must quote; states
+    that print alike; and a slot that carries no mass. Each case is the
+    entries, value space 1, value space 2 and the states."""
     rng = random.Random(11)
-    yield JointTable(
-        s1(0.0), s2(0.0),
-        {(0, 0, "u", 1): 0.1, (1, 1, "u", 1): 0.2, (0, 1, "u", 2): 0.3,
-         (1, 0, "u", 2): 0.0, (0, 0, "v", 1): 0.4},
-        value_space_1=(0, 1, 0), value_space_2=(0,), states=("u", "v"),
-    )
+    yield ({(0, 0, "u", 1): 0.1, (1, 1, "u", 1): 0.2, (0, 1, "u", 2): 0.3,
+            (1, 0, "u", 2): 0.0, (0, 0, "v", 1): 0.4},
+           (0, 1, 0), (0,), ("u", "v"))
+    # 1, 1.0 and True are one value to the check and three to the writer;
+    # so are -0.0 and 0.0.
+    yield ({(1, "a", "u", 1): 0.125, (1.0, "a", "u", 2): 0.125, (True, "b", "u", 1): 0.125,
+            (-0.0, "a", "u", 3): 0.125, (0.0, "b", "u", 3): 0.125, (0.0, "a", "v", 1): 0.375},
+           (0.0, 1, True, -0.0, 1.0), ("a", "b"), ("u", "v"))
+    labels = ("a,b", 'say "hi"', "two\nlines", "", "plain")
+    keys = [(x, y, lam, m) for x in labels[:3] for y in labels[2:] for lam in labels[::2]
+            for m in (1, 2)]
+    yield dict.fromkeys(keys, 1 / len(keys)), labels, labels, labels[::2]
+    # The int state 1 and the str state "1" print alike and stay two states.
+    yield ({(0, 1, "1", 1): 0.25, (1, 0, 1, 1): 0.25, (1, "1", "1", 2): 0.25,
+            ("1", 1, 1, 2): 0.25},
+           (0, 1, "1"), (0, 1, "1"), (1, "1"))
+    # Slot 2 weighs nothing: its entries carry zero mass, as do some others.
+    yield ({(0, 0, "u", 1): 0.5, (0, 1, "u", 2): 0.0, (1, 1, "u", 2): 0.0, (1, 0, "u", 3): 0.0,
+            (1, 1, "u", 3): 0.25, (0, 0, "v", 2): 0.0, (1, 0, "v", 1): 0.25},
+           (0, 1), (0, 1), ("u", "v"))
     for _ in range(count):
         values = [0, 1, 2, "x"]
         entries = {}
@@ -309,8 +330,12 @@ def hand_built_tables(count):
             listed = rng.sample(values, rng.randint(1, len(values)))
             return tuple(listed + [rng.choice(listed) for _ in range(rng.randint(0, 2))])
 
-        yield JointTable(s1(0.0), s2(0.0), entries, space(), space(),
-                         states=("u", "v", "w"))
+        yield entries, space(), space(), ("u", "v", "w")
+
+
+def hand_built_tables(count):
+    for entries, space_1, space_2, states in hand_built_cases(count):
+        yield JointTable(s1(0.0), s2(0.0), entries, space_1, space_2, states)
 
 
 def test_check_factorization_matches_reference_loop():
@@ -321,6 +346,43 @@ def test_check_factorization_matches_reference_loop():
             assert_factorization_matches_reference(table_from_csv(table_to_csv(table), a, b))
     for table in hand_built_tables(500):
         assert_factorization_matches_reference(table)
+
+
+def reference_table_csv(entries):
+    """The writer the coded one replaced, on a plain dict of entries: every
+    key sorted by the ``str`` forms of its fields, then one ``csv`` row per
+    entry."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for key in sorted(entries, key=lambda k: tuple(str(x) for x in k)):
+        v1, v2, lam, m = key
+        writer.writerow([v1, v2, lam, m, repr(entries[key])])
+    return buf.getvalue()
+
+
+def reference_entries(model, a, b):
+    """The dict of entries that ``tabulate_joint`` built cell by cell before
+    tables were coded."""
+    cells = list(zip(model.grid.slots, station_values(model, a), station_values(model, b),
+                     model.grid.weights))
+    return {(v1, v2, lam, m): p * w
+            for lam, p in zip(model.source.states, model.source.prior)
+            for m, v1, v2, w in cells}
+
+
+def test_table_to_csv_matches_reference_writer():
+    for model in models():
+        for a, b in GRID_PAIRS:
+            text = table_to_csv(tabulate_joint(model, a, b))
+            expected = reference_table_csv(reference_entries(model, a, b))
+            assert text == expected, (model.name, model.transforms, a, b)
+            assert table_to_csv(table_from_csv(text, a, b)) == text
+    for entries, space_1, space_2, states in hand_built_cases(500):
+        table = JointTable(s1(0.0), s2(0.0), entries, space_1, space_2, states)
+        assert table_to_csv(table) == reference_table_csv(entries)
+        swapped = {(v2, v1, lam, m): p for (v1, v2, lam, m), p in entries.items()}
+        assert table_to_csv(swap_stations(table)) == reference_table_csv(swapped)
 
 
 def reference_sampled_correlation(a, b, A, B, state, states):

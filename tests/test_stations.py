@@ -3,6 +3,8 @@ import dataclasses
 import hashlib
 import io
 import math
+import random
+from math import fsum
 
 import numpy as np
 import pytest
@@ -209,6 +211,31 @@ def test_run_is_bitwise_reproducible():
     assert trial_columns(run_experiment(model, schedule)) == trial_columns(
         run_experiment(model, schedule)
     )
+
+
+def test_source_state_draw_equals_rng_choice():
+    """The runner draws states as ``rng.choice`` with the normalized prior
+    would, zero-weight states included, so every trial stream is kept."""
+    cases = random.Random(17)
+    for _ in range(200):
+        weights = [cases.choice((0.0, cases.random(), cases.randint(1, 9) / 10))
+                   for _ in range(cases.randint(1, 70))]
+        weights[cases.randrange(len(weights))] = cases.random() + 0.01
+        prior = [w / fsum(weights) for w in weights]
+        trials, seed = cases.randint(1, 5000), cases.randrange(2**32)
+        model = LocalModel(
+            name="prior_fixture",
+            source=SourceSpace(tuple(range(len(prior))), prior),
+            grid=TimeGrid(1),
+            gen1=InstrumentParamGen(Station.S1, (0,), lambda s, m, seed: 0),
+            gen2=InstrumentParamGen(Station.S2, (0,), lambda s, m, seed: 0),
+            out1=OutcomeFn(Station.S1, lambda s, lam, v, m: 1),
+            out2=OutcomeFn(Station.S2, lambda s, lam, v, m: 1),
+        )
+        drawn = _Runner(model, Schedule(trials=trials, seed_source=seed)).state
+        p = np.asarray(model.source.prior)
+        expected = np.random.default_rng(seed).choice(len(p), size=trials, p=p / p.sum())
+        assert drawn.tolist() == expected.tolist(), (len(prior), trials, seed)
 
 
 def test_clock_synchrony_slots_cycle_with_trial_index():
