@@ -52,22 +52,12 @@ from .zoo import REFERENCE_TABLE_NAME, ZOO
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     parser.add_argument("--out", type=Path, default=None, help="output directory or file")
-    parser.add_argument(
-        "--deterministic", action="store_true",
-        help="suppress timestamps so outputs are byte-identical across reruns",
-    )
+    parser.add_argument("--deterministic", action="store_true",
+                        help="suppress timestamps so outputs are byte-identical across reruns")
     parser.add_argument("--tol", type=float, default=1e-9, help="tolerance, finite, > 0 (default 1e-9)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="eprsim",
-        description="deterministic two-station coincidence-experiment harness",
-    )
-    parser.add_argument("--version", action="version", version=f"eprsim {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="run scheduled trials, write the trial CSV and a summary")
+def _simulate_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True, help="zoo name or descriptor path")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--policy", choices=POLICIES, default="fixed")
@@ -75,38 +65,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angle-b", type=float, default=TEST_ANGLES[1])
     p.add_argument("--angles", default=None, help="a,a',b,b' to add a CHSH block to the summary")
     p.add_argument("--schedule", type=Path, default=None, help="schedule descriptor file")
-    _common_flags(p)
 
-    p = sub.add_parser("check", help="factorization (both modes) and per-state conditionals")
+
+def _check_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--angle-a", type=float, default=0.0)
     p.add_argument("--angle-b", type=float, default=TEST_ANGLES[1])
-    _common_flags(p)
 
-    p = sub.add_parser("transform", help="apply transforms and write a new model descriptor")
+
+def _transform_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--op", action="append", default=[], help="transform op, repeatable")
-    _common_flags(p)
 
-    p = sub.add_parser("chsh", help="four-correlation combination with bound and reference gap")
+
+def _chsh_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True, help=f"zoo name, descriptor, or {REFERENCE_TABLE_NAME}")
     p.add_argument("--angles", default=None, help="a,a',b,b' (default: optimal grid)")
     p.add_argument("--method", choices=("exact", "monte_carlo"), default="exact")
     p.add_argument("--trials", type=int, default=100000)
-    _common_flags(p)
 
-    p = sub.add_parser("audit", help="counterfactual Einstein-locality audit")
+
+def _audit_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--perturbations", type=int, choices=(1, 2, 3), default=3, help="remote "
                    "alternatives per trial; each remote test angle of the audit has 3")
-    _common_flags(p)
 
-    p = sub.add_parser("zoo", help="catalogue commands")
+
+def _zoo_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("action", choices=("list",))
-    _common_flags(p)
-
-    return parser
 
 
 # Options that say where and how outputs are written, not what was run; a
@@ -157,18 +144,16 @@ def cmd_zoo(args) -> int:
 
 def cmd_simulate(args) -> int:
     s1(args.angle_a), s2(args.angle_b)  # Setting checks the angles under every policy
+    if args.angles:  # checked, like the angles above, before any trial is drawn
+        a, ap, b, bp = _parse_angles(args.angles)
+        chsh_settings = (s1(a), s1(ap), s2(b), s2(bp))
     model = make_model(args.model)
     if args.schedule is not None:
         schedule = load_schedule(args.schedule)
     else:
         pairs = ((args.angle_a, args.angle_b),) if args.policy == "fixed" else DEFAULT_PAIRS
-        schedule = Schedule(
-            trials=args.trials,
-            policy=args.policy,
-            pairs=pairs,
-            seed_source=args.seed,
-            seed_settings=args.seed + 1,
-        )
+        schedule = Schedule(trials=args.trials, policy=args.policy, pairs=pairs,
+                            seed_source=args.seed, seed_settings=args.seed + 1)
     run = run_experiment(model, schedule)
     pairs_block = []
     for (a_angle, b_angle), stats in sorted(empirical_correlations(run).items()):
@@ -185,9 +170,7 @@ def cmd_simulate(args) -> int:
         config.update({k: v for k, v in vars(schedule).items() if k != "pairs"})
     config["schedule_pairs"] = [[fmt12(a), fmt12(b)] for a, b in schedule.pairs]
     if args.angles:
-        a, ap, b, bp = _parse_angles(args.angles)
-        result = chsh(model, s1(a), s1(ap), s2(b), s2(bp), tol=args.tol)
-        summary["chsh"] = result.to_dict()
+        summary["chsh"] = chsh(model, *chsh_settings, tol=args.tol).to_dict()
 
     out_dir = args.out or Path(".")
     _write_json(out_dir / "summary.json", summary, args)
@@ -234,9 +217,7 @@ def cmd_check(args) -> int:
         verdict = "pass" if rep.passed else "FAIL"
         print(f"factorization {mode}: {verdict} (max deviation {fmt12(rep.max_deviation)})")
     for lam in model.source.states:
-        print(
-            f"E[A|{lam}] = {fmt12(cond_a[lam])}    E[B|{lam}] = {fmt12(cond_b[lam])}"
-        )
+        print(f"E[A|{lam}] = {fmt12(cond_a[lam])}    E[B|{lam}] = {fmt12(cond_b[lam])}")
     return 0
 
 
@@ -293,18 +274,9 @@ def cmd_chsh(args) -> int:
             writer = csv.writer(fp, lineterminator="\n")
             writer.writerow(("model", "a", "aprime", "b", "bprime", "method", "trials", "seed",
                              "S", "within_bound"))
-            writer.writerow((
-                payload["model"],
-                fmt12(a),
-                fmt12(ap),
-                fmt12(b),
-                fmt12(bp),
-                args.method,
-                trials,
-                args.seed,
-                fmt12(result.s_value),
-                str(result.within_local_bound).lower(),
-            ))
+            writer.writerow((payload["model"], *map(fmt12, angles), args.method, trials,
+                             args.seed, fmt12(result.s_value),
+                             str(result.within_local_bound).lower()))
     print(f"S = {fmt12(result.s_value)}")
     if result.verdict is not None:
         print(f"standard error = {fmt12(result.std_error)}")
@@ -320,12 +292,8 @@ def cmd_chsh(args) -> int:
 
 def cmd_audit(args) -> int:
     model = make_model(args.model)
-    schedule = Schedule(
-        trials=args.trials,
-        policy="cycle",
-        seed_source=args.seed,
-        seed_settings=args.seed + 1,
-    )
+    schedule = Schedule(trials=args.trials, policy="cycle", seed_source=args.seed,
+                        seed_settings=args.seed + 1)
     report = locality_audit(model, schedule, args.perturbations)
     if args.out is not None:
         _write_json(args.out / "audit.json", _report(args, model, audit=report.to_dict()), args)
@@ -337,21 +305,51 @@ def cmd_audit(args) -> int:
     return 0
 
 
+# Command -> (help text, handler, adder of its own options; _common_flags adds the rest).
+COMMANDS = {
+    "simulate": ("run scheduled trials, write the trial CSV and a summary", cmd_simulate,
+                 _simulate_options),
+    "check": ("factorization (both modes) and per-state conditionals", cmd_check, _check_options),
+    "transform": ("apply transforms and write a new model descriptor", cmd_transform,
+                  _transform_options),
+    "chsh": ("four-correlation combination with bound and reference gap", cmd_chsh,
+             _chsh_options),
+    "audit": ("counterfactual Einstein-locality audit", cmd_audit, _audit_options),
+    "zoo": ("catalogue commands", cmd_zoo, _zoo_options),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full tree: top-level options and one subparser per command."""
+    parser = argparse.ArgumentParser(
+        prog="eprsim",
+        description="deterministic two-station coincidence-experiment harness",
+    )
+    parser.add_argument("--version", action="version", version=f"eprsim {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, add_options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        add_options(p)
+        _common_flags(p)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "simulate": cmd_simulate,
-        "check": cmd_check,
-        "transform": cmd_transform,
-        "chsh": cmd_chsh,
-        "audit": cmd_audit,
-        "zoo": cmd_zoo,
-    }
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = extra = None
+    # The one subparser the full tree would hand argv[1:]; the tree itself rejects an
+    # option spelled "--=..." as ambiguous between its own --help and --version.
+    if argv and argv[0] in COMMANDS and not any(arg.startswith("--=") for arg in argv):
+        parser = argparse.ArgumentParser(prog=f"eprsim {argv[0]}")
+        COMMANDS[argv[0]][2](parser)
+        _common_flags(parser)
+        args, extra = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if args is None or extra:  # -h, --version, no or an unknown command, or leftovers
+        args = build_parser().parse_args(argv)
     try:
         if not 0.0 < args.tol < math.inf:
             raise InvalidToleranceError(f"--tol must be > 0 and finite, got {args.tol!r}")
-        return handlers[args.command](args)
+        return COMMANDS[args.command][1](args)
     except ConfigurationError as exc:
         print(f"eprsim: configuration error: {exc}", file=sys.stderr)
         return 2

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -5,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from eprsim import cli
 from eprsim.cli import main
 
 
@@ -280,6 +282,20 @@ def test_non_finite_angle_exits_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("angles", ["0,1,2", "0,1,2,x", "nan,0,0,0", "0,inf,0,0", "0,0,-inf,0"])
+def test_simulate_checks_chsh_angles_before_drawing_trials(tmp_path, capsys, monkeypatch,
+                                                           angles):
+    def never(*args, **kwargs):
+        raise AssertionError("trials drawn before --angles was checked")
+
+    monkeypatch.setattr(cli, "run_experiment", never)
+    out = tmp_path / "out"
+    assert run_cli(["simulate", "--model", "bell_product_basic", "--policy", "random",
+                    "--trials", "3000000", "--angles", angles, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("eprsim: configuration error: ")
+    assert not out.exists()
+
+
 def test_config_echo_is_embedded(tmp_path):
     out = tmp_path / "echo"
     run_cli(["simulate", "--model", "constant_plus", "--trials", "10",
@@ -431,3 +447,86 @@ def test_simulate_schedule_echoes_what_ran(tmp_path):
     assert not {"seed", "angle_a", "angle_b"} & set(config)
     comment = (out / "trials.csv").read_text().splitlines()[0]
     assert comment == f"# config = {json.dumps(config, sort_keys=True)}"
+
+
+COMMON = ["--seed", "3", "--out", "o", "--deterministic", "--tol", "1e-6"]
+VALID_LINES = {
+    "simulate": ["simulate", "--model", "m", "--trials", "10", "--policy", "cycle",
+                 "--angle-a", "0.1", "--angle-b", "0.2", "--angles", "0,1,2,3",
+                 "--schedule", "s.ini", *COMMON],
+    "check": ["check", "--model", "m", "--angle-a", "0.5", "--angle-b", "1", *COMMON],
+    "transform": ["transform", "--model", "m", "--op", "double", "--op", "rademacher mean=0",
+                  *COMMON],
+    "chsh": ["chsh", "--model", "m", "--angles", "0,1,2,3", "--method", "monte_carlo",
+             "--trials", "5", *COMMON],
+    "audit": ["audit", "--model", "m", "--trials", "7", "--perturbations", "2", *COMMON],
+    "zoo": ["zoo", "list", *COMMON],
+    "defaults": ["simulate", "--model", "m"],
+    "out_equals_and_abbreviation": ["check", "--mod", "m", "--out=o"],
+    "separator": ["zoo", "--", "list"],
+}
+OTHER_LINES = {
+    "no_arguments": [],
+    "unknown_command": ["bogus"],
+    "version": ["--version"],
+    "help": ["-h"],
+    **{f"{name}_help": [name, "-h"]
+       for name in ("simulate", "check", "transform", "chsh", "audit", "zoo")},
+    "missing_model": ["check"],
+    "missing_action": ["zoo"],
+    "bad_policy": ["simulate", "--model", "m", "--policy", "x"],
+    "bad_perturbations": ["audit", "--model", "m", "--perturbations", "4"],
+    "bad_trials": ["simulate", "--model", "m", "--trials", "x"],
+    "unrecognized_option": ["check", "--model", "m", "--bogus"],
+    "extra_positional": ["check", "--model", "m", "extra"],
+    "extra_action": ["zoo", "list", "extra"],
+    "version_after_command": ["check", "--model", "m", "--version"],
+    "ambiguous_at_top": ["check", "--model", "m", "--=x"],
+}
+
+
+def parse_outcome(parse, argv, capsys):
+    """The Namespace a parse returns (None if it exits), its exit code, stdout and stderr."""
+    try:
+        args, code = parse(argv), None
+    except SystemExit as exc:
+        args, code = None, exc.code
+    captured = capsys.readouterr()
+    return args, code, captured.out, captured.err
+
+
+@pytest.fixture
+def parse_by_main(monkeypatch):
+    """``main`` with every handler replaced by one that records its Namespace."""
+    monkeypatch.setenv("COLUMNS", "80")
+    seen = []
+    for name, (help_text, _, add_options) in cli.COMMANDS.items():
+        monkeypatch.setitem(cli.COMMANDS, name,
+                            (help_text, lambda args: seen.append(args) or 0, add_options))
+
+    def parse(argv):
+        assert main(argv) == 0
+        return seen.pop()
+    return parse
+
+
+@pytest.mark.parametrize("argv", [*VALID_LINES.values(), *OTHER_LINES.values()],
+                         ids=[*VALID_LINES, *OTHER_LINES])
+def test_main_parses_as_the_full_tree(parse_by_main, capsys, argv):
+    reference = parse_outcome(lambda a: cli.build_parser().parse_args(a), argv, capsys)
+    assert parse_outcome(parse_by_main, argv, capsys) == reference
+    assert (reference[0] is not None) == (argv in VALID_LINES.values())
+
+
+def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["zoo", "list"]) == 0
+    assert main(["chsh", "--model", "constant_plus", "--tol", "1e-6"]) == 0
+    assert built == ["eprsim zoo", "eprsim chsh"]
