@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
 from datetime import datetime, timezone
+from itertools import repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -117,11 +120,61 @@ def _report(args: argparse.Namespace, model: LocalModel | None, **body) -> dict:
     return {"config": config, "model": model.name, "transforms": list(model.transforms), **body}
 
 
+def _key_text(key) -> str:
+    """A dict key as ``json.dumps`` writes it: a str as is, an int, float,
+    bool or None as its JSON text, each in quotes."""
+    if not isinstance(key, (str, int, float)) and key is not None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring_ascii(key if isinstance(key, str) else json.dumps(key))
+
+
+@functools.cache
+def _json_level(depth: int) -> tuple[str, str, object]:
+    """The newline and indent of a closing bracket at ``depth``, those of the
+    items one level deeper, and a C encoder that sets the items of a
+    container holding no container on their own lines at that indent."""
+    outer = "\n" + "  " * depth
+    pad = outer + "  "
+    return outer, pad, c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                                      None, ": ", "," + pad, True, False, True)
+
+
+def json_text(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte.
+
+    With ``indent`` set, ``json.dumps`` takes the pure-Python encoder. Here
+    each scalar, and each dict or list that holds no dict or list, is written
+    by one call of the C encoder of its depth; only the containers around
+    them are joined in Python.
+    """
+    if c_make_encoder is None:
+        return json.dumps(doc, indent=2, sort_keys=True)
+
+    def encode(obj, depth: int) -> str:
+        outer, pad, leaf = _json_level(depth)
+        is_dict = isinstance(obj, dict)
+        if not is_dict and not isinstance(obj, (list, tuple)):
+            return "".join(leaf(obj, depth))
+        inner = obj.values() if is_dict else obj
+        if not any(map(issubclass, set(map(type, inner)), repeat((dict, list, tuple)))):
+            text = "".join(leaf(obj, depth))
+            # An empty container has no items to set on their own lines.
+            return text[0] + pad + text[1:-1] + outer + text[-1] if inner else text
+        if is_dict:
+            items = [f"{_key_text(k)}: {encode(v, depth + 1)}" for k, v in sorted(obj.items())]
+        else:
+            items = [encode(v, depth + 1) for v in obj]
+        opening, closing = "{}" if is_dict else "[]"
+        return opening + pad + ("," + pad).join(items) + outer + closing
+
+    return encode(doc, 0)
+
+
 def _write_json(path: Path, report: dict, args: argparse.Namespace) -> None:
     """Write a report, creating its directory, stamped unless --deterministic."""
     path.parent.mkdir(parents=True, exist_ok=True)
     doc = scrub({**report, **_stamp(args)})
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json_text(doc) + "\n", encoding="utf-8")
 
 
 def _parse_angles(text: str) -> tuple[float, float, float, float]:
@@ -201,16 +254,16 @@ def cmd_check(args) -> int:
     }
     cond_a = conditional_table(model, a)
     cond_b = conditional_table(model, b)
-    payload = _report(
-        args, model,
-        factorization={mode: rep.to_dict() for mode, rep in reports.items()},
-        cond_a={str(k): v for k, v in cond_a.items()},
-        cond_b={str(k): v for k, v in cond_b.items()},
-        max_conditional_bias=max(
-            [abs(v) for v in cond_a.values()] + [abs(v) for v in cond_b.values()]
-        ),
-    )
-    if args.out is not None:
+    if args.out is not None:  # the report, and each deviation's key text, only when written
+        payload = _report(
+            args, model,
+            factorization={mode: rep.to_dict() for mode, rep in reports.items()},
+            cond_a={str(k): v for k, v in cond_a.items()},
+            cond_b={str(k): v for k, v in cond_b.items()},
+            max_conditional_bias=max(
+                [abs(v) for v in cond_a.values()] + [abs(v) for v in cond_b.values()]
+            ),
+        )
         _write_json(args.out / "check.json", payload, args)
         (args.out / "joint_table.csv").write_text(table_to_csv(table), encoding="utf-8")
     for mode, rep in reports.items():

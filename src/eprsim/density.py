@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import accumulate, chain, dropwhile
@@ -137,10 +138,29 @@ class FactorizationReport:
             "max_deviation": self.max_deviation,
             "pass": self.passed,
             "max_total_variation": self.max_total_variation,
-            # Each key formatted once; the sort is stable on the formatted key alone.
-            "deviations": dict(sorted(((str(k), v) for k, v in self.deviations.items()),
+            # The sort is stable on the formatted key alone.
+            "deviations": dict(sorted(zip(_key_texts(self.deviations), self.deviations.values()),
                                       key=itemgetter(0))),
         }
+
+
+def _key_texts(keys) -> list[str]:
+    """``str`` of each key. A (state, slot) pair is written from its parts'
+    ``repr``, as ``str`` writes a pair, and each part object is formatted
+    once: the memo is keyed by identity, which the keys keep alive, so
+    equal parts that print differently (1, 1.0, True; 0.0, -0.0) keep their
+    own text. A report's keys share its table's domain objects."""
+    reprs: dict[int, str] = {}
+    texts = []
+    for key in keys:
+        if type(key) is tuple and len(key) == 2:
+            state, slot = key
+            a = reprs.get(id(state)) or reprs.setdefault(id(state), repr(state))
+            b = reprs.get(id(slot)) or reprs.setdefault(id(slot), repr(slot))
+            texts.append(f"({a}, {b})")
+        else:
+            texts.append(str(key))
+    return texts
 
 
 def tabulate_joint(model: LocalModel, a: Setting, b: Setting) -> JointTable:
@@ -331,9 +351,19 @@ def table_to_csv(table: JointTable) -> str:
     order = np.lexsort([_str_ranks(d)[c] for d, c in zip(reversed(domains), reversed(codes))])
     columns = [map(fields.__getitem__, column[order].tolist())
                for fields, column in zip(_csv_fields(domains), codes)]
-    probs = map(repr, map(entries.probs.__getitem__, order.tolist()))
+    probs = map(_prob_texts(entries.probs).__getitem__, order.tolist())
     rows = "\n".join(map(",".join, zip(*columns, probs)))
     return f"{','.join(CSV_HEADER)}\n{rows}\n"
+
+
+def _prob_texts(probs: tuple) -> list[str]:
+    """Each probability's ``repr``. Floats are formatted once per bit pattern,
+    so -0.0 keeps its own text; a table given other numbers formats each."""
+    if set(map(type, probs)) != {float}:
+        return list(map(repr, probs))
+    bits = array("Q", array("d", probs).tobytes())
+    texts = {b: repr(p) for b, p in dict(zip(bits, probs)).items()}
+    return list(map(texts.__getitem__, bits))
 
 
 def read_table_csv(path: str | Path, a: Setting, b: Setting) -> JointTable:

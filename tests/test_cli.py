@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprsim import cli
 from eprsim.cli import main
+from eprsim.density import FactorizationReport
 
 
 def run_cli(argv):
@@ -530,3 +533,103 @@ def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):
     assert main(["zoo", "list"]) == 0
     assert main(["chsh", "--model", "constant_plus", "--tol", "1e-6"]) == 0
     assert built == ["eprsim zoo", "eprsim chsh"]
+
+
+def stdlib_json(doc):
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+SPECIAL_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+                  1.7976931348623157e308, 1e16, 1e22, -1e-7)
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                         st.sampled_from(SPECIAL_FLOATS), st.text())
+ODD_TEXT = st.text(alphabet=st.sampled_from('ab"\\\n\t\x00/\u00e9\u2603\U0001f600'))
+# One key kind per dict: the stdlib sorts the keys before writing them, so
+# str keys beside int keys fail there (and must fail here) with TypeError.
+JSON_KEYS = st.sampled_from([
+    ODD_TEXT, st.text(), st.integers(), st.floats(), st.booleans(), st.none(),
+    st.one_of(st.integers(), st.floats(), st.booleans(), st.sampled_from(SPECIAL_FLOATS)),
+    st.one_of(ODD_TEXT, st.integers()),
+])
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        JSON_KEYS.flatmap(lambda keys: st.dictionaries(keys, children, max_size=4)),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_DOCS)
+def test_json_text_equals_the_stdlib_indent_writer(doc):
+    try:
+        expected = stdlib_json(doc)
+    except TypeError:
+        with pytest.raises(TypeError):
+            cli.json_text(doc)
+        return
+    assert cli.json_text(doc) == expected
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [], {"a": {}}, {"a": []}, [[], {}, [[]]], {"a": [{"b": {}}]}, 0.0, "x", None,
+    {3: {"x": -0.0}, 2.5: [math.nan], True: None}, {None: [math.inf, -math.inf, {}]},
+    {"q\"uote": {"back\\slash": "new\nline"}, "\u00e9\u2603": [5e-324, 1e308, -0.0]},
+])
+def test_json_text_equals_the_stdlib_on_edge_documents(doc, monkeypatch):
+    assert cli.json_text(doc) == stdlib_json(doc)
+    monkeypatch.setattr(cli, "c_make_encoder", None)  # an interpreter without the C encoder
+    assert cli.json_text(doc) == stdlib_json(doc)
+
+
+@pytest.mark.parametrize("doc", [{(1, 2): 0}, {"a": {(1, 2): [0]}}, {"a": [object()]},
+                                 {"a": {1: [], "b": []}}])
+def test_json_text_refuses_what_the_stdlib_refuses(doc):
+    with pytest.raises(TypeError):
+        stdlib_json(doc)
+    with pytest.raises(TypeError):
+        cli.json_text(doc)
+
+
+def test_every_zoo_report_is_written_as_the_stdlib_writes_it(tmp_path, monkeypatch, zoo_name):
+    written = []
+    json_text = cli.json_text
+
+    def compared(doc):
+        text = json_text(doc)
+        assert text == stdlib_json(doc)
+        written.append(text)
+        return text
+
+    monkeypatch.setattr(cli, "json_text", compared)
+    common = ["--model", zoo_name, "--deterministic", "--seed", "3"]
+    runs = {
+        "check": ["check", *common],
+        "chsh": ["chsh", *common],
+        "audit": ["audit", *common, "--trials", "50"],
+        "simulate": ["simulate", *common, "--trials", "50", "--policy", "cycle",
+                     "--angles", "0,1.5707963267948966,0.7853981633974483,2.356194490192345"],
+    }
+    for name, argv in runs.items():
+        assert run_cli(argv + ["--out", str(tmp_path / name)]) == 0
+    assert len(written) == 4
+    for path in sorted(tmp_path.glob("*/*.json")):
+        text = path.read_text(encoding="utf-8")
+        assert text == stdlib_json(json.loads(text)) + "\n", path
+
+
+def test_check_without_out_formats_no_report(tmp_path, capsys, monkeypatch):
+    argv = ["check", "--model", "hp_time_correlated", "--deterministic"]
+    assert run_cli(argv + ["--out", str(tmp_path / "out")]) == 0
+    written = capsys.readouterr().out
+
+    def never(self):
+        raise AssertionError("check built the report without --out")
+
+    monkeypatch.setattr(FactorizationReport, "to_dict", never)
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == written
+    assert "given_lambda: FAIL" in written

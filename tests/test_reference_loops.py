@@ -290,8 +290,10 @@ def hand_built_cases(count):
     """Entries with several cells per (state, slot), zero-probability entries,
     a value listed twice in a value space and a value missing from it; values
     that are equal but print differently; labels that CSV must quote; states
-    that print alike; and a slot that carries no mass. Each case is the
-    entries, value space 1, value space 2 and the states."""
+    that print alike; a slot that carries no mass; one probability on many
+    entries, with zero written as 0.0 and as -0.0; and states equal to
+    slots that print differently. Each case is the entries, value space 1,
+    value space 2 and the states."""
     rng = random.Random(11)
     yield ({(0, 0, "u", 1): 0.1, (1, 1, "u", 1): 0.2, (0, 1, "u", 2): 0.3,
             (1, 0, "u", 2): 0.0, (0, 0, "v", 1): 0.4},
@@ -313,6 +315,17 @@ def hand_built_cases(count):
     yield ({(0, 0, "u", 1): 0.5, (0, 1, "u", 2): 0.0, (1, 1, "u", 2): 0.0, (1, 0, "u", 3): 0.0,
             (1, 1, "u", 3): 0.25, (0, 0, "v", 2): 0.0, (1, 0, "v", 1): 0.25},
            (0, 1), (0, 1), ("u", "v"))
+    # Sixteen entries share one probability, and zero mass is written both as
+    # 0.0 and as -0.0.
+    keys = [(x, y, lam, m) for x in (0, 1) for y in (0, 1) for lam in ("u", "v")
+            for m in (1, 2, 3)]
+    yield ({key: (1 / 16 if i < 16 else (0.0, -0.0)[i % 2]) for i, key in enumerate(keys)},
+           (0, 1), (0, 1), ("u", "v"))
+    # The state True and the slot 1, and the state -0.0 and the slot 0, are
+    # equal and print differently; one probability is the int 0.
+    yield ({(0, 0, True, 1): 0.5, (1, 1, True, 0): 0.25, (0, 1, -0.0, 1): 0.25,
+            (1, 0, -0.0, 0): 0},
+           (0, 1), (0, 1), (True, -0.0))
     for _ in range(count):
         values = [0, 1, 2, "x"]
         entries = {}
@@ -346,6 +359,21 @@ def test_check_factorization_matches_reference_loop():
             assert_factorization_matches_reference(table_from_csv(table_to_csv(table), a, b))
     for table in hand_built_tables(500):
         assert_factorization_matches_reference(table)
+
+
+def test_report_keys_are_the_str_of_each_condition():
+    """``to_dict`` builds each (state, slot) key's text from its parts; the
+    text must be ``str`` of the key, as it was when each key was formatted
+    whole, with the later value kept where two keys print alike."""
+    for table in hand_built_tables(500):
+        for mode in ("given_lambda", "given_lambda_and_m"):
+            report = check_factorization(table, mode)
+            found = report.to_dict()["deviations"]
+            assert list(found) == list(dict.fromkeys(sorted(map(str, report.deviations))))
+            expected = {}
+            for key, value in sorted(report.deviations.items(), key=lambda kv: str(kv[0])):
+                expected[str(key)] = value
+            assert found == expected, mode
 
 
 def reference_table_csv(entries):
