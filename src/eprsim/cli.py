@@ -48,7 +48,7 @@ from .stations import (
     run_experiment,
     write_trials_csv,
 )
-from .util import fmt12, scrub
+from .util import fmt12, open_output, scrub
 from .zoo import REFERENCE_TABLE_NAME, ZOO
 
 
@@ -174,7 +174,8 @@ def _write_json(path: Path, report: dict, args: argparse.Namespace) -> None:
     """Write a report, creating its directory, stamped unless --deterministic."""
     path.parent.mkdir(parents=True, exist_ok=True)
     doc = scrub({**report, **_stamp(args)})
-    path.write_text(json_text(doc) + "\n", encoding="utf-8")
+    with open_output(path) as fp:
+        fp.write(json_text(doc) + "\n")
 
 
 def _parse_angles(text: str) -> tuple[float, float, float, float]:
@@ -265,7 +266,8 @@ def cmd_check(args) -> int:
             ),
         )
         _write_json(args.out / "check.json", payload, args)
-        (args.out / "joint_table.csv").write_text(table_to_csv(table), encoding="utf-8")
+        with open_output(args.out / "joint_table.csv") as fp:
+            fp.write(table_to_csv(table))
     for mode, rep in reports.items():
         verdict = "pass" if rep.passed else "FAIL"
         print(f"factorization {mode}: {verdict} (max deviation {fmt12(rep.max_deviation)})")
@@ -289,7 +291,8 @@ def cmd_transform(args) -> int:
     if out.suffix == "":
         out = out / "model.ini"
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text, encoding="utf-8")
+    with open_output(out) as fp:
+        fp.write(text)
     # Descriptor must round-trip: reload and confirm it builds.
     make_model(out)
     print(f"wrote {out}")
@@ -323,7 +326,7 @@ def cmd_chsh(args) -> int:
     )
     if args.out is not None:
         _write_json(args.out / "chsh.json", payload, args)
-        with open(args.out / "chsh.csv", "w", encoding="utf-8") as fp:
+        with open_output(args.out / "chsh.csv") as fp:
             writer = csv.writer(fp, lineterminator="\n")
             writer.writerow(("model", "a", "aprime", "b", "bprime", "method", "trials", "seed",
                              "S", "within_bound"))

@@ -37,7 +37,7 @@ from .model import (
     station_outcomes,
     station_values,
 )
-from .util import parse_scalar
+from .util import open_output, parse_scalar
 
 TRIALS_CSV_HEADER = ("trial", "m", "a", "b", "lambda", "lambda_star", "lambda_dblstar", "A", "B")
 
@@ -477,7 +477,7 @@ def write_trials_csv(trials: Trials, path: str | Path, comments: list[str] | Non
     quotes field by field, so ``f"{t},{suffix[row[t]]}"`` is trial t's full
     row. The rows are joined and written one block at a time.
     """
-    with open(path, "w", encoding="utf-8") as fp:
+    with open_output(path) as fp:
         for line in comments or []:
             fp.write(f"# {line}\n")
         csv.writer(fp, lineterminator="\n").writerow(TRIALS_CSV_HEADER)

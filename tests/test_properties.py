@@ -34,6 +34,7 @@ from eprsim import (
     time_symmetrize,
 )
 from eprsim.descriptors import descriptor_text
+from eprsim.util import parse_scalar
 from eprsim.zoo import ZOO, random_factorized_model
 
 from conftest import OPTIMAL
@@ -227,3 +228,35 @@ def test_transform_descriptor_reloads_to_the_same_model(tmp_path_factory, base, 
     assert reloaded.transforms == model.transforms
     assert (reloaded.source, reloaded.grid) == (model.source, model.grid)
     assert compiled(reloaded) == compiled(model)
+
+
+def try_int_then_float(text):
+    """parse_scalar as it was written before its shortcuts."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+SPELLINGS = ("inf", "infinity", "nan")
+scalar_pieces = st.one_of(
+    st.sampled_from([" ", "\t", "\n", "\u3000", "+", "-", "_", ".", "e", "E", "e-", "E+",
+                     "0", "1", "9", "0x", "i", "n"]),
+    st.sampled_from(SPELLINGS).flatmap(
+        lambda word: st.tuples(*[st.sampled_from([c.lower(), c.upper()]) for c in word])
+        .map("".join)),
+    st.characters(categories=["Nd"]),
+    st.characters(),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.one_of(st.text(), st.lists(scalar_pieces, max_size=8).map("".join)))
+def test_parse_scalar_equals_try_int_then_float(text):
+    got, want = parse_scalar(text), try_int_then_float(text)
+    assert type(got) is type(want)
+    assert got == want or (got != got and want != want)
