@@ -14,16 +14,16 @@ guard on the harness itself.
 from __future__ import annotations
 
 import csv
-import io
 import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import chain
 from pathlib import Path
 from typing import Hashable
 
 import numpy as np
 
+from .density import _csv_fields
 from .errors import InvalidScheduleError
 from .inequality import CorrelationReport, sampled_correlation
 from .model import (
@@ -452,53 +452,73 @@ def _first_mismatch(run: _Runner, base_rows: np.ndarray, t: int, station: Statio
 def empirical_correlations(trials: Trials) -> dict[tuple[float, float], CorrelationReport]:
     """Each setting pair's pooled statistics, keyed by its angles as first run.
 
-    The table rows that trials take are grouped by angle in first-use order;
-    one count of trials per row, added into (pair, state, A, B), gives every
-    pair's count tensor for :func:`eprsim.inequality.sampled_correlation`.
+    The table rows that trials take, in first-use order, are grouped by the
+    ``np.unique`` codes of their two angles, so angles equal under ``==``
+    (-0.0 and 0.0) share a pair and each pair keeps the angles it first ran
+    with. One count of trials per row, added into (pair, state, A, B), gives
+    every pair's count tensor for :func:`eprsim.inequality.sampled_correlation`.
     """
     first = _first_use(trials.row, len(trials.A))
     rows = np.argsort(first)[:np.count_nonzero(first < len(trials))]
-    # -0.0 == 0.0, so each pair keeps the angles it first ran with.
-    pairs: dict[tuple[float, float], int] = {}
-    pair = np.array([pairs.setdefault(key, len(pairs)) for key in
-                     zip(trials.a[rows].tolist(), trials.b[rows].tolist())], dtype=np.intp)
-    counts = np.zeros((len(pairs), len(trials.states), 2, 2), dtype=np.int64)
-    np.add.at(counts, (pair, trials.state[rows], (trials.A[rows] + 1) // 2,
+    a, b = trials.a[rows], trials.b[rows]
+    (_, a_code), (b_angles, b_code) = (np.unique(x, return_inverse=True, equal_nan=False)
+                                       for x in (a, b))
+    _, start, code = np.unique(a_code * len(b_angles) + b_code,
+                               return_index=True, return_inverse=True)
+    order = np.argsort(start)
+    pair = np.empty_like(order)
+    pair[order] = np.arange(len(order))
+    counts = np.zeros((len(order), len(trials.states), 2, 2), dtype=np.int64)
+    np.add.at(counts, (pair[code], trials.state[rows], (trials.A[rows] + 1) // 2,
                        (trials.B[rows] + 1) // 2), np.bincount(trials.row)[rows])
+    keys = zip(a[start[order]].tolist(), b[start[order]].tolist())
     return {key: sampled_correlation(s1(key[0]), s2(key[1]), tensor, trials.states)
-            for key, tensor in zip(pairs, counts)}
+            for key, tensor in zip(keys, counts)}
+
+
+def _field_texts(column: np.ndarray, keys: np.ndarray | None = None, convert=None,
+                 end: str = "") -> list[str]:
+    """Each entry's CSV field, entries coded by ``np.unique`` of ``keys``
+    (the column itself by default). The value at one entry of each distinct
+    key, through ``convert`` if given, is formatted once, by
+    :func:`eprsim.density._csv_fields`, and ``end`` is appended."""
+    _, code = np.unique(column if keys is None else keys, return_inverse=True)
+    rows = np.empty(code.max(initial=-1) + 1, dtype=np.intp)
+    rows[code] = np.arange(len(code))  # any entry of a key gives its text
+    values = column[rows].tolist()
+    (texts,) = _csv_fields((values if convert is None else list(map(convert, values)),))
+    return np.array([text + end for text in texts], dtype=object).take(code).tolist()
 
 
 def write_trials_csv(trials: Trials, path: str | Path, comments: list[str] | None = None) -> None:
     """Write the trials to ``path`` as CSV rows, one per trial.
 
-    After the trial number, a trial's row is its table row, so each table
-    row is formatted once through the same ``csv.writer`` settings; csv
-    quotes field by field, so ``f"{t},{suffix[row[t]]}"`` is trial t's full
-    row. The rows are joined and written one block at a time.
+    Each table column is coded over its distinct entries: ``m``, ``A`` and
+    ``B`` by value, the angles by their float64 bit pattern (so -0.0 keeps
+    its own ``repr``), ``state`` by its index into ``states`` and the
+    instrument values by object identity (so 1, 1.0 and True print as they
+    were given). Each distinct entry is formatted once, by
+    :func:`eprsim.density._csv_fields`, and a table row is its fields joined
+    by code. csv quotes field by field, so ``f"{t},{suffix[row[t]]}"`` is
+    trial t's full row. The rows are joined and written one block at a time.
     """
+    suffix = np.fromiter(map(",".join, zip(
+        _field_texts(trials.m),
+        # Angles are coordinates, not expectations: keep full precision so
+        # the stream round-trips exactly.
+        *(_field_texts(x, np.asarray(x, dtype=np.float64).view(np.int64), repr)
+          for x in (trials.a, trials.b)),
+        _field_texts(trials.state, convert=trials.states.__getitem__),
+        # An id() names one object only while it lives: the list keeps each alive.
+        *(_field_texts(x, np.fromiter(map(id, x.tolist()), dtype=np.uint64, count=len(x)))
+          for x in (trials.lambda_star, trials.lambda_dblstar)),
+        _field_texts(trials.A),
+        _field_texts(trials.B, end="\n"),
+    )), dtype=object, count=len(trials.A))
     with open_output(path) as fp:
         for line in comments or []:
             fp.write(f"# {line}\n")
-        csv.writer(fp, lineterminator="\n").writerow(TRIALS_CSV_HEADER)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        # writerow returns the characters it wrote: each row's end in buf.
-        # (str.splitlines would also split inside fields on \x0b, \u2028, ...)
-        ends = list(accumulate(map(writer.writerow, zip(
-            trials.m.tolist(),
-            # Angles are coordinates, not expectations: keep full precision
-            # so the stream round-trips exactly.
-            map(repr, trials.a.tolist()),
-            map(repr, trials.b.tolist()),
-            [trials.states[s] for s in trials.state.tolist()],
-            trials.lambda_star.tolist(),
-            trials.lambda_dblstar.tolist(),
-            trials.A.tolist(),
-            trials.B.tolist(),
-        ))))
-        text = buf.getvalue()
-        suffix = np.array([text[s:e] for s, e in zip([0, *ends], ends)], dtype=object)
+        fp.write(",".join(TRIALS_CSV_HEADER) + "\n")
         for start in range(0, len(trials), CSV_BLOCK_ROWS):
             block = suffix.take(trials.row[start:start + CSV_BLOCK_ROWS]).tolist()
             fp.write("".join([f"{t},{s}" for t, s in enumerate(block, start)]))
@@ -541,8 +561,12 @@ def read_trials_csv(path: str | Path) -> Trials:
     m, A, B = (np.array(_numbers(cols, k, int, first), dtype=np.int64) for k in (1, 7, 8))
     if (trial != np.arange(len(trial))).any() or (np.abs([A, B]) != 1).any():
         raise InvalidScheduleError("trial CSV needs trials numbered from 0 and outcomes of +-1")
-    states, state = np.unique(np.array(cols[4], dtype=str), return_inverse=True)
+    # Labels coded by a dict, in code-point order: numpy's str dtype would
+    # drop a label's trailing NULs.
+    states = sorted(set(cols[4]))
+    index = {label: k for k, label in enumerate(states)}
+    state = np.array([index[label] for label in cols[4]], dtype=np.intp)
     a, b = (np.array(_numbers(cols, k, float, first)) for k in (2, 3))
     v1, v2 = (np.fromiter(map(parse_scalar, cols[k]), dtype=object) for k in (5, 6))
-    return Trials(tuple(states.tolist()), row, state, m, a, b, v1, v2,
+    return Trials(tuple(states), row, state, m, a, b, v1, v2,
                   *np.array([A, B], dtype=np.int8))

@@ -609,6 +609,97 @@ def test_factored_trials_csv_equals_row_by_row(tmp_path):
     assert path.read_bytes() == row_by_row_trials_csv(trials, ["config = {}"])
 
 
+class CountedValue:
+    """An instrument value that counts the calls of its ``str`` and ``repr``."""
+
+    def __init__(self, text: str):
+        self.text, self.calls = text, 0
+
+    def __str__(self) -> str:
+        self.calls += 1
+        return self.text
+
+    __repr__ = __str__
+
+
+def test_trials_csv_formats_each_instrument_value_once(tmp_path):
+    n = 3 * CSV_BLOCK_ROWS
+    star, dblstar = ([CountedValue(f"{name}{k}") for k in range(3)] for name in ("v", "w"))
+    trials = Trials(
+        states=("u0", "u1"), row=np.arange(n)[::-1], state=np.arange(n) % 2,
+        m=1 + np.arange(n) % 7, a=np.zeros(n), b=np.zeros(n),
+        lambda_star=np.array(star, dtype=object)[np.arange(n) % 3],
+        lambda_dblstar=np.array(dblstar, dtype=object)[np.arange(n) // 5 % 3],
+        A=np.ones(n, dtype=np.int8), B=np.ones(n, dtype=np.int8))
+    path = tmp_path / "trials.csv"
+    write_trials_csv(trials, path, comments=["config = {}"])
+    # Every object sits in one column, so each is formatted at most once.
+    assert [v.calls for v in star + dblstar] == [1] * 6
+    assert path.read_bytes() == row_by_row_trials_csv(trials, ["config = {}"])
+
+
+def test_state_labels_keep_trailing_nuls_through_a_round_trip(tmp_path):
+    values = np.array([0, 0], dtype=object)
+    trials = Trials(states=("a\x00", "a"), row=np.array([0, 1]), state=np.array([0, 1]),
+                    m=np.array([1, 1]), a=np.zeros(2), b=np.zeros(2), lambda_star=values,
+                    lambda_dblstar=values, A=np.ones(2, dtype=np.int8),
+                    B=np.ones(2, dtype=np.int8))
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_trials_csv(trials, first)
+    loaded = read_trials_csv(first)
+    assert loaded.states == ("a", "a\x00")
+    assert trial_columns(loaded) == trial_columns(trials)
+    write_trials_csv(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+# Angles whose text or coding is easy to get wrong: both zeros, a point of
+# the circle given two ways, and the smallest subnormal.
+EDGE_ANGLES = (-0.0, 0.0, 2 * math.pi, math.pi / 4, 5e-324)
+# State labels that csv must quote, that are empty or non-ASCII, or that
+# numpy's str dtype would cut ("a\x00").
+EDGE_LABELS = ("plain", "a,b", 'q"r', "two\nlines", "", " padded ", "λ*", "naïve", "a\x00", "a")
+
+
+@st.composite
+def hand_built_trials(draw) -> Trials:
+    """A run built by hand: some table rows listed twice, rows that no trial
+    takes, edge-case angles and labels, and the odd instrument values."""
+    states = tuple(draw(st.lists(st.sampled_from(EDGE_LABELS), min_size=1, max_size=4,
+                                 unique=True)))
+    entry = st.tuples(st.integers(0, len(states) - 1), st.integers(1, 5),
+                      st.sampled_from(EDGE_ANGLES), st.sampled_from(EDGE_ANGLES),
+                      st.sampled_from(ODD_VALUES), st.sampled_from(ODD_VALUES),
+                      st.sampled_from((-1, 1)), st.sampled_from((-1, 1)))
+    table = draw(st.lists(entry, min_size=1, max_size=8))
+    table += [table[i] for i in draw(st.lists(st.integers(0, len(table) - 1), max_size=3))]
+    row = draw(st.lists(st.integers(0, len(table) - 1), max_size=40))
+    state, m, a, b, v1, v2, A, B = zip(*table)
+    objects = []
+    for values in (v1, v2):
+        column = np.empty(len(values), dtype=object)
+        column[:] = values
+        objects.append(column)
+    return Trials(states, np.array(row, dtype=np.intp), np.array(state), np.array(m),
+                  np.array(a), np.array(b), *objects, np.array(A, dtype=np.int8),
+                  np.array(B, dtype=np.int8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(trials=hand_built_trials())
+def test_hand_built_trials_write_read_and_correlate_like_the_reference(tmp_path_factory, trials):
+    # Imported here: test_reference_loops imports this module.
+    from test_reference_loops import assert_same_correlations, reference_empirical_correlations
+
+    first, second = (tmp_path_factory.mktemp("trials") / "t.csv" for _ in range(2))
+    write_trials_csv(trials, first, comments=["config = {}"])
+    assert first.read_bytes() == row_by_row_trials_csv(trials, ["config = {}"])
+    write_trials_csv(read_trials_csv(first), second, comments=["config = {}"])
+    assert second.read_bytes() == first.read_bytes()
+    assert_same_correlations(empirical_correlations(trials),
+                             reference_empirical_correlations(trials))
+
+
 def test_zero_trials_write_the_header_alone(tmp_path):
     header_only = tmp_path / "empty.csv"
     header_only.write_text(",".join(TRIALS_CSV_HEADER) + "\n", encoding="utf-8")
