@@ -19,7 +19,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import accumulate, chain, dropwhile
 from math import fsum, inf
-from operator import itemgetter
+from operator import add, itemgetter
 from pathlib import Path
 from typing import Hashable
 
@@ -49,13 +49,14 @@ def _coded(column) -> tuple[tuple, np.ndarray]:
 
 
 class TableEntries(Mapping):
-    """A joint table's entries as coded columns, read as a mapping
-    (value1, value2, state, slot) -> probability.
+    """Coded keys read as a mapping to floats: a joint table's entries,
+    (value1, value2, state, slot) -> probability, or a report's conditions.
 
     ``domains[k]`` holds axis k's distinct values, ``codes[k]`` is a read-only
     integer array whose entry i indexes ``domains[k]``, and ``probs[i]`` is
-    entry i's probability, entries in insertion order. Its length costs
-    O(1); the dict behind lookup and iteration is built on first use.
+    entry i's float, entries in insertion order. A key is the tuple of its
+    axes' values, or the value of a lone axis. Its length costs O(1); the
+    dict behind lookup and iteration is built on first use.
     """
 
     __slots__ = ("domains", "codes", "probs", "_dict")
@@ -65,19 +66,19 @@ class TableEntries(Mapping):
         for column in codes:
             column.setflags(write=False)
         self.domains, self.codes, self.probs = domains, codes, probs
-        self._dict: dict[Key, float] | None = None
+        self._dict: dict | None = None
 
-    def _mapping(self) -> dict[Key, float]:
+    def _mapping(self) -> dict:
         if self._dict is None:
-            columns = (map(domain.__getitem__, codes.tolist())
-                       for domain, codes in zip(self.domains, self.codes))
-            self._dict = dict(zip(zip(*columns), self.probs))
+            columns = [map(domain.__getitem__, codes.tolist())
+                       for domain, codes in zip(self.domains, self.codes)]
+            self._dict = dict(zip(zip(*columns) if len(columns) > 1 else columns[0], self.probs))
         return self._dict
 
     def __len__(self) -> int:
         return len(self.probs)
 
-    def __getitem__(self, key: Key) -> float:
+    def __getitem__(self, key) -> float:
         return self._mapping()[key]
 
     def __iter__(self):
@@ -85,6 +86,17 @@ class TableEntries(Mapping):
 
     def __repr__(self) -> str:
         return f"TableEntries({self._mapping()!r})"
+
+    def key_texts(self) -> list[str]:
+        """``str`` of each key of one axis, or a pair from its parts' ``repr`` as
+        ``str`` writes it. Each domain value is formatted once, so equal values
+        that print differently (1, 1.0, True; 0.0, -0.0) keep their own text."""
+        if len(self.codes) == 1:
+            return list(map(list(map(str, self.domains[0])).__getitem__, self.codes[0].tolist()))
+        heads = list(map("({!r}, ".format, self.domains[0]))
+        tails = list(map("{!r})".format, self.domains[1]))
+        return list(map(add, map(heads.__getitem__, self.codes[0].tolist()),
+                        map(tails.__getitem__, self.codes[1].tolist())))
 
 
 def _code_entries(entries: Mapping[Key, float]) -> TableEntries:
@@ -122,7 +134,8 @@ class JointTable:
 
 @dataclass(frozen=True)
 class FactorizationReport:
-    """Verdict of the product-form check in one conditioning mode."""
+    """Verdict of the product-form check in one conditioning mode. ``deviations``
+    maps each condition to its largest cell deviation, coded by the check."""
 
     mode: str
     tol: float
@@ -132,6 +145,9 @@ class FactorizationReport:
     max_total_variation: float
 
     def to_dict(self) -> dict:
+        coded = isinstance(self.deviations, TableEntries)
+        texts = self.deviations.key_texts() if coded else map(str, self.deviations)
+        values = self.deviations.probs if coded else self.deviations.values()
         return {
             "mode": self.mode,
             "tol": self.tol,
@@ -139,28 +155,8 @@ class FactorizationReport:
             "pass": self.passed,
             "max_total_variation": self.max_total_variation,
             # The sort is stable on the formatted key alone.
-            "deviations": dict(sorted(zip(_key_texts(self.deviations), self.deviations.values()),
-                                      key=itemgetter(0))),
+            "deviations": dict(sorted(zip(texts, values), key=itemgetter(0))),
         }
-
-
-def _key_texts(keys) -> list[str]:
-    """``str`` of each key. A (state, slot) pair is written from its parts'
-    ``repr``, as ``str`` writes a pair, and each part object is formatted
-    once: the memo is keyed by identity, which the keys keep alive, so
-    equal parts that print differently (1, 1.0, True; 0.0, -0.0) keep their
-    own text. A report's keys share its table's domain objects."""
-    reprs: dict[int, str] = {}
-    texts = []
-    for key in keys:
-        if type(key) is tuple and len(key) == 2:
-            state, slot = key
-            a = reprs.get(id(state)) or reprs.setdefault(id(state), repr(state))
-            b = reprs.get(id(slot)) or reprs.setdefault(id(slot), repr(slot))
-            texts.append(f"({a}, {b})")
-        else:
-            texts.append(str(key))
-    return texts
 
 
 def tabulate_joint(model: LocalModel, a: Setting, b: Setting) -> JointTable:
@@ -215,35 +211,58 @@ def swap_stations(table: JointTable) -> JointTable:
     )
 
 
-def _pair_deviation(
-    cells: dict[tuple[Hashable, Hashable], float],
-    values1,
-    values2,
-) -> tuple[float, float]:
-    """Max cell deviation and total variation between a joint and its marginal product."""
-    mass = fsum(cells.values())
-    joint = {k: p / mass for k, p in cells.items()}
-    p1: dict[Hashable, float] = {}
-    p2: dict[Hashable, float] = {}
-    for (x, y), p in joint.items():
-        p1[x] = p1.get(x, 0.0) + p
-        p2[y] = p2.get(y, 0.0) + p
-    worst = 0.0
-    tv = 0.0
-    for x in values1:
-        for y in values2:
-            diff = abs(joint.get((x, y), 0.0) - p1.get(x, 0.0) * p2.get(y, 0.0))
-            tv += diff
-            if diff > worst:
-                worst = diff
-    return worst, 0.5 * tv
+# Floats of the grids that check_factorization evaluates at once, or one condition's.
+GRID_BLOCK = 1 << 20
 
 
-def _equal_classes(domain: tuple) -> np.ndarray:
-    """Each domain value's class under ``==``: the index of the first equal
-    value, which stands for the class."""
+def _equal_classes(domain: tuple) -> tuple[dict, np.ndarray]:
+    """Each domain value's class under ``==``, the index of the first value equal
+    to it, and the dict from those first values to their classes."""
     first: dict = {}
-    return np.array([first.setdefault(v, i) for i, v in enumerate(domain)], dtype=np.intp)
+    return first, np.array([first.setdefault(v, i) for i, v in enumerate(domain)], dtype=np.intp)
+
+
+def _first_use(keys: np.ndarray, size: int) -> np.ndarray:
+    """Whether each entry is the first to take its key, keys in 0..size-1."""
+    first, entry = np.full(size, len(keys)), np.arange(len(keys))
+    np.minimum.at(first, keys, entry)
+    return first[keys] == entry
+
+
+def _grid_deviations(table: JointTable, live: np.ndarray, probs: np.ndarray, cond: np.ndarray,
+                     conditions: int):
+    """Each condition's max cell deviation and total variation, for check_factorization."""
+    entries = table.entries
+    (first_1, class_1), (first_2, class_2) = map(_equal_classes, entries.domains[:2])
+    # One more class per axis, never filled, for values the table does not hold.
+    n1, n2 = len(entries.domains[0]) + 1, len(entries.domains[1]) + 1
+    # Each value-grid point's (class 1, class 2) cell, value space 1 outer.
+    y = [first_2.get(v, n2 - 1) for v in table.value_space_2]
+    grid = np.array([first_1.get(v, n1 - 1) * n2 + j for v in table.value_space_1 for j in y])
+    step = max(1, GRID_BLOCK // max(len(grid), n1 * n2))
+    bounds = [0, len(cond)]
+    if conditions > step:  # entries by condition, in entry order within each
+        order = cond.argsort(kind="stable")
+        live, probs, cond = live[order], probs[order], cond[order]
+        bounds = np.searchsorted(cond, range(0, conditions + step, step)).tolist()
+    cell = cond * (n1 * n2) + class_1[entries.codes[0][live]] * n2 + class_2[entries.codes[1][live]]
+    worst, tv = np.zeros(conditions), np.zeros(conditions)
+    for k, lo in enumerate(range(0, conditions if len(grid) else 0, step)):
+        hi, part = min(lo + step, conditions), slice(bounds[k], bounds[k + 1])
+        key, size = cell[part] - lo * n1 * n2, (hi - lo) * n1 * n2
+        cells = key[_first_use(key, size)]  # the block's cells, in order of first use
+        if len(cells) == hi - lo:  # one cell per condition: every difference is 0.0
+            continue
+        joint = np.bincount(key, probs[part], size).reshape(hi - lo, n1 * n2)
+        joint /= np.array(list(map(fsum, joint.tolist())))[:, None]
+        p, (row, col) = joint.ravel()[cells], np.divmod(cells, n2)  # row: (condition, class 1)
+        p1 = np.bincount(row, p, (hi - lo) * n1).reshape(-1, n1, 1)
+        p2 = np.bincount(row // n1 * n2 + col, p, (hi - lo) * n2)
+        joint -= (p1 * p2.reshape(-1, 1, n2)).reshape(hi - lo, -1)
+        diff = np.abs(joint, out=joint).take(grid, axis=1)
+        worst[lo:hi] = np.fmax.reduce(diff, axis=1, initial=0.0)
+        tv[lo:hi] = np.add.accumulate(diff, axis=1, out=diff)[:, -1]
+    return worst, 0.5 * tv
 
 
 def check_factorization(
@@ -254,67 +273,48 @@ def check_factorization(
     """Compare the conditional joint of the two stations' values to the product
     of its own marginals, reporting the largest absolute cell difference.
 
-    Conditions with zero mass are skipped (conditionals undefined there). The
-    nonzero entries are grouped by their codes, values equal under ``==``
-    together: conditions and, within each, (value1, value2) cells in order of
-    first appearance, each cell's mass added left to right in entry order. A
-    condition that holds a single (value1, value2) cell of mass p has joint
-    p / p = 1.0 and both marginals 1.0 there and 0.0 elsewhere, so every cell
-    difference, and the total variation, is exactly 0.0 whatever the value
-    spaces list: such a condition is recorded as 0.0 without the value-grid
-    loop. Tables from :func:`tabulate_joint` hold one cell per (state, slot).
+    Nonzero entries form conditions by their codes, values equal under ``==``
+    together, in order of first use. A condition of one (value1, value2) cell
+    has every difference exactly 0.0; the other conditions' value grids are
+    evaluated in blocks of about ``GRID_BLOCK`` floats, each float as a loop
+    over cells and grid makes it: ``np.bincount`` adds cell masses and
+    marginals left to right from 0.0 (entries in entry order, cells in order
+    of first use), the condition's mass is the ``fsum`` of its cells, and
+    ``np.add.accumulate`` adds the total variation over value space 1, then
+    value space 2. A value-space entry finds its class as ``dict.get`` finds a
+    key (a NaN only as the same object), and ``np.fmax`` skips NaN like ``>``.
     """
     if not 0.0 < tol < inf:
         raise InvalidToleranceError(f"tolerance must be > 0 and finite, got {tol!r}")
     if mode not in ("given_lambda", "given_lambda_and_m"):
         raise InvalidToleranceError(f"unknown factorization mode {mode!r}")
 
-    entries = table.entries
-    domains, codes = entries.domains, entries.codes
-    probs = np.array(entries.probs, dtype=float)
+    domains, codes = table.entries.domains, table.entries.codes
+    probs = np.array(table.entries.probs, dtype=float)
     live = probs.nonzero()[0]
-
-    def classes(axis: int) -> np.ndarray:
-        """Each live entry's class of equal values on one axis."""
-        return _equal_classes(domains[axis])[codes[axis][live]]
-
-    def labels(axis: int, at: list[int]) -> list:
-        """The values of the live entries at positions ``at`` on one axis."""
-        return list(map(domains[axis].__getitem__, codes[axis][live[at]].tolist()))
-
-    cond = classes(2)
-    if mode == "given_lambda_and_m":
-        cond = cond * len(domains[3]) + classes(3)
-    cond = cond.tolist()
-    # Where each condition first appears, in order of first appearance.
-    starts = sorted(dict(zip(reversed(cond), range(len(cond) - 1, -1, -1))).values())
-    keys = labels(2, starts)
-    if mode == "given_lambda_and_m":
-        keys = list(zip(keys, labels(3, starts)))
-    deviations = [0.0] * len(keys)
-    worst_tv = 0.0
-    if len(starts) < len(cond):  # a condition with several entries may hold several cells
-        n2 = len(domains[1])
-        joints: dict[int, dict[int, float]] = {cond[i]: {} for i in starts}
-        for c, cell, p in zip(cond, (classes(0) * n2 + classes(1)).tolist(),
-                              probs[live].tolist()):
-            joint = joints[c]
-            joint[cell] = joint.get(cell, 0.0) + p
-        for k, joint in enumerate(joints.values()):
-            if len(joint) > 1:
-                # A class's first value stands for the class: its values compare equal.
-                cells = {(domains[0][c // n2], domains[1][c % n2]): p for c, p in joint.items()}
-                deviations[k], tv = _pair_deviation(
-                    cells, table.value_space_1, table.value_space_2)
-                worst_tv = max(worst_tv, tv)
-    max_dev = max(deviations, default=0.0)
+    axes = (2,) if mode == "given_lambda" else (2, 3)
+    key, size = 0, 1
+    for k in axes:
+        key = key * len(domains[k]) + _equal_classes(domains[k])[1][codes[k][live]]
+        size *= len(domains[k])
+    if size > 4 * len(key) + 64:  # a sparse product of states and slots
+        size, (_, key) = len(key), np.unique(key, return_inverse=True)
+    starts = _first_use(key, size).nonzero()[0]
+    number = np.empty(size, dtype=np.intp)
+    number[key[starts]] = np.arange(len(starts))
+    deviations, tv = np.zeros(len(starts)), np.zeros(1)
+    if len(starts) < len(live):  # a condition with several entries may hold several cells
+        deviations, tv = _grid_deviations(table, live, probs[live], number[key], len(starts))
+    max_dev = float(deviations.max(initial=0.0))
     return FactorizationReport(
         mode=mode,
         tol=tol,
         max_deviation=max_dev,
         passed=max_dev <= tol,
-        deviations=dict(zip(keys, deviations)),
-        max_total_variation=worst_tv,
+        deviations=TableEntries(tuple(domains[k] for k in axes),
+                                tuple(codes[k][live[starts]] for k in axes),
+                                tuple(deviations.tolist())),
+        max_total_variation=float(tv.max()),
     )
 
 

@@ -63,7 +63,9 @@ class Trials:
     """A run in factored form: a table of rows and each trial's index into it.
 
     Trial t reads ``a[row[t]]``, ``A[row[t]]`` and so on. ``state`` indexes
-    ``states``, ``m`` is the slot (from 1), ``a`` and ``b`` are the scheduled
+    ``states`` and ``m`` is the slot (from 1); runs and trial CSVs give each
+    the narrowest signed type for ``len(states)`` and for the largest ``m``
+    (:func:`_int_type`). ``a`` and ``b`` are the scheduled
     angles as given (a ``-0.0`` stays), ``lambda_star`` and ``lambda_dblstar``
     are object arrays of the instrument values, and ``A`` and ``B`` are the
     int8 outcomes. A row may be listed twice or taken by no trial.
@@ -375,7 +377,9 @@ def run_experiment(model: LocalModel, schedule: Schedule) -> Trials:
     index[used] = np.arange(len(used))
     a, b = np.array(schedule.pairs).T
     values, cells = compiled * run.slots + slot, compiled * run.cells + cell
-    return Trials(model.source.states, index.take(key), state, slot + 1, a[pair], b[pair],
+    m = (slot + 1).astype(_int_type(int(slot.max(initial=0)) + 1))
+    return Trials(model.source.states, index.take(key), state.astype(run.state.dtype), m,
+                  a[pair], b[pair],
                   run.values[Station.S1][values], run.values[Station.S2][values],
                   run.outcomes[Station.S1][cells], run.outcomes[Station.S2][cells])
 
@@ -565,7 +569,8 @@ def read_trials_csv(path: str | Path) -> Trials:
     # drop a label's trailing NULs.
     states = sorted(set(cols[4]))
     index = {label: k for k, label in enumerate(states)}
-    state = np.array([index[label] for label in cols[4]], dtype=np.intp)
+    state = np.array([index[label] for label in cols[4]], dtype=_int_type(len(states)))
+    m = m.astype(_int_type(max(int(m.max(initial=0)), -int(m.min(initial=0)))))
     a, b = (np.array(_numbers(cols, k, float, first)) for k in (2, 3))
     v1, v2 = (np.fromiter(map(parse_scalar, cols[k]), dtype=object) for k in (5, 6))
     return Trials(tuple(states), row, state, m, a, b, v1, v2,

@@ -44,7 +44,7 @@ from eprsim import (
     time_symmetrize,
     zoo_model,
 )
-from eprsim import cli
+from eprsim import cli, density
 from eprsim.descriptors import model_from_config
 from eprsim.density import CSV_HEADER
 from eprsim.inequality import sampled_correlation
@@ -326,6 +326,26 @@ def hand_built_cases(count):
     yield ({(0, 0, True, 1): 0.5, (1, 1, True, 0): 0.25, (0, 1, -0.0, 1): 0.25,
             (1, 0, -0.0, 0): 0},
            (0, 1), (0, 1), (True, -0.0))
+    # One (value1, value2) cell is reached through 1, 1.0 and True in entries
+    # that are not adjacent. A NaN value is found only as the same object, and
+    # value space 1 lists that object and another NaN; both value spaces list
+    # values that no entry holds, and list values twice.
+    nan, other_nan = float("nan"), float("nan")
+    yield ({(1, "a", "u", 1): 0.1, (0, "b", "u", 2): 0.2, (1.0, "a", "u", 3): 0.3,
+            (nan, "b", "u", 4): 0.05, (True, "a", "u", 5): 0.15, (nan, "a", "v", 1): 0.1,
+            (0, 1.0, "v", 2): 0.1},
+           (nan, other_nan, 1, 0, 2, 1.0), ("a", "b", "absent", "a"), ("u", "v"))
+    # More conditions of several cells than one block of the check holds: the
+    # zero-mass entries widen each value axis to 1,026 values, so one
+    # condition's grid of classes exceeds GRID_BLOCK and each block holds one.
+    keys = [(x, y, lam, m) for lam in "uvwx" for m in (1, 2) for x, y in ((0, m - 1), (1, 2 - m))]
+    entries = {key: k / 136 for k, key in enumerate(keys, 1)}
+    entries.update({(i, -i, "z", 1): 0.0 for i in range(2, 1026)})
+    yield entries, (0, 1, 2), (1, 0), ("u", "v", "w", "x", "z")
+    # Each state has a slot of its own, so the (state, slot) pairs are few
+    # beside the product of the two axes; each pair holds three cells.
+    keys = [(i % 2, i % 3, f"s{i // 3}", i // 3) for i in range(300)]
+    yield dict.fromkeys(keys, 1 / 300), (0, 1), (2, 1, 0), tuple(f"s{i}" for i in range(100))
     for _ in range(count):
         values = [0, 1, 2, "x"]
         entries = {}
@@ -358,6 +378,18 @@ def test_check_factorization_matches_reference_loop():
             assert_factorization_matches_reference(table)
             assert_factorization_matches_reference(table_from_csv(table_to_csv(table), a, b))
     for table in hand_built_tables(500):
+        assert_factorization_matches_reference(table)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_check_factorization_in_small_blocks_matches_reference_loop(monkeypatch, block):
+    """The value grids evaluated a few conditions at a time, so that tables
+    with several conditions of several cells cross block boundaries, give the
+    loop's floats."""
+    monkeypatch.setattr(density, "GRID_BLOCK", block)
+    for model in models(random_seeds=10):
+        assert_factorization_matches_reference(tabulate_joint(model, s1(0.0), s2(0.0)))
+    for table in hand_built_tables(200):
         assert_factorization_matches_reference(table)
 
 

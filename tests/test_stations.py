@@ -42,6 +42,7 @@ from eprsim.stations import (
     _Runner,
     empirical_correlations,
 )
+from eprsim.descriptors import load_model
 from eprsim.zoo import all_zoo_models, random_factorized_model
 
 
@@ -417,6 +418,30 @@ def test_trials_csv_round_trip(tmp_path):
     assert text.startswith("# config = {}\n")
     assert text.splitlines()[1] == ",".join(TRIALS_CSV_HEADER)
     assert trial_columns(read_trials_csv(path)) == trial_columns(trials)
+
+
+def test_run_and_trial_csv_keep_the_narrowest_state_and_slot_types(tmp_path):
+    """On a 64-state, 1,024-slot model a run's state and slot columns are
+    int8 and int16, as the runner's own columns are, and its trial CSV reads
+    back into the same types and rewrites to the same bytes."""
+    path = tmp_path / "wide.ini"
+    path.write_text(
+        f"[source]\nstates = {', '.join(f's{i}' for i in range(64))}\n"
+        f"prior = {', '.join(['0.015625'] * 64)}\n[grid]\nslots = 1024\n"
+        "[gen1]\nkind = constant\n[gen2]\nkind = constant\n"
+        "[out1]\nkind = constant\nvalue = 1\n[out2]\nkind = constant\nvalue = 1\n",
+        encoding="utf-8",
+    )
+    trials = run_experiment(load_model(path), Schedule(trials=5000, policy="random"))
+    assert (trials.state.dtype, trials.m.dtype) == (np.int8, np.int16)
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_trials_csv(trials, first)
+    loaded = read_trials_csv(first)
+    assert (loaded.state.dtype, loaded.m.dtype) == (np.int8, np.int16)
+    write_trials_csv(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
+    small = run_experiment(zoo_model("bell_product_basic"), Schedule(trials=40))
+    assert (small.state.dtype, small.m.dtype) == (np.int8, np.int8)
 
 
 def _first(trial, station, remote, perturbed, baseline, seen):
