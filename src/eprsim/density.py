@@ -222,11 +222,28 @@ def _equal_classes(domain: tuple) -> tuple[dict, np.ndarray]:
     return first, np.array([first.setdefault(v, i) for i, v in enumerate(domain)], dtype=np.intp)
 
 
-def _first_use(keys: np.ndarray, size: int) -> np.ndarray:
-    """Whether each entry is the first to take its key, keys in 0..size-1."""
-    first, entry = np.full(size, len(keys)), np.arange(len(keys))
+def _int_type(top: int) -> np.dtype:
+    """The narrowest signed integer type that holds 0..top."""
+    return np.min_scalar_type(-top - 1)
+
+
+def _first_use(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Keys in 0..size-1 numbered in order of first use: one scan, no sort.
+
+    Returns each key's first entry (``len(keys)`` for a key no entry takes),
+    the entries that first take a key, ascending, and each key's number in
+    that order (0 for a key no entry takes). First entries and numbers have
+    the narrowest signed type of their range (:func:`_int_type`).
+    """
+    entry = np.arange(len(keys), dtype=_int_type(len(keys)))
+    first = np.full(size, len(keys), dtype=entry.dtype)
     np.minimum.at(first, keys, entry)
-    return first[keys] == entry
+    taken = np.zeros(len(keys) + 1, dtype=bool)
+    taken[first] = True  # the last place stands for every key no entry takes
+    starts = taken[:-1].nonzero()[0]
+    number = np.zeros(size, dtype=_int_type(len(starts)))
+    number[keys[starts]] = entry[:len(starts)]
+    return first, starts, number
 
 
 def _grid_deviations(table: JointTable, live: np.ndarray, probs: np.ndarray, cond: np.ndarray,
@@ -245,12 +262,14 @@ def _grid_deviations(table: JointTable, live: np.ndarray, probs: np.ndarray, con
         order = cond.argsort(kind="stable")
         live, probs, cond = live[order], probs[order], cond[order]
         bounds = np.searchsorted(cond, range(0, conditions + step, step)).tolist()
-    cell = cond * (n1 * n2) + class_1[entries.codes[0][live]] * n2 + class_2[entries.codes[1][live]]
+    # Condition numbers come in their narrowest type: widen them before the products.
+    cell = (cond.astype(np.intp) * (n1 * n2) + class_1[entries.codes[0][live]] * n2
+            + class_2[entries.codes[1][live]])
     worst, tv = np.zeros(conditions), np.zeros(conditions)
     for k, lo in enumerate(range(0, conditions if len(grid) else 0, step)):
         hi, part = min(lo + step, conditions), slice(bounds[k], bounds[k + 1])
         key, size = cell[part] - lo * n1 * n2, (hi - lo) * n1 * n2
-        cells = key[_first_use(key, size)]  # the block's cells, in order of first use
+        cells = key[_first_use(key, size)[1]]  # the block's cells, in order of first use
         if len(cells) == hi - lo:  # one cell per condition: every difference is 0.0
             continue
         joint = np.bincount(key, probs[part], size).reshape(hi - lo, n1 * n2)
@@ -299,9 +318,7 @@ def check_factorization(
         size *= len(domains[k])
     if size > 4 * len(key) + 64:  # a sparse product of states and slots
         size, (_, key) = len(key), np.unique(key, return_inverse=True)
-    starts = _first_use(key, size).nonzero()[0]
-    number = np.empty(size, dtype=np.intp)
-    number[key[starts]] = np.arange(len(starts))
+    _, starts, number = _first_use(key, size)
     deviations, tv = np.zeros(len(starts)), np.zeros(1)
     if len(starts) < len(live):  # a condition with several entries may hold several cells
         deviations, tv = _grid_deviations(table, live, probs[live], number[key], len(starts))

@@ -23,7 +23,7 @@ from typing import Hashable
 
 import numpy as np
 
-from .density import _csv_fields
+from .density import _csv_fields, _first_use, _int_type
 from .errors import InvalidScheduleError
 from .inequality import CorrelationReport, sampled_correlation
 from .model import (
@@ -63,12 +63,13 @@ class Trials:
     """A run in factored form: a table of rows and each trial's index into it.
 
     Trial t reads ``a[row[t]]``, ``A[row[t]]`` and so on. ``state`` indexes
-    ``states`` and ``m`` is the slot (from 1); runs and trial CSVs give each
-    the narrowest signed type for ``len(states)`` and for the largest ``m``
-    (:func:`_int_type`). ``a`` and ``b`` are the scheduled
-    angles as given (a ``-0.0`` stays), ``lambda_star`` and ``lambda_dblstar``
-    are object arrays of the instrument values, and ``A`` and ``B`` are the
-    int8 outcomes. A row may be listed twice or taken by no trial.
+    ``states`` and ``m`` is the slot (from 1); runs and trial CSVs give
+    ``state``, ``m`` and ``row`` the narrowest signed type for ``len(states)``,
+    for the largest ``m`` and for the table's length (:func:`_int_type`).
+    ``a`` and ``b`` are the scheduled angles as given (a ``-0.0`` stays),
+    ``lambda_star`` and ``lambda_dblstar`` are object arrays of the
+    instrument values, and ``A`` and ``B`` are the int8 outcomes. A row may
+    be listed twice or taken by no trial.
     """
 
     states: tuple[Hashable, ...]
@@ -185,21 +186,6 @@ def _pair_outputs(model: LocalModel, a_angle: float, b_angle: float, seed1, seed
     return v1s, v2s, station_outcomes(model, a, v1s), station_outcomes(model, b, v2s)
 
 
-def _int_type(top: int) -> np.dtype:
-    """The narrowest signed integer type that holds 0..top."""
-    return np.min_scalar_type(-top - 1)
-
-
-def _first_use(index: np.ndarray, size: int) -> np.ndarray:
-    """The first trial to take each of ``size`` values in the per-trial
-    ``index``, or ``len(index)`` for a value no trial takes; one pass, no
-    sort. The result is int64, so ranks built on it do not wrap."""
-    trial = np.arange(len(index), dtype=_int_type(len(index)))
-    first = np.full(size, len(index), dtype=trial.dtype)
-    np.minimum.at(first, index, trial)
-    return first.astype(np.int64)
-
-
 class _Runner:
     """One schedule's draws and the compiled outputs of the setting pairs a run uses.
 
@@ -247,23 +233,22 @@ class _Runner:
             codes.setdefault(s1(x).angle, len(codes))
         self.angles = list(codes)
         a, b = np.array([[codes[s1(x).angle] for x in pair] for pair in schedule.pairs]).T
-        keys = a * len(self.angles) + b
-        first = _first_use(self.pair, n)
-        used = np.flatnonzero(first < len(trial))
-        index: dict[int, int] = {}
-        for key in keys[used[np.argsort(first[used])]].tolist():
-            index.setdefault(key, len(index))
-        self.base_keys = np.array(list(index))
-        pair_base = np.array([index.get(k, 0) for k in keys.tolist()], dtype=_int_type(len(index)))
-        self.base = pair_base.take(self.pair)
-        self.base_first = np.full(len(index), len(trial))
-        np.minimum.at(self.base_first, pair_base[used], first[used])
-        # The audit's alternatives to each angle: the test angles elsewhere on
-        # the circle, in grid order. Test angle k has code k.
+        distinct, code = np.unique(a * len(self.angles) + b, return_inverse=True)
+        # The pairs in order of first use, then their distinct keys in that order.
+        _, starts, _ = _first_use(self.pair, n)
+        ranked = code[self.pair[starts]]
+        _, firsts, number = _first_use(ranked, len(distinct))
+        self.base_keys, self.base_first = distinct[ranked[firsts]], starts[firsts]
+        self.base = number[code].take(self.pair)
+
+    @cached_property
+    def alternatives(self) -> tuple[np.ndarray, np.ndarray]:
+        """The audit's alternatives to each angle, the test angles elsewhere on
+        the circle in grid order: their count and their codes (test angle k
+        has code k), the alternatives first in each row."""
         d = np.subtract.outer(self.angles, TEST_ANGLES) % TWO_PI
         apart = np.minimum(d, TWO_PI - d) > 1e-12
-        self.alt_count = apart.sum(axis=1)
-        self.alts = np.argsort(~apart, axis=1, kind="stable")
+        return apart.sum(axis=1), np.argsort(~apart, axis=1, kind="stable")
 
     def remote(self, station: Station) -> np.ndarray:
         """Each base pair's code of the station's remote angle: b for S1, a for S2."""
@@ -297,9 +282,10 @@ class _Runner:
         ``trial % PHASES`` fixes which one a trial takes."""
         n = len(self.angles)
         remote = np.repeat(self.remote(station), PHASES)
-        count = self.alt_count[remote]
+        alt_count, alts = self.alternatives
+        count = alt_count[remote]
         turn = (np.tile(np.arange(PHASES), len(self.base_keys)) + p) % count
-        alt = np.where(p < count, self.alts[remote, turn], remote)
+        alt = np.where(p < count, alts[remote, turn], remote)
         keys = np.repeat(self.base_keys, PHASES)
         return keys - keys % n + alt if station is Station.S1 else alt * n + keys % n
 
@@ -310,13 +296,17 @@ class _Runner:
 
         A column is a key table over a small domain and each domain entry's
         first trial (the trial count for an entry no trial takes), so a pair
-        that column c first uses in trial t ranks ``t * len(columns) + c``.
-        An entry no trial takes gets row 0.
+        that column c first uses in trial t ranks ``t * len(columns) + c``,
+        an int64 so that it does not wrap. An entry no trial takes gets row 0.
         """
-        ranks = np.concatenate([first * len(columns) + c for c, (first, _) in enumerate(columns)])
+        ranks = np.concatenate([first.astype(np.int64) * len(columns) + c
+                                for c, (first, _) in enumerate(columns)])
         keys = np.concatenate([keys for _, keys in columns])
         used = np.flatnonzero(ranks < self.schedule.trials * len(columns))
-        order = dict.fromkeys(keys[used[np.argsort(ranks[used])]].tolist())
+        distinct, code = np.unique(keys[used], return_inverse=True)
+        ranked = code[np.argsort(ranks[used])]
+        _, starts, number = _first_use(ranked, len(distinct))
+        order = distinct[ranked[starts]].tolist()
         n, s = len(self.angles), self.schedule
         v1s, v2s, As, Bs = zip(*(_pair_outputs(self.model, self.angles[k // n],
                                                self.angles[k % n], s.seed_s1, s.seed_s2)
@@ -326,9 +316,8 @@ class _Runner:
                        for station, vs in ((Station.S1, v1s), (Station.S2, v2s))}
         self.outcomes = {Station.S1: np.concatenate(As, axis=None),
                          Station.S2: np.concatenate(Bs, axis=None)}
-        row = dict(zip(order, range(len(order))))
         rows = np.zeros(len(keys), dtype=np.intp)
-        rows[used] = [row[k] for k in keys[used].tolist()]
+        rows[used] = number[code]
         return np.split(rows, np.cumsum([len(k) for _, k in columns[:-1]]))
 
     def outcomes_at(self, station: Station, rows: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -367,18 +356,14 @@ def run_experiment(model: LocalModel, schedule: Schedule) -> Trials:
     (rows,) = run.compile([(run.base_first, run.base_keys)])
     size = len(schedule.pairs) * run.cells
     key = run.pair.astype(_int_type(size)) * run.cells + run.cell
-    first = _first_use(key, size)
-    used = np.flatnonzero(first < len(key))
-    used = used[np.argsort(first[used])]
-    pair, cell = np.divmod(used, run.cells)
+    _, starts, number = _first_use(key, size)
+    pair, cell = np.divmod(key[starts], run.cells)
     state, slot = np.divmod(cell, run.slots)
-    compiled = rows[run.base.take(first[used])]
-    index = np.zeros(size, dtype=_int_type(len(used)))
-    index[used] = np.arange(len(used))
+    compiled = rows[run.base.take(starts)]
     a, b = np.array(schedule.pairs).T
     values, cells = compiled * run.slots + slot, compiled * run.cells + cell
     m = (slot + 1).astype(_int_type(int(slot.max(initial=0)) + 1))
-    return Trials(model.source.states, index.take(key), state.astype(run.state.dtype), m,
+    return Trials(model.source.states, number.take(key), state.astype(run.state.dtype), m,
                   a[pair], b[pair],
                   run.values[Station.S1][values], run.values[Station.S2][values],
                   run.outcomes[Station.S1][cells], run.outcomes[Station.S2][cells])
@@ -411,9 +396,9 @@ def locality_audit(
     passes = [
         (station, run.perturbed(station, p))
         for station in stations
-        for p in range(min(remote_perturbations, run.alt_count[run.remote(station)].max()))
+        for p in range(min(remote_perturbations, run.alternatives[0][run.remote(station)].max()))
     ]
-    phase_first = _first_use(run.phase, len(run.base_keys) * PHASES)
+    phase_first, _, _ = _first_use(run.phase, len(run.base_keys) * PHASES)
     base_rows, *pass_rows = run.compile(
         [(run.base_first, run.base_keys), *((phase_first, keys) for _, keys in passes)])
     base = {station: run.outcomes_at(station, base_rows, run.base) for station in stations}
@@ -462,20 +447,16 @@ def empirical_correlations(trials: Trials) -> dict[tuple[float, float], Correlat
     with. One count of trials per row, added into (pair, state, A, B), gives
     every pair's count tensor for :func:`eprsim.inequality.sampled_correlation`.
     """
-    first = _first_use(trials.row, len(trials.A))
-    rows = np.argsort(first)[:np.count_nonzero(first < len(trials))]
+    rows = trials.row[_first_use(trials.row, len(trials.A))[1]]
     a, b = trials.a[rows], trials.b[rows]
     (_, a_code), (b_angles, b_code) = (np.unique(x, return_inverse=True, equal_nan=False)
                                        for x in (a, b))
-    _, start, code = np.unique(a_code * len(b_angles) + b_code,
-                               return_index=True, return_inverse=True)
-    order = np.argsort(start)
-    pair = np.empty_like(order)
-    pair[order] = np.arange(len(order))
-    counts = np.zeros((len(order), len(trials.states), 2, 2), dtype=np.int64)
-    np.add.at(counts, (pair[code], trials.state[rows], (trials.A[rows] + 1) // 2,
+    pairs, code = np.unique(a_code * len(b_angles) + b_code, return_inverse=True)
+    _, starts, number = _first_use(code, len(pairs))
+    counts = np.zeros((len(starts), len(trials.states), 2, 2), dtype=np.int64)
+    np.add.at(counts, (number[code], trials.state[rows], (trials.A[rows] + 1) // 2,
                        (trials.B[rows] + 1) // 2), np.bincount(trials.row)[rows])
-    keys = zip(a[start[order]].tolist(), b[start[order]].tolist())
+    keys = zip(a[starts].tolist(), b[starts].tolist())
     return {key: sampled_correlation(s1(key[0]), s2(key[1]), tensor, trials.states)
             for key, tensor in zip(keys, counts)}
 
@@ -557,8 +538,8 @@ def read_trials_csv(path: str | Path) -> Trials:
                 raise InvalidScheduleError("trial CSV rows need nine fields")
             numbers.append(line[0])
             row.append(table.setdefault(tuple(line[1:]), len(table)))
-    row = np.array(row, dtype=np.intp)
-    first = (_first_use(row, len(table)) + 1).tolist()  # each table row's first data row
+    row = np.array(row, dtype=_int_type(len(table)))
+    first = (_first_use(row, len(table))[0] + 1).tolist()  # each table row's first data row
     # Numbered as in the header: every trial's number, then the table's columns.
     cols = [numbers, *(zip(*table) if table else [()] * (len(TRIALS_CSV_HEADER) - 1))]
     trial = np.array(_numbers(cols, 0, int, range(1, len(numbers) + 1)), dtype=np.int64)

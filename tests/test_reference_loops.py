@@ -16,6 +16,8 @@ from math import fsum, pi, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eprsim import (
     TEST_ANGLES,
@@ -513,6 +515,36 @@ def test_monte_carlo_counts_match_per_sample_reference():
                                                      model.source.states)
             found = correlate(model, a, b, method="monte_carlo", trials=trials, seed=seed)
             assert report_fields(found) == report_fields(expected), (model.name, a, b)
+
+
+def reference_first_use(keys, size):
+    """Each key's first entry (``len(keys)`` if untaken), the first entries in
+    order and each entry's number, from one ``dict.setdefault`` loop."""
+    first = {}
+    for entry, key in enumerate(keys):
+        first.setdefault(key, entry)
+    number = {key: k for k, key in enumerate(first)}
+    return ([first.get(key, len(keys)) for key in range(size)], list(first.values()),
+            [number[key] for key in keys])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300).flatmap(
+    lambda size: st.tuples(st.just(size), st.lists(st.integers(0, size - 1), max_size=400))))
+@example((1, []))  # no keys
+@example((1, [0]))  # a single key
+@example((6, [4, 4, 1, 4]))  # keys no entry takes, above and below the taken ones
+@example((3, [2, 0, 2, 1, 0]))  # every key taken
+def test_first_use_numbering_matches_dict_loop(case):
+    size, keys = case
+    first, starts, number = density._first_use(np.array(keys, dtype=density._int_type(size)), size)
+    expected_first, expected_starts, expected_numbers = reference_first_use(keys, size)
+    assert first.tolist() == expected_first
+    assert starts.tolist() == expected_starts
+    assert number[np.array(keys, dtype=np.intp)].tolist() == expected_numbers
+    # A key no entry takes is numbered 0; numbers take the narrowest type.
+    assert not number[first == len(keys)].any()
+    assert number.dtype == density._int_type(len(starts))
 
 
 def reference_empirical_correlations(trials):

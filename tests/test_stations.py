@@ -422,8 +422,9 @@ def test_trials_csv_round_trip(tmp_path):
 
 def test_run_and_trial_csv_keep_the_narrowest_state_and_slot_types(tmp_path):
     """On a 64-state, 1,024-slot model a run's state and slot columns are
-    int8 and int16, as the runner's own columns are, and its trial CSV reads
-    back into the same types and rewrites to the same bytes."""
+    int8 and int16, as the runner's own columns are, its row index has the
+    narrowest type for its table (int16 for 5,000 trials), and its trial CSV
+    reads back into the same types and rewrites to the same bytes."""
     path = tmp_path / "wide.ini"
     path.write_text(
         f"[source]\nstates = {', '.join(f's{i}' for i in range(64))}\n"
@@ -433,11 +434,11 @@ def test_run_and_trial_csv_keep_the_narrowest_state_and_slot_types(tmp_path):
         encoding="utf-8",
     )
     trials = run_experiment(load_model(path), Schedule(trials=5000, policy="random"))
-    assert (trials.state.dtype, trials.m.dtype) == (np.int8, np.int16)
+    assert (trials.state.dtype, trials.m.dtype, trials.row.dtype) == (np.int8, np.int16, np.int16)
     first, second = tmp_path / "first.csv", tmp_path / "second.csv"
     write_trials_csv(trials, first)
     loaded = read_trials_csv(first)
-    assert (loaded.state.dtype, loaded.m.dtype) == (np.int8, np.int16)
+    assert (loaded.state.dtype, loaded.m.dtype, loaded.row.dtype) == (np.int8, np.int16, np.int16)
     write_trials_csv(loaded, second)
     assert second.read_bytes() == first.read_bytes()
     small = run_experiment(zoo_model("bell_product_basic"), Schedule(trials=40))
