@@ -48,7 +48,7 @@ from .stations import (
     run_experiment,
     write_trials_csv,
 )
-from .util import fmt12, open_output, scrub
+from .util import fmt12, open_output
 from .zoo import REFERENCE_TABLE_NAME, ZOO
 
 
@@ -113,8 +113,10 @@ def _stamp(args: argparse.Namespace) -> dict[str, str]:
 
 def _report(args: argparse.Namespace, model: LocalModel | None, **body) -> dict:
     """A JSON report: the parsed options, the model (``None`` for the cosine
-    reference table) and its transforms, then ``body``."""
-    config = {k: v for k, v in vars(args).items() if k not in NOT_ECHOED}
+    reference table) and its transforms, then ``body``. An option given as
+    -0.0 is echoed as 0.0 (``x + 0.0`` keeps every other float)."""
+    config = {k: v + 0.0 if type(v) is float else v
+              for k, v in vars(args).items() if k not in NOT_ECHOED}
     if model is None:
         return {"config": config, "model": REFERENCE_TABLE_NAME, "transforms": [], **body}
     return {"config": config, "model": model.name, "transforms": list(model.transforms), **body}
@@ -173,9 +175,8 @@ def json_text(doc) -> str:
 def _write_json(path: Path, report: dict, args: argparse.Namespace) -> None:
     """Write a report, creating its directory, stamped unless --deterministic."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    doc = scrub({**report, **_stamp(args)})
     with open_output(path) as fp:
-        fp.write(json_text(doc) + "\n")
+        fp.write(json_text({**report, **_stamp(args)}) + "\n")
 
 
 def _parse_angles(text: str) -> tuple[float, float, float, float]:
@@ -212,7 +213,8 @@ def cmd_simulate(args) -> int:
     pairs_block = []
     for (a_angle, b_angle), stats in sorted(empirical_correlations(run).items()):
         exact = correlate(model, s1(a_angle), s2(b_angle))
-        pairs_block.append({**stats.to_dict(), "a": a_angle, "b": b_angle,
+        # The angles as first run, with -0.0 written as 0.0.
+        pairs_block.append({**stats.to_dict(), "a": a_angle + 0.0, "b": b_angle + 0.0,
                             "exact_e_ab": exact.e_ab})
     summary = _report(args, model, pairs=pairs_block)
     config = summary["config"]
@@ -228,7 +230,7 @@ def cmd_simulate(args) -> int:
 
     out_dir = args.out or Path(".")
     _write_json(out_dir / "summary.json", summary, args)
-    comments = [f"config = {json.dumps(scrub(config), sort_keys=True)}"]
+    comments = [f"config = {json.dumps(config, sort_keys=True)}"]
     comments += [f"{key} = {value}" for key, value in _stamp(args).items()]
     write_trials_csv(run, out_dir / "trials.csv", comments)
 
@@ -357,7 +359,7 @@ def cmd_audit(args) -> int:
     print(f"locality audit: {verdict} ({report.mismatches} mismatches over "
           f"{report.trials_checked} trials)")
     if report.first_mismatch is not None:
-        print(f"first mismatch: {json.dumps(scrub(report.first_mismatch), sort_keys=True)}")
+        print(f"first mismatch: {json.dumps(report.first_mismatch, sort_keys=True)}")
     return 0
 
 

@@ -335,8 +335,9 @@ def check_factorization(
     )
 
 
-def _csv_fields(domains: tuple[tuple, ...]) -> list[list[str]]:
-    """Each domain's values as :mod:`csv` writes them as one field of a wider row."""
+def _csv_fields(domains, codes) -> list[list[str]]:
+    """Each code column's entries as :mod:`csv` writes them as one field of a
+    wider row; column k indexes ``domains[k]``, each value formatted once."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     # A lone empty field is written quoted; beside another field it is not.
@@ -345,7 +346,8 @@ def _csv_fields(domains: tuple[tuple, ...]) -> list[list[str]]:
     text = buf.getvalue()
     fields = [text[start:end - 2] for start, end in zip([0, *ends], ends)]
     cuts = list(accumulate(map(len, domains), initial=0))
-    return [fields[start:end] for start, end in zip(cuts, cuts[1:])]
+    return [np.array(fields[start:end], dtype=object).take(column).tolist()
+            for start, end, column in zip(cuts, cuts[1:], codes)]
 
 
 def _str_ranks(values: tuple) -> np.ndarray:
@@ -366,8 +368,7 @@ def table_to_csv(table: JointTable) -> str:
     entries = table.entries
     domains, codes = entries.domains, entries.codes
     order = np.lexsort([_str_ranks(d)[c] for d, c in zip(reversed(domains), reversed(codes))])
-    columns = [map(fields.__getitem__, column[order].tolist())
-               for fields, column in zip(_csv_fields(domains), codes)]
+    columns = _csv_fields(domains, [column[order] for column in codes])
     probs = map(_prob_texts(entries.probs).__getitem__, order.tolist())
     rows = "\n".join(map(",".join, zip(*columns, probs)))
     return f"{','.join(CSV_HEADER)}\n{rows}\n"

@@ -4,26 +4,26 @@ The two stations are pure computations inside one process: both consume the
 same slot index per trial (the shared clock), and each sees only its own
 setting, the drawn source state, the slot and its own seed. One private
 runner draws every trial once and compiles each setting pair it uses once. A
-run (:class:`Trials`) is the table of distinct rows its trials take, each
-gathered once from the compiled arrays, plus each trial's row index. The
-audit re-gathers one station's outcomes under varied remote settings,
-compares its instrument values once per situation a trial takes, and counts
-any change; honest models pass by construction, so the audit is a regression
-guard on the harness itself.
+run (:class:`Trials`) is the table of distinct rows its trials take, coded by
+the runner's own indices, plus each trial's row index. The audit re-gathers
+one station's outcomes under varied remote settings, compares its instrument
+values once per situation a trial takes, and counts any change; honest models
+pass by construction, so the audit is a regression guard on the harness.
 """
 from __future__ import annotations
 
 import csv
+import math
 import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Hashable
+from typing import Hashable, Sequence
 
 import numpy as np
 
-from .density import _csv_fields, _first_use, _int_type
+from .density import _csv_fields, _equal_classes, _first_use, _int_type
 from .errors import InvalidScheduleError
 from .inequality import CorrelationReport, sampled_correlation
 from .model import (
@@ -39,7 +39,12 @@ from .model import (
 )
 from .util import open_output, parse_scalar
 
-TRIALS_CSV_HEADER = ("trial", "m", "a", "b", "lambda", "lambda_star", "lambda_dblstar", "A", "B")
+# Each trial CSV column after the trial number: its text's parse, and which values a run writes.
+TRIALS_CSV_COLUMNS = {"m": (int, lambda m: m >= 1), "a": (float, math.isfinite),
+                      "b": (float, math.isfinite), "lambda": (str, None),
+                      "lambda_star": (parse_scalar, None), "lambda_dblstar": (parse_scalar, None),
+                      "A": (int, lambda A: abs(A) == 1), "B": (int, lambda B: abs(B) == 1)}
+TRIALS_CSV_HEADER = ("trial", *TRIALS_CSV_COLUMNS)
 
 DEFAULT_PAIRS = tuple((x, y) for x in TEST_ANGLES for y in TEST_ANGLES)
 
@@ -60,36 +65,41 @@ PHASES = int(np.lcm.reduce(np.arange(1, len(TEST_ANGLES) + 1)))
 
 @dataclass(frozen=True, eq=False)
 class Trials:
-    """A run in factored form: a table of rows and each trial's index into it.
+    """A run in factored form: a table of coded rows and each trial's row index.
 
-    Trial t reads ``a[row[t]]``, ``A[row[t]]`` and so on. ``state`` indexes
-    ``states`` and ``m`` is the slot (from 1); runs and trial CSVs give
-    ``state``, ``m`` and ``row`` the narrowest signed type for ``len(states)``,
-    for the largest ``m`` and for the table's length (:func:`_int_type`).
-    ``a`` and ``b`` are the scheduled angles as given (a ``-0.0`` stays),
-    ``lambda_star`` and ``lambda_dblstar`` are object arrays of the
-    instrument values, and ``A`` and ``B`` are the int8 outcomes. A row may
-    be listed twice or taken by no trial.
+    ``state`` indexes ``states``, ``pair`` the setting pairs ``pairs`` (as
+    scheduled: a ``-0.0`` stays), and ``star`` and ``dblstar`` the S1 and S2
+    instrument values ``stars`` and ``dblstars`` (each as a rule returned
+    it). ``m`` is the slot (from 1), ``A`` and ``B`` the int8 outcomes. Runs
+    and trial CSVs give ``row`` and each code the narrowest signed type for
+    its table or domain, and ``m`` for its largest slot (:func:`_int_type`).
+    A row may be listed twice or taken by no trial.
     """
 
     states: tuple[Hashable, ...]
+    pairs: tuple[tuple[float, float], ...]
+    stars: Sequence
+    dblstars: Sequence
     row: np.ndarray
     state: np.ndarray
     m: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    lambda_star: np.ndarray
-    lambda_dblstar: np.ndarray
+    pair: np.ndarray
+    star: np.ndarray
+    dblstar: np.ndarray
     A: np.ndarray
     B: np.ndarray
 
     def __post_init__(self):
         # Every field after ``row`` is a table column of one entry per row.
-        short = [f.name for f in fields(self)[2:] if len(getattr(self, f.name)) != len(self.A)]
+        short = [f.name for f in fields(self)[5:] if len(getattr(self, f.name)) != len(self.A)]
         if short:
             raise InvalidScheduleError(f"table columns {short} need {len(self.A)} rows like A")
-        if len(self.row) and not 0 <= self.row.min() <= self.row.max() < len(self.A):
-            raise InvalidScheduleError(f"trial rows must index the {len(self.A)} table rows")
+        for name, codes, size in (
+                ("table row", self.row, len(self.A)), ("state", self.state, len(self.states)),
+                ("pair", self.pair, len(self.pairs)), ("star", self.star, len(self.stars)),
+                ("dblstar", self.dblstar, len(self.dblstars))):
+            if len(codes) and not 0 <= codes.min() <= codes.max() < size:
+                raise InvalidScheduleError(f"{name} codes must index the {size} {name}s")
 
     def __len__(self) -> int:
         return len(self.row)
@@ -350,7 +360,8 @@ def run_experiment(model: LocalModel, schedule: Schedule) -> Trials:
     """Run the scheduled trials; fully reproducible from the schedule's seeds.
 
     The table holds one row per (scheduled pair, state, slot) key that some
-    trial takes, in first-use order, and each column is gathered once per row.
+    trial takes, in first-use order, coded by the runner's own indices (a
+    row's compiled values sit at one flat position at both stations).
     """
     run = _Runner(model, schedule)
     (rows,) = run.compile([(run.base_first, run.base_keys)])
@@ -360,12 +371,12 @@ def run_experiment(model: LocalModel, schedule: Schedule) -> Trials:
     pair, cell = np.divmod(key[starts], run.cells)
     state, slot = np.divmod(cell, run.slots)
     compiled = rows[run.base.take(starts)]
-    a, b = np.array(schedule.pairs).T
-    values, cells = compiled * run.slots + slot, compiled * run.cells + cell
+    stars, dblstars = run.values[Station.S1], run.values[Station.S2]
+    values = (compiled * run.slots + slot).astype(_int_type(len(stars)))
+    cells = compiled * run.cells + cell
     m = (slot + 1).astype(_int_type(int(slot.max(initial=0)) + 1))
-    return Trials(model.source.states, number.take(key), state.astype(run.state.dtype), m,
-                  a[pair], b[pair],
-                  run.values[Station.S1][values], run.values[Station.S2][values],
+    return Trials(model.source.states, schedule.pairs, stars, dblstars, number.take(key),
+                  state.astype(run.state.dtype), m, pair.astype(run.pair.dtype), values, values,
                   run.outcomes[Station.S1][cells], run.outcomes[Station.S2][cells])
 
 
@@ -441,92 +452,89 @@ def _first_mismatch(run: _Runner, base_rows: np.ndarray, t: int, station: Statio
 def empirical_correlations(trials: Trials) -> dict[tuple[float, float], CorrelationReport]:
     """Each setting pair's pooled statistics, keyed by its angles as first run.
 
-    The table rows that trials take, in first-use order, are grouped by the
-    ``np.unique`` codes of their two angles, so angles equal under ``==``
-    (-0.0 and 0.0) share a pair and each pair keeps the angles it first ran
-    with. One count of trials per row, added into (pair, state, A, B), gives
-    every pair's count tensor for :func:`eprsim.inequality.sampled_correlation`.
+    Entries of ``trials.pairs`` equal under ``==`` (-0.0 and 0.0) are one
+    pair, numbered by first use over the table rows that trials take, in
+    first-use order; a pair keeps the angles it first ran with. One count of
+    trials per row, added into (pair, state, A, B), gives every pair's count
+    tensor for :func:`eprsim.inequality.sampled_correlation`.
     """
     rows = trials.row[_first_use(trials.row, len(trials.A))[1]]
-    a, b = trials.a[rows], trials.b[rows]
-    (_, a_code), (b_angles, b_code) = (np.unique(x, return_inverse=True, equal_nan=False)
-                                       for x in (a, b))
-    pairs, code = np.unique(a_code * len(b_angles) + b_code, return_inverse=True)
-    _, starts, number = _first_use(code, len(pairs))
+    pair = trials.pair[rows]
+    code = _equal_classes(trials.pairs)[1][pair]
+    _, starts, number = _first_use(code, len(trials.pairs))
     counts = np.zeros((len(starts), len(trials.states), 2, 2), dtype=np.int64)
     np.add.at(counts, (number[code], trials.state[rows], (trials.A[rows] + 1) // 2,
                        (trials.B[rows] + 1) // 2), np.bincount(trials.row)[rows])
-    keys = zip(a[starts].tolist(), b[starts].tolist())
+    keys = map(trials.pairs.__getitem__, pair[starts].tolist())
     return {key: sampled_correlation(s1(key[0]), s2(key[1]), tensor, trials.states)
             for key, tensor in zip(keys, counts)}
-
-
-def _field_texts(column: np.ndarray, keys: np.ndarray | None = None, convert=None,
-                 end: str = "") -> list[str]:
-    """Each entry's CSV field, entries coded by ``np.unique`` of ``keys``
-    (the column itself by default). The value at one entry of each distinct
-    key, through ``convert`` if given, is formatted once, by
-    :func:`eprsim.density._csv_fields`, and ``end`` is appended."""
-    _, code = np.unique(column if keys is None else keys, return_inverse=True)
-    rows = np.empty(code.max(initial=-1) + 1, dtype=np.intp)
-    rows[code] = np.arange(len(code))  # any entry of a key gives its text
-    values = column[rows].tolist()
-    (texts,) = _csv_fields((values if convert is None else list(map(convert, values)),))
-    return np.array([text + end for text in texts], dtype=object).take(code).tolist()
 
 
 def write_trials_csv(trials: Trials, path: str | Path, comments: list[str] | None = None) -> None:
     """Write the trials to ``path`` as CSV rows, one per trial.
 
-    Each table column is coded over its distinct entries: ``m``, ``A`` and
-    ``B`` by value, the angles by their float64 bit pattern (so -0.0 keeps
-    its own ``repr``), ``state`` by its index into ``states`` and the
-    instrument values by object identity (so 1, 1.0 and True print as they
-    were given). Each distinct entry is formatted once, by
-    :func:`eprsim.density._csv_fields`, and a table row is its fields joined
-    by code. csv quotes field by field, so ``f"{t},{suffix[row[t]]}"`` is
-    trial t's full row. The rows are joined and written one block at a time.
+    Each table column is a code into a domain (``m``, ``A`` and ``B`` into
+    their ``np.unique`` values, ``pair`` for both angles), and each domain
+    entry is formatted once, by :func:`eprsim.density._csv_fields`: an angle
+    as its full ``repr`` (-0.0 keeps its sign), an instrument value as the
+    object a rule returned (1, 1.0 and True differ). A table row is its
+    fields joined by code; csv quotes field by field, so
+    ``f"{t},{suffix[row[t]]}"`` is trial t's full row. The rows are joined
+    and written one block at a time.
     """
-    suffix = np.fromiter(map(",".join, zip(
-        _field_texts(trials.m),
-        # Angles are coordinates, not expectations: keep full precision so
-        # the stream round-trips exactly.
-        *(_field_texts(x, np.asarray(x, dtype=np.float64).view(np.int64), repr)
-          for x in (trials.a, trials.b)),
-        _field_texts(trials.state, convert=trials.states.__getitem__),
-        # An id() names one object only while it lives: the list keeps each alive.
-        *(_field_texts(x, np.fromiter(map(id, x.tolist()), dtype=np.uint64, count=len(x)))
-          for x in (trials.lambda_star, trials.lambda_dblstar)),
-        _field_texts(trials.A),
-        _field_texts(trials.B, end="\n"),
-    )), dtype=object, count=len(trials.A))
+    (ms, m), (As, A), (Bs, B) = (np.unique(x, return_inverse=True)
+                                 for x in (trials.m, trials.A, trials.B))
+    a, b = zip(*trials.pairs) if trials.pairs else ((), ())
+    suffix = np.fromiter(map(",".join, zip(*_csv_fields(
+        (ms, a, b, trials.states, trials.stars, trials.dblstars, As, Bs),
+        (m, trials.pair, trials.pair, trials.state, trials.star, trials.dblstar, A, B)))),
+        dtype=object, count=len(trials.A))
     with open_output(path) as fp:
         for line in comments or []:
             fp.write(f"# {line}\n")
         fp.write(",".join(TRIALS_CSV_HEADER) + "\n")
         for start in range(0, len(trials), CSV_BLOCK_ROWS):
             block = suffix.take(trials.row[start:start + CSV_BLOCK_ROWS]).tolist()
-            fp.write("".join([f"{t},{s}" for t, s in enumerate(block, start)]))
+            fp.write("\n".join([f"{t},{s}" for t, s in enumerate(block, start)]))
+            fp.write("\n")
 
 
-def _numbers(cols: list[tuple[str, ...]], k: int, convert, data_rows) -> list:
-    """Column ``k`` of a trial CSV through ``convert``; the first cell that
-    does not parse is named by its data row (from 1) in ``data_rows``."""
-    out = []
-    for text, data_row in zip(cols[k], data_rows):
+def _text_codes(texts: Sequence) -> tuple[list, np.ndarray]:
+    """The distinct texts in code-point order and each text's index into them,
+    in the narrowest signed type."""
+    distinct = sorted(set(texts))
+    index = dict(zip(distinct, range(len(distinct))))
+    return distinct, np.array([index[text] for text in texts], dtype=_int_type(len(distinct)))
+
+
+def _parsed(texts: list[str], k: int, codes: np.ndarray, row: list[int]) -> list:
+    """The distinct texts of trial CSV column k, each parsed once. ``codes[r]``
+    is table row r's text and ``row[d - 1]`` data row d's table row: they name
+    the first data row that holds a text no run writes."""
+    parse, written = TRIALS_CSV_COLUMNS[TRIALS_CSV_HEADER[k]]
+    values = []
+    for i, text in enumerate(texts):
         try:
-            out.append(convert(text))
+            values.append(parse(text))
+            wrong = written is not None and not written(values[-1])
         except ValueError:
-            raise InvalidScheduleError(f"trial CSV data row {data_row}: "
-                                       f"{TRIALS_CSV_HEADER[k]} = {text!r} does not parse") from None
-    return out
+            wrong = True
+        if wrong:
+            data_row = row.index((codes == i).argmax()) + 1
+            raise InvalidScheduleError(f"trial CSV data row {data_row}: {TRIALS_CSV_HEADER[k]} "
+                                       f"= {text!r} is not a value a run writes")
+    return values
 
 
 def read_trials_csv(path: str | Path) -> Trials:
     """Load trials written by :func:`write_trials_csv`; state labels stay text.
 
-    Each distinct text after the trial number is one table row, parsed once;
-    a cell that does not parse is named by the first data row that holds it.
+    Trials must be numbered 0, 1, 2, ... Each distinct text after the trial
+    number is one table row. Each table column is coded as a run's is, by a
+    dict over its distinct texts in code-point order, and each distinct text
+    is parsed once (:data:`TRIALS_CSV_COLUMNS`); a text that parses to no
+    value a run writes is named by the first data row that holds it. The
+    pairs are the distinct (a, b) codes.
     """
     with open(path, newline="", encoding="utf-8") as fp:
         lines = (row for row in csv.reader(fp) if row and not row[0].startswith("#"))
@@ -538,21 +546,19 @@ def read_trials_csv(path: str | Path) -> Trials:
                 raise InvalidScheduleError("trial CSV rows need nine fields")
             numbers.append(line[0])
             row.append(table.setdefault(tuple(line[1:]), len(table)))
-    row = np.array(row, dtype=_int_type(len(table)))
-    first = (_first_use(row, len(table))[0] + 1).tolist()  # each table row's first data row
-    # Numbered as in the header: every trial's number, then the table's columns.
-    cols = [numbers, *(zip(*table) if table else [()] * (len(TRIALS_CSV_HEADER) - 1))]
-    trial = np.array(_numbers(cols, 0, int, range(1, len(numbers) + 1)), dtype=np.int64)
-    m, A, B = (np.array(_numbers(cols, k, int, first), dtype=np.int64) for k in (1, 7, 8))
-    if (trial != np.arange(len(trial))).any() or (np.abs([A, B]) != 1).any():
-        raise InvalidScheduleError("trial CSV needs trials numbered from 0 and outcomes of +-1")
-    # Labels coded by a dict, in code-point order: numpy's str dtype would
-    # drop a label's trailing NULs.
-    states = sorted(set(cols[4]))
-    index = {label: k for k, label in enumerate(states)}
-    state = np.array([index[label] for label in cols[4]], dtype=_int_type(len(states)))
-    m = m.astype(_int_type(max(int(m.max(initial=0)), -int(m.min(initial=0)))))
-    a, b = (np.array(_numbers(cols, k, float, first)) for k in (2, 3))
-    v1, v2 = (np.fromiter(map(parse_scalar, cols[k]), dtype=object) for k in (5, 6))
-    return Trials(tuple(states), row, state, m, a, b, v1, v2,
-                  *np.array([A, B], dtype=np.int8))
+    t = next((t for t, text in enumerate(numbers) if text != str(t)), None)
+    if t is not None:
+        raise InvalidScheduleError(f"trial CSV data row {t + 1}: trial = {numbers[t]!r} "
+                                   f"where a run writes '{t}'")
+    domains, codes = [], []
+    for k, texts in enumerate(list(zip(*table)) or [()] * 8, 1):
+        distinct, code = _text_codes(texts)
+        domains.append(_parsed(distinct, k, code, row))
+        codes.append(code)
+    m, a, b, states, stars, dblstars, A, B = domains
+    pairs, pair = _text_codes(list(zip(codes[1].tolist(), codes[2].tolist())))
+    return Trials(tuple(states), tuple((a[i], b[j]) for i, j in pairs), tuple(stars),
+                  tuple(dblstars), np.array(row, dtype=_int_type(len(table))), codes[3],
+                  np.array(m, dtype=_int_type(max(m, default=0)))[codes[0]], pair, codes[4],
+                  codes[5], np.array(A, dtype=np.int8)[codes[6]],
+                  np.array(B, dtype=np.int8)[codes[7]])

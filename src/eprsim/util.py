@@ -25,17 +25,6 @@ def fmt12(x: float) -> str:
     return f"{x:.12g}"
 
 
-def scrub(obj):
-    """Recursively replace -0.0 by 0.0 so serialized reports are byte-stable."""
-    if isinstance(obj, float):
-        return 0.0 if obj == 0.0 else obj
-    if isinstance(obj, dict):
-        return {k: scrub(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [scrub(v) for v in obj]
-    return obj
-
-
 def parse_scalar(text: str) -> int | float | str:
     """A CSV cell as int, else float, else the text unchanged (no stripping)."""
     # Exact shortcuts: only inf, infinity and nan start with a letter that

@@ -312,6 +312,26 @@ def test_config_echo_is_embedded(tmp_path):
     assert "generated_at" not in summary
 
 
+@pytest.mark.parametrize("command, reports", [
+    (["simulate", "--policy", "fixed", "--trials", "10"], ("summary.json",)),
+    (["check"], ("check.json",)),
+])
+def test_negative_zero_angle_is_reported_as_zero(tmp_path, capsys, command, reports):
+    """-0.0 reaches a report only as an echoed option or a scheduled angle;
+    both are written as 0.0. The trial rows keep the angle as scheduled."""
+    run_cli([*command, "--model", "bell_product_basic", "--angle-a", "-0.0",
+             "--deterministic", "--out", str(tmp_path)])
+    for name in reports:
+        text = (tmp_path / name).read_text(encoding="utf-8")
+        assert "-0.0" not in text
+        assert json.loads(text)["config"]["angle_a"] == 0.0
+    if "simulate" in command:
+        comment, header, *rows = (tmp_path / "trials.csv").read_text().splitlines()
+        assert comment.startswith("# config = ") and "-0.0" not in comment
+        assert [row.split(",")[2] for row in rows] == ["-0.0"] * 10
+        assert json.loads(text)["pairs"][0]["a"] == 0.0
+
+
 def test_reports_carry_a_timestamp_without_deterministic(tmp_path):
     runs = {
         "simulate": ["simulate", "--model", "constant_plus", "--trials", "10"],

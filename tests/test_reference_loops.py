@@ -549,8 +549,8 @@ def test_first_use_numbering_matches_dict_loop(case):
 
 def reference_empirical_correlations(trials):
     """Each setting pair's statistics from a boolean mask over its trials."""
-    a_col, b_col, A, B, state = (
-        column[trials.row] for column in (trials.a, trials.b, trials.A, trials.B, trials.state))
+    a_col, b_col = np.array([trials.pairs[i] for i in trials.pair[trials.row]]).reshape(-1, 2).T
+    A, B, state = (column[trials.row] for column in (trials.A, trials.B, trials.state))
     _, a = np.unique(a_col, return_inverse=True)
     b_angles, b = np.unique(b_col, return_inverse=True)
     _, first, pair = np.unique(a * len(b_angles) + b, return_index=True, return_inverse=True)

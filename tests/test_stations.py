@@ -189,11 +189,16 @@ def recorded_calls(schedule_name: str, perturbations: int | None) -> tuple[int, 
     return len(calls), hashlib.sha256(repr(calls).encode()).hexdigest()[:16]
 
 
+def decoded(trials, name: str) -> list:
+    """Each trial's entry of the domain that code column ``name`` indexes."""
+    domain = getattr(trials, f"{name}s")
+    return [domain[i] for i in getattr(trials, name)[trials.row].tolist()]
+
+
 def trial_columns(trials) -> dict:
-    """A run's columns as lists, with each trial's state as its label."""
-    names = ("m", "a", "b", "lambda_star", "lambda_dblstar", "A", "B")
-    columns = {name: getattr(trials, name)[trials.row].tolist() for name in names}
-    columns["lambda"] = [trials.states[i] for i in trials.state[trials.row]]
+    """A run's columns as per-trial lists, each code as its domain entry."""
+    columns = {name: getattr(trials, name)[trials.row].tolist() for name in ("m", "A", "B")}
+    columns.update({name: decoded(trials, name) for name in ("pair", "state", "star", "dblstar")})
     return columns
 
 
@@ -251,13 +256,13 @@ def test_records_match_station_recomputation():
 
     model = zoo_model("setting_dependent_density")
     trials = run_experiment(model, Schedule(trials=64, policy="cycle"))
-    A, B, lambda_star = (column[trials.row] for column in (trials.A, trials.B, trials.lambda_star))
-    for t, row in enumerate(trials.row):
-        a, b, m = s1(trials.a[row]), s2(trials.b[row]), int(trials.m[row])
-        lam = trials.states[trials.state[row]]
-        assert A[t] == evaluate_outcome(model, Station.S1, a, lam, m)
-        assert B[t] == evaluate_outcome(model, Station.S2, b, lam, m)
-        assert lambda_star[t] == model.gen1.evaluate(a, m)
+    columns = trial_columns(trials)
+    for t in range(len(trials)):
+        (a, b), m, lam = columns["pair"][t], columns["m"][t], columns["state"][t]
+        assert columns["A"][t] == evaluate_outcome(model, Station.S1, s1(a), lam, m)
+        assert columns["B"][t] == evaluate_outcome(model, Station.S2, s2(b), lam, m)
+        assert columns["star"][t] == model.gen1.evaluate(s1(a), m)
+        assert columns["dblstar"][t] == model.gen2.evaluate(s2(b), m)
 
 
 def test_empirical_agrees_with_exact_at_five_sigma():
@@ -435,10 +440,16 @@ def test_run_and_trial_csv_keep_the_narrowest_state_and_slot_types(tmp_path):
     )
     trials = run_experiment(load_model(path), Schedule(trials=5000, policy="random"))
     assert (trials.state.dtype, trials.m.dtype, trials.row.dtype) == (np.int8, np.int16, np.int16)
+    # 16 scheduled pairs, and 16 compiled pairs of 1,024 values at each station.
+    assert (trials.pair.dtype, trials.star.dtype, trials.dblstar.dtype) == (
+        np.int8, np.int16, np.int16)
     first, second = tmp_path / "first.csv", tmp_path / "second.csv"
     write_trials_csv(trials, first)
     loaded = read_trials_csv(first)
     assert (loaded.state.dtype, loaded.m.dtype, loaded.row.dtype) == (np.int8, np.int16, np.int16)
+    # The constant generators write one value text per station.
+    assert (loaded.pair.dtype, loaded.star.dtype, loaded.dblstar.dtype) == (
+        np.int8, np.int8, np.int8)
     write_trials_csv(loaded, second)
     assert second.read_bytes() == first.read_bytes()
     small = run_experiment(zoo_model("bell_product_basic"), Schedule(trials=40))
@@ -540,7 +551,7 @@ def test_angles_at_one_point_of_the_circle_compile_once():
     # One compiled pair: one generator call per slot at each station.
     assert len(calls) == 2 * base.grid.slot_count
     # The columns and the per-pair statistics keep the scheduled angles.
-    assert trials.a[trials.row].tolist() == [0.0, 2 * math.pi] * 4
+    assert [a for a, _ in decoded(trials, "pair")] == [0.0, 2 * math.pi] * 4
     assert list(empirical_correlations(trials)) == list(pairs)
 
 
@@ -551,13 +562,12 @@ def row_by_row_trials_csv(trials, comments) -> bytes:
         buf.write(f"# {line}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(TRIALS_CSV_HEADER)
-    m, a, b, state, lambda_star, lambda_dblstar, A, B = (
-        getattr(trials, name)[trials.row]
-        for name in ("m", "a", "b", "state", "lambda_star", "lambda_dblstar", "A", "B"))
+    columns = trial_columns(trials)
     for t in range(len(trials)):
-        writer.writerow([t, int(m[t]), repr(float(a[t])), repr(float(b[t])),
-                         trials.states[state[t]], lambda_star[t], lambda_dblstar[t],
-                         int(A[t]), int(B[t])])
+        a, b = columns["pair"][t]
+        writer.writerow([t, columns["m"][t], repr(float(a)), repr(float(b)), columns["state"][t],
+                         columns["star"][t], columns["dblstar"][t], columns["A"][t],
+                         columns["B"][t]])
     return buf.getvalue().encode("utf-8")
 
 
@@ -580,22 +590,25 @@ ODD_VALUES = [1, 1.0, True, "u1", "".join(["u", "1"]), math.nan, "x,y", 'say "hi
 def odd_trials(n: int) -> Trials:
     """Hand-built trials whose (state, slot, pair) does not determine the rest.
 
-    Within each run of 22 rows, only ``a`` (-0.0 or 0.0) and ``lambda_star``
-    (the odd values) change, so every keying that merges -0.0 with 0.0, or
-    keys instrument values by value, merges rows that print differently.
+    Within each run of 22 rows, only the pair (a is -0.0 or 0.0) and the S1
+    value (the odd values) change. The pairs domain holds pairs equal under
+    ``==`` that print differently, and the value domains the odd values, so
+    every keying that merges -0.0 with 0.0, or keys instrument values by
+    value, merges rows that print differently.
     """
     t = np.arange(n)
     group = t // (2 * len(ODD_VALUES))
-    values = np.array(ODD_VALUES, dtype=object)
     return Trials(
         states=("a,b", 'q"r', "plain"),
+        pairs=tuple((a, b) for b in (0.0, -0.0, 0.1, 7.0) for a in (-0.0, 0.0)),
+        stars=tuple(ODD_VALUES),
+        dblstars=np.array(ODD_VALUES, dtype=object),
         row=np.arange(n),
         state=group % 3,
         m=1 + group % 4,
-        a=np.where(t % 2, 0.0, -0.0),
-        b=np.array([0.0, -0.0, 0.1, 7.0])[group % 4],
-        lambda_star=values[t % len(values)],
-        lambda_dblstar=values[group % len(values)],
+        pair=group % 4 * 2 + t % 2,
+        star=t % len(ODD_VALUES),
+        dblstar=group % len(ODD_VALUES),
         A=np.where(group % 2, 1, -1).astype(np.int8),
         B=np.where(group // 2 % 2, 1, -1).astype(np.int8),
     )
@@ -612,17 +625,19 @@ def factored_trials() -> Trials:
     """A hand-built run whose table is out of first-use order (trial 0 takes
     row 2), lists one row twice (rows 2 and 3) and holds a row that no trial
     takes (row 4). Row 1 differs from rows 2 and 3 in the sign of a zero
-    angle, its outcomes and nothing else."""
-    values = np.array([0, 1, "x,y"], dtype=object)
+    angle, its outcomes and nothing else. The S1 values hold an entry no row
+    takes, equal to but not the same object as the one row 4 takes."""
     return Trials(
         states=("u0", "u1"),
+        pairs=((0.5, 0.0), (-0.0, 0.0), (0.0, 0.0), (1.0, 1.5)),
+        stars=(0, 1, "x,y", "".join(["x,", "y"])),
+        dblstars=(0, 1, "x,y"),
         row=np.array([2, 1, 0, 3, 2, 0, 0, 1, 3, 3, 2]),
         state=np.array([1, 0, 0, 0, 1]),
         m=np.array([2, 1, 1, 1, 3]),
-        a=np.array([0.5, -0.0, 0.0, 0.0, 1.0]),
-        b=np.array([0.0, 0.0, 0.0, 0.0, 1.5]),
-        lambda_star=values[[1, 0, 0, 0, 2]],
-        lambda_dblstar=values[[2, 1, 1, 1, 0]],
+        pair=np.array([0, 1, 2, 2, 3]),
+        star=np.array([1, 0, 0, 0, 2]),
+        dblstar=np.array([2, 1, 1, 1, 0]),
         A=np.array([1, -1, 1, 1, -1], dtype=np.int8),
         B=np.array([-1, -1, 1, 1, 1], dtype=np.int8),
     )
@@ -652,23 +667,22 @@ def test_trials_csv_formats_each_instrument_value_once(tmp_path):
     n = 3 * CSV_BLOCK_ROWS
     star, dblstar = ([CountedValue(f"{name}{k}") for k in range(3)] for name in ("v", "w"))
     trials = Trials(
-        states=("u0", "u1"), row=np.arange(n)[::-1], state=np.arange(n) % 2,
-        m=1 + np.arange(n) % 7, a=np.zeros(n), b=np.zeros(n),
-        lambda_star=np.array(star, dtype=object)[np.arange(n) % 3],
-        lambda_dblstar=np.array(dblstar, dtype=object)[np.arange(n) // 5 % 3],
+        states=("u0", "u1"), pairs=((0.0, 0.0),), stars=tuple(star), dblstars=tuple(dblstar),
+        row=np.arange(n)[::-1], state=np.arange(n) % 2, m=1 + np.arange(n) % 7,
+        pair=np.zeros(n, dtype=np.int8), star=np.arange(n) % 3, dblstar=np.arange(n) // 5 % 3,
         A=np.ones(n, dtype=np.int8), B=np.ones(n, dtype=np.int8))
     path = tmp_path / "trials.csv"
     write_trials_csv(trials, path, comments=["config = {}"])
-    # Every object sits in one column, so each is formatted at most once.
+    # Every object is one entry of one domain, so each is formatted once.
     assert [v.calls for v in star + dblstar] == [1] * 6
     assert path.read_bytes() == row_by_row_trials_csv(trials, ["config = {}"])
 
 
 def test_state_labels_keep_trailing_nuls_through_a_round_trip(tmp_path):
-    values = np.array([0, 0], dtype=object)
-    trials = Trials(states=("a\x00", "a"), row=np.array([0, 1]), state=np.array([0, 1]),
-                    m=np.array([1, 1]), a=np.zeros(2), b=np.zeros(2), lambda_star=values,
-                    lambda_dblstar=values, A=np.ones(2, dtype=np.int8),
+    zeros = np.zeros(2, dtype=np.int8)
+    trials = Trials(states=("a\x00", "a"), pairs=((0.0, 0.0),), stars=(0,), dblstars=(0,),
+                    row=np.array([0, 1]), state=np.array([0, 1]), m=np.array([1, 1]),
+                    pair=zeros, star=zeros, dblstar=zeros, A=np.ones(2, dtype=np.int8),
                     B=np.ones(2, dtype=np.int8))
     first, second = tmp_path / "first.csv", tmp_path / "second.csv"
     write_trials_csv(trials, first)
@@ -690,25 +704,24 @@ EDGE_LABELS = ("plain", "a,b", 'q"r', "two\nlines", "", " padded ", "λ*", "naï
 @st.composite
 def hand_built_trials(draw) -> Trials:
     """A run built by hand: some table rows listed twice, rows that no trial
-    takes, edge-case angles and labels, and the odd instrument values."""
+    takes, domains with entries equal under ``==`` and entries no row takes,
+    edge-case angles and labels, and the odd instrument values."""
     states = tuple(draw(st.lists(st.sampled_from(EDGE_LABELS), min_size=1, max_size=4,
                                  unique=True)))
+    pairs = tuple(draw(st.lists(st.tuples(st.sampled_from(EDGE_ANGLES),
+                                          st.sampled_from(EDGE_ANGLES)), min_size=1, max_size=4)))
+    stars, dblstars = (tuple(draw(st.lists(st.sampled_from(ODD_VALUES), min_size=1, max_size=4)))
+                       for _ in range(2))
     entry = st.tuples(st.integers(0, len(states) - 1), st.integers(1, 5),
-                      st.sampled_from(EDGE_ANGLES), st.sampled_from(EDGE_ANGLES),
-                      st.sampled_from(ODD_VALUES), st.sampled_from(ODD_VALUES),
+                      st.integers(0, len(pairs) - 1), st.integers(0, len(stars) - 1),
+                      st.integers(0, len(dblstars) - 1),
                       st.sampled_from((-1, 1)), st.sampled_from((-1, 1)))
     table = draw(st.lists(entry, min_size=1, max_size=8))
     table += [table[i] for i in draw(st.lists(st.integers(0, len(table) - 1), max_size=3))]
     row = draw(st.lists(st.integers(0, len(table) - 1), max_size=40))
-    state, m, a, b, v1, v2, A, B = zip(*table)
-    objects = []
-    for values in (v1, v2):
-        column = np.empty(len(values), dtype=object)
-        column[:] = values
-        objects.append(column)
-    return Trials(states, np.array(row, dtype=np.intp), np.array(state), np.array(m),
-                  np.array(a), np.array(b), *objects, np.array(A, dtype=np.int8),
-                  np.array(B, dtype=np.int8))
+    state, m, pair, star, dblstar, A, B = map(np.array, zip(*table))
+    return Trials(states, pairs, stars, dblstars, np.array(row, dtype=np.intp), state, m, pair,
+                  star, dblstar, A.astype(np.int8), B.astype(np.int8))
 
 
 @settings(max_examples=150, deadline=None)
@@ -752,6 +765,16 @@ def test_trials_rejects_rows_outside_its_table(row):
         dataclasses.replace(trials, row=np.array(row))
 
 
+@pytest.mark.parametrize("name, size, domain", [("state", 2, "states"), ("pair", 4, "pairs"),
+                                                ("star", 4, "stars"), ("dblstar", 3, "dblstars")])
+@pytest.mark.parametrize("past", [False, True], ids=["negative", "past the domain"])
+def test_trials_rejects_codes_outside_their_domain(name, size, domain, past):
+    codes = getattr(factored_trials(), name).copy()
+    codes[-1] = size if past else -1
+    with pytest.raises(InvalidScheduleError, match=f"{name} codes must index the {size} {domain}"):
+        dataclasses.replace(factored_trials(), **{name: codes})
+
+
 angles = st.one_of(
     st.sampled_from((-0.0, 0.0, math.pi / 4, 2 * math.pi)),
     st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
@@ -779,20 +802,27 @@ def test_trials_csv_round_trips_byte_identically(tmp_path_factory, seed, trials,
 
 
 @pytest.mark.parametrize(
-    "row",
-    ["0,1,0.0,0.0,u0,0,0,1", "1,1,0.0,0.0,u0,0,0,1,1", "0,1,0.0,0.0,u0,0,0,0,1",
+    "row, message",
+    [("0,1,0.0,0.0,u0,0,0,1", "nine fields"), ("1,1,0.0,0.0,u0,0,0,1,1", "row 1: trial = '1'"),
+     ("0,1,0.0,0.0,u0,0,0,0,1", "row 1: A = '0'"),
      # zip(*rows) stops at the shortest row, so a long row among full ones
      # still gives nine columns: each row's width is checked.
-     "0,1,0.0,0.0,u0,0,0,1,1,EXTRA\n1,2,0.0,0.0,u0,0,0,1,1",
-     "0,1,0.0,0.0,u0,0,0,1,1\n1,2,0.0,0.0,u0,0,0,1",
-     "0,x,0.0,0.0,u0,0,0,1,1", "0,1,zero,0.0,u0,0,0,1,1", "0,1,0.0,0.0,u0,0,0,one,1"],
+     ("0,1,0.0,0.0,u0,0,0,1,1,EXTRA\n1,2,0.0,0.0,u0,0,0,1,1", "nine fields"),
+     ("0,1,0.0,0.0,u0,0,0,1,1\n1,2,0.0,0.0,u0,0,0,1", "nine fields"),
+     ("0,x,0.0,0.0,u0,0,0,1,1", "row 1: m = 'x'"), ("0,1,zero,0.0,u0,0,0,1,1", "row 1: a = 'zero'"),
+     ("0,1,0.0,0.0,u0,0,0,one,1", "row 1: A = 'one'"),
+     # Numbers that parse but that no run writes: such a row would load, and
+     # a later step would fail far from the file.
+     ("0,0,0.0,0.0,u0,0,0,1,1", "row 1: m = '0'"), ("0,-3,0.0,0.0,u0,0,0,1,1", "row 1: m = '-3'"),
+     ("0,1,nan,0.0,u0,0,0,1,1", "row 1: a = 'nan'"), ("0,1,0.0,inf,u0,0,0,1,1", "row 1: b = 'inf'")],
     ids=["eight fields", "numbered from 1", "zero outcome", "long row", "short row",
-         "non-numeric m", "non-numeric a", "non-numeric A"],
+         "non-numeric m", "non-numeric a", "non-numeric A", "slot 0", "negative slot",
+         "nan angle", "infinite angle"],
 )
-def test_read_trials_csv_rejects_malformed_rows(tmp_path, row):
+def test_read_trials_csv_rejects_malformed_rows(tmp_path, row, message):
     path = tmp_path / "trials.csv"
     path.write_text(",".join(TRIALS_CSV_HEADER) + "\n" + row + "\n", encoding="utf-8")
-    with pytest.raises(InvalidScheduleError):
+    with pytest.raises(InvalidScheduleError, match=message):
         read_trials_csv(path)
 
 
