@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count, islice
 from pathlib import Path
 from typing import Hashable, Sequence
 
@@ -50,9 +50,10 @@ DEFAULT_PAIRS = tuple((x, y) for x in TEST_ANGLES for y in TEST_ANGLES)
 
 POLICIES = ("fixed", "cycle", "random")
 
-# Rows per joined block in write_trials_csv: the writer's memory stays flat
-# in the trial count.
-CSV_BLOCK_ROWS = 1 << 12
+# Rows per block of the trial CSV writer and reader, a whole number of
+# decades: the writer's memory stays flat in the trial count, and the reader
+# keeps no row's text past its block.
+CSV_BLOCK_ROWS = 4000
 
 # The most trials a run holds: one int64 per trial must fit numpy's largest array.
 MAX_RUN_TRIALS = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize
@@ -477,10 +478,10 @@ def write_trials_csv(trials: Trials, path: str | Path, comments: list[str] | Non
     their ``np.unique`` values, ``pair`` for both angles), and each domain
     entry is formatted once, by :func:`eprsim.density._csv_fields`: an angle
     as its full ``repr`` (-0.0 keeps its sign), an instrument value as the
-    object a rule returned (1, 1.0 and True differ). A table row is its
-    fields joined by code; csv quotes field by field, so
-    ``f"{t},{suffix[row[t]]}"`` is trial t's full row. The rows are joined
-    and written one block at a time.
+    object a rule returned (1, 1.0 and True differ). A table row's line is
+    its fields joined by code. Trial t's number is ``str(t // 10)`` (empty
+    below 10) and its last digit, so a block, which starts on a decade, is
+    one join of (decade, digit, line) texts: none is built per trial.
     """
     (ms, m), (As, A), (Bs, B) = (np.unique(x, return_inverse=True)
                                  for x in (trials.m, trials.A, trials.B))
@@ -489,76 +490,90 @@ def write_trials_csv(trials: Trials, path: str | Path, comments: list[str] | Non
         (ms, a, b, trials.states, trials.stars, trials.dblstars, As, Bs),
         (m, trials.pair, trials.pair, trials.state, trials.star, trials.dblstar, A, B)))),
         dtype=object, count=len(trials.A))
+    suffix += "\n"  # in place, so no second copy of every line is held
+    block = np.empty((CSV_BLOCK_ROWS // 10, 10, 3), dtype=object)
+    block[..., 1] = [f"{d}," for d in range(10)]
+    cells = block.reshape(-1, 3)
     with open_output(path) as fp:
         for line in comments or []:
             fp.write(f"# {line}\n")
         fp.write(",".join(TRIALS_CSV_HEADER) + "\n")
         for start in range(0, len(trials), CSV_BLOCK_ROWS):
-            block = suffix.take(trials.row[start:start + CSV_BLOCK_ROWS]).tolist()
-            fp.write("\n".join([f"{t},{s}" for t, s in enumerate(block, start)]))
-            fp.write("\n")
+            row = trials.row[start:start + CSV_BLOCK_ROWS]
+            tens = [*map(str, range(start // 10, start // 10 + len(block)))]
+            block[..., 0] = np.array(tens if start else ["", *tens[1:]], dtype=object)[:, None]
+            cells[:len(row), 2] = suffix.take(row)
+            fp.write("".join(cells[:len(row)].ravel().tolist()))
 
 
-def _text_codes(texts: Sequence) -> tuple[list, np.ndarray]:
-    """The distinct texts in code-point order and each text's index into them,
-    in the narrowest signed type."""
-    distinct = sorted(set(texts))
-    index = dict(zip(distinct, range(len(distinct))))
-    return distinct, np.array([index[text] for text in texts], dtype=_int_type(len(distinct)))
-
-
-def _parsed(texts: list[str], k: int, codes: np.ndarray, row: list[int]) -> list:
-    """The distinct texts of trial CSV column k, each parsed once. ``codes[r]``
-    is table row r's text and ``row[d - 1]`` data row d's table row: they name
-    the first data row that holds a text no run writes."""
+def _parsed(k: int, index: dict, codes: np.ndarray) -> tuple[list, np.ndarray]:
+    """Trial CSV column k's texts in code-point order, each parsed once, and
+    each ``index`` code's place among them. ``codes[d - 1]`` is data row d's
+    code: they name the first data row that holds a text no run writes."""
     parse, written = TRIALS_CSV_COLUMNS[TRIALS_CSV_HEADER[k]]
-    values = []
-    for i, text in enumerate(texts):
+    texts, values = sorted(index), []
+    for text in texts:
         try:
             values.append(parse(text))
             wrong = written is not None and not written(values[-1])
         except ValueError:
             wrong = True
         if wrong:
-            data_row = row.index((codes == i).argmax()) + 1
+            data_row = int((codes == index[text]).argmax()) + 1
             raise InvalidScheduleError(f"trial CSV data row {data_row}: {TRIALS_CSV_HEADER[k]} "
                                        f"= {text!r} is not a value a run writes")
-    return values
+    return values, np.argsort([index[text] for text in texts]).astype(_int_type(len(texts)))
 
 
 def read_trials_csv(path: str | Path) -> Trials:
     """Load trials written by :func:`write_trials_csv`; state labels stay text.
 
-    Trials must be numbered 0, 1, 2, ... Each distinct text after the trial
-    number is one table row. Each table column is coded as a run's is, by a
-    dict over its distinct texts in code-point order, and each distinct text
-    is parsed once (:data:`TRIALS_CSV_COLUMNS`); a text that parses to no
-    value a run writes is named by the first data row that holds it. The
-    pairs are the distinct (a, b) codes.
+    Trials must be numbered 0, 1, 2, ... Rows stream in blocks, and each
+    column after the trial number codes its texts by one dict as they come.
+    Each distinct text is then parsed once (:data:`TRIALS_CSV_COLUMNS`); a
+    text that parses to no value a run writes is named by the first data row
+    that holds it. Table columns are coded as a run's are, by their texts in
+    code-point order; each distinct row of codes is a table row, numbered by
+    first use, and each distinct (a, b) a pair.
     """
+    indexes, parts = [{} for _ in TRIALS_CSV_COLUMNS], [[] for _ in TRIALS_CSV_COLUMNS]
+    first, wrong = 0, None
     with open(path, newline="", encoding="utf-8") as fp:
         lines = (row for row in csv.reader(fp) if row and not row[0].startswith("#"))
         if tuple(next(lines, ())) != TRIALS_CSV_HEADER:
             raise InvalidScheduleError("trial CSV is empty or lacks the expected header")
-        numbers, row, table = [], [], {}
-        for line in lines:
-            if len(line) != len(TRIALS_CSV_HEADER):
+        while block := list(islice(lines, CSV_BLOCK_ROWS)):
+            if set(map(len, block)) != {len(TRIALS_CSV_HEADER)}:
                 raise InvalidScheduleError("trial CSV rows need nine fields")
-            numbers.append(line[0])
-            row.append(table.setdefault(tuple(line[1:]), len(table)))
-    t = next((t for t, text in enumerate(numbers) if text != str(t)), None)
-    if t is not None:
-        raise InvalidScheduleError(f"trial CSV data row {t + 1}: trial = {numbers[t]!r} "
-                                   f"where a run writes '{t}'")
-    domains, codes = [], []
-    for k, texts in enumerate(list(zip(*table)) or [()] * 8, 1):
-        distinct, code = _text_codes(texts)
-        domains.append(_parsed(distinct, k, code, row))
-        codes.append(code)
+            numbers, *columns = zip(*block)
+            if wrong is None and numbers != tuple(map(str, range(first, first + len(block)))):
+                wrong = next((t, text) for t, text in enumerate(numbers, first) if text != str(t))
+            for part, index, texts in zip(parts, indexes, columns):
+                index.update(zip(set(texts).difference(index), count(len(index))))
+                part.append(np.fromiter(map(index.__getitem__, texts), _int_type(len(index))))
+            first += len(block)
+    if wrong is not None:
+        raise InvalidScheduleError(f"trial CSV data row {wrong[0] + 1}: trial = {wrong[1]!r} "
+                                   f"where a run writes '{wrong[0]}'")
+    # The empty array gives a file with no data rows empty code columns.
+    codes = [np.concatenate([np.zeros(0, np.int8), *part], dtype=_int_type(len(index)))
+             for part, index in zip(parts, indexes)]
+    domains, ranks = zip(*(_parsed(k, index, c)
+                           for k, (index, c) in enumerate(zip(indexes, codes), 1)))
+    # Each data row's codes as one int64, compacted before a column could overflow it.
+    key, size = np.zeros(first, dtype=np.int64), 1
+    for c, n in zip(codes, map(len, indexes)):
+        if size * n > np.iinfo(np.int64).max:
+            distinct, key = np.unique(key, return_inverse=True)
+            size = len(distinct)
+        key, size = key * n + c, size * n
+    distinct, key = np.unique(key, return_inverse=True)
+    _, starts, number = _first_use(key, len(distinct))
     m, a, b, states, stars, dblstars, A, B = domains
-    pairs, pair = _text_codes(list(zip(codes[1].tolist(), codes[2].tolist())))
-    return Trials(tuple(states), tuple((a[i], b[j]) for i, j in pairs), tuple(stars),
-                  tuple(dblstars), np.array(row, dtype=_int_type(len(table))), codes[3],
-                  np.array(m, dtype=_int_type(max(m, default=0)))[codes[0]], pair, codes[4],
-                  codes[5], np.array(A, dtype=np.int8)[codes[6]],
-                  np.array(B, dtype=np.int8)[codes[7]])
+    table = [rank[c[starts]] for rank, c in zip(ranks, codes)]
+    pairs, pair = np.unique(table[1].astype(np.int64) * len(b) + table[2], return_inverse=True)
+    return Trials(tuple(states), tuple((a[k // len(b)], b[k % len(b)]) for k in pairs.tolist()),
+                  tuple(stars), tuple(dblstars), number.take(key), table[3],
+                  np.array(m, dtype=_int_type(max(m, default=0)))[table[0]],
+                  pair.astype(_int_type(len(pairs))), table[4], table[5],
+                  np.array(A, dtype=np.int8)[table[6]], np.array(B, dtype=np.int8)[table[7]])

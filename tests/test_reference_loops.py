@@ -10,9 +10,7 @@ import configparser
 import csv
 import io
 import random
-from dataclasses import fields
-from fractions import Fraction
-from math import fsum, pi, sqrt
+from math import fsum, pi
 
 import numpy as np
 import pytest
@@ -23,7 +21,6 @@ from eprsim import (
     TEST_ANGLES,
     AuditReport,
     CodomainViolationError,
-    CorrelationReport,
     JointTable,
     Schedule,
     Setting,
@@ -64,6 +61,12 @@ from test_stations import (
     outcome_publishing_model,
     remote_reading_model,
     remote_reading_s2_model,
+)
+from trial_references import (
+    assert_same_correlations,
+    reference_empirical_correlations,
+    reference_sampled_correlation,
+    report_fields,
 )
 
 
@@ -447,32 +450,6 @@ def test_table_to_csv_matches_reference_writer():
         assert table_to_csv(swap_stations(table)) == reference_table_csv(swapped)
 
 
-def reference_sampled_correlation(a, b, A, B, state, states):
-    """Pair statistics one sample at a time: sample t saw ``A[t]``, ``B[t]``
-    with the source in ``states[state[t]]``."""
-    n = len(A)
-    plus = int(np.count_nonzero(A == B))
-    e_ab = (2 * plus - n) / n
-    std_error = 0.0
-    if n > 1:
-        squares = Fraction((1 - e_ab) ** 2) * plus + Fraction((-1 - e_ab) ** 2) * (n - plus)
-        std_error = sqrt(float(squares) / (n - 1) / n)
-    counts = np.bincount(state, minlength=len(states)).tolist()
-
-    def conditionals(outcomes):
-        sums = np.bincount(state, weights=outcomes, minlength=len(states)).tolist()
-        return {lam: s / c for lam, s, c in zip(states, sums, counts) if c}
-
-    return CorrelationReport(
-        a, b, e_ab, int(A.sum()) / n, int(B.sum()) / n, conditionals(A), conditionals(B),
-        n, std_error,
-    )
-
-
-def report_fields(report):
-    return [repr(getattr(report, f.name)) for f in fields(report)]
-
-
 def compiled_pair(model, a, b):
     return (station_outcomes(model, a, station_values(model, a)),
             station_outcomes(model, b, station_values(model, b)))
@@ -545,28 +522,6 @@ def test_first_use_numbering_matches_dict_loop(case):
     # A key no entry takes is numbered 0; numbers take the narrowest type.
     assert not number[first == len(keys)].any()
     assert number.dtype == density._int_type(len(starts))
-
-
-def reference_empirical_correlations(trials):
-    """Each setting pair's statistics from a boolean mask over its trials."""
-    a_col, b_col = np.array([trials.pairs[i] for i in trials.pair[trials.row]]).reshape(-1, 2).T
-    A, B, state = (column[trials.row] for column in (trials.A, trials.B, trials.state))
-    _, a = np.unique(a_col, return_inverse=True)
-    b_angles, b = np.unique(b_col, return_inverse=True)
-    _, first, pair = np.unique(a * len(b_angles) + b, return_index=True, return_inverse=True)
-    out = {}
-    for g in np.argsort(first):
-        rows = pair == g
-        key = (float(a_col[first[g]]), float(b_col[first[g]]))
-        out[key] = reference_sampled_correlation(
-            s1(key[0]), s2(key[1]), A[rows], B[rows], state[rows], trials.states)
-    return out
-
-
-def assert_same_correlations(found, expected):
-    assert list(found) == list(expected)
-    assert [report_fields(r) for r in found.values()] == [
-        report_fields(r) for r in expected.values()]
 
 
 def test_empirical_correlations_of_a_factored_run_match_mask_loop():

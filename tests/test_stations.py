@@ -1,7 +1,5 @@
-import csv
 import dataclasses
 import hashlib
-import io
 import math
 import random
 from math import fsum
@@ -44,6 +42,14 @@ from eprsim.stations import (
 )
 from eprsim.descriptors import load_model
 from eprsim.zoo import all_zoo_models, random_factorized_model
+
+from trial_references import (
+    assert_same_correlations,
+    decoded,
+    reference_empirical_correlations,
+    row_by_row_trials_csv,
+    trial_columns,
+)
 
 
 def remote_reading_model() -> LocalModel:
@@ -187,19 +193,6 @@ def recorded_calls(schedule_name: str, perturbations: int | None) -> tuple[int, 
     else:
         assert locality_audit(model, schedule, perturbations).passed
     return len(calls), hashlib.sha256(repr(calls).encode()).hexdigest()[:16]
-
-
-def decoded(trials, name: str) -> list:
-    """Each trial's entry of the domain that code column ``name`` indexes."""
-    domain = getattr(trials, f"{name}s")
-    return [domain[i] for i in getattr(trials, name)[trials.row].tolist()]
-
-
-def trial_columns(trials) -> dict:
-    """A run's columns as per-trial lists, each code as its domain entry."""
-    columns = {name: getattr(trials, name)[trials.row].tolist() for name in ("m", "A", "B")}
-    columns.update({name: decoded(trials, name) for name in ("pair", "state", "star", "dblstar")})
-    return columns
 
 
 def test_single_trial_constant_model():
@@ -555,22 +548,6 @@ def test_angles_at_one_point_of_the_circle_compile_once():
     assert list(empirical_correlations(trials)) == list(pairs)
 
 
-def row_by_row_trials_csv(trials, comments) -> bytes:
-    """Reference writer: one row at a time, straight from the expanded columns."""
-    buf = io.StringIO()
-    for line in comments:
-        buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRIALS_CSV_HEADER)
-    columns = trial_columns(trials)
-    for t in range(len(trials)):
-        a, b = columns["pair"][t]
-        writer.writerow([t, columns["m"][t], repr(float(a)), repr(float(b)), columns["state"][t],
-                         columns["star"][t], columns["dblstar"][t], columns["A"][t],
-                         columns["B"][t]])
-    return buf.getvalue().encode("utf-8")
-
-
 def test_trials_csv_written_in_blocks_equals_row_by_row(tmp_path):
     schedule = Schedule(trials=CSV_BLOCK_ROWS + 3, policy="random", seed_source=5,
                         seed_settings=6, pairs=((-0.0, 0.1), (math.pi / 4, 7.0)))
@@ -616,6 +593,18 @@ def odd_trials(n: int) -> Trials:
 
 def test_trials_csv_of_odd_values_equals_row_by_row(tmp_path):
     trials = odd_trials(CSV_BLOCK_ROWS + 3)
+    path = tmp_path / "trials.csv"
+    write_trials_csv(trials, path, comments=["config = {}"])
+    assert path.read_bytes() == row_by_row_trials_csv(trials, ["config = {}"])
+
+
+@pytest.mark.parametrize("n", [1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, CSV_BLOCK_ROWS - 1,
+                               CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 7])
+def test_trial_numbers_across_decades_and_blocks_equal_row_by_row(tmp_path, n):
+    # Each block starts on a decade, so a trial's number is its decade's
+    # text and then its last digit; the first decade's text is empty.
+    assert CSV_BLOCK_ROWS % 10 == 0
+    trials = dataclasses.replace(odd_trials(n), states=("a,b", 'q"r', "naïve λ"))
     path = tmp_path / "trials.csv"
     write_trials_csv(trials, path, comments=["config = {}"])
     assert path.read_bytes() == row_by_row_trials_csv(trials, ["config = {}"])
@@ -727,9 +716,6 @@ def hand_built_trials(draw) -> Trials:
 @settings(max_examples=150, deadline=None)
 @given(trials=hand_built_trials())
 def test_hand_built_trials_write_read_and_correlate_like_the_reference(tmp_path_factory, trials):
-    # Imported here: test_reference_loops imports this module.
-    from test_reference_loops import assert_same_correlations, reference_empirical_correlations
-
     first, second = (tmp_path_factory.mktemp("trials") / "t.csv" for _ in range(2))
     write_trials_csv(trials, first, comments=["config = {}"])
     assert first.read_bytes() == row_by_row_trials_csv(trials, ["config = {}"])
@@ -836,6 +822,58 @@ def test_read_trials_csv_names_the_row_of_a_non_numeric_cell(tmp_path):
         path.write_text("\n".join([",".join(TRIALS_CSV_HEADER), *rows]) + "\n", encoding="utf-8")
         with pytest.raises(InvalidScheduleError, match="data row 3: b = 'half'"):
             read_trials_csv(path)
+
+
+def test_trial_csv_wider_than_an_int64_key_reads_back(tmp_path):
+    # Six columns of 2**11 texts each: the reader's packed row key would need
+    # 66 bits. Rows that differ in the m column alone hold 2**11 m codes, so
+    # a key that wraps at 64 bits would merge rows whose m codes agree
+    # modulo 2**9, whatever codes the texts get.
+    k = 1 << 11
+    varied = [(j, r) for j in range(6) for r in range(j > 0, k)]
+    codes = np.zeros((len(varied), 6), dtype=np.int16)
+    codes[np.arange(len(varied)), [j for j, _ in varied]] = [r for _, r in varied]
+    pairs, pair = np.unique(codes[:, 1:3], axis=0, return_inverse=True)
+    ones = np.ones(len(varied), dtype=np.int8)
+    trials = Trials(tuple(f"s{r}" for r in range(k)),
+                    tuple((1.0 + a, 2.0 + b) for a, b in pairs.tolist()),
+                    tuple(f"v{r}" for r in range(k)), tuple(f"w{r}" for r in range(k)),
+                    np.arange(len(varied)), codes[:, 3], codes[:, 0] + 1, pair, codes[:, 4],
+                    codes[:, 5], ones, ones)
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_trials_csv(trials, first)
+    loaded = read_trials_csv(first)
+    assert len(loaded.A) == len(varied)
+    assert trial_columns(loaded) == trial_columns(trials)
+    write_trials_csv(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("edits, message", [
+    # {data row: line}, with rows past the reader's first block.
+    ({CSV_BLOCK_ROWS + 4: "x,1,0.0,0.0,u0,0,0,1,1"},
+     f"data row {CSV_BLOCK_ROWS + 4}: trial = 'x' where a run writes '{CSV_BLOCK_ROWS + 3}'"),
+    # Every row's width is checked before any trial number.
+    ({5: "x,1,0.0,0.0,u0,0,0,1,1", 2 * CSV_BLOCK_ROWS + 2: "0,1,0.0,0.0,u0,0,0,1"},
+     "nine fields"),
+    # Trial numbers are checked before any value.
+    ({CSV_BLOCK_ROWS + 2: f"{CSV_BLOCK_ROWS + 1},0,0.0,0.0,u0,0,0,1,1",
+      2 * CSV_BLOCK_ROWS + 3: "7,1,0.0,0.0,u0,0,0,1,1"},
+     f"data row {2 * CSV_BLOCK_ROWS + 3}: trial = '7'"),
+    # The first data row that holds a text no run writes is named.
+    ({2 * CSV_BLOCK_ROWS + 3: f"{2 * CSV_BLOCK_ROWS + 2},1,0.0,half,u0,0,0,1,1",
+      CSV_BLOCK_ROWS + 1: f"{CSV_BLOCK_ROWS},1,0.0,half,u0,0,0,1,1"},
+     f"data row {CSV_BLOCK_ROWS + 1}: b = 'half'"),
+], ids=["trial in the second block", "width before numbering", "numbering before values",
+        "first row of a bad text"])
+def test_read_trials_csv_names_rows_past_the_first_block(tmp_path, edits, message):
+    lines = [f"{t},1,0.0,0.0,u0,0,0,1,1" for t in range(2 * CSV_BLOCK_ROWS + 7)]
+    for data_row, line in edits.items():
+        lines[data_row - 1] = line
+    path = tmp_path / "trials.csv"
+    path.write_text("\n".join([",".join(TRIALS_CSV_HEADER), *lines]) + "\n", encoding="utf-8")
+    with pytest.raises(InvalidScheduleError, match=message):
+        read_trials_csv(path)
 
 
 @pytest.mark.parametrize("pairs, perturbations, passes", [
