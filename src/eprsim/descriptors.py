@@ -206,6 +206,9 @@ def _build_out(section, station: Station, base_dir: Path | None) -> OutcomeFn:
     if kind == "cosine":
         rows = _read_table(section, base_dir, (2,))
         offsets = _Table(section, ((str(r[0]), float(r[1])) for r in rows))
+        for lam, offset in offsets.items():
+            if not math.isfinite(offset):
+                raise DescriptorError(f"[{section.name}] state {lam!r}: offset {offset} is not finite")
         flip = -1 if section.getboolean("negate", fallback=False) else 1
 
         def rule(s, lam, v, m, t=offsets, f=flip):

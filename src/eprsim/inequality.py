@@ -22,6 +22,7 @@ derives S and its comparison with :data:`LOCAL_BOUND` from them.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import cos, fsum, log, sqrt
@@ -179,13 +180,19 @@ def correlate(
         )
     if method != "monte_carlo":
         raise ValueError(f"unknown method {method!r}")
-    if not 1 <= trials <= MAX_TRIALS:
-        raise ZeroTrialsError(f"monte_carlo needs 1 <= trials <= {MAX_TRIALS}, got {trials}")
+    # As for a Schedule's trials: operator.index refuses 1.5, and True is no count.
+    try:
+        count = -1 if isinstance(trials, bool) else operator.index(trials)
+    except TypeError:
+        count = -1
+    if not 1 <= count <= MAX_TRIALS:
+        raise ZeroTrialsError(
+            f"monte_carlo needs an integer 1 <= trials <= {MAX_TRIALS}, got {trials!r}")
     rng = np.random.default_rng(stable_seed("correlate", seed, fmt12(a.angle), fmt12(b.angle)))
     prior = np.asarray(model.source.prior)
     weights = np.array(model.grid.weights)
     p = np.outer(prior / prior.sum(), weights / weights.sum())
-    cells = rng.multinomial(trials, p.ravel()).reshape(p.shape)
+    cells = rng.multinomial(count, p.ravel()).reshape(p.shape)
     # Each cell's count goes to its state and its two outcomes.
     counts = np.zeros((len(prior), 2, 2), dtype=np.int64)
     np.add.at(counts, (np.arange(len(prior))[:, None], (A + 1) // 2, (B + 1) // 2), cells)
@@ -208,6 +215,8 @@ def sampled_correlation(
     """
     per_state = counts.sum(axis=(1, 2)).tolist()
     n = sum(per_state)
+    if n == 0:
+        raise ZeroTrialsError("sampled correlation of no samples")
     plus = int(counts[:, 0, 0].sum() + counts[:, 1, 1].sum())
     e_ab = (2 * plus - n) / n
     std_error = 0.0

@@ -10,6 +10,7 @@ on a model with constant outcomes).
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 
@@ -47,6 +48,8 @@ def make_sign_function(
     """
     if not grid.is_uniform:
         raise InfeasibleMeanError("sign means are only exactly representable on uniform grids")
+    if not math.isfinite(target_mean):
+        raise InfeasibleMeanError(f"mean {target_mean!r} is not finite")
     n = grid.slot_count
     k_float = (target_mean * n + n) / 2.0
     k = round(k_float)
@@ -121,7 +124,7 @@ def target_marginal(
     reported. The sign applies at both stations, so pair correlations are
     preserved while both marginals are rescaled together.
     """
-    if abs(alpha) > 1.0:
+    if not abs(alpha) <= 1.0:
         raise InfeasibleTargetError(f"alpha must lie in [-1, 1], got {alpha!r}")
     beta = exact_marginal(model, station, setting_angle)
     if beta == 0.0:

@@ -34,10 +34,11 @@ from eprsim import (
 )
 from eprsim.cli import main as cli_main
 from eprsim.model import TEST_ANGLES
+from eprsim.util import fmt12
 from eprsim.zoo import ZOO, all_zoo_models, m_constant_zoo_models, random_factorized_model
 
 from conftest import DETERMINISTIC_STRATEGIES, GRID_PAIRS, OPTIMAL, strategy_s
-from test_stations import remote_reading_model
+from shared_fixtures import remote_reading_model
 
 
 def test_criterion_1_factorized_models_respect_local_bound():
@@ -145,9 +146,46 @@ def test_criterion_4_source_conditioned_sign_negative_control(tmp_path, capsys):
     )
 
 
+# At A = s1(0), B = s2(π/4): each slot-constant zoo model's e_ab, then E[A|state]
+# of the model itself and under the source-conditioned sign (seed 1). A balanced
+# time sign and layer doubling zero every E[A|state]; e_ab never moves.
+TRANSFORM_TABLE = {
+    "constant_plus": (1.0, {"u0": 1.0, "u1": 1.0}, {"u0": 1.0, "u1": -1.0}),
+    "anticorrelated_signs": (-1.0, {"u0": 1.0, "u1": -1.0}, {"u0": 1.0, "u1": 1.0}),
+    "cosine_threshold_lhv": (
+        -0.5,
+        dict(zip([f"h{i}" for i in range(8)], (1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0, 1.0))),
+        {f"h{i}": (-1.0) ** i for i in range(8)},
+    ),
+}
+
+
+@pytest.mark.parametrize("model", m_constant_zoo_models(), ids=lambda model: model.name)
+def test_criterion_4_conditionals_before_and_after_each_transform(model):
+    e_ab, base, state_sign = TRANSFORM_TABLE[model.name]
+    zeros = dict.fromkeys(base, 0.0)
+    a, b = s1(0.0), s2(math.pi / 4)
+    rows = {
+        "base": (model, base),
+        "time sign": (time_symmetrize(model, balanced_sign_function(model.grid, 1)), zeros),
+        "layer doubled": (layer_double(model), zeros),
+        "state sign": (condition_sign_on_source(model, 1), state_sign),
+    }
+    for tag, (transformed, conditionals) in rows.items():
+        assert correlate(transformed, a, b).e_ab == e_ab, tag
+        assert conditional_table(transformed, a) == conditionals, tag
+    print(
+        f"ACCEPTANCE 4 PASS: {model.name} keeps e_ab = {e_ab} under the time sign, layer "
+        f"doubling and the state sign; only the state sign leaves E[A|state] nonzero"
+    )
+
+
 def test_criterion_5_factorization_mode_ambiguity_surfaced():
     model = zoo_model("hp_time_correlated")
     table = tabulate_joint(model, s1(0.0), s2(math.pi / 4))
+    # Both stations read the slot's index: one diagonal cell per slot.
+    assert model.grid.slot_count == 4
+    assert dict(table.entries) == {(k, k, "u0", k + 1): 0.25 for k in range(4)}
 
     pooled = check_factorization(table, "given_lambda", tol=1e-9)
     assert not pooled.passed
@@ -164,13 +202,17 @@ def test_criterion_5_factorization_mode_ambiguity_surfaced():
     assert witness == pytest.approx(0.0625, abs=1e-12)
     assert pooled.max_deviation == pytest.approx(0.1875, abs=1e-12)
     assert pooled.max_deviation >= witness
+    # Total variation: half the L1 distance of the joint from the marginal
+    # product, (4 * 3/16 + 12 * 1/16) / 2 = 3/4.
+    assert pooled.max_total_variation == 0.75
 
     per_slot = check_factorization(table, "given_lambda_and_m", tol=1e-9)
     assert per_slot.passed
+    assert per_slot.max_deviation == per_slot.max_total_variation == 0.0
     print(
         "ACCEPTANCE 5 PASS: hp_time_correlated fails given_lambda (witness cell "
-        "deviation 0.0625 exactly; max cell deviation 0.1875 exactly) and passes "
-        "given_lambda_and_m at tol 1e-9"
+        "deviation 0.0625 exactly; max cell deviation 0.1875 exactly; total "
+        "variation 0.75) and passes given_lambda_and_m at tol 1e-9 with no deviation"
     )
 
 
@@ -241,6 +283,33 @@ def test_criterion_8_reference_gap_report(tmp_path, capsys):
         f"reference |S| = {abs(reference.s_value):.9f} = 2*sqrt(2) within 1e-9; "
         f"gap printed and recorded"
     )
+
+
+# Exact S of each zoo model at the optimal angles (a, a', b, b') = (0, π/2,
+# π/4, 3π/4), and its gap |S_ref| - |S| to the singlet reference S_ref = -2√2.
+ZOO_CHSH = {
+    "bell_product_basic": (0.0, 2.82842712474619),
+    "hp_time_correlated": (-2.0, 0.8284271247461898),
+    "setting_dependent_density": (0.3999999999999999, 2.42842712474619),
+    "constant_plus": (2.0, 0.8284271247461898),
+    "anticorrelated_signs": (-2.0, 0.8284271247461898),
+    "cosine_threshold_lhv": (-2.0, 0.8284271247461898),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_criterion_8_exact_s_and_reference_gap_of_each_zoo_model(tmp_path, capsys, name):
+    s_value, gap = ZOO_CHSH[name]
+    reference = chsh_from_correlations(reference_correlation, *OPTIMAL)
+    assert reference.s_value == pytest.approx(-2 * math.sqrt(2), abs=1e-15)
+    assert chsh(zoo_model(name), *OPTIMAL).s_value == s_value
+    assert abs(reference.s_value) - abs(s_value) == gap
+    assert cli_main(["chsh", "--model", name, "--deterministic", "--out", str(tmp_path)]) == 0
+    stdout = capsys.readouterr().out
+    assert f"S = {fmt12(s_value)}\n" in stdout and f"gap to reference = {fmt12(gap)}\n" in stdout
+    payload = json.loads((tmp_path / "chsh.json").read_text())
+    assert (payload["chsh"]["s_value"], payload["gap_to_reference"]) == (s_value, gap)
+    print(f"ACCEPTANCE 8 PASS: {name} has exact S = {s_value!r}, gap to reference {gap!r}")
 
 
 def test_criterion_9_deterministic_runs_are_byte_identical(tmp_path, capsys):

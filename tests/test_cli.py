@@ -112,11 +112,16 @@ def test_transform_infeasible_mean_exits_3(tmp_path, capsys):
         "[gen1]\nkind = constant\n\n[gen2]\nkind = constant\n\n"
         "[out1]\nkind = constant\nvalue = 1\n\n[out2]\nkind = constant\nvalue = 1\n"
     )
-    code = run_cli(
-        ["transform", "--model", str(descriptor), "--op", "rademacher mean=0",
-         "--out", str(tmp_path / "out.ini")]
-    )
-    assert code == 3
+    for op, message in (
+        ("rademacher mean=0", "mean 0.0 is not representable on 3 slots"),
+        ("rademacher mean=inf", "mean inf is not finite"),
+        ("rademacher mean=1e400", "mean inf is not finite"),
+        ("rademacher mean=nan", "mean nan is not finite"),
+        ("target alpha=nan station=s1", "alpha must lie in [-1, 1], got nan"),
+    ):
+        code = run_cli(["transform", "--model", str(descriptor), "--op", op,
+                        "--out", str(tmp_path / "out.ini")])
+        assert (code, capsys.readouterr().err) == (3, f"eprsim: model error: {message}\n"), op
 
 
 def test_transform_without_ops_exits_2(tmp_path):
@@ -383,7 +388,10 @@ CONSTANT_OUT = "kind = constant\nvalue = 1"
     (FULL_GEN, "kind = table\ntable =\n" + "\n".join(
         f"    u,0,{m},1" for m in (1, 2, 3, 4)) + "\n    v,0,1,-1", "misses key ('v', 0, 2)"),
     (FULL_GEN, "kind = lambda_table\ntable =\n    u,1\n    v", "[out1]: every table row"),
-], ids=["gen_slot", "lambda_table", "cosine", "out_table", "short_row"])
+    (FULL_GEN, "kind = cosine\ntable =\n    u,0\n    v,inf", "[out1] state 'v': offset inf is not"),
+    (FULL_GEN, "kind = cosine\ntable =\n    u,nan\n    v,0", "[out1] state 'u': offset nan is not"),
+], ids=["gen_slot", "lambda_table", "cosine", "out_table", "short_row", "cosine_inf",
+        "cosine_nan"])
 def test_descriptor_table_miss_is_a_configuration_error(tmp_path, capsys, gen1, out1, message):
     descriptor = tmp_path / "miss.ini"
     descriptor.write_text(TABLE_MISS_MODEL.format(gen1=gen1, out1=out1))

@@ -34,6 +34,7 @@ from eprsim import (
     time_symmetrize,
     zoo_model,
 )
+from eprsim.inequality import sampled_correlation
 from eprsim.model import CHSH_OPTIMAL_ANGLES, OUTCOME_ARGS
 from eprsim.stations import DEFAULT_PAIRS
 from eprsim.util import fmt12, stable_seed
@@ -117,8 +118,22 @@ def test_monte_carlo_error_shrinks_with_trials():
 
 
 def test_monte_carlo_requires_trials():
+    # A count that is not an integer is refused as a Schedule refuses it.
+    for trials in (0, -1, 1.5, 1.0, True, "3", None):
+        with pytest.raises(ZeroTrialsError, match=f"got {trials!r}"):
+            correlate(zoo_model("constant_plus"), s1(0.0), s2(0.0), method="monte_carlo",
+                      trials=trials)
+
+
+def test_monte_carlo_takes_a_numpy_integer_count():
+    model, a, b = zoo_model("cosine_threshold_lhv"), s1(0.0), s2(math.pi / 4)
+    assert (correlate(model, a, b, method="monte_carlo", trials=np.int64(500), seed=2)
+            == correlate(model, a, b, method="monte_carlo", trials=500, seed=2))
+
+
+def test_sampled_correlation_of_no_samples_is_refused():
     with pytest.raises(ZeroTrialsError):
-        correlate(zoo_model("constant_plus"), s1(0.0), s2(0.0), method="monte_carlo", trials=0)
+        sampled_correlation(s1(0.0), s2(0.0), np.zeros((2, 2, 2), dtype=np.int64), ("u0", "u1"))
 
 
 def test_sampled_chsh_of_a_local_model_is_never_a_violation():

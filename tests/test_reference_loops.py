@@ -54,8 +54,8 @@ from eprsim.util import fmt12, stable_seed
 from eprsim.zoo import ZOO, random_factorized_model
 
 from conftest import GRID_PAIRS
-from test_output_digests import collect_digests
-from test_stations import (
+from shared_fixtures import (
+    collect_digests,
     factored_trials,
     history_leak_model,
     outcome_publishing_model,

@@ -43,6 +43,13 @@ from eprsim.stations import (
 from eprsim.descriptors import load_model
 from eprsim.zoo import all_zoo_models, random_factorized_model
 
+from shared_fixtures import (
+    factored_trials,
+    history_leak_model,
+    outcome_publishing_model,
+    remote_reading_model,
+    remote_reading_s2_model,
+)
 from trial_references import (
     assert_same_correlations,
     decoded,
@@ -50,103 +57,6 @@ from trial_references import (
     row_by_row_trials_csv,
     trial_columns,
 )
-
-
-def remote_reading_model() -> LocalModel:
-    """Test-only fixture that violates Einstein locality on purpose.
-
-    The S2 generator publishes its setting through a shared cell; the S1
-    outcome rule reads it. The audit must detect this.
-    """
-    cell = {}
-
-    def gen2_rule(s, m, seed):
-        cell["b"] = s.angle
-        return 0
-
-    def out1_rule(s, lam, v, m):
-        return 1 if cell.get("b", 0.0) <= math.pi / 4 + 1e-9 else -1
-
-    return LocalModel(
-        name="remote_reading_fixture",
-        source=SourceSpace(("u0",), (1.0,)),
-        grid=TimeGrid(4),
-        gen1=InstrumentParamGen(Station.S1, (0,), lambda s, m, seed: 0),
-        gen2=InstrumentParamGen(Station.S2, (0,), gen2_rule),
-        out1=OutcomeFn(Station.S1, out1_rule),
-        out2=OutcomeFn(Station.S2, lambda s, lam, v, m: 1),
-    )
-
-
-def remote_reading_s2_model() -> LocalModel:
-    """Mirror of :func:`remote_reading_model`: the S1 generator publishes its
-    setting and the S2 outcome rule reads it."""
-    cell = {}
-
-    def gen1_rule(s, m, seed):
-        cell["a"] = s.angle
-        return 0
-
-    def out2_rule(s, lam, v, m):
-        return 1 if cell.get("a", 0.0) <= math.pi / 4 + 1e-9 else -1
-
-    return LocalModel(
-        name="remote_reading_s2_fixture",
-        source=SourceSpace(("u0",), (1.0,)),
-        grid=TimeGrid(4),
-        gen1=InstrumentParamGen(Station.S1, (0,), gen1_rule),
-        gen2=InstrumentParamGen(Station.S2, (0,), lambda s, m, seed: 0),
-        out1=OutcomeFn(Station.S1, lambda s, lam, v, m: 1),
-        out2=OutcomeFn(Station.S2, out2_rule),
-    )
-
-
-def outcome_publishing_model() -> LocalModel:
-    """Test-only fixture: the S1 outcome rule publishes its setting and the S2
-    outcome rule reads it. Within a pair every S1 outcome runs before any S2
-    outcome, so S2 reads the setting of the last S1 cell."""
-    cell = {}
-
-    def out1_rule(s, lam, v, m):
-        cell["a"] = s.angle
-        return 1
-
-    def out2_rule(s, lam, v, m):
-        return 1 if cell.get("a", 0.0) <= math.pi / 4 + 1e-9 else -1
-
-    return LocalModel(
-        name="outcome_publishing_fixture",
-        source=SourceSpace(("u0",), (1.0,)),
-        grid=TimeGrid(4),
-        gen1=InstrumentParamGen(Station.S1, (0,), lambda s, m, seed: 0),
-        gen2=InstrumentParamGen(Station.S2, (0,), lambda s, m, seed: 0),
-        out1=OutcomeFn(Station.S1, out1_rule),
-        out2=OutcomeFn(Station.S2, out2_rule),
-    )
-
-
-def history_leak_model() -> LocalModel:
-    """Test-only fixture whose S1 generator reads the setting that the S2
-    generator published while the previous setting pair was compiled, so its
-    outputs depend on the order in which pairs are compiled."""
-    cell = {}
-
-    def gen1_rule(s, m, seed):
-        return 1 if cell.get("b", 0.0) > math.pi / 4 + 1e-9 else 0
-
-    def gen2_rule(s, m, seed):
-        cell["b"] = s.angle
-        return 0
-
-    return LocalModel(
-        name="history_leak_fixture",
-        source=SourceSpace(("u0",), (1.0,)),
-        grid=TimeGrid(4),
-        gen1=InstrumentParamGen(Station.S1, (0, 1), gen1_rule),
-        gen2=InstrumentParamGen(Station.S2, (0,), gen2_rule),
-        out1=OutcomeFn(Station.S1, lambda s, lam, v, m: 1),
-        out2=OutcomeFn(Station.S2, lambda s, lam, v, m: 1),
-    )
 
 
 def recording_model(calls: list) -> LocalModel:
@@ -608,28 +518,6 @@ def test_trial_numbers_across_decades_and_blocks_equal_row_by_row(tmp_path, n):
     path = tmp_path / "trials.csv"
     write_trials_csv(trials, path, comments=["config = {}"])
     assert path.read_bytes() == row_by_row_trials_csv(trials, ["config = {}"])
-
-
-def factored_trials() -> Trials:
-    """A hand-built run whose table is out of first-use order (trial 0 takes
-    row 2), lists one row twice (rows 2 and 3) and holds a row that no trial
-    takes (row 4). Row 1 differs from rows 2 and 3 in the sign of a zero
-    angle, its outcomes and nothing else. The S1 values hold an entry no row
-    takes, equal to but not the same object as the one row 4 takes."""
-    return Trials(
-        states=("u0", "u1"),
-        pairs=((0.5, 0.0), (-0.0, 0.0), (0.0, 0.0), (1.0, 1.5)),
-        stars=(0, 1, "x,y", "".join(["x,", "y"])),
-        dblstars=(0, 1, "x,y"),
-        row=np.array([2, 1, 0, 3, 2, 0, 0, 1, 3, 3, 2]),
-        state=np.array([1, 0, 0, 0, 1]),
-        m=np.array([2, 1, 1, 1, 3]),
-        pair=np.array([0, 1, 2, 2, 3]),
-        star=np.array([1, 0, 0, 0, 2]),
-        dblstar=np.array([2, 1, 1, 1, 0]),
-        A=np.array([1, -1, 1, 1, -1], dtype=np.int8),
-        B=np.array([-1, -1, 1, 1, 1], dtype=np.int8),
-    )
 
 
 def test_factored_trials_csv_equals_row_by_row(tmp_path):

@@ -48,10 +48,13 @@ def test_sign_mean_half():
 
 
 def test_infeasible_mean_on_odd_grid():
-    with pytest.raises(InfeasibleMeanError):
-        make_sign_function(TimeGrid(3), 0.0)
-    with pytest.raises(InfeasibleMeanError):
-        make_sign_function(TimeGrid(4), 0.3)
+    for slots, mean in ((3, 0.0), (4, 0.3), (4, math.inf), (4, math.nan)):
+        with pytest.raises(InfeasibleMeanError):
+            make_sign_function(TimeGrid(slots), mean)
+    for mean in (math.inf, -math.inf, math.nan):
+        # No representable mean is nearest to a non-finite one.
+        with pytest.raises(InfeasibleMeanError, match="not finite"):
+            make_sign_function(TimeGrid(4), mean, nearest=True)
 
 
 def test_sign_mean_matches_recomputation():
@@ -178,8 +181,10 @@ def test_target_marginal_infeasible():
     # base marginal 0.5; 0.75 is out of reach
     with pytest.raises(InfeasibleTargetError):
         target_marginal(beta_half_model(), Station.S1, 0.75)
-    with pytest.raises(InfeasibleTargetError):
-        target_marginal(zoo_model("constant_plus"), Station.S1, 1.5)
+    for alpha in (1.5, math.nan):
+        with pytest.raises(InfeasibleTargetError, match="alpha must lie in"):
+            target_marginal(zoo_model("constant_plus"), Station.S1, alpha,
+                            round_to_representable=True)
 
 
 def test_target_marginal_non_representable_mean_errors_unless_rounded():
