@@ -90,9 +90,11 @@ def _chsh_options(p: argparse.ArgumentParser) -> None:
 
 def _audit_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--perturbations", type=int, choices=(1, 2, 3), default=3, help="remote "
-                   "alternatives per trial; each remote test angle of the audit has 3")
+    p.add_argument("--trials", type=int, default=1000, help="reported as trials_checked; the "
+                   "verdict is exact and reads no trial, kept for the benchmark's command line")
+    p.add_argument("--perturbations", type=int, choices=(1, 2, 3), default=3, help="the verdict "
+                   "compares all 3 alternatives of each remote test angle; kept for the "
+                   "benchmark's command line")
 
 
 def _zoo_options(p: argparse.ArgumentParser) -> None:
@@ -288,10 +290,10 @@ def cmd_transform(args) -> int:
         notes.append(f"applied: {model.transforms[-1]}")
     if model.sign is not None:
         notes.append(f"attained sign mean = {fmt12(model.sign.mean)}")
-    text = descriptor_text(args.model, args.op, notes)
     out = args.out or Path(f"{model.name}_transformed.ini")
     if out.suffix == "":
         out = out / "model.ini"
+    text = descriptor_text(args.model, args.op, out.parent, notes)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open_output(out) as fp:
         fp.write(text)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import os
 import shlex
 from contextlib import contextmanager
 from dataclasses import replace
@@ -332,13 +333,17 @@ def make_model(spec: str | Path) -> LocalModel:
 def descriptor_text(
     base: str | Path,
     ops: list[str],
+    out_dir: str | Path,
     notes: list[str] | None = None,
 ) -> str:
-    """Descriptor for a transformed model: the base reference plus a [transform]
-    section carrying the ops verbatim, so loading re-applies them.
+    """Descriptor for a transformed model, to be written in ``out_dir``: the
+    base reference plus a [transform] section carrying the ops verbatim, so
+    loading re-applies them.
 
     If the base descriptor already carries transforms, the new ops are appended
-    after them with continued numbering.
+    after them with continued numbering. A relative table ``file`` is
+    rewritten relative to ``out_dir``, so that it names the same file; in the
+    base descriptor's own directory it keeps its text.
     """
     base_str = str(base)
     if base_str in ZOO:
@@ -347,6 +352,12 @@ def descriptor_text(
         parser.set("model", "zoo", base_str)
     else:
         parser = _read_ini(base_str, "model descriptor", MODEL_KEYS)
+        base_dir = Path(base_str).parent
+        if base_dir.resolve() != Path(out_dir).resolve():
+            for section in parser.sections():
+                ref = parser[section].get("file")
+                if ref is not None and not Path(ref).is_absolute():
+                    parser.set(section, "file", os.path.relpath(base_dir / ref, out_dir))
     existing = _transform_ops(parser)
     parser.remove_section("transform")
     parser.add_section("transform")

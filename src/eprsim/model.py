@@ -80,7 +80,10 @@ def _check_distribution(weights, what: str) -> None:
         raise InvalidWeightsError(f"{what}: needs at least one entry")
     if not all(w >= 0.0 for w in weights):
         raise InvalidWeightsError(f"{what}: negative or NaN weight")
-    total = fsum(weights)
+    try:
+        total = fsum(weights)
+    except OverflowError:  # finite weights whose sum exceeds the largest float
+        total = math.inf
     if abs(total - 1.0) > WEIGHT_TOL:
         raise InvalidWeightsError(f"{what}: weights sum to {total!r}, not 1")
 

@@ -1,14 +1,15 @@
-"""Lockstep two-station trial runner and the counterfactual locality audit.
+"""Lockstep two-station trial runner and the exact locality audit.
 
 The two stations are pure computations inside one process: both consume the
 same slot index per trial (the shared clock), and each sees only its own
-setting, the drawn source state, the slot and its own seed. One private
-runner draws every trial once and compiles each setting pair it uses once. A
-run (:class:`Trials`) is the table of distinct rows its trials take, coded by
-the runner's own indices, plus each trial's row index. The audit re-gathers
-one station's outcomes under varied remote settings, compares its instrument
-values once per situation a trial takes, and counts any change; honest models
-pass by construction, so the audit is a regression guard on the harness.
+setting, the drawn source state, the slot and its own seed. A run draws every
+trial once and compiles each setting pair it uses once. It
+(:class:`Trials`) is the table of distinct rows its trials take, coded by
+the run's own indices, plus each trial's row index. The audit draws no
+trial: it compiles each scheduled pair and every pair that changes one
+station's remote setting alone, and compares that station's compiled arrays
+cell by cell. Honest models pass by construction, so the audit is a
+regression guard on the harness.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ import csv
 import math
 import operator
 from dataclasses import dataclass, fields
-from functools import cached_property
 from itertools import chain, count, islice
 from pathlib import Path
 from typing import Hashable, Sequence
@@ -57,11 +57,6 @@ CSV_BLOCK_ROWS = 4000
 
 # The most trials a run holds: one int64 per trial must fit numpy's largest array.
 MAX_RUN_TRIALS = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize
-
-# A remote angle has at most len(TEST_ANGLES) alternatives, and a trial's turn
-# among k of them follows its index modulo k, so the index modulo PHASES fixes
-# the turn for every k.
-PHASES = int(np.lcm.reduce(np.arange(1, len(TEST_ANGLES) + 1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,257 +192,146 @@ def _pair_outputs(model: LocalModel, a_angle: float, b_angle: float, seed1, seed
     return v1s, v2s, station_outcomes(model, a, v1s), station_outcomes(model, b, v2s)
 
 
-class _Runner:
-    """One schedule's draws and the compiled outputs of the setting pairs a run uses.
+def _pair_keys(schedule: Schedule) -> tuple[list[float], np.ndarray]:
+    """The normalized angles, the test angles first, and each scheduled pair's
+    key ``code(a) * len(angles) + code(b)``, where angle k has code k. Angles
+    at the same point of the circle (equal normalized :class:`Setting` angles,
+    such as 0.0 and 2π) share a code, and so pairs of them share a key."""
+    codes: dict[float, int] = {}
+    for x in [*TEST_ANGLES, *(x for pair in schedule.pairs for x in pair)]:
+        codes.setdefault(s1(x).angle, len(codes))
+    a, b = np.array([[codes[s1(x).angle] for x in pair] for pair in schedule.pairs]).T
+    return list(codes), a * len(codes) + b
 
-    Angles at the same point of the circle (equal normalized :class:`Setting`
-    angles, such as 0.0 and 2π) share an integer code and so one compiled
-    pair; ``angles`` holds the normalized angles, the test angles first. Pair
-    (a, b) has the key ``code(a) * len(angles) + code(b)``. ``base_keys``
-    holds the distinct scheduled keys in first-use order and ``base`` each
-    trial's index into them, so a run's key columns are tables over small
-    domains, indexed per trial. Compiled outputs are flat: row r of a station
-    holds its values at ``r * slots + slot`` and its outcomes at
-    ``r * cells + state * slots + slot``. Per-trial columns hold integers in
-    the narrowest type of their range.
-    """
 
-    def __init__(self, model: LocalModel, schedule: Schedule):
-        try:
-            self._draw(model, schedule)
-        except MemoryError:
-            raise InvalidScheduleError(f"{schedule.trials} trials do not fit in memory") from None
-
-    def _draw(self, model: LocalModel, schedule: Schedule) -> None:
-        self.model, self.schedule = model, schedule
-        n, prior = len(schedule.pairs), np.asarray(model.source.prior)
-        self.slots = model.grid.slot_count
-        self.cells = len(prior) * self.slots
-        # Wide enough for the trial count and every modulus below.
-        trial = np.arange(schedule.trials, dtype=_int_type(max(schedule.trials, n, self.slots)))
-        rng = np.random.default_rng(schedule.seed_source)
-        # What ``rng.choice(len(prior), size=len(trial), p=prior / prior.sum())``
-        # draws, without its checks of p: the prior was checked when built.
-        cdf = (prior / prior.sum()).cumsum()
-        cdf /= cdf[-1]
-        state = cdf.searchsorted(rng.random(len(trial)), side="right")
-        self.state = state.astype(_int_type(len(prior)))
-        if schedule.policy == "random":
-            pair = np.random.default_rng(schedule.seed_settings).integers(0, n, len(trial))
-        else:
-            pair = trial % n  # all zeros for the one pair of a fixed schedule
-        self.pair = pair.astype(_int_type(n), copy=False)
-        self.slot = (trial % self.slots).astype(_int_type(self.slots), copy=False)
-        self.cell = self.state.astype(_int_type(self.cells)) * self.slots + self.slot
-        codes: dict[float, int] = {}
-        for x in [*TEST_ANGLES, *(x for pair in schedule.pairs for x in pair)]:
-            codes.setdefault(s1(x).angle, len(codes))
-        self.angles = list(codes)
-        a, b = np.array([[codes[s1(x).angle] for x in pair] for pair in schedule.pairs]).T
-        distinct, code = np.unique(a * len(self.angles) + b, return_inverse=True)
-        # The pairs in order of first use, then their distinct keys in that order.
-        _, starts, _ = _first_use(self.pair, n)
-        ranked = code[self.pair[starts]]
-        _, firsts, number = _first_use(ranked, len(distinct))
-        self.base_keys, self.base_first = distinct[ranked[firsts]], starts[firsts]
-        self.base = number[code].take(self.pair)
-
-    @cached_property
-    def alternatives(self) -> tuple[np.ndarray, np.ndarray]:
-        """The audit's alternatives to each angle, the test angles elsewhere on
-        the circle in grid order: their count and their codes (test angle k
-        has code k), the alternatives first in each row."""
-        d = np.subtract.outer(self.angles, TEST_ANGLES) % TWO_PI
-        apart = np.minimum(d, TWO_PI - d) > 1e-12
-        return apart.sum(axis=1), np.argsort(~apart, axis=1, kind="stable")
-
-    def remote(self, station: Station) -> np.ndarray:
-        """Each base pair's code of the station's remote angle: b for S1, a for S2."""
-        a, b = np.divmod(self.base_keys, len(self.angles))
-        return b if station is Station.S1 else a
-
-    @cached_property
-    def phase(self) -> np.ndarray:
-        """Every trial's (base pair, phase) index, ``base * PHASES + trial % PHASES``."""
-        phase = self.base.astype(_int_type(len(self.base_keys) * PHASES)) * PHASES
-        phase += np.arange(len(phase), dtype=_int_type(len(phase))) % PHASES
-        return phase
-
-    @cached_property
-    def situation(self) -> np.ndarray:
-        """Every trial's (base pair, phase, slot) index."""
-        top = len(self.base_keys) * PHASES * self.slots
-        return self.phase.astype(_int_type(top)) * self.slots + self.slot
-
-    @cached_property
-    def taken(self) -> np.ndarray:
-        """The (base pair, phase, slot) indices some trial takes, ascending."""
-        seen = np.zeros(len(self.base_keys) * PHASES * self.slots, dtype=bool)
-        seen[self.situation] = True
-        return np.flatnonzero(seen)
-
-    def perturbed(self, station: Station, p: int) -> np.ndarray:
-        """Pair keys over (base pair, phase) with the station's remote angle
-        replaced by its p-th alternative; a pair with fewer alternatives keeps
-        its key. The alternatives rotate with the trial index, so the phase
-        ``trial % PHASES`` fixes which one a trial takes."""
-        n = len(self.angles)
-        remote = np.repeat(self.remote(station), PHASES)
-        alt_count, alts = self.alternatives
-        count = alt_count[remote]
-        turn = (np.tile(np.arange(PHASES), len(self.base_keys)) + p) % count
-        alt = np.where(p < count, alts[remote, turn], remote)
-        keys = np.repeat(self.base_keys, PHASES)
-        return keys - keys % n + alt if station is Station.S1 else alt * n + keys % n
-
-    def compile(self, columns: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
-        """Compile every pair the key columns use, in the order a loop over
-        trials, then over columns, would first use it; return each column's
-        compiled-row table.
-
-        A column is a key table over a small domain and each domain entry's
-        first trial (the trial count for an entry no trial takes), so a pair
-        that column c first uses in trial t ranks ``t * len(columns) + c``,
-        an int64 so that it does not wrap. An entry no trial takes gets row 0.
-        """
-        ranks = np.concatenate([first.astype(np.int64) * len(columns) + c
-                                for c, (first, _) in enumerate(columns)])
-        keys = np.concatenate([keys for _, keys in columns])
-        used = np.flatnonzero(ranks < self.schedule.trials * len(columns))
-        distinct, code = np.unique(keys[used], return_inverse=True)
-        ranked = code[np.argsort(ranks[used])]
-        _, starts, number = _first_use(ranked, len(distinct))
-        order = distinct[ranked[starts]].tolist()
-        n, s = len(self.angles), self.schedule
-        v1s, v2s, As, Bs = zip(*(_pair_outputs(self.model, self.angles[k // n],
-                                               self.angles[k % n], s.seed_s1, s.seed_s2)
-                                 for k in order))
-        self.values = {station: np.fromiter(chain.from_iterable(vs), dtype=object,
-                                            count=len(order) * self.slots)
-                       for station, vs in ((Station.S1, v1s), (Station.S2, v2s))}
-        self.outcomes = {Station.S1: np.concatenate(As, axis=None),
-                         Station.S2: np.concatenate(Bs, axis=None)}
-        rows = np.zeros(len(keys), dtype=np.intp)
-        rows[used] = number[code]
-        return np.split(rows, np.cumsum([len(k) for _, k in columns[:-1]]))
-
-    def outcomes_at(self, station: Station, rows: np.ndarray, index: np.ndarray) -> np.ndarray:
-        """Every trial's outcome at the station under the compiled-row table
-        ``rows``, indexed per trial by ``index``: the flat position
-        ``rows[index] * cells + cell``."""
-        table = rows * self.cells
-        at = table.astype(_int_type(table.max(initial=0) + self.cells)).take(index) + self.cell
-        return self.outcomes[station].take(at)
-
-    def values_differ(self, station: Station, rows: np.ndarray,
-                      base_rows: np.ndarray) -> np.ndarray | None:
-        """Every trial's flag: does the station's instrument value under the
-        (base pair, phase) rows differ, by numpy's object ``!=``, from its
-        value under the base rows? A value depends on the pair and the slot
-        alone, so each situation in ``taken`` is compared once; None when
-        none differs."""
-        phase, slot = np.divmod(self.taken, self.slots)
-        values = self.values[station]
-        differ = (values[rows[phase] * self.slots + slot]
-                  != values[base_rows[phase // PHASES] * self.slots + slot])
-        if not differ.any():
-            return None
-        table = np.zeros(len(self.base_keys) * PHASES * self.slots, dtype=bool)
-        table[self.taken] = differ
-        return table.take(self.situation)
+def _compile(model: LocalModel, schedule: Schedule, angles: list[float],
+             keys: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Both stations' outputs under each pair key, compiled in turn by
+    :func:`_pair_outputs`: their instrument values as one object array over
+    (station, pair, slot), and their int8 outcomes over (station, pair,
+    state, slot). Station S1 is index 0."""
+    n, s = len(angles), schedule
+    v1s, v2s, As, Bs = zip(*(_pair_outputs(model, angles[k // n], angles[k % n], s.seed_s1,
+                                           s.seed_s2) for k in keys))
+    values = np.fromiter(chain(*v1s, *v2s), dtype=object,
+                         count=2 * len(keys) * model.grid.slot_count)
+    return values.reshape(2, len(keys), -1), np.stack([np.stack(As), np.stack(Bs)])
 
 
 def run_experiment(model: LocalModel, schedule: Schedule) -> Trials:
     """Run the scheduled trials; fully reproducible from the schedule's seeds.
 
-    The table holds one row per (scheduled pair, state, slot) key that some
-    trial takes, in first-use order, coded by the runner's own indices (a
-    row's compiled values sit at one flat position at both stations).
+    Every trial's source state, setting pair and slot is drawn once, as arrays
+    in the narrowest integer type of their range. The scheduled pairs' distinct
+    keys (:func:`_pair_keys`) are compiled once each, in the order trials
+    first use them. The table holds one row per (scheduled pair, state, slot)
+    key that some trial takes, in first-use order; its ``star`` and
+    ``dblstar`` codes are one flat position, ``compiled pair * slots + slot``,
+    into both stations' compiled values.
     """
-    run = _Runner(model, schedule)
-    (rows,) = run.compile([(run.base_first, run.base_keys)])
-    size = len(schedule.pairs) * run.cells
-    key = run.pair.astype(_int_type(size)) * run.cells + run.cell
-    _, starts, number = _first_use(key, size)
-    pair, cell = np.divmod(key[starts], run.cells)
-    state, slot = np.divmod(cell, run.slots)
-    compiled = rows[run.base.take(starts)]
-    stars, dblstars = run.values[Station.S1], run.values[Station.S2]
-    values = (compiled * run.slots + slot).astype(_int_type(len(stars)))
-    cells = compiled * run.cells + cell
+    n, prior = len(schedule.pairs), np.asarray(model.source.prior)
+    slots = model.grid.slot_count
+    cells = len(prior) * slots
+    try:
+        # Wide enough for the trial count and every modulus below.
+        trial = np.arange(schedule.trials, dtype=_int_type(max(schedule.trials, n, slots)))
+        # What ``rng.choice(len(prior), size=len(trial), p=prior / prior.sum())``
+        # draws, without its checks of p: the prior was checked when built.
+        cdf = (prior / prior.sum()).cumsum()
+        cdf /= cdf[-1]
+        draws = np.random.default_rng(schedule.seed_source).random(len(trial))
+        state = cdf.searchsorted(draws, side="right").astype(_int_type(len(prior)))
+        if schedule.policy == "random":
+            pair = np.random.default_rng(schedule.seed_settings).integers(0, n, len(trial))
+        else:
+            pair = trial % n  # all zeros for the one pair of a fixed schedule
+        pair = pair.astype(_int_type(n), copy=False)
+        slot = (trial % slots).astype(_int_type(slots), copy=False)
+    except MemoryError:
+        raise InvalidScheduleError(f"{schedule.trials} trials do not fit in memory") from None
+    angles, keys = _pair_keys(schedule)
+    distinct, code = np.unique(keys, return_inverse=True)
+    # The pairs in order of first use, then their distinct keys in that order.
+    _, starts, _ = _first_use(pair, n)
+    ranked = code[pair[starts]]
+    _, firsts, compiled = _first_use(ranked, len(distinct))
+    values, outcomes = _compile(model, schedule, angles, distinct[ranked[firsts]].tolist())
+    size = n * cells
+    key = (pair.astype(_int_type(size)) * len(prior) + state) * slots + slot
+    _, starts, row = _first_use(key, size)
+    # From here on pair, state and slot are table columns, one entry per row.
+    pair, cell = np.divmod(key[starts], cells)
+    state, slot = np.divmod(cell, slots)
+    at = compiled.astype(np.intp)[code[pair]]  # each row's compiled pair
+    stars, dblstars = values.reshape(2, -1)
+    codes = (at * slots + slot).astype(_int_type(len(stars)))
     m = (slot + 1).astype(_int_type(int(slot.max(initial=0)) + 1))
-    return Trials(model.source.states, schedule.pairs, stars, dblstars, number.take(key),
-                  state.astype(run.state.dtype), m, pair.astype(run.pair.dtype), values, values,
-                  run.outcomes[Station.S1][cells], run.outcomes[Station.S2][cells])
+    A, B = outcomes[:, at, state, slot]
+    return Trials(model.source.states, schedule.pairs, stars, dblstars, row.take(key),
+                  state.astype(_int_type(len(prior))), m, pair.astype(_int_type(n)), codes, codes,
+                  A, B)
 
 
 def locality_audit(
     model: LocalModel, schedule: Schedule, remote_perturbations: int = 1
 ) -> AuditReport:
-    """Counterfactually vary each station's remote setting and count output changes.
+    """Compare each station's compiled outputs across every change of its remote setting alone.
 
-    For every trial, station 1 is recomputed under ``remote_perturbations``
-    alternative values of b drawn from the test angle grid (rotating with the
-    trial index so all alternatives get exercised), and symmetrically for
-    station 2. An alternative is a test angle at another point of the circle
-    than the current remote angle, so at most 4 exist, and 3 when the remote
-    angle is itself a test angle. A station runs at most as many passes as
-    its remote angles in use have alternatives: a further pass would only
-    re-check base pairs. A mismatch in (instrument value, outcome) is an
-    Einstein locality violation.
+    For each distinct scheduled pair (a, b), keyed as :func:`_pair_keys`
+    keys it and taken in schedule order, S1's instrument values and (state,
+    slot) outcomes at (a, b) are compared with those at (a, b') for every
+    alternative b', and S2's with those at (a', b) for every alternative
+    a'. An alternative is a test angle at another point of the circle than
+    the angle it replaces: 3 for a test angle, 4 for an angle off the grid.
+    Each pair is compiled once, through :func:`_pair_outputs`, at its first
+    need: a scheduled pair, then its S1 alternatives in grid order, then its
+    S2 alternatives. Every differing (scheduled pair, station, alternative,
+    state, slot) cell is an Einstein locality violation and counts as one
+    mismatch (a differing instrument value, once per state of its slot); the
+    first in that order is reported.
 
-    Outcomes are compared trial by trial as int8 arrays. Instrument values
-    depend on the pair and the slot alone, so they are compared once per
-    (base pair, phase, slot) that some trial takes; only a pass with a
-    differing value maps them back to its trials.
+    The verdict is exact, so it depends on neither the trial count, which the
+    report keeps as ``trials_checked``, nor ``remote_perturbations``, which
+    must still be at least 1.
     """
     if remote_perturbations < 1:
         raise InvalidScheduleError("remote_perturbations must be >= 1")
-    run = _Runner(model, schedule)
-    stations = (Station.S1, Station.S2)
-    passes = [
-        (station, run.perturbed(station, p))
-        for station in stations
-        for p in range(min(remote_perturbations, run.alternatives[0][run.remote(station)].max()))
-    ]
-    phase_first, _, _ = _first_use(run.phase, len(run.base_keys) * PHASES)
-    base_rows, *pass_rows = run.compile(
-        [(run.base_first, run.base_keys), *((phase_first, keys) for _, keys in passes)])
-    base = {station: run.outcomes_at(station, base_rows, run.base) for station in stations}
-    mismatches, first = 0, None
-    for (station, keys), rows in zip(passes, pass_rows):
-        bad = run.outcomes_at(station, rows, run.phase) != base[station]
-        differ = run.values_differ(station, rows, base_rows)
-        if differ is not None:
-            bad |= differ
-        mismatches += int(np.count_nonzero(bad))
-        t = int(bad.argmax())
-        # Within a trial, S1's perturbations come before S2's, in pass order.
-        if bad[t] and (first is None or t < first[0]):
-            first = t, station, keys, rows
-    report = None if first is None else _first_mismatch(run, base_rows, *first)
-    return AuditReport(schedule.trials, mismatches, mismatches == 0, report)
-
-
-def _first_mismatch(run: _Runner, base_rows: np.ndarray, t: int, station: Station,
-                    keys: np.ndarray, rows: np.ndarray) -> dict:
-    """The audit's record of trial t's mismatch in the pass at ``station``
-    whose (base pair, phase) table holds ``keys`` and compiled ``rows``."""
-    side = int(station is Station.S1)  # the remote angle: b for S1, a for S2
-    slot, cell = int(run.slot[t]), int(run.cell[t])
-    values, outcomes = run.values[station], run.outcomes[station]
-    base_row, row = int(base_rows[run.base[t]]), int(rows[run.phase[t]])
-    return {
-        "trial": t,
-        "station": station.value,
+    angles, keys = _pair_keys(schedule)
+    n = len(angles)
+    d = np.subtract.outer(angles, TEST_ANGLES) % TWO_PI
+    alternatives = [np.flatnonzero(np.minimum(x, TWO_PI - x) > 1e-12).tolist() for x in d]
+    scheduled: dict[int, tuple[float, float]] = {}
+    for key, pair in zip(keys.tolist(), schedule.pairs):
+        scheduled.setdefault(key, pair)
+    # (scheduled key, station index, alternative key), S1 first: test angle k has code k.
+    compares = [(key, side, k * n + key % n if side else key - key % n + k)
+                for key in scheduled
+                for side, remote in enumerate(divmod(key, n)[::-1])
+                for k in alternatives[remote]]
+    order = list(dict.fromkeys(chain.from_iterable((key, alt) for key, _, alt in compares)))
+    row = {key: r for r, key in enumerate(order)}
+    values, outcomes = _compile(model, schedule, angles, order)
+    station, base, alt = np.array([(side, row[key], row[k]) for key, side, k in compares]).T
+    bad = outcomes[station, alt] != outcomes[station, base]
+    bad |= (values[station, alt] != values[station, base])[:, None, :]
+    mismatches = int(np.count_nonzero(bad))
+    if not mismatches:
+        return AuditReport(schedule.trials, 0, True)
+    c, state, slot = map(int, np.unravel_index(bad.argmax(), bad.shape))
+    key, side, k = compares[c]
+    local, remote = scheduled[key][::-1] if side else scheduled[key]
+    seen = [[str(values[side, row[x], slot]), int(outcomes[side, row[x], state, slot])]
+            for x in (key, k)]
+    return AuditReport(schedule.trials, mismatches, False, {
+        "station": (Station.S1, Station.S2)[side].value,
+        "local": local,
         "slot": slot + 1,
-        "lambda": str(run.model.source.states[run.state[t]]),
-        "remote_original": run.schedule.pairs[run.pair[t]][side],
-        "remote_perturbed": run.angles[divmod(int(keys[run.phase[t]]), len(run.angles))[side]],
-        "baseline": [str(values[base_row * run.slots + slot]),
-                     int(outcomes[base_row * run.cells + cell])],
-        "perturbed": [str(values[row * run.slots + slot]), int(outcomes[row * run.cells + cell])],
-    }
+        "lambda": str(model.source.states[state]),
+        "remote_original": remote,
+        "remote_perturbed": angles[divmod(k, n)[1 - side]],
+        "baseline": seen[0],
+        "perturbed": seen[1],
+    })
 
 
 def empirical_correlations(trials: Trials) -> dict[tuple[float, float], CorrelationReport]:

@@ -115,6 +115,33 @@ def history_leak_model() -> LocalModel:
     )
 
 
+def slot_limited_leak_model() -> LocalModel:
+    """Test-only fixture: the S2 generator publishes its setting and the S1
+    outcome rule reads it at a = 0 in slot 8 alone. Under the cycle schedule
+    of the 16 test-grid pairs, pair k meets slot k mod 8 only, so no trial at
+    a = 0 reaches slot 8: an audit of the cells trials take misses this leak."""
+    cell = {}
+
+    def gen2_rule(s, m, seed):
+        cell["b"] = s.angle
+        return 0
+
+    def out1_rule(s, lam, v, m):
+        if s.angle != 0.0 or m != 8:
+            return 1
+        return 1 if cell.get("b", 0.0) <= math.pi / 4 + 1e-9 else -1
+
+    return LocalModel(
+        name="slot_limited_leak_fixture",
+        source=SourceSpace(("u0",), (1.0,)),
+        grid=TimeGrid(8),
+        gen1=InstrumentParamGen(Station.S1, (0,), lambda s, m, seed: 0),
+        gen2=InstrumentParamGen(Station.S2, (0,), gen2_rule),
+        out1=OutcomeFn(Station.S1, out1_rule),
+        out2=OutcomeFn(Station.S2, lambda s, lam, v, m: 1),
+    )
+
+
 def factored_trials() -> Trials:
     """A hand-built run whose table is out of first-use order (trial 0 takes
     row 2), lists one row twice (rows 2 and 3) and holds a row that no trial

@@ -258,7 +258,7 @@ def test_criterion_7_locality_audit():
     print(
         f"ACCEPTANCE 7 PASS: 0 mismatches on {audited} honest models (base and "
         f"transformed); corrupted fixture caught with {corrupted.mismatches} "
-        f"mismatches over 1000 trials"
+        f"mismatched (pair, station, alternative, state, slot) cells"
     )
 
 

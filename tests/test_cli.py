@@ -105,6 +105,26 @@ def test_transform_writes_descriptor_and_round_trips(tmp_path, capsys):
     assert run_cli(["check", "--model", str(out)]) == 0
 
 
+def test_transform_into_another_directory_keeps_the_table_file(tmp_path, capsys, monkeypatch):
+    """A relative table file is rewritten relative to the output's directory,
+    and kept as written beside the base descriptor."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a").mkdir()
+    (tmp_path / "a" / "g.csv").write_text("1,0\n2,1\n3,0\n4,1\n", encoding="utf-8")
+    (tmp_path / "a" / "m.ini").write_text(TABLE_MISS_MODEL.format(
+        gen1="kind = table\nvalues = 0, 1\nfile = g.csv", out1=CONSTANT_OUT), encoding="utf-8")
+    outputs = {}
+    for out, descriptor, ref in (("a/t.ini", "a/t.ini", "g.csv"),
+                                 ("b/", "b/model.ini", "../a/g.csv")):
+        assert run_cli(["transform", "--model", "a/m.ini", "--op", "double", "--out", out]) == 0
+        assert f"file = {ref}\n" in (tmp_path / descriptor).read_text(encoding="utf-8")
+        capsys.readouterr()
+        check = f"check_{out[0]}"
+        assert run_cli(["check", "--model", descriptor, "--deterministic", "--out", check]) == 0
+        outputs[out] = capsys.readouterr().out, (tmp_path / check / "joint_table.csv").read_bytes()
+    assert outputs["a/t.ini"] == outputs["b/"]
+
+
 def test_transform_infeasible_mean_exits_3(tmp_path, capsys):
     descriptor = tmp_path / "odd.ini"
     descriptor.write_text(
@@ -197,7 +217,8 @@ def test_trial_counts_no_run_can_hold_exit_2(tmp_path, capsys, command, trials):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "audit"])
+# The audit allocates nothing per trial, so only simulate is run.
+@pytest.mark.parametrize("command", ["simulate"])
 def test_trial_count_beyond_memory_exits_2(tmp_path, capsys, monkeypatch, command):
     """10^12 trials pass the count check, but their trial column alone needs
     8 TB. numpy's MemoryError is simulated: a real run could exhaust the host."""
@@ -411,6 +432,17 @@ def test_check_of_an_outcome_outside_plus_minus_one_exits_3(tmp_path, capsys, la
     assert run_cli(["check", "--model", str(descriptor)]) == 3
     message = f"table_miss: outcome rule returned {last}, expected -1 or +1"
     assert capsys.readouterr().err == f"eprsim: model error: {message}\n"
+
+
+@pytest.mark.parametrize("old, new", [("prior = 0.5, 0.5", "prior = 1e308, 1e308"),
+                                      ("slots = 4", "slots = 2\nweights = 1e308, 1e308")],
+                         ids=["prior", "grid"])
+def test_check_of_weights_whose_sum_overflows_exits_3(tmp_path, capsys, old, new):
+    descriptor = tmp_path / "overflow.ini"
+    descriptor.write_text(TABLE_MISS_MODEL.format(gen1="kind = constant", out1=CONSTANT_OUT)
+                          .replace(old, new))
+    assert run_cli(["check", "--model", str(descriptor)]) == 3
+    assert "weights sum to inf, not 1" in capsys.readouterr().err
 
 
 VALID_MODEL = TABLE_MISS_MODEL.format(gen1=FULL_GEN, out1=CONSTANT_OUT)

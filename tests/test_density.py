@@ -247,6 +247,12 @@ def test_joint_csv_with_nan_probability_is_rejected():
         table_from_csv(text, A0, B0)
 
 
+def test_joint_csv_whose_probabilities_overflow_is_rejected():
+    text = "\n".join([",".join(CSV_HEADER), "0,0,u,1,1e308", "1,1,u,1,1e308"])
+    with pytest.raises(InvalidWeightsError, match="weights sum to inf, not 1"):
+        table_from_csv(text, A0, B0)
+
+
 @pytest.mark.parametrize("row", ["0,0,u,1,half", "0,0,u,one,1.0"], ids=["prob", "m"])
 def test_joint_csv_with_a_non_numeric_cell_is_rejected(row):
     text = "\n".join([",".join(CSV_HEADER), "1,1,u,2,0.0", row])

@@ -342,7 +342,7 @@ def test_transform_section_applies_in_order(tmp_path):
 
 
 def test_descriptor_text_round_trips_zoo_base(tmp_path):
-    text = descriptor_text("constant_plus", ["rademacher mean=0 seed=3"])
+    text = descriptor_text("constant_plus", ["rademacher mean=0 seed=3"], tmp_path)
     path = tmp_path / "out.ini"
     path.write_text(text, encoding="utf-8")
     model = load_model(path)
@@ -351,10 +351,10 @@ def test_descriptor_text_round_trips_zoo_base(tmp_path):
 
 
 def test_descriptor_text_appends_to_existing_transforms(tmp_path):
-    first = descriptor_text("constant_plus", ["rademacher mean=0 seed=3"])
+    first = descriptor_text("constant_plus", ["rademacher mean=0 seed=3"], tmp_path)
     path = tmp_path / "first.ini"
     path.write_text(first, encoding="utf-8")
-    second = descriptor_text(str(path), ["double"])
+    second = descriptor_text(str(path), ["double"], tmp_path)
     path2 = tmp_path / "second.ini"
     path2.write_text(second, encoding="utf-8")
     model = load_model(path2)

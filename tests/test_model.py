@@ -77,6 +77,13 @@ def test_time_grid_rejects_nan_weights():
         TimeGrid(2, (math.nan, 1.0))
 
 
+@pytest.mark.parametrize("build", [lambda w: SourceSpace(("a", "b"), w), lambda w: TimeGrid(2, w)],
+                         ids=["prior", "grid"])
+def test_weights_whose_sum_overflows_are_rejected(build):
+    with pytest.raises(InvalidWeightsError, match="weights sum to inf, not 1"):
+        build((1e308, 1e308))
+
+
 def test_time_grid_validation():
     with pytest.raises(InvalidWeightsError):
         TimeGrid(0)

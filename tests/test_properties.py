@@ -223,7 +223,7 @@ def test_transform_descriptor_reloads_to_the_same_model(tmp_path_factory, base, 
                        if kind == "lambda-sign" else kind)
         model = apply_transform_op(model, ops[-1])
     path = directory / "transformed.ini"
-    path.write_text(descriptor_text(base, ops), encoding="utf-8")
+    path.write_text(descriptor_text(base, ops, directory), encoding="utf-8")
     reloaded = load_model(path)
     assert reloaded.transforms == model.transforms
     assert (reloaded.source, reloaded.grid) == (model.source, model.grid)

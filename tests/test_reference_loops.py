@@ -61,6 +61,7 @@ from shared_fixtures import (
     outcome_publishing_model,
     remote_reading_model,
     remote_reading_s2_model,
+    slot_limited_leak_model,
 )
 from trial_references import (
     assert_same_correlations,
@@ -552,78 +553,62 @@ def test_empirical_correlations_match_mask_loop_on_recorded_runs(tmp_path, monke
 
 
 def reference_audit(model, schedule, perturbations):
-    """The locality audit as per-trial columns over object arrays.
+    """The exact locality verdict as plain loops over pairs and cells.
 
-    Every trial's pair key is a column, one for the base run and one per
-    (station, pass); pairs are compiled in the order a loop over trials, then
-    over columns, first uses them (found with ``np.unique``), looked up again
-    with ``searchsorted``, and each trial's (instrument value, outcome) is
-    compared with the base run's by numpy's object ``!=``.
+    Each distinct scheduled pair (by normalized angles), then its S1
+    alternatives in grid order, then its S2 ones, is compiled at its first
+    need with ``station_values`` and ``station_outcomes``, both generators
+    before either outcome rule. Each station's values and outcomes at every
+    alternative are then compared with those at the scheduled pair, state by
+    state and slot by slot, with Python's ``!=``. The verdict does not read
+    the trial or perturbation counts.
     """
     S1, S2 = Station.S1, Station.S2
-    t = np.arange(schedule.trials)
-    prior = np.asarray(model.source.prior)
-    state = np.random.default_rng(schedule.seed_source).choice(
-        len(prior), size=len(t), p=prior / prior.sum())
-    n = len(schedule.pairs)
-    if schedule.policy == "random":
-        pair = np.random.default_rng(schedule.seed_settings).integers(0, n, len(t))
-    else:
-        pair = t % n
-    slot = t % model.grid.slot_count
-    codes = {}
-    for x in [*TEST_ANGLES, *(x for p in schedule.pairs for x in p)]:
-        codes.setdefault(s1(x).angle, len(codes))
-    angles = list(codes)
-    a, b = (np.array([codes[s1(x).angle] for x in side])[pair] for side in zip(*schedule.pairs))
-    d = np.subtract.outer(angles, TEST_ANGLES) % TWO_PI
-    apart = np.minimum(d, TWO_PI - d) > 1e-12
-    alt_count, alts = apart.sum(axis=1), np.argsort(~apart, axis=1, kind="stable")
-    size = len(angles)
-    passes = []
-    for station, remote in ((S1, b), (S2, a)):
-        count = alt_count[remote]
-        for p in range(min(perturbations, count.max())):
-            alt = np.where(p < count, alts[remote, (t + p) % count], remote)
-            passes.append((station, a * size + alt if station is S1 else alt * size + b))
-    columns = [a * size + b, *(keys for _, keys in passes)]
-    firsts = [np.unique(keys, return_index=True) for keys in columns]
-    keys = np.concatenate([k for k, _ in firsts])
-    uses = np.concatenate([f * len(columns) + c for c, (_, f) in enumerate(firsts)])
-    outputs = {}
-    for key in dict.fromkeys(keys[np.argsort(uses)].tolist()):
-        x, y = Setting(angles[key // size], S1), Setting(angles[key % size], S2)
-        v1 = station_values(model, x, schedule.seed_s1)
-        v2 = station_values(model, y, schedule.seed_s2)
-        outputs[key] = {S1: (v1, station_outcomes(model, x, v1)),
-                        S2: (v2, station_outcomes(model, y, v2))}
-    compiled = sorted(outputs)
 
-    def gather(station, keys):
-        q = np.searchsorted(compiled, keys)
-        values = np.stack([np.fromiter(outputs[k][station][0], dtype=object) for k in compiled])
-        outcomes = np.stack([outputs[k][station][1] for k in compiled])
-        return values[q, slot], outcomes[q, state, slot]
+    def alternatives(angle):
+        return [x for x in TEST_ANGLES
+                if min((angle - x) % TWO_PI, TWO_PI - (angle - x) % TWO_PI) > 1e-12]
 
-    base = {station: gather(station, columns[0]) for station in (S1, S2)}
-    mismatches, first = 0, None
-    for station, keys in passes:
-        (values, outcomes), (base_values, base_outcomes) = gather(station, keys), base[station]
-        bad = (values != base_values) | (outcomes != base_outcomes)
-        mismatches += int(np.count_nonzero(bad))
-        k = int(bad.argmax())
-        if bad[k] and (first is None or k < first["trial"]):
-            side = int(station is S1)
-            first = {
-                "trial": k,
-                "station": station.value,
-                "slot": int(slot[k]) + 1,
-                "lambda": str(model.source.states[state[k]]),
-                "remote_original": schedule.pairs[pair[k]][side],
-                "remote_perturbed": angles[divmod(int(keys[k]), size)[side]],
-                "baseline": [str(base_values[k]), int(base_outcomes[k])],
-                "perturbed": [str(values[k]), int(outcomes[k])],
-            }
+    compiled = {}
+
+    def outputs(a, b):
+        if (a, b) not in compiled:
+            x, y = Setting(a, S1), Setting(b, S2)
+            v1 = station_values(model, x, schedule.seed_s1)
+            v2 = station_values(model, y, schedule.seed_s2)
+            compiled[a, b] = {S1: (v1, station_outcomes(model, x, v1)),
+                              S2: (v2, station_outcomes(model, y, v2))}
+        return compiled[a, b]
+
+    audited, mismatches, first = set(), 0, None
+    for scheduled in schedule.pairs:
+        a, b = (s1(x).angle for x in scheduled)
+        if (a, b) in audited:
+            continue
+        audited.add((a, b))
+        base = outputs(a, b)
+        for station, local, remote, others in (
+                (S1, scheduled[0], scheduled[1], [(a, y) for y in alternatives(b)]),
+                (S2, scheduled[1], scheduled[0], [(x, b) for x in alternatives(a)])):
+            base_values, base_outcomes = base[station]
+            for x, y in others:
+                values, outcomes = outputs(x, y)[station]
+                for i, lam in enumerate(model.source.states):
+                    for m in range(model.grid.slot_count):
+                        if values[m] == base_values[m] and outcomes[i, m] == base_outcomes[i, m]:
+                            continue
+                        mismatches += 1
+                        if first is None:
+                            first = {
+                                "station": station.value,
+                                "local": local,
+                                "slot": m + 1,
+                                "lambda": str(lam),
+                                "remote_original": remote,
+                                "remote_perturbed": y if station is S1 else x,
+                                "baseline": [str(base_values[m]), int(base_outcomes[i, m])],
+                                "perturbed": [str(values[m]), int(outcomes[i, m])],
+                            }
     return AuditReport(schedule.trials, mismatches, mismatches == 0, first)
 
 
@@ -636,7 +621,7 @@ AUDIT_SCHEDULES = {
 }
 
 LEAKY = (remote_reading_model, remote_reading_s2_model, outcome_publishing_model,
-         history_leak_model)
+         history_leak_model, slot_limited_leak_model)
 
 
 @pytest.mark.parametrize("schedule", AUDIT_SCHEDULES.values(), ids=AUDIT_SCHEDULES)

@@ -30,6 +30,7 @@ from eprsim import (
     write_trials_csv,
     zoo_model,
 )
+from eprsim import stations
 from eprsim.stations import (
     CSV_BLOCK_ROWS,
     DEFAULT_PAIRS,
@@ -37,7 +38,7 @@ from eprsim.stations import (
     POLICIES,
     TRIALS_CSV_HEADER,
     Trials,
-    _Runner,
+    _pair_outputs as pair_outputs,
     empirical_correlations,
 )
 from eprsim.descriptors import load_model
@@ -49,6 +50,7 @@ from shared_fixtures import (
     outcome_publishing_model,
     remote_reading_model,
     remote_reading_s2_model,
+    slot_limited_leak_model,
 )
 from trial_references import (
     assert_same_correlations,
@@ -141,7 +143,8 @@ def test_source_state_draw_equals_rng_choice():
             out1=OutcomeFn(Station.S1, lambda s, lam, v, m: 1),
             out2=OutcomeFn(Station.S2, lambda s, lam, v, m: 1),
         )
-        drawn = _Runner(model, Schedule(trials=trials, seed_source=seed)).state
+        run = run_experiment(model, Schedule(trials=trials, seed_source=seed))
+        drawn = run.state[run.row]
         p = np.asarray(model.source.prior)
         expected = np.random.default_rng(seed).choice(len(p), size=trials, p=p / p.sum())
         assert drawn.tolist() == expected.tolist(), (len(prior), trials, seed)
@@ -290,7 +293,7 @@ def test_audit_detects_mirrored_remote_reading_fixture():
         remote_reading_s2_model(), Schedule(trials=1000, policy="cycle"), remote_perturbations=3
     )
     assert not report.passed
-    assert report.mismatches == 2000
+    assert report.mismatches == 128
     assert report.first_mismatch["station"] == "S2"
 
 
@@ -299,17 +302,31 @@ def test_audit_detects_outcome_to_outcome_leak():
         outcome_publishing_model(), Schedule(trials=1000, policy="cycle"), remote_perturbations=3
     )
     assert not report.passed
-    assert report.mismatches == 2000
+    assert report.mismatches == 128
     assert report.first_mismatch["station"] == "S2"
 
 
 def test_audit_detects_fixture_even_with_one_perturbation():
-    # Alternatives rotate with the trial index, so every remote angle is
-    # eventually exercised even when only one perturbation per trial is allowed.
+    # The verdict compares every alternative remote angle, whatever the
+    # perturbation count.
     report = locality_audit(
         remote_reading_model(), Schedule(trials=1000, policy="cycle"), remote_perturbations=1
     )
     assert report.mismatches >= 1
+
+
+@pytest.mark.parametrize("schedule", [
+    Schedule(trials=1000, policy="cycle"),
+    # Fewer trials than slots: no trial reaches slot 8.
+    Schedule(trials=7, policy="fixed", pairs=((0.0, 0.0),)),
+], ids=["cycle", "fixed"])
+def test_audit_catches_a_leak_no_trial_reaches(schedule):
+    """The S1 outcome reads the S2 setting at a = 0 in slot 8 alone, a cell no
+    trial of either schedule takes; the verdict compares every cell."""
+    report = locality_audit(slot_limited_leak_model(), schedule, 3)
+    assert (report.passed, report.first_mismatch["slot"]) == (False, 8)
+    # Two of the three alternatives of each remote angle flip the outcome.
+    assert report.mismatches == (8 if schedule.policy == "cycle" else 2)
 
 
 def test_audit_rejects_nonpositive_perturbations():
@@ -359,31 +376,35 @@ def test_run_and_trial_csv_keep_the_narrowest_state_and_slot_types(tmp_path):
     assert (small.state.dtype, small.m.dtype) == (np.int8, np.int8)
 
 
-def _first(trial, station, remote, perturbed, baseline, seen):
-    return {"trial": trial, "station": station, "slot": trial % 4 + 1, "lambda": "u0",
-            "remote_original": remote, "remote_perturbed": perturbed,
+def _first(station, perturbed, baseline, seen):
+    """The first mismatch at the first scheduled pair (0, 0), in slot 1."""
+    return {"station": station, "local": 0.0, "slot": 1, "lambda": "u0",
+            "remote_original": 0.0, "remote_perturbed": perturbed,
             "baseline": baseline, "perturbed": seen}
 
 
-# Counts and first mismatches recorded from the trial-by-trial runner that
-# compiled each setting pair on first use.
-LEAK_REPORTS = [
-    (remote_reading_model, 1000, 2, 1334,
-     _first(0, "S1", 0.0, math.pi / 2, ["0", 1], ["0", -1])),
-    (remote_reading_model, 1000, 1, 666,
-     _first(1, "S1", math.pi / 4, math.pi / 2, ["0", 1], ["0", -1])),
-    (remote_reading_s2_model, 1000, 3, 2000,
-     _first(0, "S2", 0.0, math.pi / 2, ["0", 1], ["0", -1])),
-    (outcome_publishing_model, 1000, 3, 2000,
-     _first(0, "S2", 0.0, math.pi / 2, ["0", 1], ["0", -1])),
-    (history_leak_model, 1000, 3, 1624,
-     _first(0, "S1", 0.0, 3 * math.pi / 4, ["0", 1], ["1", 1])),
-    (history_leak_model, 2, 3, 2,
-     _first(0, "S1", 0.0, 3 * math.pi / 4, ["0", 1], ["1", 1])),
-]
+# Counts and first mismatches of the exact verdict. Each of the 16 scheduled
+# pairs has 3 alternatives at each station; in the first three fixtures two
+# of them flip the outcome in all 4 slots (16 * 2 * 4 = 128 cells), whatever
+# the trial and perturbation counts.
+LEAK_REPORTS = {
+    "remote_reading-p2": (remote_reading_model, 1000, 2, 128,
+                          _first("S1", math.pi / 2, ["0", 1], ["0", -1])),
+    "remote_reading-p1": (remote_reading_model, 1000, 1, 128,
+                          _first("S1", math.pi / 2, ["0", 1], ["0", -1])),
+    "remote_reading_s2-p3": (remote_reading_s2_model, 1000, 3, 128,
+                             _first("S2", math.pi / 2, ["0", 1], ["0", -1])),
+    "outcome_publishing-p3": (outcome_publishing_model, 1000, 3, 128,
+                              _first("S2", math.pi / 2, ["0", 1], ["0", -1])),
+    "history_leak-p3": (history_leak_model, 1000, 3, 120,
+                        _first("S1", 3 * math.pi / 4, ["0", 1], ["1", 1])),
+    "history_leak-2-trials": (history_leak_model, 2, 3, 120,
+                              _first("S1", 3 * math.pi / 4, ["0", 1], ["1", 1])),
+}
 
 
-@pytest.mark.parametrize("make, trials, perturbations, mismatches, first", LEAK_REPORTS)
+@pytest.mark.parametrize("make, trials, perturbations, mismatches, first",
+                         LEAK_REPORTS.values(), ids=LEAK_REPORTS)
 def test_leaky_fixture_reports(make, trials, perturbations, mismatches, first):
     report = locality_audit(make(), Schedule(trials=trials, policy="cycle"), perturbations)
     assert (report.passed, report.mismatches) == (False, mismatches)
@@ -391,7 +412,9 @@ def test_leaky_fixture_reports(make, trials, perturbations, mismatches, first):
 
 
 @pytest.mark.parametrize("make, trials, perturbations, mismatches, first",
-                         [case for case in LEAK_REPORTS if case[0] is not history_leak_model])
+                         [case for case in LEAK_REPORTS.values()
+                          if case[0] is not history_leak_model],
+                         ids=[name for name in LEAK_REPORTS if not name.startswith("history")])
 def test_audit_does_not_read_the_compiled_map(make, trials, perturbations, mismatches, first):
     """The audit compiles per pair, so a leaky model whose map already holds
     every test angle still shows its leak. (The history fixture is left out:
@@ -404,19 +427,22 @@ def test_audit_does_not_read_the_compiled_map(make, trials, perturbations, misma
     assert report.first_mismatch == first
 
 
-# Rule-call counts and digests recorded from the trial-by-trial runner.
+# Rule-call counts and digests: runs as recorded from the trial-by-trial
+# runner, audits as the exact verdict compiles. An audit compiles every
+# distinct scheduled pair and its alternatives whatever the trials draw, so
+# its calls depend neither on the policy's draws nor on the perturbations.
 RECORDED_CALLS = {
     ("cycle", None): (288, "52d2f2c014608cd0"),
-    ("cycle", 1): (288, "16122b97314bcc0d"),
-    ("cycle", 3): (288, "6e4532e4050775d6"),
-    ("cycle", 5): (288, "6e4532e4050775d6"),
+    ("cycle", 1): (288, "53052bda6f6b90ed"),
+    ("cycle", 3): (288, "53052bda6f6b90ed"),
+    ("cycle", 5): (288, "53052bda6f6b90ed"),
     ("random", None): (288, "43f2b47f2f246ee5"),
-    ("random", 1): (288, "8bba69510dcbe716"),
-    ("random", 3): (288, "b5af3f59f65c45fe"),
-    ("random", 5): (288, "b5af3f59f65c45fe"),
+    ("random", 1): (288, "53052bda6f6b90ed"),
+    ("random", 3): (288, "53052bda6f6b90ed"),
+    ("random", 5): (288, "53052bda6f6b90ed"),
     ("fixed", None): (18, "8d77c5587c6414fe"),
-    ("fixed", 1): (162, "bd3d29796cc24f9a"),
-    ("fixed", 3): (162, "9e0b0f1feba889c0"),
+    ("fixed", 1): (162, "7abcc49ec314359a"),
+    ("fixed", 3): (162, "7abcc49ec314359a"),
     ("fixed", 5): (162, "7abcc49ec314359a"),
 }
 
@@ -428,11 +454,13 @@ def test_setting_pairs_compile_in_first_use_order(case):
 
 @pytest.mark.parametrize(
     "remote, mismatches",
-    [(0.0, (666, 2000)), (2 * math.pi, (666, 2000)), (2 * math.pi - 1e-13, (334, 1000))],
+    [(0.0, (8, 8)), (2 * math.pi, (8, 8)), (2 * math.pi - 1e-13, (4, 4))],
 )
 def test_audit_never_perturbs_to_the_current_angle_on_the_circle(remote, mismatches):
     # 2π and 2π − 1e-13 are the test angle 0.0 on the circle, so 0.0 is no
-    # perturbation of them; the counts are those of three alternatives.
+    # perturbation of them; the counts are those of three alternatives. At
+    # 2π − 1e-13 the S1 outcome reads -1 and only π/4 flips it, in 4 slots;
+    # 0.0, were it an alternative, would flip it too.
     schedule = Schedule(trials=1000, policy="fixed", pairs=((0.0, remote),))
     found = tuple(locality_audit(remote_reading_model(), schedule, p).mismatches for p in (1, 3))
     assert found == mismatches
@@ -764,21 +792,21 @@ def test_read_trials_csv_names_rows_past_the_first_block(tmp_path, edits, messag
         read_trials_csv(path)
 
 
-@pytest.mark.parametrize("pairs, perturbations, passes", [
-    (DEFAULT_PAIRS, 1, 2), (DEFAULT_PAIRS, 3, 6), (DEFAULT_PAIRS, 4, 6), (DEFAULT_PAIRS, 5, 6),
+@pytest.mark.parametrize("pairs, perturbations, compiles", [
+    (DEFAULT_PAIRS, 1, 16), (DEFAULT_PAIRS, 3, 16), (DEFAULT_PAIRS, 4, 16), (DEFAULT_PAIRS, 5, 16),
     # Off the test grid every remote angle has four alternatives.
-    (((0.3, 2.0),), 5, 8),
+    (((0.3, 2.0),), 5, 9),
 ], ids=["cycle-1", "cycle-3", "cycle-4", "cycle-5", "off-grid-5"])
-def test_audit_computes_each_pass_column_once(monkeypatch, pairs, perturbations, passes):
-    counts = {"perturbed": 0, "outcomes_at": 0, "values_differ": 0}
-    for name in counts:
-        def counted(self, *args, _name=name, _method=getattr(_Runner, name)):
-            counts[_name] += 1
-            return _method(self, *args)
-        monkeypatch.setattr(_Runner, name, counted)
+def test_audit_compiles_each_pair_once(monkeypatch, pairs, perturbations, compiles):
+    """The test-grid pairs hold every alternative of each other; the off-grid
+    pair adds its four alternatives at each station."""
+    compiled = []
+
+    def counted(model, a, b, *seeds):
+        compiled.append((a, b))
+        return pair_outputs(model, a, b, *seeds)
+
+    monkeypatch.setattr(stations, "_pair_outputs", counted)
     schedule = Schedule(trials=1000, policy="cycle", pairs=pairs)
     assert locality_audit(zoo_model("bell_product_basic"), schedule, perturbations).passed
-    # One key table per (station, pass) and one comparison per pass: the
-    # outcomes of each pass plus the base at each station, and the values of
-    # each pass.
-    assert counts == {"perturbed": passes, "outcomes_at": passes + 2, "values_differ": passes}
+    assert len(compiled) == len(set(compiled)) == compiles
