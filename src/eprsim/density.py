@@ -9,12 +9,15 @@ assumption is ambiguous about whether the slot is conditioned on:
   generators each side is then a point mass, so model-built tables pass.
 * ``given_lambda``: conditions on the state only, pooling slots into each
   station's variable; slot-correlated generators fail here.
+
+A table keeps its probabilities as one read-only float64 column, so that
+validating, checking and writing it run array operations, not a Python loop
+over its entries.
 """
 from __future__ import annotations
 
 import csv
 import io
-from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import accumulate, chain, dropwhile
@@ -31,7 +34,7 @@ from .errors import (
     InvalidToleranceError,
     InvalidWeightsError,
 )
-from .model import LocalModel, Setting, _check_distribution, check_pair
+from .model import LocalModel, Setting, _check_mass, check_pair
 from .util import parse_scalar
 
 CSV_HEADER = ("lambda_star", "lambda_dblstar", "lambda", "m", "prob")
@@ -53,26 +56,31 @@ class TableEntries(Mapping):
     (value1, value2, state, slot) -> probability, or a report's conditions.
 
     ``domains[k]`` holds axis k's distinct values, ``codes[k]`` is a read-only
-    integer array whose entry i indexes ``domains[k]``, and ``probs[i]`` is
-    entry i's float, entries in insertion order. A key is the tuple of its
-    axes' values, or the value of a lone axis. Its length costs O(1); the
-    dict behind lookup and iteration is built on first use.
+    integer array whose entry i indexes ``domains[k]``, and ``probs`` is a
+    read-only float64 column whose entry i is entry i's probability, entries
+    in insertion order. ``given`` is None unless a mapping gave an int
+    among the probabilities; it then holds them coded as a key axis is
+    (distinct exact ints and floats, codes), so that the writer gives the int
+    0 as ``0``. A key is the tuple of its axes' values, or the value of a
+    lone axis. Its length costs O(1); the dict behind lookup and iteration
+    is built on first use, and reads each probability as a float.
     """
 
-    __slots__ = ("domains", "codes", "probs", "_dict")
+    __slots__ = ("domains", "codes", "probs", "given", "_dict")
 
     def __init__(self, domains: tuple[tuple, ...], codes: tuple[np.ndarray, ...],
-                 probs: tuple[float, ...]):
-        for column in codes:
+                 probs: np.ndarray, given: tuple[tuple, np.ndarray] | None = None):
+        for column in (*codes, probs):
             column.setflags(write=False)
-        self.domains, self.codes, self.probs = domains, codes, probs
+        self.domains, self.codes, self.probs, self.given = domains, codes, probs, given
         self._dict: dict | None = None
 
     def _mapping(self) -> dict:
         if self._dict is None:
             columns = [map(domain.__getitem__, codes.tolist())
                        for domain, codes in zip(self.domains, self.codes)]
-            self._dict = dict(zip(zip(*columns) if len(columns) > 1 else columns[0], self.probs))
+            keys = zip(*columns) if len(columns) > 1 else columns[0]
+            self._dict = dict(zip(keys, self.probs.tolist()))
         return self._dict
 
     def __len__(self) -> int:
@@ -100,19 +108,37 @@ class TableEntries(Mapping):
 
 
 def _code_entries(entries: Mapping[Key, float]) -> TableEntries:
-    """A mapping's keys coded once, axis by axis."""
+    """A mapping's keys coded once, axis by axis, and its values as one float
+    column. A probability must be an int or a float (a float subclass such as
+    ``np.float64`` counts); a bool, ``Fraction``, ``Decimal`` or str is refused.
+    Where an int is among them, the values are also coded as a key axis is,
+    as exact ints and floats, so that the int 0 is written as ``0``."""
     keys = list(entries)
     if any(len(key) != 4 for key in keys):
         raise HarnessError("joint table keys must be (value1, value2, state, slot) tuples")
     domains, codes = zip(*(_coded(column) for column in zip(*keys)))
-    return TableEntries(domains, codes, tuple(entries.values()))
+    values = list(entries.values())
+    types = set(map(type, values))
+    for t in types:
+        if issubclass(t, bool) or not issubclass(t, (int, float)):
+            raise InvalidWeightsError(f"joint table: a probability is a {t.__name__}, "
+                                      "not an int or a float")
+    try:
+        probs = np.array(values, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        raise InvalidWeightsError("joint table: a probability exceeds the float range") from None
+    given = None
+    if any(issubclass(t, int) for t in types):
+        given = _coded([int(v) if isinstance(v, int) else float(v) for v in values])
+    return TableEntries(domains, codes, probs, given)
 
 
 @dataclass(frozen=True)
 class JointTable:
     """Tabulated probabilities over (value1, value2, state, slot) for one
-    setting pair. ``entries`` may be any mapping; the table keeps it as a
-    read-only :class:`TableEntries`."""
+    setting pair. ``entries`` may be any mapping whose values are ints or
+    floats; the table keeps it as a read-only :class:`TableEntries`, its
+    probabilities as one float64 column."""
 
     setting_a: Setting
     setting_b: Setting
@@ -126,10 +152,11 @@ class JointTable:
             raise EmptyTableError("joint table has no entries")
         if not isinstance(self.entries, TableEntries):
             object.__setattr__(self, "entries", _code_entries(self.entries))
-        _check_distribution(self.entries.probs, "joint table")
+        probs = self.entries.probs
+        _check_mass(probs.tolist(), bool(probs.min() >= 0.0), "joint table")
 
     def mass(self) -> float:
-        return fsum(self.entries.probs)
+        return fsum(self.entries.probs.tolist())
 
 
 @dataclass(frozen=True)
@@ -147,7 +174,7 @@ class FactorizationReport:
     def to_dict(self) -> dict:
         coded = isinstance(self.deviations, TableEntries)
         texts = self.deviations.key_texts() if coded else map(str, self.deviations)
-        values = self.deviations.probs if coded else self.deviations.values()
+        values = self.deviations.probs.tolist() if coded else self.deviations.values()
         return {
             "mode": self.mode,
             "tol": self.tol,
@@ -165,15 +192,16 @@ def tabulate_joint(model: LocalModel, a: Setting, b: Setting) -> JointTable:
     Each (state, slot) cell, states outer and slots inner, contributes its
     full mass to the single value pair the deterministic generators select
     there (read from the model's memo). The products ``p * w`` are formed
-    here, not taken from :func:`eprsim.model.cell_mass`, so the table route
-    shares no arithmetic with the direct sum.
+    here, as one ``np.multiply.outer`` of the prior and the grid weights, not
+    taken from :func:`eprsim.model.cell_mass`, so the table route shares no
+    arithmetic with the direct sum.
     """
     check_pair(a, b)
     states, slots = model.source.states, tuple(model.grid.slots)
     (values_1, codes_1), (values_2, codes_2) = (_coded(model.compiled(s)[0]) for s in (a, b))
     cell = np.arange(len(states) * len(slots))
     slot = cell % len(slots)
-    probs = tuple([p * w for p in model.source.prior for w in model.grid.weights])
+    probs = np.multiply.outer(model.source.prior, model.grid.weights).ravel()
     return JointTable(
         setting_a=a,
         setting_b=b,
@@ -204,7 +232,8 @@ def swap_stations(table: JointTable) -> JointTable:
     return JointTable(
         setting_a=table.setting_a,
         setting_b=table.setting_b,
-        entries=TableEntries((d2, d1, *domains), (c2, c1, *codes), table.entries.probs),
+        entries=TableEntries((d2, d1, *domains), (c2, c1, *codes), table.entries.probs,
+                             table.entries.given),
         value_space_1=table.value_space_2,
         value_space_2=table.value_space_1,
         states=table.states,
@@ -309,7 +338,7 @@ def check_factorization(
         raise InvalidToleranceError(f"unknown factorization mode {mode!r}")
 
     domains, codes = table.entries.domains, table.entries.codes
-    probs = np.array(table.entries.probs, dtype=float)
+    probs = table.entries.probs
     live = probs.nonzero()[0]
     axes = (2,) if mode == "given_lambda" else (2, 3)
     key, size = 0, 1
@@ -330,7 +359,7 @@ def check_factorization(
         passed=max_dev <= tol,
         deviations=TableEntries(tuple(domains[k] for k in axes),
                                 tuple(codes[k][live[starts]] for k in axes),
-                                tuple(deviations.tolist())),
+                                deviations),
         max_total_variation=float(tv.max()),
     )
 
@@ -357,31 +386,39 @@ def _str_ranks(values: tuple) -> np.ndarray:
     return np.array([rank[t] for t in text], dtype=np.intp)
 
 
+# Entries up to which table_to_csv formats each probability: np.unique's fixed
+# cost (about 10 us warm, 100 us on a command's first call) is that of
+# 40 to 400 reprs.
+FORMAT_EACH = 256
+
+
 def table_to_csv(table: JointTable) -> str:
     """Serialize with full-precision probabilities; row order is canonical.
 
     Rows are ordered by their four key fields' ``str`` forms, compared left
     to right, and rows whose forms tie keep entry order: a stable sort on
     per-axis ``str`` ranks, which needs no bound on the product of the
-    domain sizes. Each distinct value is formatted once.
+    domain sizes. Each distinct value is formatted once: the probability
+    column is coded by bit pattern, so -0.0 keeps its own text, unless a
+    mapping gave an int among its values, when it is written as given. A
+    column of at most ``FORMAT_EACH`` floats is formatted entry by entry.
     """
     entries = table.entries
     domains, codes = entries.domains, entries.codes
     order = np.lexsort([_str_ranks(d)[c] for d, c in zip(reversed(domains), reversed(codes))])
+    # csv writes an int or a float as its repr, which it never quotes.
+    if entries.given is None and len(entries) <= FORMAT_EACH:
+        probs = list(map(repr, entries.probs[order].tolist()))
+    else:
+        if entries.given is None:
+            bits, prob_codes = np.unique(entries.probs.view(np.uint64), return_inverse=True)
+            values = bits.view(np.float64).tolist()
+        else:
+            values, prob_codes = entries.given
+        probs = np.array(list(map(repr, values)), dtype=object).take(prob_codes[order]).tolist()
     columns = _csv_fields(domains, [column[order] for column in codes])
-    probs = map(_prob_texts(entries.probs).__getitem__, order.tolist())
     rows = "\n".join(map(",".join, zip(*columns, probs)))
     return f"{','.join(CSV_HEADER)}\n{rows}\n"
-
-
-def _prob_texts(probs: tuple) -> list[str]:
-    """Each probability's ``repr``. Floats are formatted once per bit pattern,
-    so -0.0 keeps its own text; a table given other numbers formats each."""
-    if set(map(type, probs)) != {float}:
-        return list(map(repr, probs))
-    bits = array("Q", array("d", probs).tobytes())
-    texts = {b: repr(p) for b, p in dict(zip(bits, probs)).items()}
-    return list(map(texts.__getitem__, bits))
 
 
 def read_table_csv(path: str | Path, a: Setting, b: Setting) -> JointTable:
@@ -408,7 +445,8 @@ def table_from_csv(text: str, a: Setting, b: Setting) -> JointTable:
                 f"joint-table CSV row {row!r}: m must be an integer and prob a number"
             ) from None
         key = (parse_scalar(row[0]), parse_scalar(row[1]), row[2], m)
-        entries[key] = entries.get(key, 0.0) + p
+        # A repeated key adds to the first row's value, which keeps a lone -0.0.
+        entries[key] = entries[key] + p if key in entries else p
     if not entries:
         raise EmptyTableError("joint-table CSV holds no rows")
 

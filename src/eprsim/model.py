@@ -78,7 +78,13 @@ def s2(angle: float) -> Setting:
 def _check_distribution(weights, what: str) -> None:
     if len(weights) == 0:
         raise InvalidWeightsError(f"{what}: needs at least one entry")
-    if not all(w >= 0.0 for w in weights):
+    _check_mass(weights, all(w >= 0.0 for w in weights), what)
+
+
+def _check_mass(weights, nonnegative: bool, what: str) -> None:
+    """Refuse ``weights`` unless ``nonnegative`` (no weight negative or NaN)
+    holds and their exact sum is within WEIGHT_TOL of 1."""
+    if not nonnegative:
         raise InvalidWeightsError(f"{what}: negative or NaN weight")
     try:
         total = fsum(weights)

@@ -1,8 +1,12 @@
+import configparser
 import itertools
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 from math import fsum
 
+import numpy as np
 import pytest
 
 from eprsim import (
@@ -29,6 +33,7 @@ from eprsim import (
     zoo_model,
 )
 from eprsim.density import CSV_HEADER, FactorizationReport
+from eprsim.descriptors import model_from_config
 from eprsim.zoo import ZOO, random_factorized_model
 
 from conftest import GRID_PAIRS
@@ -258,6 +263,40 @@ def test_joint_csv_with_a_non_numeric_cell_is_rejected(row):
     text = "\n".join([",".join(CSV_HEADER), "1,1,u,2,0.0", row])
     with pytest.raises(InvalidWeightsError, match=re.escape(f"row {row.split(',')!r}")):
         table_from_csv(text, A0, B0)
+
+
+def test_float_subclass_probabilities_write_float_text_and_read_back():
+    # np.float64 is a float: its table writes 0.5, not np.float64(0.5), and
+    # the text reads back to an equal table that writes the same text.
+    keys = [(0, 0, "u", 1), (1, 1, "u", 2)]
+    table = JointTable(A0, B0, dict(zip(keys, np.full(2, 0.5))), (0, 1), (0, 1), ("u",))
+    text = table_to_csv(table)
+    assert text.splitlines()[1:] == ["0,0,u,1,0.5", "1,1,u,2,0.5"]
+    loaded = table_from_csv(text, A0, B0)
+    assert loaded.entries == table.entries
+    assert table_to_csv(loaded) == text
+
+
+@pytest.mark.parametrize("probs", [
+    (True, False), (Fraction(1, 2),) * 2, (Decimal("0.5"),) * 2, ("0.5",) * 2, (10**400, 0),
+], ids=["bool", "Fraction", "Decimal", "str", "huge int"])
+def test_joint_table_refuses_probabilities_that_are_not_ints_or_floats(probs):
+    keys = [(0, 0, "u", 1), (1, 1, "u", 2)]
+    with pytest.raises(InvalidWeightsError):
+        JointTable(A0, B0, dict(zip(keys, probs)), (0, 1), (0, 1), ("u",))
+
+
+def test_negative_zero_probability_survives_a_csv_round_trip():
+    # The state weighing -0.0 gives its cells -0.0 mass; a lone row keeps its
+    # value when read, so the table rewrites to the same text.
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(
+        "[source]\nstates = u, v\nprior = -0.0, 1.0\n[grid]\nslots = 2\n"
+        "[gen1]\nkind = cycle\nvalues = 0, 1\n[gen2]\nkind = cycle\nvalues = 0, 1\n"
+        "[out1]\nkind = constant\nvalue = 1\n[out2]\nkind = constant\nvalue = -1\n")
+    text = table_to_csv(tabulate_joint(model_from_config(parser), A0, B0))
+    assert text.splitlines()[1:] == ["0,0,u,1,-0.0", "0,0,v,1,0.5", "1,1,u,2,-0.0", "1,1,v,2,0.5"]
+    assert table_to_csv(table_from_csv(text, A0, B0)) == text
 
 
 def test_joint_table_validation():

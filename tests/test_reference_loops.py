@@ -8,6 +8,7 @@ reducer and the per-pair mask loop they replaced did.
 """
 import configparser
 import csv
+import dataclasses
 import io
 import random
 from math import fsum, pi
@@ -24,7 +25,9 @@ from eprsim import (
     JointTable,
     Schedule,
     Setting,
+    SourceSpace,
     Station,
+    TimeGrid,
     apply_transform_op,
     balanced_sign_function,
     check_factorization,
@@ -71,10 +74,27 @@ from trial_references import (
 )
 
 
+def weighted(model, seed):
+    """``model`` with a seeded prior and seeded slot weights, one slot weighing
+    0.0: every cell of positive mass has a mass of its own, and the cells of
+    the zero-weight slot carry none."""
+    rng = random.Random(f"weighted:{seed}")
+    prior = [rng.uniform(1.0, 2.0) for _ in model.source.states]
+    weights = [rng.uniform(1.0, 2.0) for _ in model.grid.slots]
+    weights[rng.randrange(len(weights))] = 0.0
+    return dataclasses.replace(
+        model,
+        name=f"{model.name}_weighted",
+        source=SourceSpace(model.source.states, tuple(p / sum(prior) for p in prior)),
+        grid=TimeGrid(len(weights), tuple(w / sum(weights) for w in weights)))
+
+
 def models(random_seeds=100):
     for name in ZOO:
         base = zoo_model(name)
         yield base
+        yield weighted(base, name)
+        yield layer_double(weighted(base, name))
         yield layer_double(time_symmetrize(base, balanced_sign_function(base.grid, seed=7)))
         yield condition_sign_on_source(base, seed=2)
         for station in (Station.S1, Station.S2):
@@ -85,7 +105,10 @@ def models(random_seeds=100):
         yield condition_sign_on_source(
             time_symmetrize(doubled, balanced_sign_function(doubled.grid, seed=3)), seed=4)
     for seed in range(random_seeds):
-        yield random_factorized_model(seed)
+        model = random_factorized_model(seed)
+        yield model
+        if seed % 5 == 0 and model.grid.slot_count > 1:
+            yield weighted(model, seed)
 
 
 def reference_correlation(model, a, b):
@@ -449,6 +472,20 @@ def test_table_to_csv_matches_reference_writer():
         assert table_to_csv(table) == reference_table_csv(entries)
         swapped = {(v2, v1, lam, m): p for (v1, v2, lam, m), p in entries.items()}
         assert table_to_csv(swap_stations(table)) == reference_table_csv(swapped)
+
+
+def test_table_to_csv_by_bit_pattern_matches_reference_writer(monkeypatch):
+    """Small tables format each probability; the bit-pattern coding that
+    larger ones take must write the same text, -0.0 and the int 0 included."""
+    monkeypatch.setattr(density, "FORMAT_EACH", 0)
+    for model in models(random_seeds=20):
+        for a, b in GRID_PAIRS[::5]:
+            text = table_to_csv(tabulate_joint(model, a, b))
+            assert text == reference_table_csv(reference_entries(model, a, b)), model.name
+            assert table_to_csv(table_from_csv(text, a, b)) == text
+    for entries, space_1, space_2, states in hand_built_cases(100):
+        table = JointTable(s1(0.0), s2(0.0), entries, space_1, space_2, states)
+        assert table_to_csv(table) == reference_table_csv(entries)
 
 
 def compiled_pair(model, a, b):
