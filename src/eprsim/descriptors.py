@@ -33,7 +33,7 @@ from .model import (
     Station,
     TimeGrid,
 )
-from .stations import DEFAULT_PAIRS, Schedule
+from .stations import Schedule
 from .symmetry import (
     condition_sign_on_source,
     decode_sign,
@@ -48,19 +48,34 @@ from .zoo import ZOO, zoo_model
 MODEL_SECTIONS = ("source", "grid", "gen1", "gen2", "out1", "out2")
 
 # Every section a reader knows, with the keys it reads; [transform] holds op keys.
-_GEN_KEYS = ("kind", "seed", "value", "values", "stride", "modulus", "table", "file")
+_GEN_KEYS = ("kind", "value", "values", "stride", "modulus", "table", "file")
 _OUT_KEYS = ("kind", "value", "negate", "table", "file")
 MODEL_KEYS = {"model": ("zoo", "name"), "source": ("states", "prior"), "grid": ("slots", "weights"),
               "gen1": _GEN_KEYS, "gen2": _GEN_KEYS, "out1": _OUT_KEYS, "out2": _OUT_KEYS,
               "transform": ()}
-SCHEDULE_KEYS = {"schedule": ("trials", "policy", "pairs", "a", "b", "seed_source",
-                              "seed_settings", "seed_s1", "seed_s2")}
 
 _ANGLE_KEY_DIGITS = 9
 
 
 def _parse_list(text: str) -> list:
     return [parse_scalar(tok.strip()) for tok in text.split(",") if tok.strip()]
+
+
+def _parse_pairs(text: str) -> tuple[tuple[float, float], ...]:
+    """``a:b`` setting pairs, comma-separated."""
+    pairs = []
+    for chunk in filter(None, map(str.strip, text.split(","))):
+        if ":" not in chunk:
+            raise DescriptorError(f"pair {chunk!r} must be a:b")
+        a, b = chunk.split(":", 1)
+        pairs.append((float(a), float(b)))
+    return tuple(pairs)
+
+
+# Each [schedule] key, a Schedule field, with the parse of its text.
+_SCHEDULE_FIELDS = {"trials": int, "policy": str.strip, "pairs": _parse_pairs,
+                    "seed_source": int, "seed_settings": int}
+SCHEDULE_KEYS = {"schedule": tuple(_SCHEDULE_FIELDS)}
 
 
 def _angle_key(angle: float) -> float:
@@ -167,10 +182,9 @@ def _build_grid(section) -> TimeGrid:
 
 def _build_gen(section, station: Station, base_dir: Path | None) -> InstrumentParamGen:
     kind = section.get("kind", "constant").strip()
-    seed = int(section.get("seed", "0"))
     if kind == "constant":
         value = parse_scalar(section.get("value", "0").strip())
-        return InstrumentParamGen(station, (value,), lambda s, m, sd, v=value: v, seed)
+        return InstrumentParamGen(station, (value,), lambda s, m, sd, v=value: v)
     if kind == "cycle":
         values = tuple(_parse_list(section.get("values", "")))
         if not values:
@@ -180,7 +194,7 @@ def _build_gen(section, station: Station, base_dir: Path | None) -> InstrumentPa
         if stride < 1 or modulus < 1:
             raise DescriptorError(f"[{section.name}] kind=cycle needs stride and modulus >= 1")
         rule = lambda s, m, sd, v=values, st=stride, md=modulus: v[(((m - 1) // st) % md) % len(v)]
-        return InstrumentParamGen(station, values, rule, seed)
+        return InstrumentParamGen(station, values, rule)
     if kind == "table":
         rows = _read_table(section, base_dir, (2, 3))
         if len(rows[0]) == 2:
@@ -191,7 +205,7 @@ def _build_gen(section, station: Station, base_dir: Path | None) -> InstrumentPa
             rule = lambda s, m, sd, t=mapping: t[(_angle_key(s.angle), m)]
         values = section.get("values")
         space = tuple(_parse_list(values)) if values else tuple(sorted(set(mapping.values()), key=str))
-        return InstrumentParamGen(station, space, rule, seed)
+        return InstrumentParamGen(station, space, rule)
     raise DescriptorError(f"[{section.name}]: unknown generator kind {kind!r}")
 
 
@@ -229,12 +243,25 @@ def _build_out(section, station: Station, base_dir: Path | None) -> OutcomeFn:
     raise DescriptorError(f"[{section.name}]: unknown outcome kind {kind!r}")
 
 
-def _op_params(tokens: list[str]) -> dict[str, str]:
+# Each transform op's name, with the parameters it reads.
+OP_PARAMS = {"rademacher": ("mean", "seed", "station"), "sign": ("values", "station"),
+             "double": (), "layer_double": (), "lambda-sign": ("seed",), "lambda_sign": ("seed",),
+             "target": ("alpha", "station", "seed", "angle", "round")}
+
+
+def _op_params(name: str, tokens: list[str]) -> dict[str, str]:
+    """The op's key=value parameters; an unknown op, or a key the op does not
+    read, is refused."""
+    if name not in OP_PARAMS:
+        raise DescriptorError(f"unknown transform op {name!r}")
     params = {}
     for tok in tokens:
         if "=" not in tok:
             raise DescriptorError(f"transform parameter {tok!r} is not key=value")
         k, v = tok.split("=", 1)
+        if k not in OP_PARAMS[name]:
+            raise DescriptorError(f"{name} op has no parameter {k!r};"
+                                  f" it reads {', '.join(OP_PARAMS[name]) or 'none'}")
         params[k] = v
     return params
 
@@ -252,7 +279,7 @@ def apply_transform_op(model: LocalModel, op: str) -> LocalModel:
     tokens = shlex.split(op)
     if not tokens:
         raise DescriptorError("empty transform op")
-    name, params = tokens[0], _op_params(tokens[1:])
+    name, params = tokens[0], _op_params(tokens[0], tokens[1:])
     if name == "rademacher":
         if "mean" not in params:
             raise DescriptorError("rademacher op needs mean=<float>")
@@ -267,22 +294,24 @@ def apply_transform_op(model: LocalModel, op: str) -> LocalModel:
         return layer_double(model)
     if name in ("lambda-sign", "lambda_sign"):
         return condition_sign_on_source(model, int(params.get("seed", "0")))
-    if name == "target":
-        if "alpha" not in params or "station" not in params:
-            raise DescriptorError("target op needs alpha=<float> station=<s1|s2>")
-        station = _station_from(params["station"])
-        if station is None:
-            raise DescriptorError("target op needs a single station")
-        transformed, _ = target_marginal(
-            model,
-            station,
-            float(params["alpha"]),
-            int(params.get("seed", "0")),
-            setting_angle=float(params.get("angle", "0")),
-            round_to_representable=params.get("round", "false").lower() == "true",
-        )
-        return transformed
-    raise DescriptorError(f"unknown transform op {name!r}")
+    # The target op, the last name OP_PARAMS holds.
+    if "alpha" not in params or "station" not in params:
+        raise DescriptorError("target op needs alpha=<float> station=<s1|s2>")
+    station = _station_from(params["station"])
+    if station is None:
+        raise DescriptorError("target op needs a single station")
+    rounding = params.get("round", "false").lower()
+    if rounding not in ("true", "false"):
+        raise DescriptorError(f"target op needs round=true or round=false, got {params['round']!r}")
+    transformed, _ = target_marginal(
+        model,
+        station,
+        float(params["alpha"]),
+        int(params.get("seed", "0")),
+        setting_angle=float(params.get("angle", "0")),
+        round_to_representable=rounding == "true",
+    )
+    return transformed
 
 
 def _transform_ops(parser: configparser.ConfigParser) -> list[str]:
@@ -379,29 +408,8 @@ def load_schedule(path: str | Path) -> Schedule:
 
 
 def schedule_from_section(section) -> Schedule:
+    """The schedule of the keys given; :class:`Schedule` holds every default."""
     if "trials" not in section:
         raise DescriptorError("[schedule] needs 'trials'")
-    policy = section.get("policy", "cycle").strip()
-    pairs: tuple = DEFAULT_PAIRS
-    if "pairs" in section:
-        parsed = []
-        for chunk in section["pairs"].split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            if ":" not in chunk:
-                raise DescriptorError(f"pair {chunk!r} must be a:b")
-            a, b = chunk.split(":", 1)
-            parsed.append((float(a), float(b)))
-        pairs = tuple(parsed)
-    elif "a" in section and "b" in section:
-        pairs = ((float(section["a"]), float(section["b"])),)
-    return Schedule(
-        trials=int(section["trials"]),
-        policy=policy,
-        pairs=pairs,
-        seed_source=int(section.get("seed_source", "0")),
-        seed_settings=int(section.get("seed_settings", "0")),
-        seed_s1=section.getint("seed_s1"),
-        seed_s2=section.getint("seed_s2"),
-    )
+    return Schedule(**{key: parse(section[key]) for key, parse in _SCHEDULE_FIELDS.items()
+                       if key in section})

@@ -22,7 +22,6 @@ derives S and its comparison with :data:`LOCAL_BOUND` from them.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import cos, fsum, log, sqrt
@@ -39,7 +38,7 @@ from .model import (
     cell_mass,
     check_pair,
 )
-from .util import fmt12, stable_seed
+from .util import as_integer, fmt12, stable_seed
 
 BOUND_TOL = 1e-9
 
@@ -180,12 +179,8 @@ def correlate(
         )
     if method != "monte_carlo":
         raise ValueError(f"unknown method {method!r}")
-    # As for a Schedule's trials: operator.index refuses 1.5, and True is no count.
-    try:
-        count = -1 if isinstance(trials, bool) else operator.index(trials)
-    except TypeError:
-        count = -1
-    if not 1 <= count <= MAX_TRIALS:
+    count = as_integer(trials)
+    if count is None or not 1 <= count <= MAX_TRIALS:
         raise ZeroTrialsError(
             f"monte_carlo needs an integer 1 <= trials <= {MAX_TRIALS}, got {trials!r}")
     rng = np.random.default_rng(stable_seed("correlate", seed, fmt12(a.angle), fmt12(b.angle)))

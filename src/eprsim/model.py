@@ -171,8 +171,8 @@ class InstrumentParamGen:
     """Deterministic per-station instrument-parameter source.
 
     ``rule(setting, m, seed)`` must be total on the station's settings and the
-    grid slots, and must return a member of ``value_space``. The station's
-    default seed is part of the model identity; a run schedule may override it.
+    grid slots, and must return a member of ``value_space``. Every call passes
+    the generator's own ``seed``, which is part of the model identity.
     """
 
     station: Station
@@ -187,12 +187,12 @@ class InstrumentParamGen:
         if len(self.value_space) == 0:
             raise InvalidWeightsError("generator: empty value space")
 
-    def evaluate(self, setting: Setting, m: int, seed: int | None = None) -> Hashable:
+    def evaluate(self, setting: Setting, m: int) -> Hashable:
         if setting.station is not self.station:
             raise StationMismatchError(
                 f"{self.station.value} generator received a {setting.station.value} setting"
             )
-        value = self.rule(setting, m, self.seed if seed is None else seed)
+        value = self.rule(setting, m, self.seed)
         if value not in self.value_space:
             raise CodomainViolationError(
                 f"{self.station.value} generator produced {value!r}, outside its value space"
@@ -297,7 +297,7 @@ class LocalModel:
 
     def compiled(self, setting: Setting) -> tuple[tuple[Hashable, ...], np.ndarray]:
         """The station's slot values and read-only int8 (state, slot) outcomes
-        at one setting under its default seed, compiled once and kept."""
+        at one setting, compiled once and kept."""
         entry = self._memo.get(setting)
         if entry is None:
             values = station_values(self, setting)
@@ -336,14 +336,8 @@ def _checked(model: LocalModel, raw) -> int:
     return int(raw)
 
 
-def evaluate_outcome(
-    model: LocalModel,
-    station: Station,
-    setting: Setting,
-    lam: Hashable,
-    m: int,
-    station_seed: int | None = None,
-) -> int:
+def evaluate_outcome(model: LocalModel, station: Station, setting: Setting, lam: Hashable,
+                     m: int) -> int:
     """Evaluate one station's outcome for (setting, state, slot).
 
     Pure in all arguments; the instrument value is produced by the station's
@@ -355,22 +349,20 @@ def evaluate_outcome(
         raise HarnessError(f"{model.name}: unknown source state {lam!r}")
     if not 1 <= m <= model.grid.slot_count:
         raise HarnessError(f"{model.name}: slot {m} outside 1..{model.grid.slot_count}")
-    value = model.gen(station).evaluate(setting, m, station_seed)
+    value = model.gen(station).evaluate(setting, m)
     o = _checked(model, model.out(station).rule(setting, lam, value, m))
     signs = model.signs[station]
     return o if signs is None else o * int(signs[model.source.states.index(lam), m - 1])
 
 
-def station_values(
-    model: LocalModel, setting: Setting, station_seed: int | None = None
-) -> list[Hashable]:
+def station_values(model: LocalModel, setting: Setting) -> list[Hashable]:
     """The station's instrument value at every slot (slot 1 first) for one setting.
 
-    A generator sees only the setting, the slot and the seed, so one call per
-    slot covers every source state.
+    A generator sees only the setting, the slot and its own seed, so one call
+    per slot covers every source state.
     """
     gen = model.gen(setting.station)
-    return [gen.evaluate(setting, m, station_seed) for m in model.grid.slots]
+    return [gen.evaluate(setting, m) for m in model.grid.slots]
 
 
 def station_outcomes(model: LocalModel, setting: Setting, values: list[Hashable]) -> np.ndarray:

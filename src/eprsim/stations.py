@@ -2,8 +2,8 @@
 
 The two stations are pure computations inside one process: both consume the
 same slot index per trial (the shared clock), and each sees only its own
-setting, the drawn source state, the slot and its own seed. A run draws every
-trial once and compiles each setting pair it uses once. It
+setting, the drawn source state, the slot and its generator's own seed. A
+run draws every trial once and compiles each setting pair it uses once. It
 (:class:`Trials`) is the table of distinct rows its trials take, coded by
 the run's own indices, plus each trial's row index. The audit draws no
 trial: it compiles each scheduled pair and every pair that changes one
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 from dataclasses import dataclass, fields
 from itertools import chain, count, islice
 from pathlib import Path
@@ -37,7 +36,7 @@ from .model import (
     station_outcomes,
     station_values,
 )
-from .util import open_output, parse_scalar
+from .util import as_integer, open_output, parse_scalar
 
 # Each trial CSV column after the trial number: its text's parse, and which values a run writes.
 TRIALS_CSV_COLUMNS = {"m": (int, lambda m: m >= 1), "a": (float, math.isfinite),
@@ -106,10 +105,10 @@ class Schedule:
     """Deterministic run plan: trial count, setting policy, slot cycling, seeds.
 
     ``fixed`` runs its one pair in every trial, ``cycle`` runs the pairs in
-    turn and ``random`` draws each trial's pair from ``seed_settings``. Slots
-    advance with the trial index modulo the grid size at both stations (clock
-    synchrony). Station seeds default to each generator's own seed, so runs
-    match the exact-summation paths unless explicitly overridden.
+    turn and ``random`` draws each trial's pair from ``seed_settings``; the
+    source state is drawn from ``seed_source``. Slots advance with the trial
+    index modulo the grid size at both stations (clock synchrony). The model
+    is run as the exact paths compile it: each generator under its own seed.
     """
 
     trials: int
@@ -117,18 +116,12 @@ class Schedule:
     pairs: tuple[tuple[float, float], ...] = DEFAULT_PAIRS
     seed_source: int = 0
     seed_settings: int = 0
-    seed_s1: int | None = None
-    seed_s2: int | None = None
 
     def __post_init__(self):
         self._integer("trials", 1, MAX_RUN_TRIALS)
-        # numpy's generators take non-negative seeds; a station seed goes to
-        # the model's own rules, which may take any integer.
+        # numpy's generators take non-negative seeds.
         self._integer("seed_source", 0)
         self._integer("seed_settings", 0)
-        for name in ("seed_s1", "seed_s2"):
-            if getattr(self, name) is not None:
-                self._integer(name)
         if self.policy not in POLICIES:
             raise InvalidScheduleError(f"unknown setting policy {self.policy!r}")
         pairs = tuple((float(a), float(b)) for a, b in self.pairs)
@@ -138,15 +131,11 @@ class Schedule:
         if self.policy == "fixed" and len(pairs) != 1:
             raise InvalidScheduleError(f"a fixed schedule holds one setting pair, got {len(pairs)}")
 
-    def _integer(self, name: str, low: float = -np.inf, high: float = np.inf) -> None:
+    def _integer(self, name: str, low: int, high: float = np.inf) -> None:
         """Keep field ``name`` as an int in low..high; a float, a string or a bool is refused."""
         value = getattr(self, name)
-        try:
-            number = operator.index(value)
-        except TypeError:
-            number = None
-        # operator.index accepts a bool, but True is no trial count or seed.
-        if number is None or isinstance(value, bool):
+        number = as_integer(value)
+        if number is None:
             raise InvalidScheduleError(f"{name} must be an integer, got {value!r}")
         if not low <= number <= high:
             raise InvalidScheduleError(f"{name} must be in {low}..{high}, got {number}")
@@ -169,7 +158,7 @@ class AuditReport:
         }
 
 
-def _pair_outputs(model: LocalModel, a_angle: float, b_angle: float, seed1, seed2):
+def _pair_outputs(model: LocalModel, a_angle: float, b_angle: float):
     """Station outputs under one setting pair: each station's slot values and
     its int8 (state, slot) outcome array.
 
@@ -187,8 +176,8 @@ def _pair_outputs(model: LocalModel, a_angle: float, b_angle: float, seed1, seed
     """
     a = Setting(a_angle, Station.S1)
     b = Setting(b_angle, Station.S2)
-    v1s = station_values(model, a, seed1)
-    v2s = station_values(model, b, seed2)
+    v1s = station_values(model, a)
+    v2s = station_values(model, b)
     return v1s, v2s, station_outcomes(model, a, v1s), station_outcomes(model, b, v2s)
 
 
@@ -204,15 +193,14 @@ def _pair_keys(schedule: Schedule) -> tuple[list[float], np.ndarray]:
     return list(codes), a * len(codes) + b
 
 
-def _compile(model: LocalModel, schedule: Schedule, angles: list[float],
+def _compile(model: LocalModel, angles: list[float],
              keys: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Both stations' outputs under each pair key, compiled in turn by
     :func:`_pair_outputs`: their instrument values as one object array over
     (station, pair, slot), and their int8 outcomes over (station, pair,
     state, slot). Station S1 is index 0."""
-    n, s = len(angles), schedule
-    v1s, v2s, As, Bs = zip(*(_pair_outputs(model, angles[k // n], angles[k % n], s.seed_s1,
-                                           s.seed_s2) for k in keys))
+    n = len(angles)
+    v1s, v2s, As, Bs = zip(*(_pair_outputs(model, angles[k // n], angles[k % n]) for k in keys))
     values = np.fromiter(chain(*v1s, *v2s), dtype=object,
                          count=2 * len(keys) * model.grid.slot_count)
     return values.reshape(2, len(keys), -1), np.stack([np.stack(As), np.stack(Bs)])
@@ -255,7 +243,7 @@ def run_experiment(model: LocalModel, schedule: Schedule) -> Trials:
     _, starts, _ = _first_use(pair, n)
     ranked = code[pair[starts]]
     _, firsts, compiled = _first_use(ranked, len(distinct))
-    values, outcomes = _compile(model, schedule, angles, distinct[ranked[firsts]].tolist())
+    values, outcomes = _compile(model, angles, distinct[ranked[firsts]].tolist())
     size = n * cells
     key = (pair.astype(_int_type(size)) * len(prior) + state) * slots + slot
     _, starts, row = _first_use(key, size)
@@ -310,7 +298,7 @@ def locality_audit(
                 for k in alternatives[remote]]
     order = list(dict.fromkeys(chain.from_iterable((key, alt) for key, _, alt in compares)))
     row = {key: r for r, key in enumerate(order)}
-    values, outcomes = _compile(model, schedule, angles, order)
+    values, outcomes = _compile(model, angles, order)
     station, base, alt = np.array([(side, row[key], row[k]) for key, side, k in compares]).T
     bad = outcomes[station, alt] != outcomes[station, base]
     bad |= (values[station, alt] != values[station, base])[:, None, :]

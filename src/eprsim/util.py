@@ -1,9 +1,10 @@
-"""Small shared helpers: stable seeding, byte-stable number formatting, CSV
-cells, and the one writer every output file goes through."""
+"""Small shared helpers: stable seeding, integer counts, byte-stable number
+formatting, CSV cells, and the one writer every output file goes through."""
 from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import os
 import stat
 from contextlib import contextmanager
@@ -14,6 +15,18 @@ def stable_seed(*parts: object) -> int:
     payload = "::".join(str(p) for p in parts).encode("utf-8")
     digest = hashlib.sha256(payload).digest()
     return int.from_bytes(digest[:8], "little") % (2**32)
+
+
+def as_integer(value) -> int | None:
+    """``value`` as an int if it is an integer (a numpy integer is one), else
+    None: 2.5, 3.0 and "5" are not. ``operator.index`` accepts a bool, but
+    True is no count or seed."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
 
 
 def fmt12(x: float) -> str:

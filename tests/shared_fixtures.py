@@ -214,7 +214,6 @@ policy = random
 pairs = 0:0.5, 6.283185307179586:0.5, -0.0:1.2
 seed_source = 4
 seed_settings = 9
-seed_s1 = 11
 """
 
 CHSH_ANGLES = "0,1.5707963267948966,0.7853981633974483,2.356194490192345"

@@ -462,8 +462,17 @@ def wrong_input_argv(tmp_path, model=VALID_MODEL, schedule=None, op="double"):
 
 @pytest.mark.parametrize("edit, message", [
     ({"model": VALID_MODEL.replace("slots = 4", "slots = two")}, "'two'"),
-    ({"schedule": SCHEDULE + "seed_s1 = x\n"}, "'x'"),
+    ({"schedule": SCHEDULE + "seed_s1 = 11\n"}, "[schedule] has unknown keys ['seed_s1']"),
+    ({"schedule": SCHEDULE + "seed_settings = x\n"}, "'x'"),
+    ({"schedule": SCHEDULE + "a = 0\nb = 0.5\n"}, "[schedule] has unknown keys ['a', 'b']"),
+    ({"model": VALID_MODEL.replace("[gen2]\nkind = constant", "[gen2]\nkind = constant\nseed = 3")},
+     "[gen2] has unknown keys ['seed']"),
     ({"op": "rademacher mean=abc"}, "'abc'"),
+    ({"op": "rademacher mean=0 sead=7"},
+     "rademacher op has no parameter 'sead'; it reads mean, seed, station"),
+    ({"op": "double mean=3"}, "double op has no parameter 'mean'; it reads none"),
+    ({"op": "target alpha=0 station=s1 round=yes"},
+     "target op needs round=true or round=false, got 'yes'"),
     ({"model": VALID_MODEL.replace("slots = 4", "slots = 2\nweigths = 0.9, 0.1")},
      "[grid] has unknown keys ['weigths']"),
     ({"model": VALID_MODEL + "\n[gen3]\nkind = constant\n"}, "unknown section [gen3]"),
@@ -473,8 +482,9 @@ def wrong_input_argv(tmp_path, model=VALID_MODEL, schedule=None, op="double"):
     ({"schedule": SCHEDULE.replace("random", "fixed")}, "a fixed schedule holds one setting pair"),
     ({"schedule": SCHEDULE.replace("seed_source = 4", "seed_source = -1")},
      "seed_source must be in 0..inf, got -1"),
-], ids=["slots", "seed_s1", "mean", "grid_key", "section", "schedule_key", "stride",
-        "fixed_pairs", "negative_seed"])
+], ids=["slots", "seed_s1", "seed_value", "a_b", "gen_seed", "mean", "op_key", "double_key",
+        "target_round", "grid_key", "section", "schedule_key", "stride", "fixed_pairs",
+        "negative_seed"])
 def test_wrong_descriptor_input_is_a_configuration_error(tmp_path, capsys, edit, message):
     assert run_cli(wrong_input_argv(tmp_path, **edit)) == 2
     err = capsys.readouterr().err
@@ -499,15 +509,15 @@ def test_schedule_with_a_non_finite_angle_exits_2(tmp_path, capsys):
 
 
 def test_simulate_schedule_echoes_what_ran(tmp_path):
-    (tmp_path / "schedule.ini").write_text(SCHEDULE + "seed_settings = 9\nseed_s1 = 11\n")
+    (tmp_path / "schedule.ini").write_text(SCHEDULE + "seed_settings = 9\n")
     out = tmp_path / "run"
     assert run_cli(["simulate", "--model", "constant_plus", "--schedule",
                     str(tmp_path / "schedule.ini"), "--deterministic", "--out", str(out)]) == 0
     config = json.loads((out / "summary.json").read_text())["config"]
     ran = {"trials": 96, "policy": "random", "seed_source": 4, "seed_settings": 9,
-           "seed_s1": 11, "seed_s2": None, "schedule_pairs": [["0", "0.5"], ["1", "1.5"]]}
+           "schedule_pairs": [["0", "0.5"], ["1", "1.5"]]}
     assert {k: config.get(k) for k in ran} == ran
-    assert not {"seed", "angle_a", "angle_b"} & set(config)
+    assert not {"seed", "angle_a", "angle_b", "seed_s1", "seed_s2"} & set(config)
     comment = (out / "trials.csv").read_text().splitlines()[0]
     assert comment == f"# config = {json.dumps(config, sort_keys=True)}"
 

@@ -387,8 +387,7 @@ def test_make_model_accepts_zoo_name_path_and_rejects_unknown(tmp_path):
 def test_load_schedule(tmp_path):
     path = tmp_path / "sched.ini"
     path.write_text(
-        "[schedule]\ntrials = 50\npolicy = fixed\na = 0.0\nb = 0.785398\n"
-        "seed_source = 5\nseed_s1 = 11\n",
+        "[schedule]\ntrials = 50\npolicy = fixed\npairs = 0.0:0.785398\nseed_source = 5\n",
         encoding="utf-8",
     )
     schedule = load_schedule(path)
@@ -396,8 +395,7 @@ def test_load_schedule(tmp_path):
     assert schedule.policy == "fixed"
     assert schedule.pairs == ((0.0, 0.785398),)
     assert schedule.seed_source == 5
-    assert schedule.seed_s1 == 11
-    assert schedule.seed_s2 is None
+    assert schedule.seed_settings == 0
 
 
 def test_load_schedule_pairs_list(tmp_path):

@@ -10,7 +10,11 @@ transform descriptors, ``zoo list``, the cosine reference table, the cycle,
 2π and schedule-file runs were recorded later, at commit adb9c9e. The 42
 ``*/simulate_schedule/summary.json`` and ``*/simulate_schedule/trials.csv``
 entries were re-recorded when a schedule-file run began to echo the
-schedule's trials, policy and seeds instead of the command line's. The
+schedule's trials, policy and seeds instead of the command line's, and
+again when a schedule lost its station seeds ``seed_s1`` and ``seed_s2``:
+the fixture dropped ``seed_s1 = 11``, and only the echoed config, the
+``# config`` line of ``trials.csv`` and the config block of
+``summary.json``, lost those two keys. The
 ``*/chsh_mc/{chsh.json,chsh.csv,stdout}`` entries were re-recorded when Monte
 Carlo began to draw each pair's cell counts from one multinomial draw and to
 report a standard error and a verdict; Monte Carlo on the cosine reference

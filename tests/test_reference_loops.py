@@ -611,8 +611,8 @@ def reference_audit(model, schedule, perturbations):
     def outputs(a, b):
         if (a, b) not in compiled:
             x, y = Setting(a, S1), Setting(b, S2)
-            v1 = station_values(model, x, schedule.seed_s1)
-            v2 = station_values(model, y, schedule.seed_s2)
+            v1 = station_values(model, x)
+            v2 = station_values(model, y)
             compiled[a, b] = {S1: (v1, station_outcomes(model, x, v1)),
                               S2: (v2, station_outcomes(model, y, v2))}
         return compiled[a, b]

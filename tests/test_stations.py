@@ -217,10 +217,7 @@ def test_schedule_validation():
     ({"seed_source": 2.5}, "seed_source must be an integer, got 2.5"),
     ({"seed_source": True}, "seed_source must be an integer, got True"),
     ({"seed_settings": "4"}, "seed_settings must be an integer, got '4'"),
-    ({"seed_s1": 1.0}, "seed_s1 must be an integer, got 1.0"),
-    ({"seed_s2": False}, "seed_s2 must be an integer, got False"),
-], ids=["negative source", "negative settings", "float", "bool", "string", "float station",
-        "bool station"])
+], ids=["negative source", "negative settings", "float", "bool", "string"])
 def test_schedule_rejects_bad_seeds(seeds, message):
     # numpy would refuse -1 and 2.5 only once the run draws, and would run
     # True as seed 1.
@@ -229,36 +226,15 @@ def test_schedule_rejects_bad_seeds(seeds, message):
 
 
 def test_schedule_keeps_integer_seeds_as_int():
-    schedule = Schedule(trials=5, seed_source=np.int64(3), seed_settings=0, seed_s1=-2,
-                        seed_s2=np.int32(4))
-    assert [(type(x), x) for x in (schedule.seed_source, schedule.seed_s1, schedule.seed_s2)] \
-        == [(int, 3), (int, -2), (int, 4)]
+    schedule = Schedule(trials=5, seed_source=np.int64(3), seed_settings=np.int32(4))
+    assert [(type(x), x) for x in (schedule.seed_source, schedule.seed_settings)] \
+        == [(int, 3), (int, 4)]
 
 
-def test_station_seed_override_reaches_generators():
-    calls = []
-
-    def gen1_rule(s, m, seed):
-        calls.append(seed)
-        return 0
-
-    base = zoo_model("constant_plus")
-    model = LocalModel(
-        name="seed_probe",
-        source=base.source,
-        grid=base.grid,
-        gen1=InstrumentParamGen(Station.S1, (0,), gen1_rule, seed=7),
-        gen2=base.gen2,
-        out1=base.out1,
-        out2=base.out2,
-    )
-    run_experiment(model, Schedule(trials=1, policy="fixed", pairs=((0.0, 0.0),)))
-    assert set(calls) == {7}
-    calls.clear()
-    run_experiment(
-        model, Schedule(trials=1, policy="fixed", pairs=((0.0, 0.0),), seed_s1=99)
-    )
-    assert set(calls) == {99}
+def test_schedule_has_no_station_seeds():
+    # A run compiles each generator under its own seed, as every exact path does.
+    with pytest.raises(TypeError, match="seed_s1"):
+        Schedule(trials=1, seed_s1=1)
 
 
 def test_audit_passes_on_all_zoo_models():
