@@ -1,5 +1,7 @@
 """Command-line front end: simulate, check, transform, chsh, audit, zoo list.
 
+Each command takes only the options its handler reads; a command line is read
+by that command's own parser, or by the full tree if it names no command.
 Scientific verdicts (a failed factorization, an exceeded bound) are data and
 exit 0; only operational problems exit nonzero: 2 for configuration errors,
 3 for model validation or infeasible transforms. Every output file embeds the
@@ -52,12 +54,14 @@ from .util import fmt12, open_output
 from .zoo import REFERENCE_TABLE_NAME, ZOO
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    parser.add_argument("--out", type=Path, default=None, help="output directory or file")
-    parser.add_argument("--deterministic", action="store_true",
-                        help="suppress timestamps so outputs are byte-identical across reruns")
-    parser.add_argument("--tol", type=float, default=1e-9, help="tolerance, finite, > 0 (default 1e-9)")
+def _output_flags(p: argparse.ArgumentParser, tol: bool = True) -> None:
+    """--seed, --out and --deterministic, and --tol if the command reads it."""
+    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    p.add_argument("--out", type=Path, default=None, help="output directory or file")
+    p.add_argument("--deterministic", action="store_true",
+                   help="suppress timestamps so outputs are byte-identical across reruns")
+    if tol:
+        p.add_argument("--tol", type=float, default=1e-9, help="tolerance, finite, > 0 (default 1e-9)")
 
 
 def _simulate_options(p: argparse.ArgumentParser) -> None:
@@ -68,17 +72,20 @@ def _simulate_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--angle-b", type=float, default=TEST_ANGLES[1])
     p.add_argument("--angles", default=None, help="a,a',b,b' to add a CHSH block to the summary")
     p.add_argument("--schedule", type=Path, default=None, help="schedule descriptor file")
+    _output_flags(p)
 
 
 def _check_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--angle-a", type=float, default=0.0)
     p.add_argument("--angle-b", type=float, default=TEST_ANGLES[1])
+    _output_flags(p)
 
 
 def _transform_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--op", action="append", default=[], help="transform op, repeatable")
+    _output_flags(p, tol=False)
 
 
 def _chsh_options(p: argparse.ArgumentParser) -> None:
@@ -86,6 +93,7 @@ def _chsh_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--angles", default=None, help="a,a',b,b' (default: optimal grid)")
     p.add_argument("--method", choices=("exact", "monte_carlo"), default="exact")
     p.add_argument("--trials", type=int, default=100000)
+    _output_flags(p)
 
 
 def _audit_options(p: argparse.ArgumentParser) -> None:
@@ -95,10 +103,7 @@ def _audit_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--perturbations", type=int, choices=(1, 2, 3), default=3, help="the verdict "
                    "compares all 3 alternatives of each remote test angle; kept for the "
                    "benchmark's command line")
-
-
-def _zoo_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("action", choices=("list",))
+    _output_flags(p)
 
 
 # Options that say where and how outputs are written, not what was run; a
@@ -365,7 +370,7 @@ def cmd_audit(args) -> int:
     return 0
 
 
-# Command -> (help text, handler, adder of its own options; _common_flags adds the rest).
+# Command -> (help text, handler, adder of the options the handler reads).
 COMMANDS = {
     "simulate": ("run scheduled trials, write the trial CSV and a summary", cmd_simulate,
                  _simulate_options),
@@ -375,7 +380,7 @@ COMMANDS = {
     "chsh": ("four-correlation combination with bound and reference gap", cmd_chsh,
              _chsh_options),
     "audit": ("counterfactual Einstein-locality audit", cmd_audit, _audit_options),
-    "zoo": ("catalogue commands", cmd_zoo, _zoo_options),
+    "zoo": ("catalogue commands", cmd_zoo, lambda p: p.add_argument("action", choices=("list",))),
 }
 
 
@@ -388,26 +393,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"eprsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, add_options) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        add_options(p)
-        _common_flags(p)
+        add_options(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = extra = None
-    # The one subparser the full tree would hand argv[1:]; the tree itself rejects an
-    # option spelled "--=..." as ambiguous between its own --help and --version.
-    if argv and argv[0] in COMMANDS and not any(arg.startswith("--=") for arg in argv):
+    if argv and argv[0] in COMMANDS:  # the command's own parser, as the full tree holds it
         parser = argparse.ArgumentParser(prog=f"eprsim {argv[0]}")
         COMMANDS[argv[0]][2](parser)
-        _common_flags(parser)
-        args, extra = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if args is None or extra:  # -h, --version, no or an unknown command, or leftovers
+        args = parser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    else:  # -h, --version, no or an unknown command: the tree lists the commands
         args = build_parser().parse_args(argv)
     try:
-        if not 0.0 < args.tol < math.inf:
+        if "tol" in args and not 0.0 < args.tol < math.inf:
             raise InvalidToleranceError(f"--tol must be > 0 and finite, got {args.tol!r}")
         return COMMANDS[args.command][1](args)
     except ConfigurationError as exc:

@@ -6,11 +6,15 @@ A descriptor either names a zoo entry::
     zoo = constant_plus
 
 or supplies explicit sections [source], [grid], [gen1], [gen2], [out1],
-[out2]. Tables are inline CSV blocks (indented continuation lines) or file
-references resolved relative to the descriptor. An optional [transform]
-section lists operations (op.1, op.2, ...) that are re-applied on load, so a
-transformed model round-trips through its descriptor alone. A section or key
-that no reader knows, or a value that does not parse, is a DescriptorError.
+[out2], none of which a zoo descriptor may hold. A generator or outcome
+section reads the keys its ``kind`` lists in GEN_KINDS or OUT_KINDS. Tables
+are inline CSV blocks (indented continuation lines) or file references
+resolved relative to the descriptor, never both. An optional [transform]
+section lists operations (op.1, op.2, ...; the names and parameters of
+OP_PARAMS: rademacher, sign, double, lambda-sign, target) that are re-applied
+on load, so a transformed model round-trips through its descriptor alone. A
+section, key or op parameter that no reader knows or that is given twice, or
+a value that does not parse, is a DescriptorError.
 """
 from __future__ import annotations
 
@@ -47,9 +51,15 @@ from .zoo import ZOO, zoo_model
 
 MODEL_SECTIONS = ("source", "grid", "gen1", "gen2", "out1", "out2")
 
+# Each generator and outcome kind, with the keys it reads beside ``kind``.
+GEN_KINDS = {"constant": ("value",), "cycle": ("values", "stride", "modulus"),
+             "table": ("values", "table", "file")}
+OUT_KINDS = {"constant": ("value",), "lambda_table": ("table", "file"),
+             "cosine": ("negate", "table", "file"), "table": ("table", "file")}
+
 # Every section a reader knows, with the keys it reads; [transform] holds op keys.
-_GEN_KEYS = ("kind", "value", "values", "stride", "modulus", "table", "file")
-_OUT_KEYS = ("kind", "value", "negate", "table", "file")
+_GEN_KEYS = {"kind", *(key for keys in GEN_KINDS.values() for key in keys)}
+_OUT_KEYS = {"kind", *(key for keys in OUT_KINDS.values() for key in keys)}
 MODEL_KEYS = {"model": ("zoo", "name"), "source": ("states", "prior"), "grid": ("slots", "weights"),
               "gen1": _GEN_KEYS, "gen2": _GEN_KEYS, "out1": _OUT_KEYS, "out2": _OUT_KEYS,
               "transform": ()}
@@ -180,8 +190,22 @@ def _build_grid(section) -> TimeGrid:
     return TimeGrid(slots, weights)
 
 
-def _build_gen(section, station: Station, base_dir: Path | None) -> InstrumentParamGen:
+def _kind(section, kinds: dict[str, tuple[str, ...]], what: str) -> str:
+    """The section's kind (default ``constant``); an unknown kind, a key the
+    kind does not read, or a table given both inline and as a file is refused."""
     kind = section.get("kind", "constant").strip()
+    if kind not in kinds:
+        raise DescriptorError(f"[{section.name}]: unknown {what} kind {kind!r}")
+    unread = [key for key in section if key != "kind" and key not in kinds[kind]]
+    if unread:
+        raise DescriptorError(f"[{section.name}] kind={kind} does not read {unread}")
+    if "table" in section and "file" in section:
+        raise DescriptorError(f"[{section.name}] gives both 'table' and 'file'; give one")
+    return kind
+
+
+def _build_gen(section, station: Station, base_dir: Path | None) -> InstrumentParamGen:
+    kind = _kind(section, GEN_KINDS, "generator")
     if kind == "constant":
         value = parse_scalar(section.get("value", "0").strip())
         return InstrumentParamGen(station, (value,), lambda s, m, sd, v=value: v)
@@ -195,22 +219,20 @@ def _build_gen(section, station: Station, base_dir: Path | None) -> InstrumentPa
             raise DescriptorError(f"[{section.name}] kind=cycle needs stride and modulus >= 1")
         rule = lambda s, m, sd, v=values, st=stride, md=modulus: v[(((m - 1) // st) % md) % len(v)]
         return InstrumentParamGen(station, values, rule)
-    if kind == "table":
-        rows = _read_table(section, base_dir, (2, 3))
-        if len(rows[0]) == 2:
-            mapping = _Table(section, ((int(r[0]), r[1]) for r in rows))
-            rule = lambda s, m, sd, t=mapping: t[m]
-        else:
-            mapping = _Table(section, (((_angle_key(float(r[0])), int(r[1])), r[2]) for r in rows))
-            rule = lambda s, m, sd, t=mapping: t[(_angle_key(s.angle), m)]
-        values = section.get("values")
-        space = tuple(_parse_list(values)) if values else tuple(sorted(set(mapping.values()), key=str))
-        return InstrumentParamGen(station, space, rule)
-    raise DescriptorError(f"[{section.name}]: unknown generator kind {kind!r}")
+    rows = _read_table(section, base_dir, (2, 3))  # kind = table
+    if len(rows[0]) == 2:
+        mapping = _Table(section, ((int(r[0]), r[1]) for r in rows))
+        rule = lambda s, m, sd, t=mapping: t[m]
+    else:
+        mapping = _Table(section, (((_angle_key(float(r[0])), int(r[1])), r[2]) for r in rows))
+        rule = lambda s, m, sd, t=mapping: t[(_angle_key(s.angle), m)]
+    values = section.get("values")
+    space = tuple(_parse_list(values)) if values else tuple(sorted(set(mapping.values()), key=str))
+    return InstrumentParamGen(station, space, rule)
 
 
 def _build_out(section, station: Station, base_dir: Path | None) -> OutcomeFn:
-    kind = section.get("kind", "constant").strip()
+    kind = _kind(section, OUT_KINDS, "outcome")
     if kind == "constant":
         value = int(section.get("value", "1"))
         return OutcomeFn(station, lambda s, lam, v, m, o=value: o, reads=())
@@ -230,28 +252,26 @@ def _build_out(section, station: Station, base_dir: Path | None) -> OutcomeFn:
             return f * (1 if math.cos(s.angle - t[str(lam)]) >= 0.0 else -1)
 
         return OutcomeFn(station, rule, reads={"setting", "state"})
-    if kind == "table":
-        rows = _read_table(section, base_dir, (4, 5))
-        if len(rows[0]) == 4:
-            mapping = _Table(section, (((str(r[0]), r[1], int(r[2])), int(r[3])) for r in rows))
-            rule = lambda s, lam, v, m, t=mapping: t[(str(lam), v, m)]
-        else:
-            mapping = _Table(section, (((_angle_key(float(r[0])), str(r[1]), r[2], int(r[3])),
-                                        int(r[4])) for r in rows))
-            rule = lambda s, lam, v, m, t=mapping: t[(_angle_key(s.angle), str(lam), v, m)]
-        return OutcomeFn(station, rule)
-    raise DescriptorError(f"[{section.name}]: unknown outcome kind {kind!r}")
+    rows = _read_table(section, base_dir, (4, 5))  # kind = table
+    if len(rows[0]) == 4:
+        mapping = _Table(section, (((str(r[0]), r[1], int(r[2])), int(r[3])) for r in rows))
+        rule = lambda s, lam, v, m, t=mapping: t[(str(lam), v, m)]
+    else:
+        mapping = _Table(section, (((_angle_key(float(r[0])), str(r[1]), r[2], int(r[3])),
+                                    int(r[4])) for r in rows))
+        rule = lambda s, lam, v, m, t=mapping: t[(_angle_key(s.angle), str(lam), v, m)]
+    return OutcomeFn(station, rule)
 
 
 # Each transform op's name, with the parameters it reads.
 OP_PARAMS = {"rademacher": ("mean", "seed", "station"), "sign": ("values", "station"),
-             "double": (), "layer_double": (), "lambda-sign": ("seed",), "lambda_sign": ("seed",),
+             "double": (), "lambda-sign": ("seed",),
              "target": ("alpha", "station", "seed", "angle", "round")}
 
 
 def _op_params(name: str, tokens: list[str]) -> dict[str, str]:
-    """The op's key=value parameters; an unknown op, or a key the op does not
-    read, is refused."""
+    """The op's key=value parameters; an unknown op, a key the op does not
+    read, or a repeated key is refused."""
     if name not in OP_PARAMS:
         raise DescriptorError(f"unknown transform op {name!r}")
     params = {}
@@ -262,6 +282,8 @@ def _op_params(name: str, tokens: list[str]) -> dict[str, str]:
         if k not in OP_PARAMS[name]:
             raise DescriptorError(f"{name} op has no parameter {k!r};"
                                   f" it reads {', '.join(OP_PARAMS[name]) or 'none'}")
+        if k in params:
+            raise DescriptorError(f"{name} op repeats parameter {k!r}")
         params[k] = v
     return params
 
@@ -290,9 +312,9 @@ def apply_transform_op(model: LocalModel, op: str) -> LocalModel:
             raise DescriptorError("sign op needs values=<+-...>")
         sign = decode_sign(params["values"], model.grid)
         return time_symmetrize(model, sign, _station_from(params.get("station", "both")))
-    if name in ("double", "layer_double"):
+    if name == "double":
         return layer_double(model)
-    if name in ("lambda-sign", "lambda_sign"):
+    if name == "lambda-sign":
         return condition_sign_on_source(model, int(params.get("seed", "0")))
     # The target op, the last name OP_PARAMS holds.
     if "alpha" not in params or "station" not in params:
@@ -322,6 +344,9 @@ def _transform_ops(parser: configparser.ConfigParser) -> list[str]:
 
 def model_from_config(parser: configparser.ConfigParser, base_dir: Path | None = None) -> LocalModel:
     if "model" in parser and parser["model"].get("zoo"):
+        given = [s for s in MODEL_SECTIONS if s in parser]
+        if given:
+            raise DescriptorError(f"a [model] zoo descriptor takes no sections {given}")
         base = zoo_model(parser["model"]["zoo"].strip())
         if parser["model"].get("name"):
             base = replace(base, name=parser["model"]["name"].strip())

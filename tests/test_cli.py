@@ -71,11 +71,9 @@ def test_check_reports_both_modes(tmp_path, capsys):
     assert (out / "joint_table.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "check", "transform", "chsh", "audit", "zoo"])
+@pytest.mark.parametrize("command", ["simulate", "check", "chsh", "audit"])
 def test_check_negative_tolerance_exits_2(tmp_path, capsys, command):
-    argv = ["zoo", "list"] if command == "zoo" else [command, "--model", "constant_plus"]
-    if command == "transform":
-        argv += ["--op", "double"]
+    argv = [command, "--model", "constant_plus"]
     for tol in ("-1", "nan", "inf"):
         assert run_cli(argv + ["--tol", tol, "--out", str(tmp_path / "out")]) == 2
         assert "--tol must be > 0" in capsys.readouterr().err
@@ -482,9 +480,16 @@ def wrong_input_argv(tmp_path, model=VALID_MODEL, schedule=None, op="double"):
     ({"schedule": SCHEDULE.replace("random", "fixed")}, "a fixed schedule holds one setting pair"),
     ({"schedule": SCHEDULE.replace("seed_source = 4", "seed_source = -1")},
      "seed_source must be in 0..inf, got -1"),
+    ({"model": VALID_MODEL.replace(CONSTANT_OUT, "kind = constant\nnegate = true")},
+     "[out1] kind=constant does not read ['negate']"),
+    ({"model": "[model]\nzoo = constant_plus\n\n[source]\nstates = a\nprior = 1\n"},
+     "a [model] zoo descriptor takes no sections ['source']"),
+    ({"op": "lambda-sign seed=1 seed=2"}, "lambda-sign op repeats parameter 'seed'"),
+    ({"op": "layer_double"}, "unknown transform op 'layer_double'"),
 ], ids=["slots", "seed_s1", "seed_value", "a_b", "gen_seed", "mean", "op_key", "double_key",
         "target_round", "grid_key", "section", "schedule_key", "stride", "fixed_pairs",
-        "negative_seed"])
+        "negative_seed", "unread_kind_key", "zoo_with_sections", "repeated_op_key",
+        "layer_double"])
 def test_wrong_descriptor_input_is_a_configuration_error(tmp_path, capsys, edit, message):
     assert run_cli(wrong_input_argv(tmp_path, **edit)) == 2
     err = capsys.readouterr().err
@@ -522,22 +527,24 @@ def test_simulate_schedule_echoes_what_ran(tmp_path):
     assert comment == f"# config = {json.dumps(config, sort_keys=True)}"
 
 
-COMMON = ["--seed", "3", "--out", "o", "--deterministic", "--tol", "1e-6"]
+OUTPUT = ["--seed", "3", "--out", "o", "--deterministic"]
+COMMON = [*OUTPUT, "--tol", "1e-6"]
 VALID_LINES = {
     "simulate": ["simulate", "--model", "m", "--trials", "10", "--policy", "cycle",
                  "--angle-a", "0.1", "--angle-b", "0.2", "--angles", "0,1,2,3",
                  "--schedule", "s.ini", *COMMON],
     "check": ["check", "--model", "m", "--angle-a", "0.5", "--angle-b", "1", *COMMON],
     "transform": ["transform", "--model", "m", "--op", "double", "--op", "rademacher mean=0",
-                  *COMMON],
+                  *OUTPUT],
     "chsh": ["chsh", "--model", "m", "--angles", "0,1,2,3", "--method", "monte_carlo",
              "--trials", "5", *COMMON],
     "audit": ["audit", "--model", "m", "--trials", "7", "--perturbations", "2", *COMMON],
-    "zoo": ["zoo", "list", *COMMON],
+    "zoo": ["zoo", "list"],
     "defaults": ["simulate", "--model", "m"],
     "out_equals_and_abbreviation": ["check", "--mod", "m", "--out=o"],
     "separator": ["zoo", "--", "list"],
 }
+# Lines that parse to no Namespace but give the same exit code and text on both routes.
 OTHER_LINES = {
     "no_arguments": [],
     "unknown_command": ["bogus"],
@@ -545,16 +552,22 @@ OTHER_LINES = {
     "help": ["-h"],
     **{f"{name}_help": [name, "-h"]
        for name in ("simulate", "check", "transform", "chsh", "audit", "zoo")},
-    "missing_model": ["check"],
-    "missing_action": ["zoo"],
-    "bad_policy": ["simulate", "--model", "m", "--policy", "x"],
-    "bad_perturbations": ["audit", "--model", "m", "--perturbations", "4"],
-    "bad_trials": ["simulate", "--model", "m", "--trials", "x"],
-    "unrecognized_option": ["check", "--model", "m", "--bogus"],
-    "extra_positional": ["check", "--model", "m", "extra"],
-    "extra_action": ["zoo", "list", "extra"],
-    "version_after_command": ["check", "--model", "m", "--version"],
-    "ambiguous_at_top": ["check", "--model", "m", "--=x"],
+}
+# Usage errors of a named command, each with the argument its error names.
+ERROR_LINES = {
+    "missing_model": (["check"], "--model"),
+    "missing_action": (["zoo"], "action"),
+    "bad_policy": (["simulate", "--model", "m", "--policy", "x"], "--policy"),
+    "bad_perturbations": (["audit", "--model", "m", "--perturbations", "4"], "--perturbations"),
+    "bad_trials": (["simulate", "--model", "m", "--trials", "x"], "--trials"),
+    "unrecognized_option": (["check", "--model", "m", "--bogus"], "--bogus"),
+    "extra_positional": (["check", "--model", "m", "extra"], "extra"),
+    "extra_action": (["zoo", "list", "extra"], "extra"),
+    "version_after_command": (["check", "--model", "m", "--version"], "--version"),
+    "ambiguous_at_top": (["check", "--model", "m", "--=x"], "--=x"),
+    **{f"zoo_{flag[2:]}": (["zoo", "list", flag, *value], flag)
+       for flag, *value in (("--tol", "1"), ("--seed", "1"), ("--out", "o"), ("--deterministic",))},
+    "transform_tol": (["transform", "--model", "m", "--op", "double", "--tol", "1e-6"], "--tol"),
 }
 
 
@@ -583,12 +596,21 @@ def parse_by_main(monkeypatch):
     return parse
 
 
-@pytest.mark.parametrize("argv", [*VALID_LINES.values(), *OTHER_LINES.values()],
-                         ids=[*VALID_LINES, *OTHER_LINES])
-def test_main_parses_as_the_full_tree(parse_by_main, capsys, argv):
+@pytest.mark.parametrize("argv, offending", [
+    *((argv, None) for argv in (*VALID_LINES.values(), *OTHER_LINES.values())),
+    *ERROR_LINES.values()], ids=[*VALID_LINES, *OTHER_LINES, *ERROR_LINES])
+def test_main_parses_as_the_full_tree(parse_by_main, capsys, argv, offending):
+    """Valid lines give the full tree's Namespace; a usage error of a named
+    command exits 2 from that command's parser and names what it refused."""
     reference = parse_outcome(lambda a: cli.build_parser().parse_args(a), argv, capsys)
-    assert parse_outcome(parse_by_main, argv, capsys) == reference
+    outcome = parse_outcome(parse_by_main, argv, capsys)
     assert (reference[0] is not None) == (argv in VALID_LINES.values())
+    if offending is None:
+        assert outcome == reference
+    else:
+        assert outcome[:3] == (None, 2, "") == reference[:3]
+        assert outcome[3].startswith(f"usage: eprsim {argv[0]} ")
+        assert f"eprsim {argv[0]}: error: " in outcome[3] and offending in outcome[3]
 
 
 def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):
@@ -602,7 +624,16 @@ def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     assert main(["zoo", "list"]) == 0
     assert main(["chsh", "--model", "constant_plus", "--tol", "1e-6"]) == 0
-    assert built == ["eprsim zoo", "eprsim chsh"]
+    with pytest.raises(SystemExit, match="2"):  # an error line is not parsed again
+        main(["check", "--model", "m", "extra"])
+    assert built == ["eprsim zoo", "eprsim chsh", "eprsim check"]
+
+
+def test_an_unwritable_output_is_an_io_error(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    argv = ["check", "--model", "constant_plus", "--out", str(tmp_path / "file" / "out")]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.startswith("eprsim: i/o error: ")
 
 
 def stdlib_json(doc):

@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from eprsim import (
+    ConfigurationError,
     DescriptorError,
     InvalidWeightsError,
     Schedule,
@@ -325,6 +326,64 @@ def test_zoo_stub_descriptor(tmp_path):
     path.write_text("[model]\nzoo = constant_plus\n", encoding="utf-8")
     model = load_model(path)
     assert model.name == "constant_plus"
+    path.write_text("[model]\nzoo = constant_plus\nname = renamed\n", encoding="utf-8")
+    renamed = load_model(path)
+    assert (renamed.name, renamed.source, renamed.grid) == ("renamed", model.source, model.grid)
+
+
+GEN1_TABLE = "table =\n    1,0\n    2,1\n    3,0\n    4,1"
+GEN2 = "kind = constant\nvalue = 5"
+OUT1 = "kind = lambda_table\ntable =\n    g0,1\n    g1,-1"
+
+
+@pytest.mark.parametrize("reader, text, message", [
+    ("schedule", "[schedule]\ntrials = 5\npairs = x\n", "pair 'x' must be a:b"),
+    ("schedule", "", "missing [schedule] section"),
+    ("schedule", "[schedule]\npolicy = cycle\n", "[schedule] needs 'trials'"),
+    ("model", None, "model descriptor not found"),
+    ("model", "[model\nzoo = constant_plus\n", "cannot parse model descriptor"),
+    ("model", EXPLICIT.replace(GEN1_TABLE, "file = absent.csv"), "table file not found"),
+    ("model", EXPLICIT.replace(GEN1_TABLE, ""),
+     "section [gen1] needs an inline table or a file reference"),
+    ("model", EXPLICIT.replace(OUT1, "kind = lambda_table\ntable ="), "[out1]: table is empty"),
+    ("model", EXPLICIT.replace("prior = 0.25, 0.75", ""), "[source] needs 'states' and 'prior'"),
+    ("model", EXPLICIT.replace("slots = 4", ""), "[grid] needs 'slots'"),
+    ("model", EXPLICIT.replace(GEN2, "kind = cycle"), "[gen2] kind=cycle needs 'values'"),
+    ("model", EXPLICIT.replace(GEN2, "kind = spiral"), "[gen2]: unknown generator kind 'spiral'"),
+    ("model", EXPLICIT.replace(OUT1, "kind = psychic"), "[out1]: unknown outcome kind 'psychic'"),
+    ("model", EXPLICIT.replace(GEN2, GEN2 + "\nstride = 5\nvalues = 1, 2"),
+     "[gen2] kind=constant does not read ['stride', 'values']"),
+    ("model", EXPLICIT.replace(OUT1, "kind = constant\nnegate = true"),
+     "[out1] kind=constant does not read ['negate']"),
+    ("model", EXPLICIT.replace(OUT1, OUT1 + "\nnegate = true"),
+     "[out1] kind=lambda_table does not read ['negate']"),
+    ("model", EXPLICIT.replace(GEN1_TABLE, GEN1_TABLE + "\nfile = gen1.csv"),
+     "[gen1] gives both 'table' and 'file'"),
+    ("model", "[model]\nzoo = constant_plus\n[source]\nstates = a\nprior = 1\n[out2]\n",
+     "a [model] zoo descriptor takes no sections ['source', 'out2']"),
+    ("op", "rademacher mean", "transform parameter 'mean' is not key=value"),
+    ("op", "rademacher mean=0 station=s3", "unknown station 's3' (use s1, s2 or both)"),
+    ("op", "", "empty transform op"),
+    ("op", "sign station=s1", "sign op needs values=<+-...>"),
+    ("op", "target station=s1", "target op needs alpha=<float> station=<s1|s2>"),
+    ("op", "target alpha=0 station=both", "target op needs a single station"),
+    ("op", "lambda-sign seed=1 seed=2", "lambda-sign op repeats parameter 'seed'"),
+    ("op", "layer_double", "unknown transform op 'layer_double'"),
+    ("op", "lambda_sign seed=1", "unknown transform op 'lambda_sign'"),
+], ids=["pair", "no_schedule", "no_trials", "no_file", "bad_ini", "no_table_file", "no_table",
+        "empty_table", "source_keys", "grid_keys", "cycle_values", "gen_kind", "out_kind",
+        "gen_unread", "out_unread", "out_negate_unread", "table_and_file", "zoo_and_sections",
+        "not_key_value", "station", "empty_op", "sign_values", "target_keys", "target_both",
+        "repeated_param", "layer_double_alias", "lambda_sign_alias"])
+def test_each_configuration_error_names_its_cause(tmp_path, reader, text, message):
+    path = tmp_path / "descriptor.ini"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    read = {"schedule": lambda: load_schedule(path), "model": lambda: load_model(path),
+            "op": lambda: apply_transform_op(zoo_model("constant_plus"), text)}[reader]
+    with pytest.raises(ConfigurationError) as caught:
+        read()
+    assert message in str(caught.value)
 
 
 def test_transform_section_applies_in_order(tmp_path):

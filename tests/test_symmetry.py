@@ -28,6 +28,7 @@ from eprsim import (
     time_symmetrize,
     zoo_model,
 )
+from eprsim.cli import main
 from eprsim.model import TEST_ANGLES
 from eprsim.symmetry import decode_sign, encode_sign
 from eprsim.zoo import all_zoo_models, m_constant_zoo_models, random_factorized_model
@@ -314,3 +315,27 @@ def test_exact_marginal_matches_correlate():
             direct = exact_marginal(model, Station.S1, angle)
             via_report = correlate(model, s1(angle), s2(0.0)).marginal_a
             assert direct == via_report
+
+
+DOUBLED_CONSTANT = "[model]\nzoo = constant_plus\n\n[transform]\nop.1 = double\n"
+WEIGHTED_GRID = ("[source]\nstates = u\nprior = 1\n[grid]\nslots = 2\nweights = 0.25, 0.75\n"
+                 "[gen1]\n[gen2]\n[out1]\n[out2]\n")
+
+
+@pytest.mark.parametrize("descriptor, op, code, message", [
+    (DOUBLED_CONSTANT, "target alpha=0 station=s1", 0, "attained sign mean = 1"),
+    (DOUBLED_CONSTANT, "target alpha=0.5 station=s1", 3,
+     "base marginal is 0; only alpha = 0 is reachable"),
+    (WEIGHTED_GRID, "rademacher mean=0", 3, "only exactly representable on uniform grids"),
+    ("[model]\nzoo = constant_plus\n", "sign values=+x", 3,
+     "sign encoding must be +/- characters, got '+x'"),
+], ids=["target_zero_base", "target_beyond_zero_base", "weighted_grid", "sign_text"])
+def test_transform_at_the_edge_of_what_a_sign_reaches(tmp_path, capsys, descriptor, op, code,
+                                                      message):
+    """Exit 0 when the sign reaches its target, 3 (a model error) when it cannot."""
+    (tmp_path / "m.ini").write_text(descriptor, encoding="utf-8")
+    argv = ["transform", "--model", str(tmp_path / "m.ini"), "--op", op,
+            "--out", str(tmp_path / "out.ini")]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert message in (captured.out if code == 0 else captured.err)
