@@ -49,6 +49,7 @@ from .inequality import (
     conditional_table,
     correlate,
     correlate_via_table,
+    exact_correlation,
     exact_marginal,
     reference_correlation,
 )

@@ -23,7 +23,7 @@ derives S and its comparison with :data:`LOCAL_BOUND` from them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
+from functools import partial
 from math import cos, fsum, log, sqrt
 from typing import Callable, Hashable, Mapping
 
@@ -153,6 +153,13 @@ def exact_marginal(model: LocalModel, station: Station, angle: float = 0.0) -> f
     return _cell_sum(model, model.compiled(Setting(angle, station))[1])
 
 
+def exact_correlation(model: LocalModel, a: Setting, b: Setting) -> float:
+    """Exact e_ab at one setting pair: the exact kernel over the product of
+    S1's compiled outcomes at ``a`` and S2's at ``b``, compiled in that order."""
+    check_pair(a, b)
+    return _cell_sum(model, model.compiled(a)[1] * model.compiled(b)[1])
+
+
 def correlate(
     model: LocalModel,
     a: Setting,
@@ -174,7 +181,7 @@ def correlate(
     A, B = model.compiled(a)[1], model.compiled(b)[1]
     if method == "exact":
         return CorrelationReport(
-            a, b, _cell_sum(model, A * B), _cell_sum(model, A), _cell_sum(model, B),
+            a, b, exact_correlation(model, a, b), _cell_sum(model, A), _cell_sum(model, B),
             _conditionals(model, A), _conditionals(model, B), 0, 0.0,
         )
     if method != "monte_carlo":
@@ -206,7 +213,8 @@ def sampled_correlation(
 
     Means are integer sums over counts, so each is correctly rounded. The
     squared deviations of the pair product take two values, so their sum is
-    exact and rounded once, as ``math.fsum`` would round it.
+    a ratio of integers (each square's ``as_integer_ratio``), rounded once by
+    one true division, as ``math.fsum`` would round it.
     """
     per_state = counts.sum(axis=(1, 2)).tolist()
     n = sum(per_state)
@@ -216,8 +224,8 @@ def sampled_correlation(
     e_ab = (2 * plus - n) / n
     std_error = 0.0
     if n > 1:
-        squares = Fraction((1 - e_ab) ** 2) * plus + Fraction((-1 - e_ab) ** 2) * (n - plus)
-        std_error = sqrt(float(squares) / (n - 1) / n)
+        (p, q), (r, s) = (((x - e_ab) ** 2).as_integer_ratio() for x in (1, -1))
+        std_error = sqrt((p * s * plus + r * q * (n - plus)) / (q * s) / (n - 1) / n)
     # Per-state outcome sums: plus-one counts minus minus-one counts.
     sums_a = (counts[:, 1, :] - counts[:, 0, :]).sum(axis=1).tolist()
     sums_b = (counts[:, :, 1] - counts[:, :, 0]).sum(axis=1).tolist()
@@ -291,18 +299,15 @@ def chsh(
 
     Both methods read the settings' arrays from the model's memo, which
     relies on the model being pure; the locality audit is the guard against
-    models that are not. ``exact`` sums each pair's products with the same
-    kernel as :func:`correlate`, so every ``e_ab`` is bit-identical to the
+    models that are not. ``exact`` takes each pair's :func:`exact_correlation`,
+    as :func:`correlate` does, so every ``e_ab`` is bit-identical to the
     per-pair one. ``monte_carlo`` calls :func:`correlate` per pair under a
     seed derived from the pair, so the four pairs give bit-identical results
     in any order, and combines the reports with :func:`chsh_from_reports`.
     """
     if method == "exact":
-        def corr(x: Setting, y: Setting) -> float:
-            check_pair(x, y)
-            return _cell_sum(model, model.compiled(x)[1] * model.compiled(y)[1])
-
-        return chsh_from_correlations(corr, a, a_prime, b, b_prime, tol)
+        return chsh_from_correlations(partial(exact_correlation, model), a, a_prime, b, b_prime,
+                                      tol)
     reports = [correlate(model, x, y, method, trials,
                          stable_seed("chsh-pair", seed, fmt12(x.angle), fmt12(y.angle)))
                for x, y in ((a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime))]

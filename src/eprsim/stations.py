@@ -36,6 +36,7 @@ from .model import (
     station_outcomes,
     station_values,
 )
+from .sampling import search_cdf
 from .util import as_integer, open_output, parse_scalar
 
 # Each trial CSV column after the trial number: its text's parse, and which values a run writes.
@@ -89,6 +90,12 @@ class Trials:
         short = [f.name for f in fields(self)[5:] if len(getattr(self, f.name)) != len(self.A)]
         if short:
             raise InvalidScheduleError(f"table columns {short} need {len(self.A)} rows like A")
+        for name in ("m", "A", "B"):
+            column = getattr(self, name)
+            wrong = np.flatnonzero(~TRIALS_CSV_COLUMNS[name][1](column))
+            if len(wrong):
+                raise InvalidScheduleError(f"table row {wrong[0]}: {name} = {column[wrong[0]]} "
+                                           "is not a value a run writes")
         for name, codes, size in (
                 ("table row", self.row, len(self.A)), ("state", self.state, len(self.states)),
                 ("pair", self.pair, len(self.pairs)), ("star", self.star, len(self.stars)),
@@ -210,7 +217,9 @@ def run_experiment(model: LocalModel, schedule: Schedule) -> Trials:
     """Run the scheduled trials; fully reproducible from the schedule's seeds.
 
     Every trial's source state, setting pair and slot is drawn once, as arrays
-    in the narrowest integer type of their range. The scheduled pairs' distinct
+    in the narrowest integer type of their range. The states are the prior
+    cdf's :func:`eprsim.sampling.search_cdf` of one ``random(trials)`` call:
+    what ``rng.choice`` draws, mostly in O(1) per trial. The scheduled pairs' distinct
     keys (:func:`_pair_keys`) are compiled once each, in the order trials
     first use them. The table holds one row per (scheduled pair, state, slot)
     key that some trial takes, in first-use order; its ``star`` and
@@ -228,7 +237,7 @@ def run_experiment(model: LocalModel, schedule: Schedule) -> Trials:
         cdf = (prior / prior.sum()).cumsum()
         cdf /= cdf[-1]
         draws = np.random.default_rng(schedule.seed_source).random(len(trial))
-        state = cdf.searchsorted(draws, side="right").astype(_int_type(len(prior)))
+        state = search_cdf(cdf, draws, _int_type(len(prior)))
         if schedule.policy == "random":
             pair = np.random.default_rng(schedule.seed_settings).integers(0, n, len(trial))
         else:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eprsim import cli
+from eprsim import cli, exact_correlation, s1, s2, zoo_model
 from eprsim.cli import main
 from eprsim.density import FactorizationReport
 
@@ -40,6 +40,19 @@ def test_simulate_happy_path(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["config"]["model"] == "bell_product_basic"
     assert summary["pairs"][0]["trials"] == 200
+
+
+@pytest.mark.parametrize("name", ["cosine_threshold_lhv", "hp_time_correlated"])
+def test_simulate_writes_each_pairs_exact_correlation(tmp_path, name):
+    out = tmp_path / "run"
+    assert run_cli(["simulate", "--model", name, "--trials", "400", "--policy", "cycle",
+                    "--deterministic", "--out", str(out)]) == 0
+    pairs = json.loads((out / "summary.json").read_text())["pairs"]
+    model = zoo_model(name)
+    assert len(pairs) == 16
+    for pair in pairs:
+        exact = exact_correlation(model, s1(pair["a"]), s2(pair["b"]))
+        assert pair["exact_e_ab"].hex() == exact.hex(), pair
 
 
 def test_simulate_unknown_model_exits_2(tmp_path, capsys):

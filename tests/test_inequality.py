@@ -1,9 +1,11 @@
 import math
+import random
 import statistics
 import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from eprsim import (
     conditional_table,
     correlate,
     correlate_via_table,
+    exact_correlation,
     layer_double,
     reference_correlation,
     s1,
@@ -34,6 +37,7 @@ from eprsim import (
     time_symmetrize,
     zoo_model,
 )
+from eprsim.descriptors import load_model
 from eprsim.inequality import sampled_correlation
 from eprsim.model import CHSH_OPTIMAL_ANGLES, OUTCOME_ARGS
 from eprsim.stations import DEFAULT_PAIRS
@@ -41,6 +45,7 @@ from eprsim.util import fmt12, stable_seed
 from eprsim.zoo import all_zoo_models, random_factorized_model
 
 from conftest import DETERMINISTIC_STRATEGIES, GRID_PAIRS, OPTIMAL, strategy_s
+from shared_fixtures import _weighted_descriptor
 
 
 def constants_model():
@@ -131,6 +136,21 @@ def test_monte_carlo_takes_a_numpy_integer_count():
             == correlate(model, a, b, method="monte_carlo", trials=500, seed=2))
 
 
+def test_sampled_standard_error_equals_its_rational_reference():
+    """The standard error's sum of squares, taken from ``as_integer_ratio`` by
+    one true division, is the value ``float(Fraction)`` gives bit for bit."""
+    cases = random.Random(31)
+    ns = [2, 2, 2, 3, *(cases.randint(2, 10 ** cases.randint(1, 18)) for _ in range(3000))]
+    for i, n in enumerate(ns):
+        plus = (0, n, 1, n - 1)[i] if i < 4 else cases.choice((0, n, cases.randint(0, n)))
+        counts = np.array([[[plus, n - plus], [0, 0]]], dtype=np.int64)
+        e = (2 * plus - n) / n
+        squares = Fraction((1 - e) ** 2) * plus + Fraction((-1 - e) ** 2) * (n - plus)
+        expected = math.sqrt(float(squares) / (n - 1) / n)
+        report = sampled_correlation(s1(0.0), s2(0.0), counts, ("u0",))
+        assert (report.e_ab, report.std_error.hex()) == (e, expected.hex()), (n, plus)
+
+
 def test_sampled_correlation_of_no_samples_is_refused():
     with pytest.raises(ZeroTrialsError):
         sampled_correlation(s1(0.0), s2(0.0), np.zeros((2, 2, 2), dtype=np.int64), ("u0", "u1"))
@@ -219,6 +239,18 @@ def counted_rules(model):
 
 
 COMPILE_MODELS = [*all_zoo_models(), *(random_factorized_model(seed) for seed in range(20))]
+
+
+def test_exact_correlation_is_both_exact_routes_bit_for_bit(tmp_path):
+    """Every zoo model, 20 random factorized models and a weighted grid, at
+    every test-angle pair: the direct report's and the table route's e_ab."""
+    (tmp_path / "weighted_six.ini").write_text(_weighted_descriptor(), encoding="utf-8")
+    for model in [*COMPILE_MODELS, load_model(tmp_path / "weighted_six.ini")]:
+        for a, b in GRID_PAIRS:
+            e = exact_correlation(model, a, b)
+            routes = (correlate(model, a, b).e_ab,
+                      correlate_via_table(model, tabulate_joint(model, a, b)).e_ab)
+            assert [x.hex() for x in routes] == [e.hex()] * 2, (model.name, a, b)
 
 
 @pytest.mark.parametrize("model", COMPILE_MODELS, ids=lambda model: model.name)

@@ -31,6 +31,8 @@ from eprsim import (
     zoo_model,
 )
 from eprsim import stations
+from eprsim.density import _int_type
+from eprsim.sampling import DRAW_BLOCK_ROWS, guide_table, search_cdf
 from eprsim.stations import (
     CSV_BLOCK_ROWS,
     DEFAULT_PAIRS,
@@ -148,6 +150,79 @@ def test_source_state_draw_equals_rng_choice():
         p = np.asarray(model.source.prior)
         expected = np.random.default_rng(seed).choice(len(p), size=trials, p=p / p.sum())
         assert drawn.tolist() == expected.tolist(), (len(prior), trials, seed)
+
+
+def prior_cdf(prior) -> np.ndarray:
+    """The cdf a run draws its states from."""
+    p = np.asarray(prior, dtype=float)
+    cdf = (p / p.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def hard_draws(cdf: np.ndarray) -> np.ndarray:
+    """The draws where a search of ``cdf`` is easiest to get wrong: 0.0, the
+    largest draw 1 - 2**-53, every cdf entry and the value one ulp below it,
+    and every guide bucket edge g/G with its two neighbours; all in [0, 1)."""
+    buckets = guide_table(cdf)[0]
+    edges = np.arange(buckets) / buckets
+    draws = np.concatenate([[0.0, 1.0 - 2.0**-53], cdf, np.nextafter(cdf, -1.0), edges,
+                            np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)])
+    return draws[(draws >= 0.0) & (draws < 1.0)]
+
+
+# Two masses of 1e-9 right after 0.5: three cdf entries in (0.5, 0.5625), one
+# guide bucket of the 16 that four states get, so draws there are searched.
+CROWDED_PRIOR = (0.5, 1e-9, 1e-9, 0.5 - 2e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 2000), seed=st.integers(0, 2**32 - 1),
+       zeros=st.floats(0.0, 0.9), tiny=st.floats(0.0, 0.9),
+       extra=st.integers(0, 2 * DRAW_BLOCK_ROWS + 1))
+def test_guide_table_search_equals_searchsorted(k, seed, zeros, tiny, extra):
+    """Priors with zero masses and with clusters of tiny masses that crowd a
+    bucket, drawn at every hard point and at a count that is not a multiple of
+    the block: the kernel counts exactly what ``searchsorted`` counts."""
+    rng = np.random.default_rng(seed)
+    prior = rng.random(k) + 0.01
+    prior[rng.random(k) < tiny] *= 1e-9
+    prior[rng.random(k) < zeros] = 0.0
+    prior[rng.integers(k)] = 1.0  # one state has mass
+    cdf = prior_cdf(prior)
+    hard = hard_draws(cdf)
+    extra += not (len(hard) + extra) % DRAW_BLOCK_ROWS  # the last block is a short one
+    draws = np.concatenate([hard, rng.random(extra)])
+    rng.shuffle(draws)
+    got = search_cdf(cdf, draws, _int_type(k))
+    assert got.dtype == _int_type(k)
+    assert got.tolist() == cdf.searchsorted(draws, side="right").tolist()
+
+
+def test_crowded_prior_takes_the_search_path():
+    cdf = prior_cdf(CROWDED_PRIOR)
+    buckets, _, _, crowded = guide_table(cdf)
+    assert (buckets, np.flatnonzero(crowded).tolist()) == (16, [8])
+    draws = hard_draws(cdf)
+    assert crowded[(draws * buckets).astype(np.intp)].sum() >= 4
+    expected = cdf.searchsorted(draws, side="right")
+    assert search_cdf(cdf, draws, np.int8).tolist() == expected.tolist()
+    model = LocalModel(
+        name="crowded_prior",
+        source=SourceSpace(("u0", "u1", "u2", "u3"), CROWDED_PRIOR),
+        grid=TimeGrid(1),
+        gen1=InstrumentParamGen(Station.S1, (0,), lambda s, m, seed: 0),
+        gen2=InstrumentParamGen(Station.S2, (0,), lambda s, m, seed: 0),
+        out1=OutcomeFn(Station.S1, lambda s, lam, v, m: 1),
+        out2=OutcomeFn(Station.S2, lambda s, lam, v, m: 1),
+    )
+    # About one draw in 16 lands in bucket 8, each one searched.
+    run = run_experiment(model, Schedule(trials=100_000, seed_source=3))
+    u = np.random.default_rng(3).random(100_000)
+    assert crowded[(u * buckets).astype(np.intp)].sum() > 5000
+    p = np.asarray(model.source.prior)
+    expected = np.random.default_rng(3).choice(len(p), size=100_000, p=p / p.sum())
+    assert run.state[run.row].tolist() == expected.tolist()
 
 
 def test_clock_synchrony_slots_cycle_with_trial_index():
@@ -651,6 +726,19 @@ def test_trials_rejects_codes_outside_their_domain(name, size, domain, past):
     codes[-1] = size if past else -1
     with pytest.raises(InvalidScheduleError, match=f"{name} codes must index the {size} {domain}"):
         dataclasses.replace(factored_trials(), **{name: codes})
+
+
+@pytest.mark.parametrize("name, values, message", [
+    ("m", [2, 1, 1, 0, 3], "table row 3: m = 0 "), ("m", [2, 1, -1, 1, 3], "table row 2: m = -1 "),
+    ("A", [1, -1, 0, 1, -1], "table row 2: A = 0 "), ("B", [-1, -1, 1, 2, 1], "table row 3: B = 2 "),
+    ("A", [1, -1, 1, 1, -128], "table row 4: A = -128 ")])
+def test_trials_rejects_slots_and_outcomes_no_run_writes(name, values, message):
+    """A slot below 1 or an outcome other than +-1 is refused where the table
+    is built, as the trial CSV reader refuses it; counted, A = 0 would be -1."""
+    trials = factored_trials()
+    column = np.array(values, dtype=getattr(trials, name).dtype)
+    with pytest.raises(InvalidScheduleError, match=message + "is not a value a run writes"):
+        dataclasses.replace(trials, **{name: column})
 
 
 angles = st.one_of(
