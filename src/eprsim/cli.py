@@ -22,7 +22,8 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
-from .density import check_factorization, table_to_csv, tabulate_joint
+from .density import (TableEntries, check_factorization, listing, listing_text, table_to_csv,
+                      tabulate_joint)
 from .descriptors import apply_transform_op, descriptor_text, load_schedule, make_model
 from .errors import (
     ConfigurationError,
@@ -150,23 +151,27 @@ def _json_level(depth: int) -> tuple[str, str, object]:
 
 
 def json_text(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte.
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte, a TableEntries as its listing.
 
     With ``indent`` set, ``json.dumps`` takes the pure-Python encoder. Here
     each scalar, and each dict or list that holds no dict or list, is written
     by one call of the C encoder of its depth; only the containers around
     them are joined in Python.
     """
-    if c_make_encoder is None:
-        return json.dumps(doc, indent=2, sort_keys=True)
+    if c_make_encoder is None:  # json.dumps calls default on what it cannot write
+        return json.dumps(doc, indent=2, sort_keys=True, default=lambda obj: listing(obj)
+                          if type(obj) is TableEntries else json.JSONEncoder().default(obj))
 
     def encode(obj, depth: int) -> str:
+        if type(obj) is TableEntries:  # not isinstance, which on a Mapping runs ABCMeta's check
+            return listing_text(obj, depth, *_json_level(depth))
         outer, pad, leaf = _json_level(depth)
         is_dict = isinstance(obj, dict)
         if not is_dict and not isinstance(obj, (list, tuple)):
             return "".join(leaf(obj, depth))
         inner = obj.values() if is_dict else obj
-        if not any(map(issubclass, set(map(type, inner)), repeat((dict, list, tuple)))):
+        types = set(map(type, inner))
+        if TableEntries not in types and not any(map(issubclass, types, repeat((dict, list, tuple)))):
             text = "".join(leaf(obj, depth))
             # An empty container has no items to set on their own lines.
             return text[0] + pad + text[1:-1] + outer + text[-1] if inner else text
@@ -267,7 +272,7 @@ def cmd_check(args) -> int:
     if args.out is not None:  # the report, and each deviation's key text, only when written
         payload = _report(
             args, model,
-            factorization={mode: rep.to_dict() for mode, rep in reports.items()},
+            factorization={mode: rep.to_dict(coded=True) for mode, rep in reports.items()},
             cond_a={str(k): v for k, v in cond_a.items()},
             cond_b={str(k): v for k, v in cond_b.items()},
             max_conditional_bias=max(

@@ -21,8 +21,9 @@ import io
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import accumulate, chain, dropwhile
+from json.encoder import encode_basestring_ascii
 from math import fsum, inf
-from operator import add, itemgetter
+from operator import add
 from pathlib import Path
 from typing import Hashable
 
@@ -171,19 +172,52 @@ class FactorizationReport:
     deviations: Mapping[Hashable, float]
     max_total_variation: float
 
-    def to_dict(self) -> dict:
-        coded = isinstance(self.deviations, TableEntries)
-        texts = self.deviations.key_texts() if coded else map(str, self.deviations)
-        values = self.deviations.probs.tolist() if coded else self.deviations.values()
+    def to_dict(self, coded: bool = False) -> dict:
+        """The report as ``check.json`` holds it. ``check`` asks ``coded``: then more than
+        ``FORMAT_EACH`` coded deviations stay coded, for ``cli.json_text``; readers get the dict."""
+        keep = coded and len(self.deviations) > FORMAT_EACH and type(self.deviations) is TableEntries
         return {
             "mode": self.mode,
             "tol": self.tol,
             "max_deviation": self.max_deviation,
             "pass": self.passed,
             "max_total_variation": self.max_total_variation,
-            # The sort is stable on the formatted key alone.
-            "deviations": dict(sorted(zip(texts, values), key=itemgetter(0))),
+            "deviations": self.deviations if keep else listing(self.deviations),
         }
+
+
+def listing(deviations: Mapping[Hashable, float]) -> dict[str, float]:
+    """Each condition's ``str`` -> its deviation, by a stable sort on the texts
+    alone: of equal texts the first keeps its place and the last its value."""
+    coded = isinstance(deviations, TableEntries)
+    texts = deviations.key_texts() if coded else list(map(str, deviations))
+    values = deviations.probs.tolist() if coded else list(deviations.values())
+    return {texts[k]: values[k] for k in sorted(range(len(texts)), key=texts.__getitem__)}
+
+
+def listing_text(entries: TableEntries, depth: int, outer: str, pad: str, leaf) -> str:
+    """The JSON text of ``listing(entries)`` from the codes, values by ``leaf``,
+    the C encoder of ``depth``. Ranks of the distinct part texts (per axis, as
+    ``key_texts`` joins them) order keys as their joined texts: heads that
+    differ, neither a prefix of the other, differ where the key texts do, and
+    equal heads leave it to the tails. Where a head is a proper prefix of
+    another ("(a, " of "(a, b, ") whole texts are ranked. Equal texts are one
+    item, the last one's value in their place."""
+    d, key = entries.domains, 0
+    parts = ([list(map(str, d[0]))] if len(d) == 1 else
+             [list(map("({!r}, ".format, d[0])), list(map("{!r})".format, d[1]))])
+    for texts, codes in zip(parts, entries.codes):
+        key = key * len(texts) + _str_ranks(texts)[codes]
+    if len(parts) > 1 and any(map(str.startswith, (h := sorted(set(parts[0])))[1:], h)):
+        key = _str_ranks(entries.key_texts())
+    kept = len(key) - 1 - np.unique(key[::-1], return_index=True)[1]  # each text's last entry
+    bits, values = np.unique(entries.probs.view(np.uint64)[kept], return_inverse=True)
+    written = [f'": {"".join(leaf(v, depth))},{pad}"' for v in bits.view(np.float64).tolist()]
+    cells = np.empty((len(kept), len(parts) + 1), dtype=object)
+    cells[:, -1] = np.array(written, dtype=object)[values]
+    for k, (texts, codes) in enumerate(zip(parts, entries.codes)):
+        cells[:, k] = np.array([encode_basestring_ascii(t)[1:-1] for t in texts], object)[codes[kept]]
+    return f'{{{pad}"' + "".join(cells.ravel().tolist())[:-len(pad) - 2] + outer + "}"
 
 
 def tabulate_joint(model: LocalModel, a: Setting, b: Setting) -> JointTable:
@@ -388,7 +422,7 @@ def _str_ranks(values: tuple) -> np.ndarray:
 
 # Entries up to which table_to_csv formats each probability: np.unique's fixed
 # cost (about 10 us warm, 100 us on a command's first call) is that of
-# 40 to 400 reprs.
+# 40 to 400 reprs. check's listings up to it keep their dict (a bound not measured there).
 FORMAT_EACH = 256
 
 

@@ -10,8 +10,11 @@ import configparser
 import csv
 import dataclasses
 import io
+import json
 import random
+import runpy
 from math import fsum, pi
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from eprsim import (
     TEST_ANGLES,
     AuditReport,
     CodomainViolationError,
+    FactorizationReport,
     JointTable,
     Schedule,
     Setting,
@@ -435,6 +439,99 @@ def test_report_keys_are_the_str_of_each_condition():
             for key, value in sorted(report.deviations.items(), key=lambda kv: str(kv[0])):
                 expected[str(key)] = value
             assert found == expected, mode
+
+
+# The three check models of the benchmark's exact_wide workload, built by its
+# own descriptor function: product (gen2 stride 8), slot-correlated (stride 1)
+# and the product model doubled.
+wide_descriptor = runpy.run_path(
+    str(Path(__file__).resolve().parent.parent / "perfbench" / "plans.py"))["wide_descriptor"]
+
+
+def wide_models(slots):
+    for name, stride in (("wide_product", 8), ("wide_slotcorr", 1)):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(wide_descriptor(name, 64, slots, stride, 7))
+        model = model_from_config(parser)
+        yield model
+        if stride == 8:
+            yield layer_double(model)
+
+
+class Label:
+    """A state or slot whose ``repr`` and ``str`` are the given text."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __repr__(self):
+        return self.text
+
+    __str__ = __repr__
+
+
+def listing_tables():
+    """Tables whose condition keys stress the coded listing's order and merge."""
+    # Heads "(a, " and "(a, b, ": the first is a proper prefix of the second,
+    # and the tail "z)" sorts after "b, ", so only whole texts give the order.
+    a, ab, z = Label("a"), Label("a, b"), Label("z")
+    entries = {(0, 0, state, m): 0.125 for state in (a, ab) for m in (1, z)}
+    entries.update({(1, 1, state, m): 0.125 for state in (a, ab) for m in (1, z)})
+    yield JointTable(s1(0.0), s2(0.0), entries, (0, 1), (0, 1), (a, ab))
+    # States 1 and "1" print alike: their deviations differ (0.25 and 0.0),
+    # so the merge must keep the later one.
+    entries = {(0, 0, 1, 1): 0.125, (1, 1, 1, 2): 0.125, (0, 0, "1", 1): 0.25,
+               (0, 1, "1", 2): 0.25, (0, 0, 2, 1): 0.25}
+    yield JointTable(s1(0.0), s2(0.0), entries, (0, 1), (0, 1), (1, "1", 2))
+
+
+def coded_reports():
+    """Hand-made coded deviations: NaN, the infinities, -0.0 and the least
+    subnormal, over one axis and over (state, slot)."""
+    special = np.array([np.nan, np.inf, -0.0, 5e-324, -np.inf, 0.0, np.nan])
+    states = tuple("uvwxyz") + ("é\n\"",)
+    one = density.TableEntries((states,), (np.arange(7),), special)
+    two = density.TableEntries((states, (1, 2)), (np.arange(7), np.arange(7) % 2), special.copy())
+    for deviations in (one, two):
+        yield FactorizationReport("given_lambda", 1e-9, np.inf, False, deviations, np.inf)
+
+
+def check_reports():
+    for table in hand_built_tables(500):
+        yield [check_factorization(table, mode) for mode in ("given_lambda", "given_lambda_and_m")]
+    for table in listing_tables():
+        yield [check_factorization(table, mode) for mode in ("given_lambda", "given_lambda_and_m")]
+    for name in ZOO:
+        table = tabulate_joint(zoo_model(name), s1(0.0), s2(TEST_ANGLES[1]))
+        yield [check_factorization(table, mode) for mode in ("given_lambda", "given_lambda_and_m")]
+    yield list(coded_reports())
+    for slots in (64, 1024):
+        for model in wide_models(slots):
+            table = tabulate_joint(model, s1(0.0), s2(TEST_ANGLES[1]))
+            yield [check_factorization(table, mode) for mode in ("given_lambda", "given_lambda_and_m")]
+
+
+@pytest.mark.parametrize("c_encoder", [True, False], ids=["c_encoder", "no_c_encoder"])
+@pytest.mark.parametrize("format_each", [0, density.FORMAT_EACH])
+def test_coded_listing_is_the_stdlib_text(monkeypatch, c_encoder, format_each):
+    """``json_text`` of a report that carries coded deviations is the stdlib's
+    text of the same report built by ``to_dict``; at a cut-over of 0 every
+    listing is written from its codes, at ``FORMAT_EACH`` only the long ones."""
+    monkeypatch.setattr(density, "FORMAT_EACH", format_each)
+    if not c_encoder:
+        monkeypatch.setattr(cli, "c_make_encoder", None)
+    prefixed = check_factorization(next(listing_tables()), "given_lambda_and_m")
+    assert list(map(str, prefixed.deviations.domains[0])) == ["a", "a, b"]
+    for reports in check_reports():
+        coded = {"config": {"tol": 1e-9}, "factorization": {
+            str(k): report.to_dict(coded=True) for k, report in enumerate(reports)}}
+        plain = {"config": {"tol": 1e-9}, "factorization": {
+            str(k): report.to_dict() for k, report in enumerate(reports)}}
+        # to_dict leaves coded only the listings longer than the cut-over.
+        assert [isinstance(r["deviations"], density.TableEntries)
+                for r in coded["factorization"].values()] == [
+            len(report.deviations) > format_each for report in reports]
+        assert cli.json_text(coded) == json.dumps(plain, indent=2, sort_keys=True)
 
 
 def reference_table_csv(entries):
