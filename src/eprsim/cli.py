@@ -21,7 +21,7 @@ from itertools import repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
-from . import __version__
+from . import __version__, density
 from .density import (TableEntries, check_factorization, listing, listing_text, table_to_csv,
                       tabulate_joint)
 from .descriptors import apply_transform_op, descriptor_text, load_schedule, make_model
@@ -100,12 +100,12 @@ def _chsh_options(p: argparse.ArgumentParser) -> None:
 
 def _audit_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True)
-    p.add_argument("--trials", type=int, default=1000, help="reported as trials_checked; the "
-                   "verdict is exact and reads no trial, kept for the benchmark's command line")
+    p.add_argument("--trials", type=int, default=1000, help="the verdict is exact and reads no "
+                   "trial; kept for the benchmark's command line")
     p.add_argument("--perturbations", type=int, choices=(1, 2, 3), default=3, help="the verdict "
                    "compares all 3 alternatives of each remote test angle; kept for the "
                    "benchmark's command line")
-    _output_flags(p)
+    _output_flags(p, tol=False)
 
 
 # Options that say where and how outputs are written, not what was run; a
@@ -156,7 +156,8 @@ def json_text(doc) -> str:
     With ``indent`` set, ``json.dumps`` takes the pure-Python encoder. Here
     each scalar, and each dict or list that holds no dict or list, is written
     by one call of the C encoder of its depth; only the containers around
-    them are joined in Python.
+    them are joined in Python. A listing longer than ``density.FORMAT_EACH``
+    is written from its codes, a shorter one as the dict :func:`listing` builds.
     """
     if c_make_encoder is None:  # json.dumps calls default on what it cannot write
         return json.dumps(doc, indent=2, sort_keys=True, default=lambda obj: listing(obj)
@@ -164,7 +165,9 @@ def json_text(doc) -> str:
 
     def encode(obj, depth: int) -> str:
         if type(obj) is TableEntries:  # not isinstance, which on a Mapping runs ABCMeta's check
-            return listing_text(obj, depth, *_json_level(depth))
+            if len(obj) > density.FORMAT_EACH:
+                return listing_text(obj, depth, *_json_level(depth))
+            obj = listing(obj)
         outer, pad, leaf = _json_level(depth)
         is_dict = isinstance(obj, dict)
         if not is_dict and not isinstance(obj, (list, tuple)):
@@ -272,7 +275,7 @@ def cmd_check(args) -> int:
     if args.out is not None:  # the report, and each deviation's key text, only when written
         payload = _report(
             args, model,
-            factorization={mode: rep.to_dict(coded=True) for mode, rep in reports.items()},
+            factorization={mode: rep.to_dict() for mode, rep in reports.items()},
             cond_a={str(k): v for k, v in cond_a.items()},
             cond_b={str(k): v for k, v in cond_b.items()},
             max_conditional_bias=max(
@@ -368,8 +371,7 @@ def cmd_audit(args) -> int:
     if args.out is not None:
         _write_json(args.out / "audit.json", _report(args, model, audit=report.to_dict()), args)
     verdict = "pass" if report.passed else "FAIL"
-    print(f"locality audit: {verdict} ({report.mismatches} mismatches over "
-          f"{report.trials_checked} trials)")
+    print(f"locality audit: {verdict} ({report.mismatches} mismatches)")
     if report.first_mismatch is not None:
         print(f"first mismatch: {json.dumps(report.first_mismatch, sort_keys=True)}")
     return 0

@@ -59,21 +59,18 @@ class TableEntries(Mapping):
     ``domains[k]`` holds axis k's distinct values, ``codes[k]`` is a read-only
     integer array whose entry i indexes ``domains[k]``, and ``probs`` is a
     read-only float64 column whose entry i is entry i's probability, entries
-    in insertion order. ``given`` is None unless a mapping gave an int
-    among the probabilities; it then holds them coded as a key axis is
-    (distinct exact ints and floats, codes), so that the writer gives the int
-    0 as ``0``. A key is the tuple of its axes' values, or the value of a
-    lone axis. Its length costs O(1); the dict behind lookup and iteration
-    is built on first use, and reads each probability as a float.
+    in insertion order. A key is the tuple of its axes' values, or the value
+    of a lone axis. Its length costs O(1); the dict behind lookup and
+    iteration is built on first use, and reads each probability as a float.
     """
 
-    __slots__ = ("domains", "codes", "probs", "given", "_dict")
+    __slots__ = ("domains", "codes", "probs", "_dict")
 
     def __init__(self, domains: tuple[tuple, ...], codes: tuple[np.ndarray, ...],
-                 probs: np.ndarray, given: tuple[tuple, np.ndarray] | None = None):
+                 probs: np.ndarray):
         for column in (*codes, probs):
             column.setflags(write=False)
-        self.domains, self.codes, self.probs, self.given = domains, codes, probs, given
+        self.domains, self.codes, self.probs = domains, codes, probs
         self._dict: dict | None = None
 
     def _mapping(self) -> dict:
@@ -111,16 +108,14 @@ class TableEntries(Mapping):
 def _code_entries(entries: Mapping[Key, float]) -> TableEntries:
     """A mapping's keys coded once, axis by axis, and its values as one float
     column. A probability must be an int or a float (a float subclass such as
-    ``np.float64`` counts); a bool, ``Fraction``, ``Decimal`` or str is refused.
-    Where an int is among them, the values are also coded as a key axis is,
-    as exact ints and floats, so that the int 0 is written as ``0``."""
+    ``np.float64`` counts); a bool, ``Fraction``, ``Decimal`` or str is refused,
+    and an int is kept as its float, so the writer gives the int 0 as ``0.0``."""
     keys = list(entries)
     if any(len(key) != 4 for key in keys):
         raise HarnessError("joint table keys must be (value1, value2, state, slot) tuples")
     domains, codes = zip(*(_coded(column) for column in zip(*keys)))
     values = list(entries.values())
-    types = set(map(type, values))
-    for t in types:
+    for t in set(map(type, values)):
         if issubclass(t, bool) or not issubclass(t, (int, float)):
             raise InvalidWeightsError(f"joint table: a probability is a {t.__name__}, "
                                       "not an int or a float")
@@ -128,10 +123,7 @@ def _code_entries(entries: Mapping[Key, float]) -> TableEntries:
         probs = np.array(values, dtype=float)
     except OverflowError:  # an int beyond the float range
         raise InvalidWeightsError("joint table: a probability exceeds the float range") from None
-    given = None
-    if any(issubclass(t, int) for t in types):
-        given = _coded([int(v) if isinstance(v, int) else float(v) for v in values])
-    return TableEntries(domains, codes, probs, given)
+    return TableEntries(domains, codes, probs)
 
 
 @dataclass(frozen=True)
@@ -162,36 +154,33 @@ class JointTable:
 
 @dataclass(frozen=True)
 class FactorizationReport:
-    """Verdict of the product-form check in one conditioning mode. ``deviations``
-    maps each condition to its largest cell deviation, coded by the check."""
+    """Verdict of the product-form check in one conditioning mode. ``deviations`` maps
+    each condition to its largest cell deviation, coded by :func:`check_factorization`."""
 
     mode: str
     tol: float
     max_deviation: float
     passed: bool
-    deviations: Mapping[Hashable, float]
+    deviations: TableEntries
     max_total_variation: float
 
-    def to_dict(self, coded: bool = False) -> dict:
-        """The report as ``check.json`` holds it. ``check`` asks ``coded``: then more than
-        ``FORMAT_EACH`` coded deviations stay coded, for ``cli.json_text``; readers get the dict."""
-        keep = coded and len(self.deviations) > FORMAT_EACH and type(self.deviations) is TableEntries
+    def to_dict(self) -> dict:
+        """The report as ``check.json`` holds it, ``deviations`` still coded:
+        ``cli.json_text`` writes them as their :func:`listing`."""
         return {
             "mode": self.mode,
             "tol": self.tol,
             "max_deviation": self.max_deviation,
             "pass": self.passed,
             "max_total_variation": self.max_total_variation,
-            "deviations": self.deviations if keep else listing(self.deviations),
+            "deviations": self.deviations,
         }
 
 
-def listing(deviations: Mapping[Hashable, float]) -> dict[str, float]:
+def listing(deviations: TableEntries) -> dict[str, float]:
     """Each condition's ``str`` -> its deviation, by a stable sort on the texts
     alone: of equal texts the first keeps its place and the last its value."""
-    coded = isinstance(deviations, TableEntries)
-    texts = deviations.key_texts() if coded else list(map(str, deviations))
-    values = deviations.probs.tolist() if coded else list(deviations.values())
+    texts, values = deviations.key_texts(), deviations.probs.tolist()
     return {texts[k]: values[k] for k in sorted(range(len(texts)), key=texts.__getitem__)}
 
 
@@ -266,8 +255,7 @@ def swap_stations(table: JointTable) -> JointTable:
     return JointTable(
         setting_a=table.setting_a,
         setting_b=table.setting_b,
-        entries=TableEntries((d2, d1, *domains), (c2, c1, *codes), table.entries.probs,
-                             table.entries.given),
+        entries=TableEntries((d2, d1, *domains), (c2, c1, *codes), table.entries.probs),
         value_space_1=table.value_space_2,
         value_space_2=table.value_space_1,
         states=table.states,
@@ -422,7 +410,10 @@ def _str_ranks(values: tuple) -> np.ndarray:
 
 # Entries up to which table_to_csv formats each probability: np.unique's fixed
 # cost (about 10 us warm, 100 us on a command's first call) is that of
-# 40 to 400 reprs. check's listings up to it keep their dict (a bound not measured there).
+# 40 to 400 reprs. cli.json_text writes listings up to it as listing's dict: one
+# cold listing (fresh import, gc.collect(), median of 9, 2-core guest) took, as
+# dict/codes, 0.23/0.47 ms at 64 conditions, 0.46/0.53 at 256, 0.74/0.61 at 512
+# and 4.7/1.8 at 4,096; the routes cross between 256 and 512.
 FORMAT_EACH = 256
 
 
@@ -433,22 +424,18 @@ def table_to_csv(table: JointTable) -> str:
     to right, and rows whose forms tie keep entry order: a stable sort on
     per-axis ``str`` ranks, which needs no bound on the product of the
     domain sizes. Each distinct value is formatted once: the probability
-    column is coded by bit pattern, so -0.0 keeps its own text, unless a
-    mapping gave an int among its values, when it is written as given. A
-    column of at most ``FORMAT_EACH`` floats is formatted entry by entry.
+    column is coded by bit pattern, so -0.0 keeps its own text. A column of
+    at most ``FORMAT_EACH`` floats is formatted entry by entry.
     """
     entries = table.entries
     domains, codes = entries.domains, entries.codes
     order = np.lexsort([_str_ranks(d)[c] for d, c in zip(reversed(domains), reversed(codes))])
-    # csv writes an int or a float as its repr, which it never quotes.
-    if entries.given is None and len(entries) <= FORMAT_EACH:
+    # csv writes a float as its repr, which it never quotes.
+    if len(entries) <= FORMAT_EACH:
         probs = list(map(repr, entries.probs[order].tolist()))
     else:
-        if entries.given is None:
-            bits, prob_codes = np.unique(entries.probs.view(np.uint64), return_inverse=True)
-            values = bits.view(np.float64).tolist()
-        else:
-            values, prob_codes = entries.given
+        bits, prob_codes = np.unique(entries.probs.view(np.uint64), return_inverse=True)
+        values = bits.view(np.float64).tolist()
         probs = np.array(list(map(repr, values)), dtype=object).take(prob_codes[order]).tolist()
     columns = _csv_fields(domains, [column[order] for column in codes])
     rows = "\n".join(map(",".join, zip(*columns, probs)))
@@ -456,14 +443,15 @@ def table_to_csv(table: JointTable) -> str:
 
 
 def read_table_csv(path: str | Path, a: Setting, b: Setting) -> JointTable:
-    """Load a table file holding :func:`table_to_csv` text."""
+    """Load a table file holding :func:`table_to_csv` text, tabulated at (a, b)."""
     return table_from_csv(Path(path).read_text(encoding="utf-8"), a, b)
 
 
 def table_from_csv(text: str, a: Setting, b: Setting) -> JointTable:
     """Parse CSV text written by :func:`table_to_csv`; axes are the observed
     values, and state labels stay text. Lines whose first field starts with
-    ``#`` are comments only before the header; after it they are rows."""
+    ``#`` are comments only before the header; after it they are rows. The
+    text holds no setting pair: pass ``check.json``'s ``config.angle_a``/``angle_b``."""
     rows = [r for r in csv.reader(io.StringIO(text)) if r]
     rows = list(dropwhile(lambda r: r[0].startswith("#"), rows))
     if not rows or tuple(rows[0]) != CSV_HEADER:

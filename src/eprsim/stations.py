@@ -151,14 +151,12 @@ class Schedule:
 
 @dataclass(frozen=True)
 class AuditReport:
-    trials_checked: int
     mismatches: int
     passed: bool
     first_mismatch: dict | None = None
 
     def to_dict(self) -> dict:
         return {
-            "trials_checked": self.trials_checked,
             "mismatches": self.mismatches,
             "pass": self.passed,
             "first_mismatch": self.first_mismatch,
@@ -287,9 +285,8 @@ def locality_audit(
     mismatch (a differing instrument value, once per state of its slot); the
     first in that order is reported.
 
-    The verdict is exact, so it depends on neither the trial count, which the
-    report keeps as ``trials_checked``, nor ``remote_perturbations``, which
-    must still be at least 1.
+    The verdict is exact, so it depends on neither the schedule's trial count
+    nor ``remote_perturbations``, which must still be at least 1.
     """
     if remote_perturbations < 1:
         raise InvalidScheduleError("remote_perturbations must be >= 1")
@@ -313,13 +310,13 @@ def locality_audit(
     bad |= (values[station, alt] != values[station, base])[:, None, :]
     mismatches = int(np.count_nonzero(bad))
     if not mismatches:
-        return AuditReport(schedule.trials, 0, True)
+        return AuditReport(0, True)
     c, state, slot = map(int, np.unravel_index(bad.argmax(), bad.shape))
     key, side, k = compares[c]
     local, remote = scheduled[key][::-1] if side else scheduled[key]
     seen = [[str(values[side, row[x], slot]), int(outcomes[side, row[x], state, slot])]
             for x in (key, k)]
-    return AuditReport(schedule.trials, mismatches, False, {
+    return AuditReport(mismatches, False, {
         "station": (Station.S1, Station.S2)[side].value,
         "local": local,
         "slot": slot + 1,

@@ -2,15 +2,22 @@ import argparse
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eprsim import cli, exact_correlation, s1, s2, zoo_model
+from eprsim import (check_factorization, cli, correlate_via_table, exact_correlation, make_model,
+                    read_table_csv, s1, s2, zoo_model)
 from eprsim.cli import main
-from eprsim.density import FactorizationReport
+from eprsim.density import FactorizationReport, TableEntries, listing
+from eprsim.stations import Schedule, locality_audit
+from eprsim.util import fmt12
+from eprsim.zoo import ZOO
+
+from shared_fixtures import _weighted_descriptor, remote_reading_model
 
 
 def run_cli(argv):
@@ -84,13 +91,22 @@ def test_check_reports_both_modes(tmp_path, capsys):
     assert (out / "joint_table.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "check", "chsh", "audit"])
+@pytest.mark.parametrize("command", ["simulate", "check", "chsh"])
 def test_check_negative_tolerance_exits_2(tmp_path, capsys, command):
     argv = [command, "--model", "constant_plus"]
     for tol in ("-1", "nan", "inf"):
         assert run_cli(argv + ["--tol", tol, "--out", str(tmp_path / "out")]) == 2
         assert "--tol must be > 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def test_audit_takes_no_tolerance(tmp_path, capsys):
+    """The exact locality verdict compares compiled outputs and reads no tolerance."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["audit", "--model", "constant_plus", "--tol", "1", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_check_layer_doubled_model_reports_zero_conditionals(tmp_path, capsys):
@@ -286,6 +302,17 @@ def test_audit_command(tmp_path, capsys):
     assert "locality audit: pass (0 mismatches" in capsys.readouterr().out
     payload = json.loads((out / "audit.json").read_text())
     assert payload["audit"]["pass"] is True
+
+
+def test_audit_of_a_leaky_model_prints_its_first_mismatch(monkeypatch, capsys):
+    """The CLI prints the verdict's count and its first differing cell."""
+    monkeypatch.setattr(cli, "make_model", lambda name: remote_reading_model())
+    assert run_cli(["audit", "--model", "leaky"]) == 0
+    report = locality_audit(remote_reading_model(), Schedule(trials=1000, policy="cycle"))
+    assert not report.passed
+    assert capsys.readouterr().out == (
+        f"locality audit: FAIL ({report.mismatches} mismatches)\n"
+        f"first mismatch: {json.dumps(report.first_mismatch, sort_keys=True)}\n")
 
 
 def test_audit_perturbations_beyond_the_alternatives_exit_2(tmp_path, capsys):
@@ -499,10 +526,11 @@ def wrong_input_argv(tmp_path, model=VALID_MODEL, schedule=None, op="double"):
      "a [model] zoo descriptor takes no sections ['source']"),
     ({"op": "lambda-sign seed=1 seed=2"}, "lambda-sign op repeats parameter 'seed'"),
     ({"op": "layer_double"}, "unknown transform op 'layer_double'"),
+    ({"model": "[model]\nzoo = nope\n"}, "unknown zoo entry: 'nope'"),
 ], ids=["slots", "seed_s1", "seed_value", "a_b", "gen_seed", "mean", "op_key", "double_key",
         "target_round", "grid_key", "section", "schedule_key", "stride", "fixed_pairs",
         "negative_seed", "unread_kind_key", "zoo_with_sections", "repeated_op_key",
-        "layer_double"])
+        "layer_double", "unknown_zoo_entry"])
 def test_wrong_descriptor_input_is_a_configuration_error(tmp_path, capsys, edit, message):
     assert run_cli(wrong_input_argv(tmp_path, **edit)) == 2
     err = capsys.readouterr().err
@@ -551,7 +579,7 @@ VALID_LINES = {
                   *OUTPUT],
     "chsh": ["chsh", "--model", "m", "--angles", "0,1,2,3", "--method", "monte_carlo",
              "--trials", "5", *COMMON],
-    "audit": ["audit", "--model", "m", "--trials", "7", "--perturbations", "2", *COMMON],
+    "audit": ["audit", "--model", "m", "--trials", "7", "--perturbations", "2", *OUTPUT],
     "zoo": ["zoo", "list"],
     "defaults": ["simulate", "--model", "m"],
     "out_equals_and_abbreviation": ["check", "--mod", "m", "--out=o"],
@@ -649,8 +677,21 @@ def test_an_unwritable_output_is_an_io_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("eprsim: i/o error: ")
 
 
+@pytest.mark.parametrize("x, text", [(math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
+                                     (-0.0, "0"), (1 / 3, "0.333333333333")])
+def test_fmt12_writes_non_finite_values_as_str_does(x, text):
+    assert fmt12(x) == text
+
+
+def listed(obj):
+    """A report's coded deviations as the dict the stdlib writes; nothing else."""
+    if type(obj) is TableEntries:
+        return listing(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def stdlib_json(doc):
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, indent=2, sort_keys=True, default=listed)
 
 
 SPECIAL_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
@@ -733,6 +774,26 @@ def test_every_zoo_report_is_written_as_the_stdlib_writes_it(tmp_path, monkeypat
     for path in sorted(tmp_path.glob("*/*.json")):
         text = path.read_text(encoding="utf-8")
         assert text == stdlib_json(json.loads(text)) + "\n", path
+
+
+@pytest.mark.parametrize("angles", [[], ["--angle-a", "1.5707963267948966", "--angle-b", "2"]],
+                         ids=["default_angles", "other_angles"])
+@pytest.mark.parametrize("model", [*sorted(ZOO), "weighted_six.ini"])
+def test_check_artifacts_round_trip_to_their_verdicts(tmp_path, monkeypatch, model, angles):
+    """``joint_table.csv`` holds no setting pair: read back at ``check.json``'s
+    ``config.angle_a``/``angle_b``, it gives the exact e_ab bit for bit and
+    both factorization blocks that ``check.json`` holds."""
+    monkeypatch.chdir(tmp_path)
+    Path("weighted_six.ini").write_text(_weighted_descriptor(), encoding="utf-8")
+    assert run_cli(["check", "--model", model, *angles, "--deterministic", "--out", "out"]) == 0
+    report = json.loads(Path("out", "check.json").read_text(encoding="utf-8"))
+    a, b = s1(report["config"]["angle_a"]), s2(report["config"]["angle_b"])
+    table = read_table_csv(Path("out", "joint_table.csv"), a, b)
+    loaded = make_model(report["config"]["model"])
+    assert correlate_via_table(loaded, table).e_ab == exact_correlation(loaded, a, b)
+    for mode, block in report["factorization"].items():
+        found = check_factorization(table, mode, report["config"]["tol"]).to_dict()
+        assert json.loads(cli.json_text(found)) == block, mode
 
 
 def test_check_without_out_formats_no_report(tmp_path, capsys, monkeypatch):

@@ -11,6 +11,7 @@ import pytest
 
 from eprsim import (
     EmptyTableError,
+    HarnessError,
     InstrumentParamGen,
     InvalidToleranceError,
     InvalidWeightsError,
@@ -32,7 +33,7 @@ from eprsim import (
     tabulate_joint,
     zoo_model,
 )
-from eprsim.density import CSV_HEADER, FactorizationReport
+from eprsim.density import CSV_HEADER, FactorizationReport, TableEntries, listing
 from eprsim.descriptors import model_from_config
 from eprsim.zoo import ZOO, random_factorized_model
 
@@ -304,12 +305,34 @@ def test_joint_table_validation():
         JointTable(A0, B0, {}, (), (), ())
     with pytest.raises(Exception):
         JointTable(A0, B0, {(0, 0, "x", 1): 0.5}, (0,), (0,), ("x",))
+    with pytest.raises(HarnessError, match="keys must be"):
+        JointTable(A0, B0, {(0, 0, "x"): 1.0}, (0,), (0,), ("x",))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: marginal(JointTable(A0, B0, {(0, 0, "u", 1): 1.0}, (0,), (0,), ("u",)), ("slot",)),
+     KeyError, "unknown axis 'slot'"),
+    (lambda: table_from_csv(",".join(CSV_HEADER) + "\n0,0,u,1\n", A0, B0), InvalidWeightsError,
+     "joint-table CSV row has 4 fields"),
+], ids=["unknown_axis", "four_field_row"])
+def test_joint_tables_refuse_axes_and_rows_of_the_wrong_shape(build, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        build()
+
+
+def test_int_probabilities_are_written_as_floats():
+    table = JointTable(A0, B0, {(0, 0, "u", 1): 1, (1, 1, "u", 2): 0}, (0, 1), (0, 1), ("u",))
+    assert table.entries.probs.dtype == np.float64
+    assert repr(table.entries) == "TableEntries({(0, 0, 'u', 1): 1.0, (1, 1, 'u', 2): 0.0})"
+    assert table_to_csv(table).splitlines()[1:] == ["0,0,u,1,1.0", "1,1,u,2,0.0"]
 
 
 def test_report_dict_orders_deviations_by_formatted_key():
     # 1 and "1" format alike: the stable sort keeps their order, and the later
     # value wins under the first one's place, as a dict comprehension would.
-    deviations = {(1, 2): 0.5, 10: 0.1, "1": 0.2, 2: 0.3, 1: 0.4}
+    deviations = TableEntries((((1, 2), 10, "1", 2, 1),), (np.arange(5),),
+                              np.array([0.5, 0.1, 0.2, 0.3, 0.4]))
     report = FactorizationReport("given_lambda", 1e-9, 0.5, False, deviations, 0.5)
-    assert list(report.to_dict()["deviations"].items()) == [
+    assert report.to_dict()["deviations"] is deviations
+    assert list(listing(deviations).items()) == [
         ("(1, 2)", 0.5), ("1", 0.4), ("10", 0.1), ("2", 0.3)]

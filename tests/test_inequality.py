@@ -122,6 +122,11 @@ def test_monte_carlo_error_shrinks_with_trials():
     assert medians[0] > medians[1] > medians[2]
 
 
+def test_correlate_refuses_an_unknown_method():
+    with pytest.raises(ValueError, match="unknown method 'sampled'"):
+        correlate(zoo_model("constant_plus"), s1(0.0), s2(0.0), method="sampled")
+
+
 def test_monte_carlo_requires_trials():
     # A count that is not an integer is refused as a Schedule refuses it.
     for trials in (0, -1, 1.5, 1.0, True, "3", None):

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,11 +8,13 @@ import pytest
 from eprsim import (
     CodomainViolationError,
     ConfigurationError,
+    GridMismatchError,
     HarnessError,
     InstrumentParamGen,
     InvalidWeightsError,
     LocalModel,
     OutcomeFn,
+    Setting,
     SourceSpace,
     Station,
     StationMismatchError,
@@ -65,6 +68,8 @@ def test_source_space_rejects_bad_priors():
         SourceSpace((), ())
     with pytest.raises(InvalidWeightsError):
         SourceSpace(("a", "a"), (0.5, 0.5))
+    with pytest.raises(InvalidWeightsError, match="differ in length"):
+        SourceSpace(("a", "b"), (1.0,))
 
 
 def test_source_space_rejects_nan_prior():
@@ -89,6 +94,8 @@ def test_time_grid_validation():
         TimeGrid(0)
     with pytest.raises(InvalidWeightsError):
         TimeGrid(2, (0.9, 0.2))
+    with pytest.raises(InvalidWeightsError, match="weights length != slot_count"):
+        TimeGrid(2, (1.0,))
     grid = TimeGrid(4)
     assert grid.is_uniform
     assert list(grid.slots) == [1, 2, 3, 4]
@@ -143,6 +150,29 @@ def test_wrong_station_typing_rejected_at_construction():
             out1=model.out1,
             out2=model.out2,
         )
+
+
+def _constant_plus(**changes):
+    return replace(zoo_model("constant_plus"), **changes)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Setting(0.0, "S1"), StationMismatchError, "setting station must be a Station"),
+    (lambda: SignFunction((1, 0), 0.0), CodomainViolationError, "must be -1 or +1"),
+    (lambda: SignFunction((1, 1), 1.0).recomputed_mean(TimeGrid(3)), GridMismatchError,
+     "does not match the grid"),
+    (lambda: InstrumentParamGen(Station.S1, (), lambda s, m, seed: 0), InvalidWeightsError,
+     "empty value space"),
+    (lambda: _constant_plus(gen2=zoo_model("constant_plus").gen1), StationMismatchError,
+     "gen2/out2 must be S2-typed"),
+    (lambda: _constant_plus(lambda_sign={}), HarnessError, "lambda_sign misses states"),
+    (lambda: _constant_plus(lambda_sign=dict.fromkeys(("u0", "u1"), 2)),
+     CodomainViolationError, "lambda_sign values must be"),
+], ids=["setting_station", "sign_values", "sign_grid",
+        "value_space", "gen2_station", "lambda_sign_states", "lambda_sign_values"])
+def test_constructors_refuse_what_they_cannot_hold(build, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        build()
 
 
 def test_outcome_codomain_is_enforced():

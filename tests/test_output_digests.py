@@ -18,7 +18,11 @@ the fixture dropped ``seed_s1 = 11``, and only the echoed config, the
 ``*/chsh_mc/{chsh.json,chsh.csv,stdout}`` entries were re-recorded when Monte
 Carlo began to draw each pair's cell counts from one multinomial draw and to
 report a standard error and a verdict; Monte Carlo on the cosine reference
-table now exits 2 and writes nothing, so only its stdout entry remains. A
+table now exits 2 and writes nothing, so only its stdout entry remains. The
+42 ``*/audit/{audit.json,stdout}`` entries were re-recorded when the exact
+locality verdict stopped reporting a trial count (``trials_checked`` and the
+"over N trials" of its stdout) and ``audit`` lost ``--tol``, which its config
+echoed. A
 change that must alter an output replaces the file and names every changed
 digest. The cases are run by ``shared_fixtures.collect_digests``, which the
 reference-loop tests run too.

@@ -427,13 +427,13 @@ def test_check_factorization_in_small_blocks_matches_reference_loop(monkeypatch,
 
 
 def test_report_keys_are_the_str_of_each_condition():
-    """``to_dict`` builds each (state, slot) key's text from its parts; the
+    """``listing`` builds each (state, slot) key's text from its parts; the
     text must be ``str`` of the key, as it was when each key was formatted
     whole, with the later value kept where two keys print alike."""
     for table in hand_built_tables(500):
         for mode in ("given_lambda", "given_lambda_and_m"):
             report = check_factorization(table, mode)
-            found = report.to_dict()["deviations"]
+            found = density.listing(report.deviations)
             assert list(found) == list(dict.fromkeys(sorted(map(str, report.deviations))))
             expected = {}
             for key, value in sorted(report.deviations.items(), key=lambda kv: str(kv[0])):
@@ -515,35 +515,41 @@ def check_reports():
 @pytest.mark.parametrize("format_each", [0, density.FORMAT_EACH])
 def test_coded_listing_is_the_stdlib_text(monkeypatch, c_encoder, format_each):
     """``json_text`` of a report that carries coded deviations is the stdlib's
-    text of the same report built by ``to_dict``; at a cut-over of 0 every
+    text of the same report with its ``listing``; at a cut-over of 0 every
     listing is written from its codes, at ``FORMAT_EACH`` only the long ones."""
     monkeypatch.setattr(density, "FORMAT_EACH", format_each)
     if not c_encoder:
         monkeypatch.setattr(cli, "c_make_encoder", None)
+    from_codes = []
+    listing_text = cli.listing_text
+    monkeypatch.setattr(cli, "listing_text", lambda entries, *level: (
+        from_codes.append(len(entries)) or listing_text(entries, *level)))
     prefixed = check_factorization(next(listing_tables()), "given_lambda_and_m")
     assert list(map(str, prefixed.deviations.domains[0])) == ["a", "a, b"]
     for reports in check_reports():
         coded = {"config": {"tol": 1e-9}, "factorization": {
-            str(k): report.to_dict(coded=True) for k, report in enumerate(reports)}}
-        plain = {"config": {"tol": 1e-9}, "factorization": {
             str(k): report.to_dict() for k, report in enumerate(reports)}}
-        # to_dict leaves coded only the listings longer than the cut-over.
-        assert [isinstance(r["deviations"], density.TableEntries)
-                for r in coded["factorization"].values()] == [
-            len(report.deviations) > format_each for report in reports]
+        plain = {"config": {"tol": 1e-9}, "factorization": {
+            str(k): {**report.to_dict(), "deviations": density.listing(report.deviations)}
+            for k, report in enumerate(reports)}}
+        from_codes.clear()
         assert cli.json_text(coded) == json.dumps(plain, indent=2, sort_keys=True)
+        # Only the C encoder's route writes a listing from its codes, and only a long one.
+        assert sorted(from_codes) == sorted(
+            len(report.deviations) for report in reports
+            if c_encoder and len(report.deviations) > format_each)
 
 
 def reference_table_csv(entries):
     """The writer the coded one replaced, on a plain dict of entries: every
     key sorted by the ``str`` forms of its fields, then one ``csv`` row per
-    entry."""
+    entry, its probability as a float (an int 0 is written ``0.0``)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for key in sorted(entries, key=lambda k: tuple(str(x) for x in k)):
         v1, v2, lam, m = key
-        writer.writerow([v1, v2, lam, m, repr(entries[key])])
+        writer.writerow([v1, v2, lam, m, repr(float(entries[key]))])
     return buf.getvalue()
 
 
@@ -743,7 +749,7 @@ def reference_audit(model, schedule, perturbations):
                                 "baseline": [str(base_values[m]), int(base_outcomes[i, m])],
                                 "perturbed": [str(values[m]), int(outcomes[i, m])],
                             }
-    return AuditReport(schedule.trials, mismatches, mismatches == 0, first)
+    return AuditReport(mismatches, mismatches == 0, first)
 
 
 AUDIT_SCHEDULES = {

@@ -792,6 +792,14 @@ def test_read_trials_csv_rejects_malformed_rows(tmp_path, row, message):
         read_trials_csv(path)
 
 
+@pytest.mark.parametrize("text", ["", "0,1,0.0,0.0,u0,0,0,1,1\n"], ids=["empty", "headerless"])
+def test_read_trials_csv_needs_its_header(tmp_path, text):
+    path = tmp_path / "trials.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InvalidScheduleError, match="empty or lacks the expected header"):
+        read_trials_csv(path)
+
+
 def test_read_trials_csv_names_the_row_of_a_non_numeric_cell(tmp_path):
     path = tmp_path / "trials.csv"
     for rows in (
