@@ -12,13 +12,13 @@ rounded products whatever the summation order, and the two routes agree bit
 for bit.
 Sampled +-1 outcomes reduce through one function, :func:`sampled_correlation`,
 from a tensor of integer counts over (state, A, B). A lockstep run
-(:mod:`eprsim.stations`) fills it by counting its trials; Monte Carlo fills it
-from one multinomial draw of the (state, slot) cell counts per pair, so its
-cost and memory do not grow with the trial count. A sampled CHSH value
-carries a standard error and a three-way verdict whose false-alarm rate is at
-most :data:`FALSE_ALARM_RATE` (Hoeffding's bound per pair, a union bound over
-the four pairs). A :class:`ChshResult` holds the four correlations and
-derives S and its comparison with :data:`LOCAL_BOUND` from them.
+(:mod:`eprsim.stations`) fills it by counting its trials; Monte Carlo from one
+multinomial draw per pair over the bins of nonzero mass, so its cost and
+memory do not grow with the trial count. A sampled CHSH value carries a
+standard error and a three-way verdict whose false-alarm rate is at most
+:data:`FALSE_ALARM_RATE` (Hoeffding's bound per pair, a union bound over the
+four pairs). A :class:`ChshResult` holds the four correlations and derives S
+and its comparison with :data:`LOCAL_BOUND` from them.
 """
 from __future__ import annotations
 
@@ -55,6 +55,9 @@ FALSE_ALARM_RATE = 1e-6
 
 # The most Monte Carlo trials per pair: the multinomial draw counts in int64.
 MAX_TRIALS = int(np.iinfo(np.int64).max)
+
+# Row 2i + j holds 1, A, B and AB at the outcomes (2i - 1, 2j - 1) of its bin.
+_BIN_SIGNS = np.array([[1, -1, -1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, 1, 1, 1]])
 
 
 @dataclass(frozen=True)
@@ -174,7 +177,8 @@ def correlate(
     finite so this is always available. ``monte_carlo`` reports the empirical
     means of ``trials`` i.i.d. draws of (state, slot) with the model's
     weights, with the standard error of the pair product. Only how many
-    draws land in each cell matters, so the cell counts are drawn at once
+    draws land in each (state, A, B) bin matters, so the counts of the bins
+    of nonzero mass (the sum of their cells' ``cell_mass``) are drawn at once
     from their multinomial law: time and memory do not grow with ``trials``.
     """
     check_pair(a, b)
@@ -191,14 +195,13 @@ def correlate(
         raise ZeroTrialsError(
             f"monte_carlo needs an integer 1 <= trials <= {MAX_TRIALS}, got {trials!r}")
     rng = np.random.default_rng(stable_seed("correlate", seed, fmt12(a.angle), fmt12(b.angle)))
-    prior = np.asarray(model.source.prior)
-    weights = np.array(model.grid.weights)
-    p = np.outer(prior / prior.sum(), weights / weights.sum())
-    cells = rng.multinomial(count, p.ravel()).reshape(p.shape)
-    # Each cell's count goes to its state and its two outcomes.
-    counts = np.zeros((len(prior), 2, 2), dtype=np.int64)
-    np.add.at(counts, (np.arange(len(prior))[:, None], (A + 1) // 2, (B + 1) // 2), cells)
-    return sampled_correlation(a, b, counts, model.source.states)
+    # Each cell's bin is its (state, A, B) entry of the count tensor.
+    states = len(model.source.states)
+    bins = 4 * np.arange(states)[:, None] + (A + 1) + (B + 1) // 2
+    mass = np.bincount(bins.ravel(), cell_mass(model).ravel(), 4 * states)
+    counts, held = np.zeros(4 * states, dtype=np.int64), np.flatnonzero(mass)
+    counts[held] = rng.multinomial(count, mass[held] / fsum(mass[held].tolist()))
+    return sampled_correlation(a, b, counts.reshape(states, 2, 2), model.source.states)
 
 
 def sampled_correlation(
@@ -216,19 +219,16 @@ def sampled_correlation(
     a ratio of integers (each square's ``as_integer_ratio``), rounded once by
     one true division, as ``math.fsum`` would round it.
     """
-    per_state = counts.sum(axis=(1, 2)).tolist()
+    per_state, sums_a, sums_b, sums_ab = (counts.reshape(-1, 4) @ _BIN_SIGNS).T.tolist()
     n = sum(per_state)
     if n == 0:
         raise ZeroTrialsError("sampled correlation of no samples")
-    plus = int(counts[:, 0, 0].sum() + counts[:, 1, 1].sum())
+    plus = (n + sum(sums_ab)) // 2
     e_ab = (2 * plus - n) / n
     std_error = 0.0
     if n > 1:
         (p, q), (r, s) = (((x - e_ab) ** 2).as_integer_ratio() for x in (1, -1))
         std_error = sqrt((p * s * plus + r * q * (n - plus)) / (q * s) / (n - 1) / n)
-    # Per-state outcome sums: plus-one counts minus minus-one counts.
-    sums_a = (counts[:, 1, :] - counts[:, 0, :]).sum(axis=1).tolist()
-    sums_b = (counts[:, :, 1] - counts[:, :, 0]).sum(axis=1).tolist()
 
     def conditionals(sums):
         return {lam: s / c for lam, s, c in zip(states, sums, per_state) if c}

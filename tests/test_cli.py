@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eprsim import (check_factorization, cli, correlate_via_table, exact_correlation, make_model,
-                    read_table_csv, s1, s2, zoo_model)
+from eprsim import (chsh, check_factorization, cli, correlate_via_table, exact_correlation,
+                    make_model, read_table_csv, s1, s2, zoo_model)
 from eprsim.cli import main
 from eprsim.density import FactorizationReport, TableEntries, listing
+from eprsim.model import CHSH_OPTIMAL_ANGLES
 from eprsim.stations import Schedule, locality_audit
 from eprsim.util import fmt12
 from eprsim.zoo import ZOO
@@ -267,10 +268,16 @@ def test_trial_count_beyond_memory_exits_2(tmp_path, capsys, monkeypatch, comman
 
 def test_chsh_verdict_and_standard_error_only_for_monte_carlo(tmp_path, capsys):
     """cosine_threshold_lhv has exact S = -2: a sampled |S| above 2 is
-    inconclusive, not outside the local bound."""
+    inconclusive, not outside the local bound. About half the seeds land
+    beyond 2; the first of seeds 0-99 that does is run through the CLI."""
+    a, ap, b, bp = CHSH_OPTIMAL_ANGLES
+    quadruple = (zoo_model("cosine_threshold_lhv"), s1(a), s1(ap), s2(b), s2(bp))
+    seed = next((seed for seed in range(100) if abs(chsh(
+        *quadruple, method="monte_carlo", trials=100000, seed=seed).s_value) > 2.0), None)
+    assert seed is not None, "no seed of 0-99 lands beyond |S| = 2"
     out = tmp_path / "mc"
     assert run_cli(["chsh", "--model", "cosine_threshold_lhv", "--method", "monte_carlo",
-                    "--trials", "100000", "--seed", "1", "--deterministic",
+                    "--trials", "100000", "--seed", str(seed), "--deterministic",
                     "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     result = json.loads((out / "chsh.json").read_text())["chsh"]

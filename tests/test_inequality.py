@@ -37,9 +37,10 @@ from eprsim import (
     time_symmetrize,
     zoo_model,
 )
+from eprsim import inequality
 from eprsim.descriptors import load_model
 from eprsim.inequality import sampled_correlation
-from eprsim.model import CHSH_OPTIMAL_ANGLES, OUTCOME_ARGS
+from eprsim.model import CHSH_OPTIMAL_ANGLES, OUTCOME_ARGS, cell_mass
 from eprsim.stations import DEFAULT_PAIRS
 from eprsim.util import fmt12, stable_seed
 from eprsim.zoo import all_zoo_models, random_factorized_model
@@ -139,6 +140,98 @@ def test_monte_carlo_takes_a_numpy_integer_count():
     model, a, b = zoo_model("cosine_threshold_lhv"), s1(0.0), s2(math.pi / 4)
     assert (correlate(model, a, b, method="monte_carlo", trials=np.int64(500), seed=2)
             == correlate(model, a, b, method="monte_carlo", trials=500, seed=2))
+
+
+def test_monte_carlo_gives_a_zero_weight_slot_no_trial():
+    """numpy's multinomial hands its last category every trial that its earlier
+    binomials leave, whatever that category's probability. S1 reads -1 only in
+    the zero-weight last slot, so e_ab is exactly 1 at any trial count."""
+    model = replace(zoo_model("constant_plus"), source=SourceSpace(("u",), (1.0,)),
+                    grid=TimeGrid(4, (1 / 3, 1 / 3, 1 / 3, 0.0)),
+                    out1=OutcomeFn(Station.S1, lambda s, lam, v, m: -1 if m == 4 else 1))
+    for seed in range(5):
+        report = correlate(model, s1(0.0), s2(0.0), method="monte_carlo", trials=10**18,
+                           seed=seed)
+        assert (report.e_ab, report.marginal_a) == (1.0, 1.0), seed
+
+
+def test_monte_carlo_gives_a_zero_prior_state_no_trial():
+    model = replace(zoo_model("constant_plus"), grid=TimeGrid(1), source=SourceSpace(
+        ("u0", "u1", "u2", "u3"), (1 / 3, 1 / 3, 1 / 3, 0.0)))
+    for seed in range(5):
+        report = correlate(model, s1(0.0), s2(0.0), method="monte_carlo", trials=10**18,
+                           seed=seed)
+        assert list(report.cond_a) == list(report.cond_b) == ["u0", "u1", "u2"], seed
+
+
+def law_models(tmp_path):
+    """Every zoo model, the weighted six-slot descriptor and five random models."""
+    (tmp_path / "weighted_six.ini").write_text(_weighted_descriptor(), encoding="utf-8")
+    return [*all_zoo_models(), load_model(tmp_path / "weighted_six.ini"),
+            *map(random_factorized_model, range(5))]
+
+
+def bin_masses(model, a, b):
+    """Each (state, A, B) bin's exact mass: the fsum of its cells' cell_mass."""
+    A, B = model.compiled(a)[1], model.compiled(b)[1]
+    mass = cell_mass(model)
+    return {(lam, x, y): math.fsum(mass[s][(A[s] == x) & (B[s] == y)].tolist())
+            for s, lam in enumerate(model.source.states) for x in (-1, 1) for y in (-1, 1)}
+
+
+def test_monte_carlo_bin_frequencies_match_their_exact_masses(tmp_path):
+    """At one trial per seed a report names the one (state, A, B) bin drawn.
+    Over N seeds each bin's hits k are Binomial(N, p) at its exact mass p, so
+    |k - N p| <= 6 sqrt(N p (1 - p)) + 1, and a zero-mass bin is never hit."""
+    seeds = 2000
+    a, b = s1(0.0), s2(math.pi / 4)
+    for model in law_models(tmp_path):
+        masses = bin_masses(model, a, b)
+        total = math.fsum(masses.values())
+        hits = Counter()
+        for seed in range(seeds):
+            report = correlate(model, a, b, method="monte_carlo", trials=1, seed=seed)
+            (lam, x), = report.cond_a.items()
+            hits[lam, int(x), int(report.cond_b[lam])] += 1
+        assert set(hits) <= {key for key, mass in masses.items() if mass > 0.0}, model.name
+        for key, mass in masses.items():
+            p = mass / total
+            assert abs(hits[key] - seeds * p) <= 6 * math.sqrt(seeds * p * (1 - p)) + 1, (
+                model.name, key, hits[key], seeds * p)
+
+
+def test_monte_carlo_draws_over_the_bins_of_nonzero_mass(tmp_path, monkeypatch):
+    """The multinomial's categories are at most min(cells, 4 states), none of
+    zero mass: 256 on a 64-state, 1024-slot model with every (A, B) in each state."""
+    labels = tuple(f"s{k}" for k in range(64))
+    wide = replace(
+        zoo_model("constant_plus"), source=SourceSpace(labels, (1 / 64,) * 64),
+        grid=TimeGrid(1024),
+        out1=OutcomeFn(Station.S1, lambda s, lam, v, m: 1 if (m + int(lam[1:])) % 3 else -1),
+        out2=OutcomeFn(Station.S2, lambda s, lam, v, m: 1 if (7 * m + int(lam[1:])) % 5 < 2
+                       else -1))
+    categories = []
+    default_rng = np.random.default_rng
+
+    class SpyGenerator:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def multinomial(self, n, pvals):
+            categories.append(np.asarray(pvals))
+            return self.rng.multinomial(n, pvals)
+
+    monkeypatch.setattr(inequality.np.random, "default_rng", SpyGenerator)
+    a, b = s1(0.0), s2(math.pi / 4)
+    for model in [*law_models(tmp_path), wide]:
+        categories.clear()
+        correlate(model, a, b, method="monte_carlo", trials=100, seed=1)
+        (pvals,) = categories
+        states, slots = len(model.source.states), model.grid.slot_count
+        assert len(pvals) <= min(states * slots, 4 * states), model.name
+        assert len(pvals) == sum(mass > 0.0 for mass in bin_masses(model, a, b).values())
+        assert (pvals > 0.0).all(), model.name
+    assert len(pvals) == 256
 
 
 def test_sampled_standard_error_equals_its_rational_reference():

@@ -18,7 +18,12 @@ the fixture dropped ``seed_s1 = 11``, and only the echoed config, the
 ``*/chsh_mc/{chsh.json,chsh.csv,stdout}`` entries were re-recorded when Monte
 Carlo began to draw each pair's cell counts from one multinomial draw and to
 report a standard error and a verdict; Monte Carlo on the cosine reference
-table now exits 2 and writes nothing, so only its stdout entry remains. The
+table now exits 2 and writes nothing, so only its stdout entry remains. Of
+those, the 36 entries of the bell_product_basic, cosine_threshold_lhv,
+setting_dependent_density and weighted_six cases (each plain and with its two
+transforms) were re-recorded when Monte Carlo began to draw each pair's
+(state, A, B) bin counts, over the bins of nonzero mass, in place of its cell
+counts; the other cases' sampled statistics do not depend on the draw. The
 42 ``*/audit/{audit.json,stdout}`` entries were re-recorded when the exact
 locality verdict stopped reporting a trial count (``trials_checked`` and the
 "over N trials" of its stdout) and ``audit`` lost ``--tol``, which its config

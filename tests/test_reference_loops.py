@@ -54,7 +54,7 @@ from eprsim import cli, density
 from eprsim.descriptors import model_from_config
 from eprsim.density import CSV_HEADER
 from eprsim.inequality import sampled_correlation
-from eprsim.model import TWO_PI, station_outcomes, station_values
+from eprsim.model import TWO_PI, cell_mass, station_outcomes, station_values
 from eprsim.stations import DEFAULT_PAIRS, empirical_correlations
 from eprsim.symmetry import exact_marginal
 from eprsim.util import fmt12, stable_seed
@@ -617,20 +617,26 @@ def test_count_tensor_reducer_matches_per_sample_reference():
 
 
 def test_monte_carlo_counts_match_per_sample_reference():
-    """Each multinomial cell count expanded into that many samples of the cell."""
+    """Each cell's mass added into its (state, A, B) bin one cell at a time, one
+    multinomial over the bins of nonzero mass in ascending order, and each bin
+    count expanded into that many samples of the bin."""
     for model in models(random_seeds=20):
-        prior = np.asarray(model.source.prior)
-        weights = np.array(model.grid.weights)
-        p = np.outer(prior / prior.sum(), weights / weights.sum()).ravel()
+        mass = cell_mass(model)
         for seed, (a, b) in enumerate(GRID_PAIRS):
             A, B = compiled_pair(model, a, b)
+            bins: dict[tuple[int, int, int], float] = {}
+            for s in range(len(model.source.states)):
+                for m in range(model.grid.slot_count):
+                    key = (s, int(A[s, m]), int(B[s, m]))
+                    bins[key] = bins.get(key, 0.0) + float(mass[s, m])
+            held = sorted(key for key, value in bins.items() if value > 0.0)
+            total = fsum(bins[key] for key in held)
             trials = 1 + 97 * seed
             rng = np.random.default_rng(
                 stable_seed("correlate", seed, fmt12(a.angle), fmt12(b.angle)))
-            cell = np.repeat(np.arange(p.size), rng.multinomial(trials, p))
-            li, mi = np.divmod(cell, model.grid.slot_count)
-            expected = reference_sampled_correlation(a, b, A[li, mi], B[li, mi], li,
-                                                     model.source.states)
+            drawn = rng.multinomial(trials, [bins[key] / total for key in held])
+            li, x, y = (np.repeat(np.array(column), drawn) for column in zip(*held))
+            expected = reference_sampled_correlation(a, b, x, y, li, model.source.states)
             found = correlate(model, a, b, method="monte_carlo", trials=trials, seed=seed)
             assert report_fields(found) == report_fields(expected), (model.name, a, b)
 
