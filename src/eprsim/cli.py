@@ -15,6 +15,7 @@ import csv
 import functools
 import json
 import math
+import shutil
 import sys
 from datetime import datetime, timezone
 from itertools import repeat
@@ -391,23 +392,33 @@ COMMANDS = {
 }
 
 
+def _formatter():
+    """argparse's default help formatter at the width it would read, read
+    once: argparse builds a formatter on every ``add_argument``, and each
+    stock one reads the terminal size again."""
+    return functools.partial(argparse.HelpFormatter,
+                             width=shutil.get_terminal_size().columns - 2)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The full tree: top-level options and one subparser per command."""
+    formatter = _formatter()
     parser = argparse.ArgumentParser(
         prog="eprsim",
         description="deterministic two-station coincidence-experiment harness",
+        formatter_class=formatter,
     )
     parser.add_argument("--version", action="version", version=f"eprsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, add_options) in COMMANDS.items():
-        add_options(sub.add_parser(name, help=help_text))
+        add_options(sub.add_parser(name, help=help_text, formatter_class=formatter))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in COMMANDS:  # the command's own parser, as the full tree holds it
-        parser = argparse.ArgumentParser(prog=f"eprsim {argv[0]}")
+        parser = argparse.ArgumentParser(prog=f"eprsim {argv[0]}", formatter_class=_formatter())
         COMMANDS[argv[0]][2](parser)
         args = parser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     else:  # -h, --version, no or an unknown command: the tree lists the commands

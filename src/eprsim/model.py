@@ -263,6 +263,10 @@ class LocalModel:
             raise StationMismatchError(f"{self.name}: gen1/out1 must be S1-typed")
         if self.gen2.station is not Station.S2 or self.out2.station is not Station.S2:
             raise StationMismatchError(f"{self.name}: gen2/out2 must be S2-typed")
+        # Each factor sums to 1 within WEIGHT_TOL, but their errors add in the
+        # cell masses; within WEIGHT_TOL / 4 each, the cells cannot miss it.
+        if max(abs(fsum(w) - 1.0) for w in (self.source.prior, self.grid.weights)) > WEIGHT_TOL / 4:
+            _check_mass(cell_mass(self).ravel().tolist(), True, f"{self.name}: cell masses")
         n = self.grid.slot_count
         if self.sign is not None and len(self.sign.values) != n:
             raise GridMismatchError(f"{self.name}: sign function does not cover the grid")
@@ -359,10 +363,26 @@ def station_values(model: LocalModel, setting: Setting) -> list[Hashable]:
     """The station's instrument value at every slot (slot 1 first) for one setting.
 
     A generator sees only the setting, the slot and its own seed, so one call
-    per slot covers every source state.
+    per slot covers every source state. The rule is called as
+    :meth:`InstrumentParamGen.evaluate` calls it, slot by slot; the model ties
+    each generator to its station, so the station check cannot fail here. The
+    value space is checked once per distinct value, and the first value
+    outside it in slot order raises the error ``evaluate`` gives at its slot.
     """
     gen = model.gen(setting.station)
-    return [gen.evaluate(setting, m) for m in model.grid.slots]
+    rule, seed = gen.rule, gen.seed
+    values = [rule(setting, m, seed) for m in model.grid.slots]
+    try:
+        distinct = dict.fromkeys(values)
+    except TypeError:  # an unhashable value: check every slot's in order
+        distinct = values
+    space = gen.value_space
+    for value in distinct:
+        if value not in space:
+            raise CodomainViolationError(
+                f"{gen.station.value} generator produced {value!r}, outside its value space"
+            )
+    return values
 
 
 def station_outcomes(model: LocalModel, setting: Setting, values: list[Hashable]) -> np.ndarray:
@@ -372,7 +392,7 @@ def station_outcomes(model: LocalModel, setting: Setting, values: list[Hashable]
     rule is called only along the axes its ``reads`` declare: once per state
     if it reads the state, once per slot if it reads the value or the slot.
     An unread axis gets a real grid point, the first state or slot 1 with its
-    value, and the result is broadcast along it. A rule that reads both axes,
+    value, and the result is repeated along it. A rule that reads both axes,
     as every undeclared rule does, is called once per cell, state by state
     and slot by slot within a state, as cell-by-cell calls of
     :func:`evaluate_outcome` would be. The codomain check then applies to
@@ -383,19 +403,22 @@ def station_outcomes(model: LocalModel, setting: Setting, values: list[Hashable]
     states, out = model.source.states, model.out(setting.station)
     rule, reads = out.rule, out.reads
     rows = states if "state" in reads else states[:1]
-    cells = list(zip(model.grid.slots, values))
     if reads.isdisjoint(("value", "slot")):
-        cells = cells[:1]
-    raw = [rule(setting, lam, v, m) for lam in rows for m, v in cells]
+        raw = [rule(setting, lam, values[0], 1) for lam in rows]
+    else:
+        cells = list(zip(model.grid.slots, values))
+        raw = [rule(setting, lam, v, m) for lam in rows for m, v in cells]
     try:
         valid = set(raw) <= {-1, 1}
     except TypeError:  # an unhashable return: the cell-by-cell check names it
         valid = False
     if not valid:
         raw = [_checked(model, r) for r in raw]
-    outcomes = np.array(raw, dtype=np.int8).reshape(len(rows), len(cells))
-    if outcomes.shape != (len(states), len(values)):
-        outcomes = np.broadcast_to(outcomes, (len(states), len(values))).copy()
+    outcomes = np.array(raw, dtype=np.int8).reshape(len(rows), -1)
+    if len(rows) < len(states):
+        outcomes = outcomes.repeat(len(states), axis=0)
+    if outcomes.shape[1] < len(values):
+        outcomes = outcomes.repeat(len(values), axis=1)
     signs = model.signs[setting.station]
     return outcomes if signs is None else outcomes * signs
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, fields
-from itertools import chain, count, islice
+from itertools import chain, compress, count, islice
 from pathlib import Path
 from typing import Hashable, Sequence
 
@@ -293,7 +293,8 @@ def locality_audit(
     angles, keys = _pair_keys(schedule)
     n = len(angles)
     d = np.subtract.outer(angles, TEST_ANGLES) % TWO_PI
-    alternatives = [np.flatnonzero(np.minimum(x, TWO_PI - x) > 1e-12).tolist() for x in d]
+    far = (np.minimum(d, TWO_PI - d) > 1e-12).tolist()
+    alternatives = [list(compress(range(len(TEST_ANGLES)), row)) for row in far]
     scheduled: dict[int, tuple[float, float]] = {}
     for key, pair in zip(keys.tolist(), schedule.pairs):
         scheduled.setdefault(key, pair)
@@ -307,7 +308,9 @@ def locality_audit(
     values, outcomes = _compile(model, angles, order)
     station, base, alt = np.array([(side, row[key], row[k]) for key, side, k in compares]).T
     bad = outcomes[station, alt] != outcomes[station, base]
-    bad |= (values[station, alt] != values[station, base])[:, None, :]
+    moved = values[station, alt] != values[station, base]
+    if moved.any():  # never on an honest model
+        bad |= moved[:, None, :]
     mismatches = int(np.count_nonzero(bad))
     if not mismatches:
         return AuditReport(0, True)

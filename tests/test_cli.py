@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -675,6 +676,50 @@ def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):
     with pytest.raises(SystemExit, match="2"):  # an error line is not parsed again
         main(["check", "--model", "m", "extra"])
     assert built == ["eprsim zoo", "eprsim chsh", "eprsim check"]
+
+
+@pytest.mark.parametrize("columns", ["60", "80", "200"])
+def test_help_and_usage_errors_match_the_stock_formatter(monkeypatch, capsys, columns):
+    """Each parser reads the terminal width once; its help and usage-error
+    bytes are those of argparse's default formatter at every width."""
+    monkeypatch.setenv("COLUMNS", columns)
+    for name, (_, _, add_options) in cli.COMMANDS.items():
+        stock = argparse.ArgumentParser(prog=f"eprsim {name}")
+        add_options(stock)
+        for rest in (["-h"], [], ["--bogus"]):
+            found = parse_outcome(main, [name, *rest], capsys)
+            assert found == parse_outcome(stock.parse_args, rest, capsys), (name, rest)
+    tree = [parse_outcome(main, argv, capsys) for argv in (["-h"], [], ["bogus"])]
+    reads = []
+    size = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda: reads.append(1) or size())
+    parse_outcome(main, ["simulate", "-h"], capsys)
+    parse_outcome(main, ["-h"], capsys)
+    assert len(reads) == 2
+    monkeypatch.setattr(cli, "_formatter", lambda: argparse.HelpFormatter)
+    assert tree == [parse_outcome(main, argv, capsys) for argv in (["-h"], [], ["bogus"])]
+
+
+NEAR_ONE_MODEL = (TABLE_MISS_MODEL.format(gen1="kind = constant", out1=CONSTANT_OUT)
+                  .replace("prior = 0.5, 0.5", "prior = {near}, 0.5")
+                  .replace("slots = 4", "slots = 2\nweights = {near}, 0.5"))
+
+
+@pytest.mark.parametrize("near, code", [("0.4999999999991", 3), ("0.4999999999996", 0)],
+                         ids=["0.9_tol", "0.4_tol"])
+def test_every_command_applies_one_mass_rule(tmp_path, capsys, near, code):
+    """Prior and grid weights each 0.9 x WEIGHT_TOL from summing to 1 give
+    cell masses 1.8 x WEIGHT_TOL from it: every command refuses the model
+    (check alone did); at 0.4 x every command runs it."""
+    descriptor = tmp_path / "near_one.ini"
+    descriptor.write_text(NEAR_ONE_MODEL.format(near=near))
+    for command in ("check", "chsh", "simulate", "audit"):
+        out = tmp_path / command
+        assert run_cli([command, "--model", str(descriptor), "--out", str(out)]) == code, command
+        err = capsys.readouterr().err
+        if code:
+            assert err == ("eprsim: model error: table_miss: cell masses: "
+                           "weights sum to 0.9999999999982, not 1\n")
 
 
 def test_an_unwritable_output_is_an_io_error(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import math
 import re
+import zlib
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -31,8 +33,10 @@ from eprsim import (
     time_symmetrize,
     zoo_model,
 )
+from eprsim.density import tabulate_joint
 from eprsim.model import (
     OUTCOME_ARGS,
+    WEIGHT_TOL,
     SignFunction,
     TEST_ANGLES,
     station_outcomes,
@@ -382,3 +386,75 @@ def test_compile_calls_the_rule_at_real_grid_points_of_unread_axes(reads, cells,
     assert calls == cells
     assert found.dtype == np.int8 and found.flags.writeable
     assert found.tolist() == expected
+
+
+@pytest.mark.parametrize("bad", [7, [1]], ids=["hashable", "unhashable"])
+@pytest.mark.parametrize("k", [1, 3, 4])
+def test_compiled_value_check_names_the_first_value_outside_the_space(k, bad):
+    """The compile checks each distinct value once, yet raises what
+    ``gen.evaluate`` raises at the first slot whose value is outside the space."""
+    def rule(s, m, seed):
+        return 0 if m < k else bad if m == k else "later"
+
+    gen = InstrumentParamGen(Station.S1, (0, 1), rule)
+    model = replace(zoo_model("bell_product_basic"), gen1=gen)
+    with pytest.raises(CodomainViolationError) as one_slot:
+        gen.evaluate(s1(0.0), k)
+    for compile_ in (lambda: station_values(model, s1(0.0)), lambda: model.compiled(s1(0.0))):
+        with pytest.raises(CodomainViolationError) as compiled:
+            compile_()
+        assert str(compiled.value) == str(one_slot.value)
+        assert repr(bad) in str(compiled.value)
+
+
+def rule_reading(reads):
+    """An outcome rule that depends on exactly the arguments in ``reads``."""
+    def rule(s, lam, v, m):
+        args = dict(zip(OUTCOME_ARGS, (s.angle, lam, v, m)))
+        key = repr([args[name] for name in OUTCOME_ARGS if name in reads])
+        return 1 if zlib.crc32(key.encode()) % 2 else -1
+
+    return rule
+
+
+READ_SUBSETS = [frozenset(c) for n in range(len(OUTCOME_ARGS) + 1)
+                for c in combinations(OUTCOME_ARGS, n)]
+
+
+@pytest.mark.parametrize("reads", READ_SUBSETS, ids=lambda r: "+".join(sorted(r)) or "none")
+def test_every_reads_subset_compiles_to_the_all_reads_array(reads):
+    """An axis a rule does not read is repeated, and the array equals the one
+    compiled with every argument read, stays writeable, and is kept read-only
+    by the memo; with and without installed modifiers."""
+    base = zoo_model("bell_product_basic")
+    signed = layer_double(time_symmetrize(base, SignFunction((1, -1, -1, 1), 0.0)))
+    for model in (base, signed):
+        declared = replace(model, out1=OutcomeFn(Station.S1, rule_reading(reads), reads))
+        every = replace(model, out1=OutcomeFn(Station.S1, rule_reading(reads)))
+        for angle in TEST_ANGLES:
+            setting = s1(angle)
+            values = station_values(declared, setting)
+            found = station_outcomes(declared, setting, values)
+            expected = station_outcomes(every, setting, station_values(every, setting))
+            assert found.dtype == np.int8 and found.flags.writeable
+            assert found.tolist() == expected.tolist()
+            kept = declared.compiled(setting)[1]
+            assert not kept.flags.writeable and kept.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("share", [0.9, 0.4])
+def test_a_model_refuses_cell_masses_the_joint_table_refuses(share):
+    """Each factor sums to 1 within WEIGHT_TOL, but their errors add in the
+    cell masses: at 0.9 x WEIGHT_TOL per factor the model itself is refused,
+    with the joint table's message; at 0.4 x it builds and tabulates."""
+    near = 0.5 - share * WEIGHT_TOL
+    base = zoo_model("bell_product_basic")
+    build = lambda: replace(base, source=SourceSpace(("u0", "u1"), (near, 0.5)),
+                            grid=TimeGrid(4, (near, 0.5, 0.0, 0.0)))
+    if share > 0.5:
+        with pytest.raises(InvalidWeightsError,
+                           match=r"^bell_product_basic: cell masses: weights sum to .*, not 1$"):
+            build()
+    else:
+        model = build()
+        assert abs(tabulate_joint(model, s1(0.0), s2(0.0)).mass() - 1.0) <= WEIGHT_TOL

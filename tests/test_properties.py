@@ -1,5 +1,8 @@
 """Property-based checks of the core invariants."""
 import math
+import random
+from dataclasses import replace
+from itertools import product
 from math import fsum
 
 import pytest
@@ -26,18 +29,18 @@ from eprsim import (
     marginal,
     s1,
     s2,
-    station_outcomes,
-    station_values,
     table_from_csv,
     table_to_csv,
     tabulate_joint,
     time_symmetrize,
 )
+from eprsim.density import check_factorization
 from eprsim.descriptors import descriptor_text
+from eprsim.model import OUTCOME_ARGS
 from eprsim.util import parse_scalar
 from eprsim.zoo import ZOO, random_factorized_model
 
-from conftest import OPTIMAL
+from conftest import GRID_PAIRS, OPTIMAL
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -190,14 +193,10 @@ table =
 
 
 def compiled(model):
-    """Every station's slot values and outcome array at the test angles."""
-    out = []
-    for station in Station:
-        for angle in TEST_ANGLES:
-            setting = Setting(angle, station)
-            values = station_values(model, setting)
-            out.append((values, station_outcomes(model, setting, values).tolist()))
-    return out
+    """Every station's slot values and outcome array at the test angles, as
+    the model's memo holds them."""
+    return [(values, outcomes.tolist()) for station in Station for angle in TEST_ANGLES
+            for values, outcomes in [model.compiled(Setting(angle, station))]]
 
 
 @settings(max_examples=40, deadline=None)
@@ -260,3 +259,114 @@ def test_parse_scalar_equals_try_int_then_float(text):
     got, want = parse_scalar(text), try_int_then_float(text)
     assert type(got) is type(want)
     assert got == want or (got != got and want != want)
+
+
+# Instrument values a drawn generator takes: ints, a float and a label.
+VALUE_POOL = (0, 1, 2, 2.5, "x")
+
+
+def _rows(rows) -> str:
+    return "table =\n" + "\n".join("    " + ",".join(map(str, row)) for row in rows)
+
+
+@st.composite
+def model_texts(draw):
+    """A descriptor of every generator and outcome kind, a uniform or weighted
+    grid (a weighted one may give a slot 0.0) and prior, with its tables
+    filled from a drawn seed; and up to three transform ops."""
+    rng = random.Random(draw(seeds))
+    states = [f"q{i}" for i in range(draw(st.integers(1, 3)))]
+    slots = draw(st.integers(1, 5))
+
+    def masses(n, zero):
+        units = [rng.randint(1, 4) for _ in range(n)]
+        if zero and n > 1:
+            units[rng.randrange(n)] = 0
+        return ", ".join(repr(u / sum(units)) for u in units)
+
+    prior = (masses(len(states), False) if draw(st.booleans())
+             else ", ".join([repr(1 / len(states))] * len(states)))
+    grid = f"slots = {slots}"
+    if draw(st.booleans()):
+        grid += f"\nweights = {masses(slots, draw(st.booleans()))}"
+    sections = []
+    for station in (1, 2):
+        values = draw(st.lists(st.sampled_from(VALUE_POOL), min_size=1, max_size=3))
+        space = list(dict.fromkeys(values))
+        gen_kind = draw(st.sampled_from(["constant", "cycle", "table2", "table3"]))
+        if gen_kind == "constant":
+            gen, space = f"kind = constant\nvalue = {values[0]}", space[:1]
+        elif gen_kind == "cycle":
+            gen = (f"kind = cycle\nvalues = {', '.join(map(str, values))}\n"
+                   f"stride = {rng.randint(1, 3)}\nmodulus = {rng.randint(1, 4)}")
+        elif gen_kind == "table2":
+            gen = "kind = table\n" + _rows((m, rng.choice(space)) for m in range(1, slots + 1))
+        else:
+            gen = "kind = table\n" + _rows((repr(x), m, rng.choice(space))
+                                           for x in TEST_ANGLES for m in range(1, slots + 1))
+        sign = lambda: rng.choice((-1, 1))
+        out_kind = draw(st.sampled_from(["constant", "lambda_table", "cosine", "table4", "table5"]))
+        if out_kind == "constant":
+            out = f"kind = constant\nvalue = {sign()}"
+        elif out_kind == "lambda_table":
+            out = "kind = lambda_table\n" + _rows((lam, sign()) for lam in states)
+        elif out_kind == "cosine":
+            out = (f"kind = cosine\nnegate = {rng.choice(('true', 'false'))}\n"
+                   + _rows((lam, repr(rng.uniform(0.0, 6.3))) for lam in states))
+        elif out_kind == "table4":
+            out = "kind = table\n" + _rows((lam, v, m, sign()) for lam in states for v in space
+                                           for m in range(1, slots + 1))
+        else:
+            out = "kind = table\n" + _rows((repr(x), lam, v, m, sign()) for x in TEST_ANGLES
+                                           for lam in states for v in space
+                                           for m in range(1, slots + 1))
+        sections.append((f"[gen{station}]\n{gen}\n", f"[out{station}]\n{out}\n"))
+    text = (f"[model]\nname = drawn\n\n[source]\nstates = {', '.join(states)}\n"
+            f"prior = {prior}\n\n[grid]\n{grid}\n\n"
+            + "\n".join(gen for gen, _ in sections) + "\n" + "\n".join(out for _, out in sections))
+    ops = []
+    for kind in draw(st.permutations(["sign", "double", "lambda-sign"]))[:draw(st.integers(0, 3))]:
+        if kind == "sign":
+            signs = "".join(rng.choice("+-") for _ in range(slots))
+            ops.append(f"sign values={signs} station={rng.choice(('both', 's1', 's2'))}")
+        elif kind == "double":
+            ops.append("double")
+            slots *= 2
+        else:
+            ops.append(f"lambda-sign seed={rng.randint(0, 99)}")
+    return text, ops
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=model_texts())
+def test_drawn_descriptors_agree_with_every_oracle(tmp_path_factory, drawn):
+    """(a) the compile along declared reads equals the all-reads compile;
+    (b) the direct sum equals the table route on every grid pair; (c) |S| is
+    at most twice the mass at all 256 test-grid quadruples; (d) the joint
+    table factorizes given (state, slot); (e) the transformed descriptor
+    reloads to the same arrays."""
+    text, ops = drawn
+    directory = tmp_path_factory.mktemp("drawn")
+    (directory / "base.ini").write_text(text, encoding="utf-8")
+    model = load_model(directory / "base.ini")
+    for op in ops:
+        model = apply_transform_op(model, op)
+    every = replace(model, out1=replace(model.out1, reads=OUTCOME_ARGS),
+                    out2=replace(model.out2, reads=OUTCOME_ARGS))
+    assert compiled(every) == compiled(model)
+    e = {}
+    for a, b in GRID_PAIRS:
+        table = tabulate_joint(model, a, b)
+        direct, via_table = correlate(model, a, b), correlate_via_table(model, table)
+        assert (direct.e_ab, direct.marginal_a, direct.marginal_b) == (
+            via_table.e_ab, via_table.marginal_a, via_table.marginal_b)
+        assert direct.cond_a == pytest.approx(via_table.cond_a, abs=1e-12)
+        assert direct.cond_b == pytest.approx(via_table.cond_b, abs=1e-12)
+        e[a.angle, b.angle] = direct.e_ab
+    bound = 2 * table.mass() + 1e-12
+    for x, xp, y, yp in product(TEST_ANGLES, repeat=4):
+        assert abs(e[x, y] - e[x, yp] + e[xp, y] + e[xp, yp]) <= bound
+    assert check_factorization(table, "given_lambda_and_m", 1e-9).passed
+    path = directory / "transformed.ini"
+    path.write_text(descriptor_text(directory / "base.ini", ops, directory), encoding="utf-8")
+    assert compiled(load_model(path)) == compiled(model)
